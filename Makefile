@@ -25,7 +25,7 @@ FUZZ_TARGETS := \
 # Minimum total test coverage (percent) enforced by `make cover` and CI.
 COVER_THRESHOLD := 80
 
-.PHONY: build test race bench bench-json serve-bench-json kernels-json kernels-gate eval-json ladder-json serve-smoke cluster-smoke perception-smoke degrade-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
+.PHONY: build test race bench bench-json serve-bench-json kernels-json kernels-gate eval-json ladder-json serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
 
 build:
 	go build ./...
@@ -52,7 +52,7 @@ serve-bench-json:
 	go run ./cmd/asvbench -exp serve -json BENCH_serve.json
 
 # Regenerate BENCH_kernels.json, the committed ns/pixel baseline for the
-# matching kernels (float vs fixed-point).
+# matching kernels (one row per kernel and numeric type).
 kernels-json:
 	go run ./cmd/asvbench -exp kernels -json BENCH_kernels.json
 
@@ -95,6 +95,14 @@ perception-smoke:
 degrade-smoke:
 	./scripts/degrade_smoke.sh
 
+# The repository benchmark (BENCHMARK.json, benchmark/) is its own module, so
+# `go build ./... && go test ./...` at the root never compiles it although it
+# imports asv/internal/...; vet it and run its tests (which drive every
+# workload once through -smoke) so a change to the internals cannot break it
+# unseen.
+benchmark-smoke:
+	cd benchmark && go vet ./... && go test ./...
+
 fmt:
 	gofmt -w .
 
@@ -116,7 +124,7 @@ lint-fix:
 	gofmt -w .
 	go run ./cmd/asvlint -group ./...
 
-# Compiler-diagnostics gate for the fixed-point kernels: rebuild
+# Compiler-diagnostics gate for the matching kernels: rebuild
 # internal/stereo with escape/inline/bounds-check diagnostics and compare
 # per-function counts against internal/stereo/perf_contract.json. The fresh
 # parsed report is left for CI to upload. After an intentional kernel
@@ -143,4 +151,4 @@ cover:
 	if [ "$$ok" != 1 ]; then \
 		echo "coverage $$total% is below the $(COVER_THRESHOLD)% floor" >&2; exit 1; fi
 
-check: build vet lint perf-gate fmt-check test race bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke cover kernels-gate
+check: build vet lint perf-gate fmt-check test race bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke cover kernels-gate

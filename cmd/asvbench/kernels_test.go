@@ -42,6 +42,21 @@ func TestGateKernels(t *testing.T) {
 		}
 	})
 
+	t.Run("retired float rows of a pre-merge baseline pass", func(t *testing.T) {
+		old := append([]asv.KernelPoint{
+			point("census", "float", 128, 80, 5000),
+			point("sgm-aggregate", "float", 128, 80, 5000),
+			point("wta", "float", 128, 80, 90),
+		}, committed...)
+		fresh := []asv.KernelPoint{
+			point("sad", "float", 128, 80, 100),
+			point("sad", "fixed", 128, 80, 40),
+		}
+		if err := gateKernels(fresh, old); err != nil {
+			t.Fatalf("unexpected gate failure: %v", err)
+		}
+	})
+
 	t.Run("fail on missing row", func(t *testing.T) {
 		fresh := []asv.KernelPoint{point("sad", "float", 128, 80, 100)}
 		err := gateKernels(fresh, committed)

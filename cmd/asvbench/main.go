@@ -46,7 +46,7 @@ func main() {
 		}
 		fmt.Println("pipeline   serial vs concurrent streaming-runtime throughput (-json writes BENCH_pipeline.json)")
 		fmt.Println("serve      depth-serving latency percentiles + backpressure (-json writes BENCH_serve.json)")
-		fmt.Println("kernels    matching-kernel ns/pixel, float vs fixed (-json writes BENCH_kernels.json, -gate checks a baseline)")
+		fmt.Println("kernels    matching-kernel ns/pixel per numeric type (-json writes BENCH_kernels.json, -gate checks a baseline)")
 		return
 	}
 

@@ -37,7 +37,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 7, "scene seed")
 	stream := fs.Bool("stream", false, "use the concurrent streaming runtime (bit-identical to serial)")
 	showMetrics := fs.Bool("metrics", false, "print per-stage latency metrics after the run")
-	fixed := fs.Bool("fixed", false, "use the fixed-point matching kernels (key SGM + guided refine)")
+	fixed := fs.Bool("fixed", false, "run the SAD kernels on uint8 samples and uint16 costs instead of float32 (guided refine; the SGM key matcher is integer either way)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -51,7 +51,6 @@ func run(args []string, out io.Writer) error {
 
 	sgmOpt := asv.DefaultSGMOptions()
 	sgmOpt.MaxDisp = 28
-	sgmOpt.Fixed = *fixed
 	cfg := asv.DefaultPipelineConfig()
 	cfg.PW = *pw
 	cfg.BM.Fixed = *fixed

@@ -14,7 +14,7 @@
 // of {file,line,col,rule,msg} objects for tooling.
 //
 // -perf runs the compiler-diagnostics perf gate instead of the analyzers:
-// it rebuilds the fixed-point kernel package with escape/inline/bounds-check
+// it rebuilds the matching-kernel package with escape/inline/bounds-check
 // diagnostics and compares per-function counts against the committed
 // perf_contract.json (see internal/analysis/perfgate.go). -perf-json writes
 // the full parsed report for CI artifacts; -perf-update rewrites the

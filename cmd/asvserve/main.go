@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint each session to -spill-dir every N frames (0 = only on eviction)")
 	matcherName := fs.String("matcher", "bm", "key-frame matcher (bm|sgm)")
 	maxDisp := fs.Int("maxdisp", 24, "matcher disparity search range")
-	fixed := fs.Bool("fixed", false, "use the fixed-point matching kernels (key matcher + guided refine)")
+	fixed := fs.Bool("fixed", false, "run the SAD kernels on uint8 samples and uint16 costs instead of float32 (guided refine and the bm key matcher; sgm is integer either way)")
 	deadline := fs.Duration("deadline", 0, "default per-frame latency target for best-effort sessions (0 = server default)")
 	overcommit := fs.Int("overcommit", 0, "best-effort admission bound as a multiple of -queue (0 = default)")
 	pacedFrameMs := fs.Int("paced-frame-ms", 0, "pace the key matcher to a fixed per-Match budget in ms (0 = off; for reproducible overload/degrade demos)")
@@ -77,7 +77,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	case "sgm":
 		opt := asv.DefaultSGMOptions()
 		opt.MaxDisp = *maxDisp
-		opt.Fixed = *fixed
 		matcher = asv.SGMKeyMatcher{Opt: opt}
 	default:
 		return fmt.Errorf("unknown matcher %q (bm|sgm)", *matcherName)

@@ -92,7 +92,6 @@ func All() []*Analyzer {
 		AnalyzerMutexCopy,
 		AnalyzerAtomicAlign,
 		AnalyzerArchLayer,
-		AnalyzerFixedInt,
 		AnalyzerLockBalance,
 		AnalyzerWGBalance,
 		AnalyzerSendBlock,

@@ -120,13 +120,6 @@ func TestMutexCopyFixture(t *testing.T) {
 	runFixture(t, fixtureDir(t, "mutexcopy"), "asv/internal/analysis/testdata/mutexcopy", All())
 }
 
-func TestFixedIntFixture(t *testing.T) {
-	// The rule keys off the _fixed.go basename, not the package path, so a
-	// neutral path suffices; readout.go in the same fixture proves ordinary
-	// files may use float arithmetic freely.
-	runFixture(t, fixtureDir(t, "fixedint"), "asv/internal/analysis/testdata/fixedint", All())
-}
-
 func TestArchLayerFixture(t *testing.T) {
 	// Loaded under a neutral path, so the layering rule applies.
 	runFixture(t, fixtureDir(t, "archlayer"), "asv/internal/analysis/testdata/archlayer", All())
@@ -277,7 +270,7 @@ func TestWriteJSONGoldenSchema(t *testing.T) {
 	buf.Reset()
 	diags := []Diagnostic{
 		{Pos: token.Position{Filename: "internal/serve/server.go", Line: 12, Column: 3}, Rule: "lockbalance", Msg: "Lock of s.mu is not released on every path to return/panic"},
-		{Pos: token.Position{Filename: "internal/stereo/sad_fixed.go", Line: 40, Column: 2}, Rule: "fixedint", Msg: "float arithmetic in a *_fixed.go kernel"},
+		{Pos: token.Position{Filename: "internal/imgproc/pool.go", Line: 40, Column: 2}, Rule: "poolpair", Msg: "pooled image is not returned on every path"},
 	}
 	if err := WriteJSON(&buf, diags); err != nil {
 		t.Fatal(err)
@@ -291,11 +284,11 @@ func TestWriteJSONGoldenSchema(t *testing.T) {
     "msg": "Lock of s.mu is not released on every path to return/panic"
   },
   {
-    "file": "internal/stereo/sad_fixed.go",
+    "file": "internal/imgproc/pool.go",
     "line": 40,
     "col": 2,
-    "rule": "fixedint",
-    "msg": "float arithmetic in a *_fixed.go kernel"
+    "rule": "poolpair",
+    "msg": "pooled image is not returned on every path"
   }
 ]
 `

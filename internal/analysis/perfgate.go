@@ -1,8 +1,8 @@
 package analysis
 
-// Compiler-diagnostics perf gate (stdlib-only). The fixed-point matching
-// kernels earn their speed from three compiler behaviours that ordinary
-// tests cannot observe: the prove pass eliding per-element bounds checks
+// Compiler-diagnostics perf gate (stdlib-only). The matching kernels earn
+// their speed from three compiler behaviours that ordinary tests cannot
+// observe: the prove pass eliding per-element bounds checks
 // from the sliding-window inner loops, escape analysis keeping kernel state
 // off the heap, and the inliner absorbing the saturating-math leaf helpers.
 // All three silently regress under innocent-looking edits. The gate makes
@@ -62,7 +62,7 @@ type PerfContract struct {
 
 // PerfDiag is one parsed compiler diagnostic attributed to a function.
 type PerfDiag struct {
-	File string `json:"file"` // base name, e.g. "sad_fixed.go"
+	File string `json:"file"` // base name, e.g. "kernels.go"
 	Line int    `json:"line"`
 	Col  int    `json:"col"`
 	Func string `json:"func"` // enclosing function, or "(top-level)"

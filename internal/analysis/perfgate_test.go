@@ -42,13 +42,14 @@ func TestPerfGateRepoContractClean(t *testing.T) {
 			t.Errorf("%s is not reported inlinable", name)
 		}
 	}
-	// The central guarantee: the sliding-window kernels carry zero
-	// per-element bounds checks. If the contract ever relaxes these to
-	// nonzero, this test — not just the JSON — has to change.
+	// The central guarantee: the sliding-window and SGM kernels carry zero
+	// per-element bounds checks in every instantiation (a check in either
+	// numeric type's copy of a generic kernel is reported at the shared
+	// source line). If the contract ever relaxes these to nonzero, this
+	// test — not just the JSON — has to change.
 	for file, fns := range map[string][]string{
-		"sad_fixed.go": {"blockCostStrip", "sadRowCost", "censusRowCost"},
-		"cvf_fixed.go": {"adPlaneU8", "boxSumU16"},
-		"sgm_fixed.go": {"sgmStepFixed", "aggregateFixed"},
+		"kernels.go": {"blockCostStrip", "adRowCost", "censusRowCost"},
+		"sgm.go":     {"sgmStep", "sgmSweep"},
 	} {
 		for _, fn := range fns {
 			if got := rep.Measured[file][fn].IndexChecks; got != 0 {
@@ -68,13 +69,13 @@ func TestPerfGateDetectsRegression(t *testing.T) {
 		t.Skip("compiler-diagnostics build skipped in -short mode")
 	}
 	root, c := repoContract(t)
-	budget := c.Files["sad_fixed.go"]["slideRow"]
+	budget := c.Files["kernels.go"]["slideRow"]
 	if budget.IndexChecks == 0 {
 		t.Skip("slideRow's degenerate path lost its residual checks; pick another probe")
 	}
 	budget.IndexChecks = 0
-	c.Files["sad_fixed.go"]["slideRow"] = budget
-	c.Files["sgm_fixed.go"]["noSuchKernel"] = PerfCounts{}
+	c.Files["kernels.go"]["slideRow"] = budget
+	c.Files["sgm.go"]["noSuchKernel"] = PerfCounts{}
 	rep, err := RunPerfGate(root, c)
 	if err != nil {
 		t.Fatal(err)

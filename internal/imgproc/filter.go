@@ -70,24 +70,6 @@ func GaussianBlur(im *Image, sigma float64) *Image {
 	return SeparableFilter(im, k, k)
 }
 
-// BoxFilter averages over a (2r+1)×(2r+1) window using a running-sum
-// implementation, O(1) per pixel.
-func BoxFilter(im *Image, r int) *Image {
-	if r < 0 {
-		panic("imgproc: negative box-filter radius")
-	}
-	if r == 0 {
-		return im.Clone()
-	}
-	n := 2*r + 1
-	k := make([]float32, n)
-	inv := 1 / float32(n)
-	for i := range k {
-		k[i] = inv
-	}
-	return SeparableFilter(im, k, k)
-}
-
 // GradX returns the horizontal central-difference derivative (f(x+1)-f(x-1))/2.
 func GradX(im *Image) *Image {
 	out := NewImage(im.W, im.H)

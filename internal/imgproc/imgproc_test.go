@@ -108,26 +108,6 @@ func TestGaussianBlurReducesVariance(t *testing.T) {
 	}
 }
 
-func TestBoxFilterEqualsBruteForce(t *testing.T) {
-	im := randImage(2, 10, 8)
-	r := 2
-	got := BoxFilter(im, r)
-	n := float32((2*r + 1) * (2*r + 1))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			var s float32
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					s += im.At(x+dx, y+dy)
-				}
-			}
-			if d := math.Abs(float64(got.At(x, y) - s/n)); d > 1e-4 {
-				t.Fatalf("box filter mismatch at (%d,%d): %v", x, y, d)
-			}
-		}
-	}
-}
-
 func TestGradientsOfRamp(t *testing.T) {
 	// f(x,y) = 2x + 3y has GradX=2, GradY=3 away from borders.
 	im := NewImage(8, 8)

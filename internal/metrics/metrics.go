@@ -99,7 +99,9 @@ func (s *Stage) Min() time.Duration {
 func (s *Stage) Max() time.Duration { return time.Duration(s.maxNs.Load()) }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) of the
-// observed latencies, resolved to the histogram's power-of-two buckets.
+// observed latencies, resolved to the histogram's power-of-two buckets and
+// clamped to [Min, Max]: a bucket's upper edge can lie up to 2x above every
+// sample in it, and no quantile lies outside the observed range.
 func (s *Stage) Quantile(q float64) time.Duration {
 	n := s.count.Load()
 	if n == 0 {
@@ -113,7 +115,7 @@ func (s *Stage) Quantile(q float64) time.Duration {
 	for i := 0; i < nBuckets; i++ {
 		seen += s.buckets[i].Load()
 		if seen >= target {
-			return bucketUpper(i)
+			return min(max(bucketUpper(i), s.Min()), s.Max())
 		}
 	}
 	return s.Max()
@@ -129,12 +131,10 @@ func bucketOf(ns int64) int {
 	return b
 }
 
-// bucketUpper returns the inclusive upper latency bound of bucket i.
+// bucketUpper returns the inclusive upper latency bound of bucket i: the
+// last nanosecond before 2^i µs (bucketOf truncates to whole microseconds).
 func bucketUpper(i int) time.Duration {
-	if i == 0 {
-		return time.Microsecond
-	}
-	return time.Duration((int64(1)<<i - 1)) * time.Microsecond
+	return time.Duration(int64(1)<<i)*time.Microsecond - 1
 }
 
 // Registry is a named collection of stages plus process-level allocation

@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -62,6 +65,45 @@ func TestQuantileBounds(t *testing.T) {
 	}
 	if got := s.Quantile(1.0); got < 256*time.Millisecond {
 		t.Fatalf("p100 = %v, should reach the 500ms outlier's bucket", got)
+	}
+}
+
+// Property: against a sorted-sample oracle, Quantile never under-reports the
+// true quantile and never exceeds the stage's own Max.
+func TestQuantileAgainstSortedOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		s := NewRegistry().Stage("q")
+		samples := make([]time.Duration, 1+rng.Intn(300))
+		for i := range samples {
+			// Log-uniform from sub-microsecond to minutes, so every bucket
+			// (including the first and the overflow one) is exercised.
+			samples[i] = time.Duration(math.Exp(rng.Float64() * math.Log(float64(10*time.Minute))))
+			s.Observe(samples[i])
+		}
+		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		for _, q := range []float64{0.01, 0.5, 0.95, 0.99, 1, rng.Float64()} {
+			rank := max(int(q*float64(len(samples))), 1)
+			got, truth := s.Quantile(q), samples[rank-1]
+			if got < truth || got > s.Max() {
+				t.Fatalf("trial %d: Quantile(%v) = %v, want in [%v (rank %d of %d), max %v]",
+					trial, q, got, truth, rank, len(samples), s.Max())
+			}
+		}
+	}
+}
+
+// A stage whose samples sit low in one bucket must not report the bucket's
+// upper edge: p50 of a constant stage is that constant.
+func TestQuantileClampedToObservedRange(t *testing.T) {
+	s := NewRegistry().Stage("q")
+	for i := 0; i < 10; i++ {
+		s.Observe(600 * time.Millisecond) // bucket edge: ~1.05 s
+	}
+	for _, q := range []float64{0.5, 0.95, 1} {
+		if got := s.Quantile(q); got != 600*time.Millisecond {
+			t.Fatalf("Quantile(%v) = %v, want 600ms", q, got)
+		}
 	}
 }
 

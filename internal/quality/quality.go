@@ -75,7 +75,8 @@ type OperatingPoint struct {
 	// configured matcher (required on the top rung so it stays bit-identical
 	// to the undegraded path), "bm" and "sgm" build the classic kernels.
 	Matcher string `json:"matcher,omitempty"`
-	// Fixed selects the fixed-point kernels for a built matcher.
+	// Fixed runs the SAD kernels (bm key matcher, guided refine) on uint8
+	// samples and uint16 costs instead of float32.
 	Fixed bool `json:"fixed,omitempty"`
 	// PWStretch multiplies the session's propagation window (1 = no
 	// stretch): key frames every basePW*PWStretch frames.
@@ -156,7 +157,6 @@ func (r Rung) BuildMatcher(top core.KeyMatcher) core.KeyMatcher {
 	case "sgm":
 		opt := stereo.DefaultSGMOptions()
 		opt.MaxDisp = scaledMaxDisp(opt.MaxDisp, r.OP.PyrLevel)
-		opt.Fixed = r.OP.Fixed
 		return core.SGMMatcher{Opt: opt}
 	}
 	return top

@@ -3,7 +3,6 @@ package stereo
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"asv/internal/imgproc"
 	"asv/internal/par"
@@ -23,45 +22,18 @@ type BMOptions struct {
 	// the given window radius (0 disables). Census costs are invariant to
 	// per-camera gain/offset, at a small cost in clean-image accuracy.
 	Census int
-	// Fixed selects the fixed-point kernels (fixedpoint.go): uint8-quantized
-	// intensities, cache-blocked sliding-window uint16 cost volumes. Census
-	// costs are bit-identical to the float path; SAD costs drift within the
-	// bound pinned by the quantized-oracle suite (DESIGN.md §9).
+	// Fixed selects the numeric type of the SAD kernels: uint8-quantized
+	// samples and uint16 cost cells instead of float32 ones, one algorithm
+	// either way, within the drift bound pinned by the quantized-oracle
+	// suite (DESIGN.md §9). Census costs are integers regardless, so with
+	// Census > 0 the flag changes nothing.
 	Fixed bool
-}
-
-// coster abstracts the per-candidate block cost.
-type coster func(x, y, d int) float64
-
-// makeCoster builds the configured cost function.
-func makeCoster(left, right *imgproc.Image, opt BMOptions) coster {
-	if opt.Census > 0 {
-		cc := newCensusCosts(left, right, opt.Census)
-		return func(x, y, d int) float64 {
-			return cc.costAt(left, right, x, y, d, opt.BlockR)
-		}
-	}
-	return func(x, y, d int) float64 {
-		return sadAt(left, right, x, y, d, opt.BlockR)
-	}
 }
 
 // DefaultBMOptions returns the block-matching configuration used in the ASV
 // experiments: 4-pixel radius (9×9 blocks), 64-pixel search, subpixel on.
 func DefaultBMOptions() BMOptions {
 	return BMOptions{BlockR: 4, MaxDisp: 64, Subpixel: true}
-}
-
-// sadAt computes the SAD between the block around (x, y) in left and the
-// block around (x-d, y) in right.
-func sadAt(left, right *imgproc.Image, x, y, d, r int) float64 {
-	var s float64
-	for dy := -r; dy <= r; dy++ {
-		for dx := -r; dx <= r; dx++ {
-			s += math.Abs(float64(left.At(x+dx, y+dy) - right.At(x-d+dx, y+dy)))
-		}
-	}
-	return s
 }
 
 // subpixelFit refines a winning integer disparity by fitting a parabola to
@@ -80,101 +52,87 @@ func subpixelFit(cm1, c0, cp1 float64) float64 {
 	return off
 }
 
-// Match performs full-search SAD block matching: for every left pixel it
-// scans disparities 0..MaxDisp and keeps the winner-take-all disparity.
+// Match performs full-search block matching: for every left pixel it scans
+// disparities 0..MaxDisp and keeps the winner-take-all disparity. The cost
+// is SAD over float32 samples, SAD over uint8-quantized samples when
+// opt.Fixed is set, or census-Hamming (integer either way) when opt.Census
+// is positive.
 func Match(left, right *imgproc.Image, opt BMOptions) *imgproc.Image {
 	if left.W != right.W || left.H != right.H {
 		panic(fmt.Sprintf("stereo: image sizes differ %dx%d vs %dx%d", left.W, left.H, right.W, right.H))
 	}
-	if opt.Fixed {
-		return matchFixed(left, right, opt)
+	if opt.Census > 0 {
+		cl, cr := census(left, opt.Census), census(right, opt.Census)
+		return matchStrips(left.W, left.H, opt, censusRowCost(cl, cr, left.W), limU16)
 	}
-	out := imgproc.NewImage(left.W, left.H)
-	cost := makeCoster(left, right, opt)
-	par.For(left.H, func(y int) {
-		costs := make([]float64, opt.MaxDisp+1)
-		for x := 0; x < left.W; x++ {
-			best := math.Inf(1)
-			bestD := 0
-			hi := opt.MaxDisp
-			if hi > x {
-				hi = x // disparity cannot look past the left border
-			}
-			for d := 0; d <= hi; d++ {
-				c := cost(x, y, d)
-				costs[d] = c
-				if c < best {
-					best, bestD = c, d
-				}
-			}
-			if opt.UniqRatio > 0 {
-				// Runner-up outside the winner's immediate neighbourhood.
-				second := math.Inf(1)
-				for d := 0; d <= hi; d++ {
-					if d >= bestD-1 && d <= bestD+1 {
-						continue
-					}
-					if costs[d] < second {
-						second = costs[d]
-					}
-				}
-				if second < best*(1+opt.UniqRatio) {
-					out.Set(x, y, -1)
-					continue
-				}
-			}
-			disp := float64(bestD)
-			if opt.Subpixel && bestD > 0 && bestD < hi {
-				disp += subpixelFit(costs[bestD-1], costs[bestD], costs[bestD+1])
-			}
-			out.Set(x, y, float32(disp))
-		}
-	})
-	return out
+	return matchAD(left, right, opt, float32(math.Inf(1)))
+}
+
+// matchAD is the full search over the absolute-difference cost capped at
+// truncate, in the numeric type opt.Fixed selects: plain SAD block matching
+// with the cap at +Inf, cost-volume filtering with a finite one.
+func matchAD(left, right *imgproc.Image, opt BMOptions, truncate float32) *imgproc.Image {
+	w, h := left.W, left.H
+	if opt.Fixed {
+		return matchStrips(w, h, opt, adRowCost(quantize8(left), quantize8(right), w, uint16(quant8(truncate))), limU16)
+	}
+	return matchStrips(w, h, opt, adRowCost(left.Pix, right.Pix, w, truncate), limF32)
 }
 
 // Refine performs ISM's guided correspondence search (paper step 4): for
 // every pixel, it searches a 1-D window of ±searchR pixels centred on the
 // initial disparity estimate init, and returns the refined disparity map.
-// This is dramatically cheaper than Match because searchR << MaxDisp.
+// This is dramatically cheaper than Match because searchR << MaxDisp. The
+// cost and its numeric type are chosen as in Match.
 func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgproc.Image {
 	if init.W != left.W || init.H != left.H {
 		panic("stereo: initial disparity size mismatch")
 	}
-	if opt.Fixed {
-		return refineFixed(left, right, init, searchR, opt)
+	w, h, br := left.W, left.H, opt.BlockR
+	switch {
+	case opt.Census > 0:
+		cl, cr := census(left, opt.Census), census(right, opt.Census)
+		return refine(init, searchR, opt.Subpixel, func(x, y, d int) uint32 {
+			return hamBlock(cl, cr, w, h, x, y, d, br)
+		})
+	case opt.Fixed:
+		l8, r8 := quantize8(left), quantize8(right)
+		return refine(init, searchR, opt.Subpixel, func(x, y, d int) uint32 {
+			return adBlock[uint8, uint16, uint32](l8, r8, w, h, x, y, d, br)
+		})
+	default:
+		return refine(init, searchR, opt.Subpixel, func(x, y, d int) float64 {
+			return adBlock[float32, float32, float64](left.Pix, right.Pix, w, h, x, y, d, br)
+		})
 	}
-	out := imgproc.NewImage(left.W, left.H)
-	cost := makeCoster(left, right, opt)
-	par.For(left.H, func(y int) {
-		costs := make([]float64, 2*searchR+1)
-		for x := 0; x < left.W; x++ {
+}
+
+// refine is the guided-search loop behind Refine: per pixel, the candidate
+// with the smallest cand cost in [init-searchR, init+searchR] ∩ [0, x], ties
+// to the smallest disparity, with optional subpixel refinement.
+func refine[A acc](init *imgproc.Image, searchR int, subpixel bool, cand func(x, y, d int) A) *imgproc.Image {
+	out := imgproc.NewImage(init.W, init.H)
+	par.For(init.H, func(y int) {
+		costs := make([]A, 2*searchR+1)
+		for x := 0; x < init.W; x++ {
 			center := int(math.Round(float64(init.At(x, y))))
-			lo := center - searchR
-			hi := center + searchR
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > x {
-				hi = x
-			}
+			lo := max(center-searchR, 0)
+			hi := min(center+searchR, x)
 			if lo > hi {
 				out.Set(x, y, 0)
 				continue
 			}
-			best := math.Inf(1)
 			bestD := lo
 			for d := lo; d <= hi; d++ {
-				c := cost(x, y, d)
-				costs[d-lo] = c
-				if c < best {
-					best, bestD = c, d
+				costs[d-lo] = cand(x, y, d)
+				if costs[d-lo] < costs[bestD-lo] {
+					bestD = d
 				}
 			}
 			disp := float64(bestD)
-			if opt.Subpixel && bestD > lo && bestD < hi {
+			if subpixel && bestD > lo && bestD < hi {
 				i := bestD - lo
-				disp += subpixelFit(costs[i-1], costs[i], costs[i+1])
+				disp += subpixelFit(float64(costs[i-1]), float64(costs[i]), float64(costs[i+1]))
 			}
 			out.Set(x, y, float32(disp))
 		}
@@ -216,41 +174,4 @@ func LeftRightCheck(dispL, dispR *imgproc.Image, tol float64) *imgproc.Image {
 		}
 	}
 	return out
-}
-
-// censusCosts precomputes census descriptors for census-cost matching.
-type censusCosts struct {
-	l, r []uint64
-	w    int
-}
-
-func newCensusCosts(left, right *imgproc.Image, r int) *censusCosts {
-	return &censusCosts{l: census(left, r), r: census(right, r), w: left.W}
-}
-
-// costAt returns the block matching cost of aligning the block around
-// (x, y) in the left image with disparity d: Hamming distance between
-// census descriptors summed over the block.
-func (c *censusCosts) costAt(left, right *imgproc.Image, x, y, d, blockR int) float64 {
-	h := left.H
-	var s float64
-	for dy := -blockR; dy <= blockR; dy++ {
-		yy := clampInt(y+dy, 0, h-1)
-		for dx := -blockR; dx <= blockR; dx++ {
-			xx := clampInt(x+dx, 0, c.w-1)
-			xr := clampInt(xx-d, 0, c.w-1)
-			s += float64(bits.OnesCount64(c.l[yy*c.w+xx] ^ c.r[yy*c.w+xr]))
-		}
-	}
-	return s
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -1,11 +1,6 @@
 package stereo
 
-import (
-	"math"
-
-	"asv/internal/imgproc"
-	"asv/internal/par"
-)
+import "asv/internal/imgproc"
 
 // Cost-volume filtering: the third classic family in Fig. 1's frontier
 // (ELAS-class local methods). A truncated absolute-difference cost is
@@ -21,9 +16,9 @@ type CVFOptions struct {
 	AggR     int     // box-aggregation radius per disparity plane
 	Truncate float32 // absolute-difference cost cap
 	Subpixel bool
-	// Fixed selects the fixed-point kernels (cvf_fixed.go): uint8-quantized
-	// truncated differences and integer sliding-window box sums. Drift vs
-	// the float path is bounded by the quantized-oracle suite.
+	// Fixed selects the numeric type, as BMOptions.Fixed does: uint8-quantized
+	// truncated differences and uint16 box sums instead of float32 ones.
+	// Drift between the two is bounded by the quantized-oracle suite.
 	Fixed bool
 }
 
@@ -34,59 +29,17 @@ func DefaultCVFOptions() CVFOptions {
 }
 
 // CostVolumeFilter computes a disparity map by filtered-cost-volume
-// winner-take-all.
+// winner-take-all. Box aggregation of a per-pixel cost is what the
+// sliding-window family (kernels.go) does for block matching, so this is
+// Match's search over the truncated-AD cost with AggR as the block radius.
+// Planes hold box sums, not means: winner-take-all and the parabola fit are
+// invariant to the constant (2·AggR+1)² scale.
 func CostVolumeFilter(left, right *imgproc.Image, opt CVFOptions) *imgproc.Image {
 	if left.W != right.W || left.H != right.H {
 		panic("stereo: image sizes differ")
 	}
-	if opt.Fixed {
-		return cvfFixed(left, right, opt)
-	}
-	w, h := left.W, left.H
-	nd := opt.MaxDisp + 1
-	planes := make([]*imgproc.Image, nd)
-	par.For(nd, func(d int) {
-		plane := imgproc.NewImage(w, h)
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				c := left.At(x, y) - right.At(x-d, y)
-				if c < 0 {
-					c = -c
-				}
-				if c > opt.Truncate {
-					c = opt.Truncate
-				}
-				plane.Set(x, y, c)
-			}
-		}
-		planes[d] = imgproc.BoxFilter(plane, opt.AggR)
-	})
-
-	out := imgproc.NewImage(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			best := float32(math.Inf(1))
-			bestD := 0
-			hi := nd - 1
-			if hi > x {
-				hi = x
-			}
-			for d := 0; d <= hi; d++ {
-				if c := planes[d].At(x, y); c < best {
-					best, bestD = c, d
-				}
-			}
-			disp := float64(bestD)
-			if opt.Subpixel && bestD > 0 && bestD < hi {
-				disp += subpixelFit(
-					float64(planes[bestD-1].At(x, y)),
-					float64(planes[bestD].At(x, y)),
-					float64(planes[bestD+1].At(x, y)))
-			}
-			out.Set(x, y, float32(disp))
-		}
-	}
-	return out
+	bm := BMOptions{BlockR: opt.AggR, MaxDisp: opt.MaxDisp, Subpixel: opt.Subpixel, Fixed: opt.Fixed}
+	return matchAD(left, right, bm, opt.Truncate)
 }
 
 // CVFMACs estimates the arithmetic cost: one AD per cost cell, a separable

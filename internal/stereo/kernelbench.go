@@ -8,9 +8,8 @@ import (
 	"asv/internal/imgproc"
 )
 
-// Kernel-level ns/pixel benchmarking for the fixed-point work (ROADMAP item
-// 2). Each matching kernel is timed in both its float reference and
-// fixed-point variant on the same synthetic pair, reporting nanoseconds per
+// Kernel-level ns/pixel benchmarking. Each matching kernel is timed in every
+// numeric type it has on the same synthetic pair, reporting nanoseconds per
 // output pixel — the per-kernel efficiency metric the CI gate tracks in
 // BENCH_kernels.json. Pipeline-level wall-clock lives in asvbench -exp
 // pipeline; this file isolates the kernels so a regression points at the
@@ -18,14 +17,14 @@ import (
 
 // KernelPoint is one (kernel, variant, size) benchmark measurement.
 type KernelPoint struct {
-	Kernel     string  `json:"kernel"`  // sad | census | cvf | sgm-aggregate | wta
-	Variant    string  `json:"variant"` // float | fixed
+	Kernel     string  `json:"kernel"`  // sad | census | cvf | refine | sgm-aggregate | wta
+	Variant    string  `json:"variant"` // numeric type: float (float32 cells) | fixed (integer cells)
 	W          int     `json:"w"`
 	H          int     `json:"h"`
 	MaxDisp    int     `json:"max_disp"`
 	NsPerPixel float64 `json:"ns_per_pixel"`
 	// SpeedupX is NsPerPixel(float) / NsPerPixel(fixed) at the same size,
-	// recorded on fixed rows only.
+	// recorded on the fixed row of a kernel that has both.
 	SpeedupX float64 `json:"speedup_x,omitempty"`
 }
 
@@ -64,17 +63,18 @@ func timeKernel(w, h, rounds int, f func()) float64 {
 	return best
 }
 
-// kernelVariants names one kernel's float and fixed runners, both closed
-// over the same inputs.
-type kernelVariants struct {
+// kernelRuns names one kernel's runners, closed over the same inputs. float
+// is nil for a kernel with a single, integer implementation.
+type kernelRuns struct {
 	name         string
 	float, fixed func()
 }
 
 // MeasureKernels benchmarks every matching kernel at the given frame sizes
-// and disparity range, timing each variant rounds times and keeping the
-// fastest run. Results are ordered kernel-major with the float row directly
-// before its fixed row.
+// and disparity range, timing each run rounds times and keeping the fastest.
+// Kernels whose numeric type BMOptions.Fixed / CVFOptions.Fixed selects (sad,
+// cvf, refine) get a float row directly before their fixed row; kernels that
+// are integer by construction (census, sgm-aggregate, wta) get one fixed row.
 func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 	var points []KernelPoint
 	for _, sz := range sizes {
@@ -87,46 +87,50 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 		bmFixed.Fixed = true
 		censusOpt := bmOpt
 		censusOpt.Census = 2
-		censusFixed := censusOpt
-		censusFixed.Fixed = true
+		// benchPair shifts by 6..10 px, so ±3 around 8 covers the truth.
+		init := imgproc.NewImage(w, h)
+		for i := range init.Pix {
+			init.Pix[i] = 8
+		}
 
 		cvfOpt := DefaultCVFOptions()
 		cvfOpt.MaxDisp = maxDisp
-		cvfFixedOpt := cvfOpt
-		cvfFixedOpt.Fixed = true
+		cvfFixed := cvfOpt
+		cvfFixed.Fixed = true
 
 		sgmOpt := DefaultSGMOptions()
-		sgmOpt.MaxDisp = maxDisp
-		floatCost := costVolume(left, right, sgmOpt)
-		maxCost := uint8((2*sgmOpt.CensusR+1)*(2*sgmOpt.CensusR+1) - 1)
-		fixedCost := costVolumeU8(census(left, sgmOpt.CensusR), census(right, sgmOpt.CensusR), w, h, nd, maxCost)
+		cost := costVolume(census(left, sgmOpt.CensusR), census(right, sgmOpt.CensusR), w, h, nd, sgmOpt.CensusR)
 		p1, p2 := roundPenalty(sgmOpt.P1), roundPenalty(sgmOpt.P2)
-		floatSum := aggregateAll(floatCost, w, h, nd, sgmOpt.Paths, sgmOpt.P1, sgmOpt.P2)
-		fixedSum := aggregateFixed(fixedCost, w, h, nd, sgmOpt.Paths, p1, p2)
+		sum := aggregate(cost, w, h, nd, sgmOpt.Paths, p1, p2)
 
-		kernels := []kernelVariants{
+		for _, k := range []kernelRuns{
 			{"sad",
 				func() { Match(left, right, bmOpt) },
 				func() { Match(left, right, bmFixed) }},
-			{"census",
-				func() { Match(left, right, censusOpt) },
-				func() { Match(left, right, censusFixed) }},
+			{"census", nil,
+				func() { Match(left, right, censusOpt) }},
 			{"cvf",
 				func() { CostVolumeFilter(left, right, cvfOpt) },
-				func() { CostVolumeFilter(left, right, cvfFixedOpt) }},
-			{"sgm-aggregate",
-				func() { aggregateAll(floatCost, w, h, nd, sgmOpt.Paths, sgmOpt.P1, sgmOpt.P2) },
-				func() { aggregateFixed(fixedCost, w, h, nd, sgmOpt.Paths, p1, p2) }},
-			{"wta",
-				func() { wtaVolume(floatSum, w, h, nd, true) },
-				func() { wtaVolumeU16(fixedSum, w, h, nd, true) }},
-		}
-		for _, k := range kernels {
-			fl := timeKernel(w, h, rounds, k.float)
-			fx := timeKernel(w, h, rounds, k.fixed)
-			points = append(points,
-				KernelPoint{Kernel: k.name, Variant: "float", W: w, H: h, MaxDisp: maxDisp, NsPerPixel: fl},
-				KernelPoint{Kernel: k.name, Variant: "fixed", W: w, H: h, MaxDisp: maxDisp, NsPerPixel: fx, SpeedupX: fl / fx})
+				func() { CostVolumeFilter(left, right, cvfFixed) }},
+			{"refine",
+				func() { Refine(left, right, init, 3, bmOpt) },
+				func() { Refine(left, right, init, 3, bmFixed) }},
+			{"sgm-aggregate", nil,
+				func() { aggregate(cost, w, h, nd, sgmOpt.Paths, p1, p2) }},
+			{"wta", nil,
+				func() { wtaVolume(sum, w, h, nd, true) }},
+		} {
+			point := func(variant string, run func()) KernelPoint {
+				return KernelPoint{Kernel: k.name, Variant: variant, W: w, H: h, MaxDisp: maxDisp,
+					NsPerPixel: timeKernel(w, h, rounds, run)}
+			}
+			if k.float == nil {
+				points = append(points, point("fixed", k.fixed))
+				continue
+			}
+			fl, fx := point("float", k.float), point("fixed", k.fixed)
+			fx.SpeedupX = fl.NsPerPixel / fx.NsPerPixel
+			points = append(points, fl, fx)
 		}
 	}
 	return points

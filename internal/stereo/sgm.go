@@ -2,7 +2,6 @@ package stereo
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"asv/internal/imgproc"
@@ -13,13 +12,12 @@ import (
 type SGMOptions struct {
 	MaxDisp  int     // disparity search range [0, MaxDisp]
 	CensusR  int     // census-transform window radius (<= 3 for a 64-bit descriptor)
-	P1, P2   float32 // small- and large-jump smoothness penalties
+	P1, P2   float32 // small- and large-jump smoothness penalties, rounded to integer cost units
 	Paths    int     // 4 or 8 aggregation directions
 	Subpixel bool    // parabola subpixel refinement on the aggregated costs
-	// Fixed selects the fixed-point aggregation (sgm_fixed.go): uint8 census
-	// costs, two-pass rolling-row uint16 path accumulators with saturating
-	// adds. With integral P1/P2 (the defaults) the result is bit-identical
-	// to the float path; fractional penalties round to the nearest integer.
+	// Fixed selects nothing: SGM has one implementation, integer by
+	// construction (census costs are small integers). The field stays only
+	// because the repository benchmark's workload table assigns it.
 	Fixed bool
 }
 
@@ -58,91 +56,172 @@ func census(im *imgproc.Image, r int) []uint64 {
 	return out
 }
 
-// costVolume builds the matching-cost volume C[(y*W+x)*(D+1)+d] as the
-// Hamming distance between census descriptors.
-func costVolume(left, right *imgproc.Image, opt SGMOptions) []float32 {
-	cl := census(left, opt.CensusR)
-	cr := census(right, opt.CensusR)
-	w, h, nd := left.W, left.H, opt.MaxDisp+1
-	vol := make([]float32, w*h*nd)
-	maxCost := float32((2*opt.CensusR+1)*(2*opt.CensusR+1) - 1)
+// Aggregation makes two sweeps over the uint8 census-cost volume — a forward
+// pass (top-down, left-to-right) carrying the paths from W/NW/N/NE and a
+// backward pass (bottom-up, right-to-left) carrying those from E/SE/S/SW —
+// and each direction keeps only two rolling rows of uint16 path costs
+// (2·W·D cells).
+// Path costs are accumulated into one uint16 sum volume with saturating adds
+// as they are produced, so the working set per row is a few hundred KiB
+// instead of one full volume per direction.
+
+// costVolume builds the uint8 census-Hamming cost volume
+// C[(y*W+x)*(D+1)+d]; cells whose right-view column falls outside the image
+// get the worst cost, the full descriptor length.
+func costVolume(cl, cr []uint64, w, h, nd, censusR int) []uint8 {
+	maxCost := uint8((2*censusR+1)*(2*censusR+1) - 1)
+	vol := make([]uint8, w*h*nd)
 	par.For(h, func(y int) {
+		row := y * w
+		clRow := cl[row:][:w]
+		crRow := cr[row:][:w]
 		for x := 0; x < w; x++ {
-			base := (y*w + x) * nd
-			for d := 0; d < nd; d++ {
-				xr := x - d
-				if xr < 0 {
-					vol[base+d] = maxCost // out of view: worst cost
-					continue
-				}
-				vol[base+d] = float32(bits.OnesCount64(cl[y*w+x] ^ cr[y*w+xr]))
+			cells := vol[(row+x)*nd:][:nd]
+			l := clRow[x]
+			hi := min(nd, x+1)
+			for d := 0; d < hi; d++ {
+				cells[d] = uint8(bits.OnesCount64(l ^ crRow[x-d]))
+			}
+			for d := hi; d < nd; d++ {
+				cells[d] = maxCost
 			}
 		}
 	})
 	return vol
 }
 
-var sgmDirs = [8][2]int{
-	{1, 0}, {-1, 0}, {0, 1}, {0, -1},
-	{1, 1}, {-1, 1}, {1, -1}, {-1, -1},
+// sgmStep computes one pixel's path costs dst[0:nd] along a direction
+// from the predecessor's costs prev (nil at a path start, where dst is a
+// copy of the matching costs), then accumulates dst into sum with saturating
+// adds. The d loop is peeled at both ends so the interior is branch-free:
+// per disparity it is two saturating adds, three mins and a subtraction, the
+// form that maps onto conditional moves.
+func sgmStep(dst, prev, sum []uint16, costRow []uint8, nd int, p1, p2 uint16) {
+	if nd <= 0 {
+		return
+	}
+	// Pinning every slice length to nd (and branching on nd < 2, so the
+	// tail below runs with nd >= 2 proven) lets prove drop all per-disparity
+	// bounds checks; perf_contract.json holds this function to zero.
+	dst = dst[:nd]
+	sum = sum[:nd]
+	costRow = costRow[:nd]
+	if prev == nil {
+		for d := 0; d < nd; d++ {
+			c := uint16(costRow[d])
+			dst[d] = c
+			sum[d] = satAdd16(sum[d], c)
+		}
+		return
+	}
+	prev = prev[:nd]
+	minPrev := prev[0]
+	for d := 1; d < nd; d++ {
+		minPrev = min(minPrev, prev[d])
+	}
+	jump := satAdd16(minPrev, p2)
+	if nd < 2 {
+		v := satAdd16(uint16(costRow[0]), min(prev[0], jump)-minPrev)
+		dst[0] = v
+		sum[0] = satAdd16(sum[0], v)
+		return
+	}
+	// d = 0: no d-1 neighbour.
+	best := min(min(prev[0], satAdd16(prev[1], p1)), jump)
+	v := satAdd16(uint16(costRow[0]), best-minPrev)
+	dst[0] = v
+	sum[0] = satAdd16(sum[0], v)
+	// Interior, d in [1, nd-2]: the three prev taps and the three outputs
+	// are windows sharing one length, so prove elides every check.
+	n := nd - 2
+	pm := prev[:n]
+	pc := prev[1:][:n]
+	pp := prev[2:][:n]
+	dc := dst[1:][:n]
+	sc := sum[1:][:n]
+	cc := costRow[1:][:n]
+	for i, pcv := range pc {
+		best = min(min(pcv, jump), satAdd16(min(pm[i], pp[i]), p1))
+		v = satAdd16(uint16(cc[i]), best-minPrev)
+		dc[i] = v
+		sc[i] = satAdd16(sc[i], v)
+	}
+	// d = nd-1: no d+1 neighbour.
+	best = min(min(prev[nd-1], satAdd16(prev[nd-2], p1)), jump)
+	v = satAdd16(uint16(costRow[nd-1]), best-minPrev)
+	dst[nd-1] = v
+	sum[nd-1] = satAdd16(sum[nd-1], v)
 }
 
-// aggregateDir computes and returns the SGM path costs Lr along direction
-// (dx, dy). Directions are independent, so SGM runs them in parallel.
-func aggregateDir(cost []float32, w, h, nd int, dx, dy int, p1, p2 float32) []float32 {
-	lr := make([]float32, w*h*nd)
-	// Visit pixels so that the predecessor along (dx,dy) is already done.
-	ys := make([]int, h)
-	for i := range ys {
-		if dy >= 0 {
-			ys[i] = i
-		} else {
-			ys[i] = h - 1 - i
+// sgmRolling is one direction's pair of rolling Lr rows.
+type sgmRolling struct {
+	prev, cur []uint16 // w*nd path costs of the previous and current row
+}
+
+func newSGMRolling(w, nd int) *sgmRolling {
+	return &sgmRolling{prev: make([]uint16, w*nd), cur: make([]uint16, w*nd)}
+}
+
+func (s *sgmRolling) swap() { s.prev, s.cur = s.cur, s.prev }
+
+// aggregate sums the SGM path costs over 4 or 8 directions into a uint16
+// volume with the same layout as cost.
+func aggregate(cost []uint8, w, h, nd, paths int, p1, p2 uint16) []uint16 {
+	sum := make([]uint16, w*h*nd)
+	sgmSweep(cost, sum, w, h, nd, paths == 8, +1, p1, p2)
+	sgmSweep(cost, sum, w, h, nd, paths == 8, -1, p1, p2)
+	return sum
+}
+
+// sgmSweep makes one raster pass over the volume — top-down, left-to-right
+// for step +1, the mirror image for step -1 — and accumulates into sum the
+// path costs of the directions whose predecessor that order has already
+// visited: the horizontal one (x-step, y), the vertical one (x, y-step) and,
+// with diag, both diagonals (x∓1, y-step).
+func sgmSweep(cost []uint8, sum []uint16, w, h, nd int, diag bool, step int, p1, p2 uint16) {
+	hor, ver := newSGMRolling(w, nd), newSGMRolling(w, nd)
+	var dl, dr *sgmRolling
+	if diag {
+		dl, dr = newSGMRolling(w, nd), newSGMRolling(w, nd)
+	}
+	x0, y0 := 0, 0
+	if step < 0 {
+		x0, y0 = w-1, h-1
+	}
+	for i, y := 0, y0; i < h; i, y = i+1, y+step {
+		hor.swap()
+		ver.swap()
+		if diag {
+			dl.swap()
+			dr.swap()
+		}
+		rowBase := y * w * nd
+		for j, x := 0, x0; j < w; j, x = j+1, x+step {
+			b := x * nd
+			costRow := cost[rowBase+b : rowBase+b+nd]
+			sumRow := sum[rowBase+b : rowBase+b+nd]
+			var pHor, pVer []uint16
+			if j > 0 {
+				pHor = hor.cur[b-step*nd:][:nd]
+			}
+			if i > 0 {
+				pVer = ver.prev[b : b+nd]
+			}
+			sgmStep(hor.cur[b:b+nd], pHor, sumRow, costRow, nd, p1, p2)
+			sgmStep(ver.cur[b:b+nd], pVer, sumRow, costRow, nd, p1, p2)
+			if diag {
+				var pDL, pDR []uint16
+				if x > 0 && i > 0 {
+					pDL = dl.prev[b-nd : b]
+				}
+				if x+1 < w && i > 0 {
+					pDR = dr.prev[b+nd : b+2*nd]
+				}
+				sgmStep(dl.cur[b:b+nd], pDL, sumRow, costRow, nd, p1, p2)
+				sgmStep(dr.cur[b:b+nd], pDR, sumRow, costRow, nd, p1, p2)
+			}
 		}
 	}
-	xs := make([]int, w)
-	for i := range xs {
-		if dx >= 0 {
-			xs[i] = i
-		} else {
-			xs[i] = w - 1 - i
-		}
-	}
-	for _, y := range ys {
-		for _, x := range xs {
-			base := (y*w + x) * nd
-			px, py := x-dx, y-dy
-			if px < 0 || px >= w || py < 0 || py >= h {
-				copy(lr[base:base+nd], cost[base:base+nd])
-				continue
-			}
-			pbase := (py*w + px) * nd
-			minPrev := float32(math.Inf(1))
-			for d := 0; d < nd; d++ {
-				if lr[pbase+d] < minPrev {
-					minPrev = lr[pbase+d]
-				}
-			}
-			for d := 0; d < nd; d++ {
-				best := lr[pbase+d]
-				if d > 0 {
-					if v := lr[pbase+d-1] + p1; v < best {
-						best = v
-					}
-				}
-				if d+1 < nd {
-					if v := lr[pbase+d+1] + p1; v < best {
-						best = v
-					}
-				}
-				if v := minPrev + p2; v < best {
-					best = v
-				}
-				lr[base+d] = cost[base+d] + best - minPrev
-			}
-		}
-	}
-	return lr
 }
 
 // SGM computes a disparity map with semi-global matching: census costs
@@ -155,55 +234,30 @@ func SGM(left, right *imgproc.Image, opt SGMOptions) *imgproc.Image {
 	if opt.Paths != 4 && opt.Paths != 8 {
 		panic(fmt.Sprintf("stereo: SGM paths must be 4 or 8, got %d", opt.Paths))
 	}
-	if opt.Fixed {
-		return sgmFixed(left, right, opt)
-	}
 	w, h, nd := left.W, left.H, opt.MaxDisp+1
-	cost := costVolume(left, right, opt)
-	sum := aggregateAll(cost, w, h, nd, opt.Paths, opt.P1, opt.P2)
+	cost := costVolume(census(left, opt.CensusR), census(right, opt.CensusR), w, h, nd, opt.CensusR)
+	sum := aggregate(cost, w, h, nd, opt.Paths, roundPenalty(opt.P1), roundPenalty(opt.P2))
 	return wtaVolume(sum, w, h, nd, opt.Subpixel)
-}
-
-// aggregateAll runs the path aggregation along opt.Paths directions and
-// returns the summed cost volume. Split from SGM so the kernel benchmark
-// (kernelbench.go) can time aggregation in isolation.
-func aggregateAll(cost []float32, w, h, nd, paths int, p1, p2 float32) []float32 {
-	lrs := make([][]float32, paths)
-	par.For(paths, func(i int) {
-		dir := sgmDirs[i]
-		lrs[i] = aggregateDir(cost, w, h, nd, dir[0], dir[1], p1, p2)
-	})
-	sum := lrs[0]
-	for _, lr := range lrs[1:] {
-		for i := range sum {
-			sum[i] += lr[i]
-		}
-	}
-	return sum
 }
 
 // wtaVolume reads a summed cost volume (pixel-major, disparity innermost)
 // out into disparities: winner-take-all restricted to d <= x with optional
 // subpixel refinement.
-func wtaVolume(sum []float32, w, h, nd int, subpixel bool) *imgproc.Image {
+func wtaVolume(sum []uint16, w, h, nd int, subpixel bool) *imgproc.Image {
 	out := imgproc.NewImage(w, h)
 	par.For(h, func(y int) {
 		for x := 0; x < w; x++ {
-			base := (y*w + x) * nd
-			best := float32(math.Inf(1))
+			cells := sum[(y*w+x)*nd:][:nd]
 			bestD := 0
-			hi := nd - 1
-			if hi > x {
-				hi = x
-			}
-			for d := 0; d <= hi; d++ {
-				if sum[base+d] < best {
-					best, bestD = sum[base+d], d
+			hi := min(nd-1, x)
+			for d := 1; d <= hi; d++ {
+				if cells[d] < cells[bestD] {
+					bestD = d
 				}
 			}
 			disp := float64(bestD)
 			if subpixel && bestD > 0 && bestD < hi {
-				disp += subpixelFit(float64(sum[base+bestD-1]), float64(sum[base+bestD]), float64(sum[base+bestD+1]))
+				disp += subpixelFit(float64(cells[bestD-1]), float64(cells[bestD]), float64(cells[bestD+1]))
 			}
 			out.Set(x, y, float32(disp))
 		}

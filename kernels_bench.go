@@ -25,8 +25,8 @@ type KernelsBenchDoc struct {
 	Points        []KernelPoint `json:"points"`
 }
 
-// MeasureKernelBench times the float and fixed variants of every matching
-// kernel at the given sizes, keeping the fastest of rounds runs each.
+// MeasureKernelBench times every matching kernel, in each numeric type it
+// has, at the given sizes, keeping the fastest of rounds runs each.
 func MeasureKernelBench(sizes [][2]int, maxDisp, rounds int) KernelsBenchDoc {
 	return KernelsBenchDoc{
 		CPUsAvailable: runtime.NumCPU(),

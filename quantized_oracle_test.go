@@ -1,14 +1,14 @@
 package asv_test
 
-// Quantized-oracle differential suite (ROADMAP item 2): the float matchers
-// are the golden reference, and the fixed-point kernels must stay within a
-// documented drift bound of them on the golden-corpus scenes. The bound —
-// at most 1% of pixels differing by more than one disparity — is the
-// contract DESIGN.md §9 documents (measured worst case ~0.7%, from uint8
-// quantization flips on the KITTI-like ground-plane ramp plus the SAD
-// right-border window rule); census matching and integral-penalty SGM are
-// held to exact bit-equality instead, because their fixed paths compute the
-// same integers the float paths compute exactly.
+// Quantized-oracle differential suite: BMOptions.Fixed / CVFOptions.Fixed
+// choose the numeric type of one sliding-window kernel family (uint8 samples
+// and uint16 cells, or float32 ones — DESIGN.md §9), and on the golden-corpus
+// scenes the two types must stay within a documented drift bound of each
+// other: at most 1% of pixels differing by more than one disparity (measured
+// worst case ~0.3%, all of it uint8 quantization flips on the KITTI-like
+// ground-plane ramp; the border rule is shared). Census matching and SGM are
+// integer by construction, so there Fixed on and off are held to exact
+// bit-equality; internal/stereo's tests hold both to the naive reference.
 
 import (
 	"fmt"
@@ -51,7 +51,7 @@ func driftFrac(a, b *imgproc.Image) float64 {
 	return float64(bad) / float64(len(a.Pix))
 }
 
-// maxDrift is the documented bound on fixed-vs-float disagreement.
+// maxDrift is the documented bound on uint8-vs-float32 disagreement.
 const maxDrift = 0.01
 
 func checkDrift(t *testing.T, name string, fixed, float *imgproc.Image) {
@@ -92,7 +92,7 @@ func TestQuantizedOracleCensusBitIdentical(t *testing.T) {
 
 func TestQuantizedOracleSGMBitIdentical(t *testing.T) {
 	for i, f := range oracleFrames() {
-		opt := asv.DefaultSGMOptions() // integral P1/P2 — exact in float32
+		opt := asv.DefaultSGMOptions()
 		opt.MaxDisp = 32
 		float := asv.SGM(f.Left, f.Right, opt)
 		opt.Fixed = true
