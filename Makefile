@@ -72,8 +72,9 @@ ladder-json:
 	go run ./cmd/asveval -ladder quality_ladder.json
 
 # End-to-end smoke of the serving layer: boot asvserve on a random port,
-# push ~50 requests through asvload, assert latency was reported and no
-# request failed server-side, then drain via SIGTERM.
+# push ~50 requests through asvload, assert latency was reported, no request
+# failed server-side and /metrics shows every accepted frame completed with
+# an empty queue, then drain via SIGTERM.
 serve-smoke:
 	./scripts/serve_smoke.sh
 

@@ -42,10 +42,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	addr := fs.String("addr", ":8080", "listen address (port 0 for ephemeral)")
 	portfile := fs.String("portfile", "", "write the bound host:port to this file once listening (for CI)")
-	workers := fs.Int("workers", 0, "frame-processing worker pool size (0 = default)")
+	workers := fs.Int("workers", 0, "max frames processed at once (0 = default)")
 	queue := fs.Int("queue", 0, "admission queue depth; beyond it requests get 429 (0 = default)")
-	batch := fs.Int("batch", 0, "micro-batcher max frames per dispatch round (0 = default)")
-	batchWait := fs.Duration("batch-wait", 0, "max wait to fill a dispatch round (0 = default)")
 	sessions := fs.Int("max-sessions", 0, "session table capacity, LRU beyond it (0 = default)")
 	ttl := fs.Duration("ttl", 0, "idle session time-to-live (0 = default)")
 	pw := fs.Int("pw", 0, "default propagation window for new sessions (0 = default)")
@@ -98,12 +96,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *queue > 0 {
 		cfg.QueueDepth = *queue
-	}
-	if *batch > 0 {
-		cfg.BatchSize = *batch
-	}
-	if *batchWait > 0 {
-		cfg.BatchWait = *batchWait
 	}
 	if *sessions > 0 {
 		cfg.MaxSessions = *sessions

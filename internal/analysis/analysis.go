@@ -94,7 +94,6 @@ func All() []*Analyzer {
 		AnalyzerArchLayer,
 		AnalyzerLockBalance,
 		AnalyzerWGBalance,
-		AnalyzerSendBlock,
 	}
 }
 

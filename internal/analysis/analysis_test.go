@@ -134,10 +134,6 @@ func TestWGBalanceFixture(t *testing.T) {
 	runFixture(t, fixtureDir(t, "wgbalance"), "asv/internal/analysis/testdata/wgbalance", All())
 }
 
-func TestSendBlockFixture(t *testing.T) {
-	runFixture(t, fixtureDir(t, "sendblock"), "asv/internal/analysis/testdata/sendblock", All())
-}
-
 // The archlayer rule must not fire inside the one subtree that is allowed
 // to import the concrete models: the same fixture loaded as an
 // internal/backend package produces no findings.

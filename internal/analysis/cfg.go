@@ -3,9 +3,8 @@ package analysis
 // Intraprocedural control-flow graphs over go/ast, plus a small forward
 // dataflow fixpoint helper. Until this file, every asvlint rule was
 // AST-shaped — fine for "this call is missing", blind to "this call is
-// missing *on one path*". The lockbalance/wgbalance/sendblock analyzers need
-// path sensitivity (the PR 7 micro-batcher deadlock was exactly a
-// path-interleaving bug), so they run as dataflow problems over these CFGs.
+// missing *on one path*". The lockbalance/wgbalance analyzers need path
+// sensitivity, so they run as dataflow problems over these CFGs.
 //
 // The builder is deliberately statement-granular and syntax-only (no
 // go/types): blocks hold the ast.Nodes that execute in them, in order, and

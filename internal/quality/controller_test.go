@@ -13,7 +13,7 @@ type traceStep struct {
 // replay drives a Controller through a load trace against a synthetic
 // server whose rung costs are fixed. Every tick picks a rung under the
 // deadline, then observes that rung's true cost, exactly like the
-// micro-batcher does. It returns the picked rung and admit flag per tick.
+// serving layer does. It returns the picked rung and admit flag per tick.
 func replay(t *testing.T, ctl *Controller, costs []float64, trace []traceStep, workers int, deadlineMs float64) (rungs []int, admits []bool) {
 	t.Helper()
 	for _, st := range trace {

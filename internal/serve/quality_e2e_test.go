@@ -98,18 +98,35 @@ func TestGoldSessionsStayOnTopRung(t *testing.T) {
 // Best-effort sessions under a saturated single worker degrade down the
 // ladder instead of being rejected: every frame is answered 200, at least
 // one below the top rung, and the counters/session info reflect it.
+//
+// Whether the bottom rung can meet a deadline behind a queue of five depends
+// on how fast this host and this build (the race detector slows the kernels
+// severalfold) run it, so the deadline is derived from a measured
+// bottom-rung frame with ample headroom, and rung 0's key frames are paced
+// to miss it even on an empty queue.
 func TestBestEffortDegradesUnderLoad(t *testing.T) {
-	cfg := Config{QueueDepth: 2, Workers: 1}
-	s, ts := testServer(t, cfg, 15*time.Millisecond) // paced-ish rung 0: 15ms keys
 	const sessions, frames = 6, 5
+	bottom := quality.DefaultLadder()[len(quality.DefaultLadder())-1]
+	pipe := core.New(quickMatcher(0), func() core.Config { c := core.DefaultConfig(); c.PW = 2; return c }())
+	var worst time.Duration
+	for _, fr := range presetSeq(t, 48, 32, 4) {
+		t0 := time.Now()
+		quality.Step(pipe, bottom, 2, bottom.BuildMatcher(nil), fr.left, fr.right, nil)
+		worst = max(worst, time.Since(t0))
+	}
+	deadline := max(30*time.Millisecond, 100*worst)
+	deadlineMs := float64(deadline) / 1e6
+
+	cfg := Config{QueueDepth: 2, Workers: 1}
+	s, ts := testServer(t, cfg, deadline)
 
 	ids := make([]string, sessions)
 	for i := range ids {
 		inf := createPresetSession(t, ts.URL, CreateSessionRequest{
 			Preset: "sceneflow", W: 48, H: 32, Frames: frames, PW: 2,
-			SLO: "besteffort", DeadlineMs: 30,
+			SLO: "besteffort", DeadlineMs: deadlineMs,
 		})
-		if inf.SLO != "besteffort" || inf.DeadlineMs != 30 {
+		if inf.SLO != "besteffort" || inf.DeadlineMs != deadlineMs {
 			t.Fatalf("session info %+v lost its SLO", inf)
 		}
 		ids[i] = inf.ID

@@ -9,12 +9,12 @@
 //
 //   - a bounded admission queue; when it is full the server sheds load
 //     with 429 + Retry-After instead of collapsing;
-//   - a dynamic micro-batcher that coalesces queued frames across sessions
-//     into rounds for the worker pool (at most one frame per session per
-//     round, which also serializes each session's state machine);
+//   - a frame scheduler (sched.go) with two parts: each session runs its
+//     admitted frames one at a time in order, and a Workers-sized slot
+//     semaphore bounds how many sessions run at once;
 //   - per-session LRU-over-capacity and TTL eviction;
-//   - graceful drain: Close stops admission, finishes every queued frame,
-//     then stops the workers;
+//   - graceful drain: Close stops admission and returns once every admitted
+//     frame has finished;
 //   - observability: /healthz, a /metrics JSON snapshot built on
 //     internal/metrics, and net/http/pprof behind Config.EnablePprof.
 //
@@ -56,13 +56,8 @@ type Config struct {
 	SessionTTL time.Duration
 	// QueueDepth bounds the admission queue; a full queue returns 429.
 	QueueDepth int
-	// Workers is the frame-processing goroutine pool size.
+	// Workers bounds how many frames (of distinct sessions) run at once.
 	Workers int
-	// BatchSize is the micro-batcher's maximum frames per dispatch round.
-	BatchSize int
-	// BatchWait is how long a partially filled round may wait for more
-	// sessions before it is flushed anyway.
-	BatchWait time.Duration
 	// MaxPixels caps uploaded image sizes at decode time (per image);
 	// oversize uploads get 413 before any pixel buffer is allocated.
 	MaxPixels int
@@ -127,8 +122,6 @@ func DefaultConfig() Config {
 		SessionTTL:      5 * time.Minute,
 		QueueDepth:      64,
 		Workers:         4,
-		BatchSize:       8,
-		BatchWait:       2 * time.Millisecond,
 		MaxPixels:       1 << 21, // 2 Mpx per image, ~8 MB of float32
 		MaxPresetFrames: 256,
 		PW:              4,
@@ -154,12 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers < 1 {
 		c.Workers = d.Workers
-	}
-	if c.BatchSize < 1 {
-		c.BatchSize = d.BatchSize
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = d.BatchWait
 	}
 	if c.MaxPixels < 1 || c.MaxPixels > imgproc.MaxDecodePixels {
 		c.MaxPixels = d.MaxPixels
@@ -191,7 +178,6 @@ type Server struct {
 	cfg     Config
 	matcher core.KeyMatcher
 	tab     *sessionTable
-	b       *batcher
 	mux     *http.ServeMux
 	httpSrv *http.Server // set by Start; nil when mounted via Handler
 	started time.Time
@@ -216,25 +202,35 @@ type Server struct {
 	// analytic and deterministic, so there is nothing live to sample.
 	costEst map[string]any
 
-	// draining flips once at Close; handlers then refuse new work with 503.
-	// submitWG covers each handler's admission window (the draining
-	// re-check plus the admit send), so Close can wait for stragglers
-	// before closing the admit channel even when the server is mounted via
-	// Handler() and there is no http.Server.Shutdown to lean on.
+	// Scheduler state (sched.go). mu guards every session's queue and
+	// running flag and the slot-occupancy samples below, and orders
+	// admission against Close: submit admits, and
+	// Close sets draining, only while holding it, so each drainers.Add
+	// happens before Close's Wait even when the server is mounted via
+	// Handler() and there is no http.Server.Shutdown to lean on. draining
+	// flips once at Close; handlers then refuse new work with 503. slots is
+	// the Workers-sized semaphore a frame holds while it runs.
+	mu       sync.Mutex
 	draining atomic.Bool
-	submitWG sync.WaitGroup
+	drainers sync.WaitGroup
+	slots    chan struct{}
 
 	// Counters surfaced by /metrics. accepted counts frames admitted to
 	// the queue; rejected counts 429s; drained503 counts frames refused
 	// because the server was shutting down; completed counts frames whose
 	// processing finished (with or without error).
-	accepted      atomic.Int64
-	rejected      atomic.Int64
-	drained503    atomic.Int64
-	completed     atomic.Int64
-	batches       atomic.Int64
-	batchedFrames atomic.Int64
-	maxBatch      atomic.Int64
+	accepted   atomic.Int64
+	rejected   atomic.Int64
+	drained503 atomic.Int64
+	completed  atomic.Int64
+
+	// Worker-slot occupancy, sampled each time a frame takes a slot: the
+	// number of samples, and the sum and maximum of the slots then held
+	// (the new frame's included); guarded by mu. /metrics reports them as
+	// batch_mean_frames and batch_max_frames — names that survive only
+	// because the frozen repository benchmark reads them, and that go in a
+	// later benchmark PR.
+	slotStarts, slotBusySum, slotBusyMax int64
 
 	// Ladder counters: frames served per rung (indexed like ladder) and
 	// frames served at any rung below the top (the degradation total).
@@ -262,9 +258,8 @@ type Server struct {
 	restoreMu sync.Mutex
 
 	// inflight is the admission gauge: frames admitted but not yet
-	// finished. The batcher drains the admit channel eagerly (it must, to
-	// batch across sessions), so the backpressure bound lives here, not in
-	// the channel capacity.
+	// finished, queued or running. The backpressure bound is checked
+	// against it.
 	inflight atomic.Int64
 }
 
@@ -292,7 +287,7 @@ func New(matcher core.KeyMatcher, cfg Config) *Server {
 	s.ctl = quality.NewController(len(s.ladder))
 	s.rungServed = make([]atomic.Int64, len(s.ladder))
 	s.tab = newSessionTable(s.cfg.MaxSessions)
-	s.b = newBatcher(s)
+	s.slots = make(chan struct{}, s.cfg.Workers)
 	if s.cfg.CostBackend != nil {
 		s.costEst = backendCostEstimate(s.cfg.CostBackend, s.cfg.CostNonKey, s.cfg.PW)
 	}
@@ -331,7 +326,8 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // draining: in-flight requests see their connections die and queued frames
 // lose their clients. It exists to emulate a shard crash — the cluster
 // chaos tests use it to prove that peers can adopt a dead shard's sessions
-// from the shared spill store. Call Close afterwards to stop the workers.
+// from the shared spill store. Call Close afterwards to finish what was
+// admitted and stop the janitor.
 func (s *Server) Kill() error {
 	if s.httpSrv == nil {
 		return nil
@@ -339,14 +335,14 @@ func (s *Server) Kill() error {
 	return s.httpSrv.Close()
 }
 
-// Close drains the server: new frames are refused with 503, every admitted
-// frame is processed to completion, then the batcher and workers stop. The
-// context bounds how long to wait for the HTTP layer to quiesce.
+// Close drains the server: new frames are refused with 503 and every
+// admitted frame is processed to completion. The context bounds how long to
+// wait for the HTTP layer to quiesce.
 func (s *Server) Close(ctx context.Context) error {
-	s.draining.Store(true)
-	s.submitWG.Wait() // no handler is inside its admission window anymore
-	close(s.b.admit)  // batcher dispatches the backlog, then stops workers
-	s.b.finished.Wait()
+	s.mu.Lock()
+	s.draining.Store(true) // no submit admits past this point
+	s.mu.Unlock()
+	s.drainers.Wait() // every session ran its queue dry
 	close(s.janitorStop)
 	var err error
 	if s.httpSrv != nil {
@@ -550,10 +546,12 @@ func backendCostEstimate(b backend.Backend, nonKey backend.NonKeyCost, pw int) m
 // CountersSnapshot returns the serving-layer counters under stable names
 // (see the metrics package for the schema discipline).
 func (s *Server) CountersSnapshot() map[string]any {
-	var meanBatch float64
-	if n := s.batches.Load(); n > 0 {
-		meanBatch = float64(s.batchedFrames.Load()) / float64(n)
+	s.mu.Lock()
+	meanBusy, maxBusy := 0.0, s.slotBusyMax
+	if s.slotStarts > 0 {
+		meanBusy = float64(s.slotBusySum) / float64(s.slotStarts)
 	}
+	s.mu.Unlock()
 	return map[string]any{
 		"sessions_active":   s.tab.len(),
 		"sessions_evicted":  s.tab.evictions.Load(),
@@ -563,10 +561,8 @@ func (s *Server) CountersSnapshot() map[string]any {
 		"drained_503":       s.drained503.Load(),
 		"queue_depth":       s.inflight.Load(),
 		"queue_capacity":    s.cfg.QueueDepth,
-		"batches":           s.batches.Load(),
-		"batch_frames":      s.batchedFrames.Load(),
-		"batch_mean_frames": round2(meanBatch),
-		"batch_max_frames":  s.maxBatch.Load(),
+		"batch_mean_frames": round2(meanBusy),
+		"batch_max_frames":  maxBusy,
 		"snapshots_served":  s.snapshotsServed.Load(),
 		"snapshots_put":     s.snapshotsRestored.Load(),
 		"sessions_spilled":  s.spilled.Load(),
@@ -772,9 +768,9 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleSubmitFrame is the hot path: decode (or synthesize), admit, block
-// for the in-order result, reply. Backpressure and drain both short-circuit
-// before any expensive work.
+// handleSubmitFrame is the hot path: decode (or synthesize), submit to the
+// scheduler, block for the in-order result, reply. A draining server
+// short-circuits before any expensive work.
 func (s *Server) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.drained503.Add(1)
@@ -796,7 +792,7 @@ func (s *Server) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	it := &workItem{sess: sess, enqueued: time.Now(), reply: make(chan frameReply, 1)}
+	it := &workItem{sess: sess, reply: make(chan frameReply, 1)}
 	it.wantLeft = format == formatCloudPLY || format == formatCloudPLYBin || format == formatCloudBin
 	if sess.preset == nil {
 		left, right, err := s.decodePair(r)
@@ -812,52 +808,18 @@ func (s *Server) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
 		it.left, it.right = left, right
 	}
 
-	// Admission window. The draining re-check after Add closes the race
-	// with Close: either this handler's send is covered by submitWG, or it
-	// observes draining and backs off without touching the channel.
-	s.submitWG.Add(1)
-	if s.draining.Load() {
-		s.submitWG.Done()
-		s.drained503.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	// Admission bound. Gold frames get the plain QueueDepth bound: at most
-	// that many frames in the system (queued or processing), beyond which
-	// the server sheds load with 429 + Retry-After. Best-effort frames may
-	// overcommit the queue — degrading drains it far faster than rung-0
-	// service — but once past the gold bound they are admitted only while
-	// the ladder controller predicts some rung can still meet the session's
-	// deadline; a refusal there means even the bottom rung is exhausted.
-	limit := int64(s.cfg.QueueDepth)
-	if sess.slo == quality.BestEffort {
-		limit = int64(s.cfg.QueueDepth) * int64(s.cfg.BestEffortOvercommit)
-	}
-	cur := s.inflight.Add(1)
-	reject := cur > limit
-	msg := "admission queue full"
-	if !reject && sess.slo == quality.BestEffort && cur > int64(s.cfg.QueueDepth) {
-		if _, admit := s.ctl.Pick(int(cur)-1, s.cfg.Workers, sess.deadlineMs); !admit {
-			reject = true
-			msg = "overloaded: even the cheapest rung cannot meet the session deadline"
+	if err := s.submit(it); err != nil {
+		if errors.Is(err, errDraining) {
+			writeError(w, http.StatusServiceUnavailable, err.Error())
+			return
 		}
-	}
-	if reject {
-		s.inflight.Add(-1)
-		s.submitWG.Done()
-		s.rejected.Add(1)
 		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterHint()))
-		writeError(w, http.StatusTooManyRequests, msg)
+		writeError(w, http.StatusTooManyRequests, err.Error())
 		return
 	}
-	sess.pendingFrames.Add(1)
-	s.accepted.Add(1)
-	s.b.admit <- it // capacity QueueDepth ≥ inflight, never blocks for long
-	s.submitWG.Done()
 
 	select {
 	case rep := <-it.reply:
-		s.completed.Add(1)
 		if rep.err != nil {
 			var bad badFrameError
 			if errors.As(rep.err, &bad) {
@@ -869,8 +831,8 @@ func (s *Server) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
 		}
 		s.writeFrameReply(w, sess, format, rep)
 	case <-r.Context().Done():
-		// Client went away; the worker will still complete the frame (the
-		// session state must advance) and the buffered reply is dropped.
+		// Client went away; the frame still runs to completion (the session
+		// state must advance) and the buffered reply is dropped.
 		writeError(w, http.StatusServiceUnavailable, "client canceled")
 	}
 }

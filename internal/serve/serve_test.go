@@ -9,12 +9,17 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"asv/internal/backend/backends"
 	"asv/internal/core"
+	"asv/internal/dataset"
 	"asv/internal/hw"
 	"asv/internal/imgproc"
 	"asv/internal/metrics"
@@ -179,7 +184,7 @@ func TestKeyFrameCadence(t *testing.T) {
 // accepted/rejected accounting must cover every submission exactly once.
 func TestBackpressure429(t *testing.T) {
 	s, ts := testServer(t, Config{
-		QueueDepth: 2, Workers: 1, BatchSize: 1, MaxSessions: 8,
+		QueueDepth: 2, Workers: 1, MaxSessions: 8,
 	}, 30*time.Millisecond)
 
 	info := createPresetSession(t, ts.URL, CreateSessionRequest{
@@ -248,7 +253,7 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatalf("metrics missing serve section: %v", doc)
 	}
 	for _, key := range []string{"rejected_429", "frames_accepted", "frames_completed",
-		"queue_depth", "queue_capacity", "batches", "batch_max_frames", "sessions_active"} {
+		"queue_depth", "queue_capacity", "batch_mean_frames", "batch_max_frames", "sessions_active"} {
 		if _, ok := serveDoc[key]; !ok {
 			t.Fatalf("serve metrics missing %q: %v", key, serveDoc)
 		}
@@ -263,7 +268,7 @@ func TestBackpressure429(t *testing.T) {
 // of the accounting counters.
 func TestConcurrentSessionLifecycle(t *testing.T) {
 	s, ts := testServer(t, Config{
-		MaxSessions: 4, QueueDepth: 64, Workers: 3, BatchSize: 4,
+		MaxSessions: 4, QueueDepth: 64, Workers: 3,
 	}, 0)
 
 	const goroutines = 6
@@ -417,7 +422,7 @@ func TestUploadDecodeAndCaps(t *testing.T) {
 // Graceful drain: everything admitted before Close completes with 200; new
 // work during/after the drain gets 503.
 func TestGracefulDrain(t *testing.T) {
-	cfg := Config{QueueDepth: 16, Workers: 2, BatchSize: 2}
+	cfg := Config{QueueDepth: 16, Workers: 2}
 	cfg.Metrics = metrics.NewRegistry()
 	s := New(quickMatcher(10*time.Millisecond), cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -495,22 +500,45 @@ func TestHealthzAndPprofGate(t *testing.T) {
 	}
 }
 
-// The micro-batcher must coalesce frames from distinct sessions into one
-// dispatch round when they queue up together.
-func TestBatcherCoalescesAcrossSessions(t *testing.T) {
-	s, ts := testServer(t, Config{
-		QueueDepth: 32, Workers: 4, BatchSize: 4, BatchWait: 20 * time.Millisecond,
-	}, 5*time.Millisecond)
+// hookMatcher runs around before every Match and the function it returns
+// after it, so a test can observe or hold the frames the scheduler runs.
+type hookMatcher struct {
+	core.KeyMatcher
+	around func(left *imgproc.Image) (after func())
+}
 
-	var ids []string
+func (m hookMatcher) Match(l, r *imgproc.Image) *imgproc.Image {
+	defer m.around(l)()
+	return m.KeyMatcher.Match(l, r)
+}
+
+// Frames of distinct sessions must run concurrently when slots are free:
+// every Match here waits until a second one is in flight, so a scheduler
+// that serialized the sessions would time out. (The name dates from the
+// micro-batcher this test was written against.)
+func TestBatcherCoalescesAcrossSessions(t *testing.T) {
+	var entered atomic.Int32
+	two := make(chan struct{})
+	m := hookMatcher{KeyMatcher: quickMatcher(0), around: func(*imgproc.Image) func() {
+		if entered.Add(1) == 2 {
+			close(two)
+		}
+		select {
+		case <-two:
+		case <-time.After(10 * time.Second):
+			t.Error("no second session's frame started while this one was running")
+		}
+		return func() {}
+	}}
+	s := New(m, Config{QueueDepth: 32, Workers: 4, Metrics: metrics.NewRegistry()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		info := createPresetSession(t, ts.URL, CreateSessionRequest{
 			Preset: "sceneflow", W: 32, H: 24, Frames: 2, PW: 1, Seed: int64(i + 1),
 		})
-		ids = append(ids, info.ID)
-	}
-	var wg sync.WaitGroup
-	for _, id := range ids {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
@@ -519,26 +547,28 @@ func TestBatcherCoalescesAcrossSessions(t *testing.T) {
 					t.Errorf("status %d", status)
 				}
 			}
-		}(id)
+		}(info.ID)
 	}
 	wg.Wait()
-	if s.maxBatch.Load() < 2 {
-		t.Fatalf("no cross-session batching observed: max batch %d", s.maxBatch.Load())
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if got := fmt.Sprint(s.CountersSnapshot()["batch_mean_frames"]); got == "0" {
-		t.Fatal("batch_mean_frames not populated")
+	// The slot-occupancy gauges saw it too.
+	c := s.CountersSnapshot()
+	if max := c["batch_max_frames"].(int64); max < 2 || max > 4 {
+		t.Fatalf("batch_max_frames %d, want 2..4 slots held at once", max)
+	}
+	if mean := c["batch_mean_frames"].(float64); mean < 1 || mean > 4 {
+		t.Fatalf("batch_mean_frames %v, want within [1,4]", mean)
 	}
 }
 
-// TestBatcherFewerWorkersThanBatch is the regression test for a flush
-// deadlock: with a single worker and a dispatch round wider than the done
-// channel's capacity (== Workers), flush used to block handing out the
-// round's third frame while the worker blocked handing in its completion
-// notice. Eight concurrent sessions against one worker wedged permanently.
+// TestBatcherFewerWorkersThanBatch is the liveness regression for many
+// sessions sharing one worker slot: eight concurrent sessions against one
+// worker wedged the micro-batcher this test was written against (PR 7), and
+// must simply take turns on the slot semaphore.
 func TestBatcherFewerWorkersThanBatch(t *testing.T) {
-	_, ts := testServer(t, Config{
-		QueueDepth: 32, Workers: 1, BatchSize: 8, BatchWait: time.Millisecond,
-	}, time.Millisecond)
+	_, ts := testServer(t, Config{QueueDepth: 32, Workers: 1}, time.Millisecond)
 
 	const sessions, frames = 8, 3
 	var ids []string
@@ -566,7 +596,217 @@ func TestBatcherFewerWorkersThanBatch(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("batcher deadlocked: 8 sessions x 1 worker never completed")
+		t.Fatal("scheduler wedged: 8 sessions x 1 worker never completed")
+	}
+}
+
+// TestSchedulerOrderBoundsAndDrain drives several sessions, each from
+// several concurrent posters, and checks the scheduler's whole contract:
+// per session every frame index is served exactly once and equals the
+// serial core.Pipeline oracle, never more than Workers frames and never two
+// of one session run at once, and Close under load finishes every admitted
+// frame. Sessions are told apart inside the matcher by frame width; the
+// PW-1 sessions put every frame through it, the PW-3 ones carry temporal
+// state that an out-of-order or overlapping frame would corrupt.
+func TestSchedulerOrderBoundsAndDrain(t *testing.T) {
+	const sessions, frames, posters = 4, 6, 3 // frames per session per wave
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var mu sync.Mutex
+			running, maxRunning, overlapped := 0, 0, false
+			perWidth := map[int]int{}
+			m := hookMatcher{KeyMatcher: quickMatcher(time.Millisecond), around: func(l *imgproc.Image) func() {
+				mu.Lock()
+				defer mu.Unlock()
+				running++
+				perWidth[l.W]++
+				maxRunning = max(maxRunning, running)
+				overlapped = overlapped || perWidth[l.W] > 1
+				return func() {
+					mu.Lock()
+					defer mu.Unlock()
+					running--
+					perWidth[l.W]--
+				}
+			}}
+			cfg := Config{Workers: workers, QueueDepth: 64, Metrics: metrics.NewRegistry()}
+			s := New(m, cfg)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			ids := make([]string, sessions)
+			oracle := make([][]*imgproc.Image, sessions)
+			for k := range ids {
+				w, pw := 32+8*k, 1+2*(k%2)
+				ids[k] = createPresetSession(t, ts.URL, CreateSessionRequest{
+					Preset: "sceneflow", W: w, H: 24, Frames: 2 * frames, PW: pw, Seed: int64(k + 1),
+				}).ID
+				ocfg := cfg.withDefaults().Pipeline
+				ocfg.PW = pw
+				pipe := core.New(quickMatcher(0), ocfg)
+				for _, fr := range dataset.Generate(dataset.SceneFlowLike(w, 24, 2*frames, int64(k+1))[0]).Frames {
+					oracle[k] = append(oracle[k], pipe.Process(fr.Left, fr.Right).Disparity)
+				}
+			}
+
+			// wave posts frames per session from posters goroutines each and
+			// returns, per session, the served frame indices in arrival order.
+			wave := func() [][]int {
+				served := make([][]int, sessions)
+				var wg sync.WaitGroup
+				for k := range ids {
+					for p := 0; p < posters; p++ {
+						wg.Add(1)
+						go func(k int) {
+							defer wg.Done()
+							for f := 0; f < frames/posters; f++ {
+								resp, err := http.Post(ts.URL+"/v1/sessions/"+ids[k]+"/frames?disparity=pfm", "", nil)
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								body, err := io.ReadAll(resp.Body)
+								resp.Body.Close()
+								if resp.StatusCode == http.StatusServiceUnavailable {
+									continue // refused by the drain, never admitted
+								}
+								if err != nil || resp.StatusCode != http.StatusOK {
+									t.Errorf("session %d: status %d err %v", k, resp.StatusCode, err)
+									continue
+								}
+								idx, _ := strconv.Atoi(resp.Header.Get("X-ASV-Frame"))
+								got, err := imgproc.ReadPFM(bytes.NewReader(body))
+								if err != nil || idx >= len(oracle[k]) || !slices.Equal(got.Pix, oracle[k][idx].Pix) {
+									t.Errorf("session %d frame %d diverges from the serial oracle (err %v)", k, idx, err)
+								}
+								mu.Lock()
+								served[k] = append(served[k], idx)
+								mu.Unlock()
+							}
+						}(k)
+					}
+				}
+				wg.Wait()
+				return served
+			}
+			exactlyOnce := func(served [][]int, from int) (total int) {
+				for k, idxs := range served {
+					slices.Sort(idxs)
+					for i, idx := range idxs {
+						if idx != from+i {
+							t.Fatalf("session %d served frame indices %v, want %d.. each exactly once", k, idxs, from)
+						}
+					}
+					total += len(idxs)
+				}
+				return total
+			}
+
+			if n := exactlyOnce(wave(), 0); n != sessions*frames {
+				t.Fatalf("first wave served %d frames, want %d", n, sessions*frames)
+			}
+
+			// Second wave: Close lands while frames are queued and running.
+			closed := make(chan error, 1)
+			go func() {
+				for stop := time.Now().Add(5 * time.Second); s.accepted.Load() <= sessions*frames && time.Now().Before(stop); {
+					time.Sleep(100 * time.Microsecond)
+				}
+				closed <- s.Close(context.Background())
+			}()
+			n := exactlyOnce(wave(), frames)
+			if err := <-closed; err != nil {
+				t.Fatal(err)
+			}
+			if acc, done := s.accepted.Load(), s.completed.Load(); acc != int64(sessions*frames+n) || done != acc || s.inflight.Load() != 0 {
+				t.Fatalf("after Close under load: accepted %d, completed %d, in flight %d; clients saw %d frames served",
+					acc, done, s.inflight.Load(), sessions*frames+n)
+			}
+			if maxRunning > workers || overlapped {
+				t.Fatalf("%d frames ran at once with %d workers; two frames of one session overlapped: %v",
+					maxRunning, workers, overlapped)
+			}
+		})
+	}
+}
+
+// A client that gives up after admission must not leak accounting: the
+// frame still runs, and it is counted completed by the path that ran it.
+func TestCanceledRequestStillCompletes(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	m := hookMatcher{KeyMatcher: quickMatcher(0), around: func(*imgproc.Image) func() {
+		close(entered)
+		<-release
+		return func() {}
+	}}
+	s := New(m, Config{Workers: 1, Metrics: metrics.NewRegistry()})
+	handlerDone := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(w, r)
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/frames") {
+			close(handlerDone)
+		}
+	}))
+	defer ts.Close()
+	info := createPresetSession(t, ts.URL, CreateSessionRequest{
+		Preset: "sceneflow", W: 32, H: 24, Frames: 2, PW: 1,
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sessions/"+info.ID+"/frames", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientDone := make(chan struct{})
+	go func() {
+		defer close(clientDone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered // the frame is mid-Match
+	cancel()
+	<-clientDone
+	<-handlerDone // the handler gave up on the reply
+	close(release)
+
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c := s.CountersSnapshot()
+	if c["frames_accepted"] != int64(1) || c["frames_completed"] != int64(1) || c["queue_depth"] != int64(0) {
+		t.Fatalf("after a canceled request and Close: accepted %v, completed %v, queue depth %v; want 1, 1, 0",
+			c["frames_accepted"], c["frames_completed"], c["queue_depth"])
+	}
+}
+
+// A panic inside a kernel is that one request's 500: the slot, the session
+// and the accounting all survive it, and the session's next frame is served.
+func TestKernelPanicBecomes500(t *testing.T) {
+	var calls atomic.Int32
+	m := hookMatcher{KeyMatcher: quickMatcher(0), around: func(*imgproc.Image) func() {
+		if calls.Add(1) == 1 {
+			panic("kernel bug")
+		}
+		return func() {}
+	}}
+	s := New(m, Config{Workers: 1, Metrics: metrics.NewRegistry()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	info := createPresetSession(t, ts.URL, CreateSessionRequest{
+		Preset: "sceneflow", W: 32, H: 24, Frames: 2, PW: 1,
+	})
+	if status, _ := submit(t, ts.URL, info.ID); status != http.StatusInternalServerError {
+		t.Fatalf("panicking frame: status %d, want 500", status)
+	}
+	if status, fr := submit(t, ts.URL, info.ID); status != http.StatusOK || fr.Frame != 0 {
+		t.Fatalf("frame after the panic: status %d, index %d; want 200, 0", status, fr.Frame)
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if acc, done := s.accepted.Load(), s.completed.Load(); acc != 2 || done != 2 || s.inflight.Load() != 0 {
+		t.Fatalf("accepted %d, completed %d, in flight %d; want 2, 2, 0", acc, done, s.inflight.Load())
 	}
 }
 

@@ -20,19 +20,24 @@ import (
 // matching on the session's key frames and motion-propagated refinement on
 // the frames between them, exactly as the batch pipeline would, but driven
 // by request arrival. Frames of one session are processed strictly in
-// submission order; the batcher guarantees at most one in-flight frame per
-// session, so the core.Pipeline inside needs no lock of its own.
+// admission order, one at a time: the session's drainer (sched.go) is the
+// only goroutine that runs them.
 type session struct {
 	id      string
 	pw      int // 0 when the schedule is adaptive
 	pipe    *core.Pipeline
 	created time.Time
 
-	// runMu serializes pipeline-state access between the worker processing
-	// a frame and the snapshot encoder. The batcher already guarantees at
-	// most one in-flight frame per session, so workers never contend; the
-	// lock exists so a snapshot taken between frames observes fully
-	// committed state.
+	// queue holds the session's admitted frames in FIFO order; running is
+	// true while a drainer goroutine is working through it. Both are guarded
+	// by Server.mu.
+	queue   []*workItem
+	running bool
+
+	// runMu serializes pipeline-state access between the drainer running a
+	// frame and the snapshot encoder. At most one frame per session runs at
+	// a time, so frames never contend on it; the lock exists so a snapshot
+	// taken between frames observes fully committed state.
 	runMu sync.Mutex
 
 	// preset, when non-nil, lets clients POST empty bodies: the server
@@ -44,7 +49,7 @@ type session struct {
 	// calib, when non-nil, is the session's camera model: incoming frames
 	// are rectified through it before matching, and it unlocks the depth
 	// and point-cloud response formats. Immutable after session creation
-	// (workers read it without the run lock).
+	// (handlers read it without the run lock).
 	calib *perception.Calibration
 
 	// slo and deadlineMs are the session's service class and per-frame
@@ -66,7 +71,7 @@ type session struct {
 	lastRung       atomic.Int64
 	degradedFrames atomic.Int64
 
-	// geoMu guards w/h: the worker pins the session's frame geometry on
+	// geoMu guards w/h: runFrame pins the session's frame geometry on
 	// first use (the temporal kernels require every frame of a stream to
 	// agree) while info handlers read it concurrently.
 	geoMu sync.Mutex
@@ -123,7 +128,7 @@ type presetSource struct {
 	name string
 	cfg  dataset.SceneConfig
 	seq  *dataset.Sequence
-	next int // next frame index, owned by the batcher/worker path
+	next int // next frame index, guarded by the session's runMu
 }
 
 func (ps *presetSource) frame() (left, right *imgproc.Image) {

@@ -20,10 +20,8 @@ import (
 	"asv/internal/perception"
 )
 
-// getSnapshot fetches a session's snapshot, retrying briefly on 409: the
-// worker decrements pendingFrames an instant after the frame reply is
-// written, so a snapshot taken immediately after a frame response can race
-// the quiescence check. The retry is the documented client protocol.
+// getSnapshot fetches a session's snapshot, retrying briefly on 409 (frames
+// in flight) — the documented client protocol.
 func getSnapshot(t *testing.T, base, id string) []byte {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

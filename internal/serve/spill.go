@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"asv/internal/core"
@@ -193,35 +194,50 @@ func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid session id")
 		return
 	}
+	if cur := s.tab.get(id); cur != nil && cur.pendingFrames.Load() > 0 {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusConflict, "existing session has frames in flight")
+		return
+	}
 	limit := int64(s.cfg.MaxPixels)*12 + 1<<20 // three float32 planes + slack
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "reading snapshot: "+err.Error())
 		return
 	}
-	snap, err := DecodeSnapshot(body, s.cfg.MaxPixels)
+	sess, err := s.restore(id, body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		status := http.StatusUnprocessableEntity
+		var snapErr *SnapshotError
+		if errors.As(err, &snapErr) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, err.Error())
 		return
+	}
+	s.snapshotsRestored.Add(1)
+	writeJSON(w, http.StatusOK, s.info(sess))
+}
+
+// restore is the one path from snapshot bytes to a resident session: decode,
+// check the snapshot is for id, rebuild it under this server's limits,
+// install it. A *SnapshotError means the bytes themselves are unacceptable
+// (damaged, wrong version, another session's); any other error means a
+// well-formed snapshot this server's limits refuse.
+func (s *Server) restore(id string, buf []byte) (*session, error) {
+	snap, err := DecodeSnapshot(buf, s.cfg.MaxPixels)
+	if err != nil {
+		return nil, err
 	}
 	if snap.ID != id {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("snapshot is for session %q, not %q", snap.ID, id))
-		return
-	}
-	if cur := s.tab.get(id); cur != nil && cur.pendingFrames.Load() > 0 {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "existing session has frames in flight")
-		return
+		return nil, snapErrf("is for session %q, not %q", snap.ID, id)
 	}
 	sess, err := s.sessionFromSnapshot(snap)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
+		return nil, err
 	}
 	s.installSession(sess)
-	s.snapshotsRestored.Add(1)
-	writeJSON(w, http.StatusOK, s.info(sess))
+	return sess, nil
 }
 
 // installSession adds sess to the table, spilling whichever session the
@@ -244,45 +260,35 @@ func (s *Server) spillPath(id string) string {
 }
 
 // spill writes an evicted session's snapshot to the spill store (no-op when
-// disabled). Write failures only bump a counter: eviction must not block on
-// a sick disk, and the session was legitimately evictable anyway.
+// disabled).
 func (s *Server) spill(sess *session) {
-	path := s.spillPath(sess.id)
-	if path == "" {
-		return
+	if s.cfg.SpillDir != "" {
+		s.persist(sess.id, EncodeSnapshot(s.snapshotOf(sess)), &s.spilled)
 	}
-	if err := writeFileAtomic(path, EncodeSnapshot(s.snapshotOf(sess))); err != nil {
-		s.spillErrors.Add(1)
-		return
-	}
-	s.spilled.Add(1)
 }
 
-// writeSnapshotFile persists already-encoded snapshot bytes (the worker's
-// checkpoint path, which encodes under the run lock it already holds).
-func (s *Server) writeSnapshotFile(id string, buf []byte) {
+// persist is the one path from encoded snapshot bytes to id's spill file:
+// an atomic write (temp file + rename) that bumps wrote on success. Failures
+// only bump spill_errors — neither eviction nor a frame reply may block on a
+// sick disk. No-op when the spill store is disabled.
+func (s *Server) persist(id string, buf []byte, wrote *atomic.Int64) {
 	path := s.spillPath(id)
 	if path == "" {
 		return
 	}
-	if err := writeFileAtomic(path, buf); err != nil {
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, buf, 0o644)
+	if err == nil {
+		if err = os.Rename(tmp, path); err != nil {
+			//asvlint:ignore droppederr best-effort cleanup of the temp file after the rename failed
+			os.Remove(tmp)
+		}
+	}
+	if err != nil {
 		s.spillErrors.Add(1)
 		return
 	}
-	s.checkpoints.Add(1)
-}
-
-func writeFileAtomic(path string, buf []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		//asvlint:ignore droppederr best-effort cleanup of the temp file after the rename failed
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	wrote.Add(1)
 }
 
 // dropSpill removes a session's spill file (explicit DELETE).
@@ -319,17 +325,11 @@ func (s *Server) lookup(id string) *session {
 		}
 		return nil
 	}
-	snap, err := DecodeSnapshot(buf, s.cfg.MaxPixels)
-	if err != nil || snap.ID != id {
-		s.spillErrors.Add(1)
-		return nil
-	}
-	sess, err := s.sessionFromSnapshot(snap)
+	sess, err := s.restore(id, buf)
 	if err != nil {
 		s.spillErrors.Add(1)
 		return nil
 	}
-	s.installSession(sess)
 	s.diskRestores.Add(1)
 	return sess
 }

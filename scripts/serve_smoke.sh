@@ -3,7 +3,8 @@
 #
 # Boots asvserve on a random loopback port, drives ~50 requests through
 # asvload at smoke sizing, asserts that latency percentiles were reported
-# and that nothing failed server-side, then drains the server with SIGTERM
+# and that nothing failed server-side, checks /metrics for frame conservation
+# (accepted == completed, empty queue), then drains the server with SIGTERM
 # and requires a clean exit.
 set -eu
 
@@ -50,6 +51,17 @@ awk -v p="$p99" 'BEGIN{exit !(p + 0 > 0)}' || {
     exit 1
 }
 
+# Conservation: every reply is in, so every admitted frame must already count
+# as completed and nothing may still sit in the scheduler.
+curl -fsS "http://$addr/metrics" >"$workdir/metrics.json"
+accepted=$(jq -r '.serve.frames_accepted' "$workdir/metrics.json")
+completed=$(jq -r '.serve.frames_completed' "$workdir/metrics.json")
+depth=$(jq -r '.serve.queue_depth' "$workdir/metrics.json")
+[ "$accepted" = "$completed" ] && [ "$depth" = 0 ] || {
+    echo "serve-smoke: accepted $accepted, completed $completed, queue depth $depth after the load" >&2
+    exit 1
+}
+
 kill -TERM "$server_pid"
 if ! wait "$server_pid"; then
     echo "serve-smoke: server exited non-zero after SIGTERM" >&2
@@ -62,4 +74,4 @@ grep -q drained "$workdir/server.log" || {
     cat "$workdir/server.log" >&2
     exit 1
 }
-echo "serve-smoke: OK (p99 ${p99} ms, 0 server errors, clean drain)"
+echo "serve-smoke: OK (p99 ${p99} ms, 0 server errors, $accepted accepted = $completed completed, clean drain)"

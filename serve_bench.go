@@ -13,8 +13,8 @@ import (
 // external users need to run the stereo depth service and its load
 // generator. See DESIGN.md §6 "Serving architecture".
 
-// ServeConfig parameterizes a depth server (queue depth, workers, batching,
-// session limits).
+// ServeConfig parameterizes a depth server (queue depth, workers, session
+// limits).
 type ServeConfig = serve.Config
 
 // ServeServer is the sessionful stereo depth HTTP service.
@@ -124,7 +124,7 @@ type ServeBenchDoc struct {
 	MultiShard MultiShardBench `json:"multi_shard"`
 
 	// ServeCounters is the server's /metrics "serve" section after both
-	// phases (accepted/completed/rejected/batch statistics).
+	// phases (accepted/completed/rejected/slot-occupancy statistics).
 	ServeCounters map[string]any `json:"serve_counters"`
 }
 
