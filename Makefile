@@ -1,10 +1,10 @@
 # Developer entry points. `make check` mirrors what CI runs.
 #
 # `make lint` runs asvlint, the project's own static analyzer (see
-# internal/analysis): pool Get/Put pairing, goroutine lifecycle, dropped
-# errors, golden-corpus determinism, and lock/atomic copy rules. `make
-# lint-fix` is the cleanup loop: gofmt the tree, then print the remaining
-# asvlint findings grouped by rule so related fixes land together.
+# internal/analysis and DESIGN.md §7): dropped errors, the backend layering
+# boundary, and live, reasoned //asvlint:ignore directives. `make vet` runs
+# ahead of it in `make check` and covers lock/atomic copies (copylocks).
+# `make lint-fix` is the cleanup loop: gofmt the tree, then `make lint`.
 
 # Every package is race-checked by default — new subsystems are covered the
 # moment they appear, instead of opting in here.
@@ -118,12 +118,11 @@ vet:
 lint:
 	go run ./cmd/asvlint ./...
 
-# Format the tree, then show what asvlint still wants, grouped by rule.
-# The lint step's exit status is propagated: a dirty tree must fail the
-# target, not just print.
+# Format the tree, then show what asvlint still wants. The lint step's exit
+# status is propagated: a dirty tree must fail the target, not just print.
 lint-fix:
 	gofmt -w .
-	go run ./cmd/asvlint -group ./...
+	go run ./cmd/asvlint ./...
 
 # Compiler-diagnostics gate for the matching kernels: rebuild
 # internal/stereo with escape/inline/bounds-check diagnostics and compare

@@ -5,13 +5,11 @@
 //
 // Usage:
 //
-//	asvlint [-rules poolpair,droppederr] [-group] [-json] [./...]
+//	asvlint [./...]
 //	asvlint -perf [-perf-contract file] [-perf-json file] [-perf-update]
 //
 // Findings print as "file:line:col: [rule] message", relative to the module
-// root. -group instead prints findings grouped per rule with the rule's doc
-// line, the format `make lint-fix` uses; -json prints them as a JSON array
-// of {file,line,col,rule,msg} objects for tooling.
+// root.
 //
 // -perf runs the compiler-diagnostics perf gate instead of the analyzers:
 // it rebuilds the matching-kernel package with escape/inline/bounds-check
@@ -31,7 +29,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"asv/internal/analysis"
 )
@@ -43,9 +40,6 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("asvlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	rules := fs.String("rules", "", "comma-separated rule subset (default: all)")
-	group := fs.Bool("group", false, "group findings by rule")
-	jsonOut := fs.Bool("json", false, "print findings as a JSON array")
 	perf := fs.Bool("perf", false, "run the compiler-diagnostics perf gate instead of the analyzers")
 	perfContract := fs.String("perf-contract", "internal/stereo/perf_contract.json",
 		"perf contract path, relative to the module root")
@@ -57,15 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, pat := range fs.Args() {
 		if pat != "./..." {
 			fmt.Fprintf(stderr, "asvlint: only the ./... pattern is supported, got %q\n", pat)
-			return 2
-		}
-	}
-
-	analyzers := analysis.All()
-	if *rules != "" {
-		var err error
-		if analyzers, err = analysis.ByName(*rules); err != nil {
-			fmt.Fprintf(stderr, "asvlint: %v\n", err)
 			return 2
 		}
 	}
@@ -99,34 +84,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var all []analysis.Diagnostic
 	for _, p := range passes {
-		all = append(all, analysis.Run(p, analyzers)...)
+		all = append(all, analysis.Run(p)...)
 	}
 	for i := range all {
 		if rel, err := filepath.Rel(root, all[i].Pos.Filename); err == nil {
 			all[i].Pos.Filename = rel
 		}
 	}
-	if *jsonOut {
-		if err := analysis.WriteJSON(stdout, all); err != nil {
-			fmt.Fprintf(stderr, "asvlint: %v\n", err)
-			return 2
-		}
-		if len(all) == 0 {
-			return 0
-		}
-		fmt.Fprintf(stderr, "asvlint: %d finding(s)\n", len(all))
-		return 1
-	}
 	if len(all) == 0 {
 		fmt.Fprintf(stdout, "asvlint: %d packages clean\n", len(passes))
 		return 0
 	}
-	if *group {
-		printGrouped(stdout, analyzers, all)
-	} else {
-		for _, d := range all {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range all {
+		fmt.Fprintln(stdout, d)
 	}
 	fmt.Fprintf(stderr, "asvlint: %d finding(s)\n", len(all))
 	return 1
@@ -178,26 +148,4 @@ func runPerfGate(root, contractPath, reportPath string, update bool, stdout, std
 	}
 	fmt.Fprintf(stderr, "asvlint: %d perf contract violation(s)\n", len(rep.Violations))
 	return 1
-}
-
-func printGrouped(stdout io.Writer, analyzers []*analysis.Analyzer, all []analysis.Diagnostic) {
-	byRule := map[string][]analysis.Diagnostic{}
-	for _, d := range all {
-		byRule[d.Rule] = append(byRule[d.Rule], d)
-	}
-	doc := map[string]string{}
-	for _, a := range analyzers {
-		doc[a.Name] = a.Doc
-	}
-	rules := make([]string, 0, len(byRule))
-	for r := range byRule {
-		rules = append(rules, r)
-	}
-	sort.Strings(rules)
-	for _, r := range rules {
-		fmt.Fprintf(stdout, "%s — %s (%d)\n", r, doc[r], len(byRule[r]))
-		for _, d := range byRule[r] {
-			fmt.Fprintf(stdout, "  %s:%d:%d: %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Msg)
-		}
-	}
 }

@@ -1,10 +1,12 @@
-// Package analysis is a stdlib-only static-analysis engine encoding the
-// project invariants that keep ASV's concurrent runtime correct: pooled
-// buffers must be released, goroutines must be joinable, errors must not be
-// silently dropped, golden-corpus packages must stay bit-deterministic, and
-// lock- or atomic-bearing structs must not be copied. It deliberately uses
-// only go/parser, go/ast and go/types (with go/importer's source importer),
-// preserving the repo's no-external-dependency constraint.
+// Package analysis is a stdlib-only static-analysis engine for the two
+// project invariants go vet cannot know and that have a record of firing:
+// errors must not be silently dropped (droppederr), and only the
+// internal/backend subtree may import a concrete accelerator model
+// (archlayer). It also holds the compiler-diagnostics perf gate
+// (perfgate.go). It deliberately uses only go/parser, go/ast and go/types
+// (with go/importer's source importer), preserving the repo's
+// no-external-dependency constraint. DESIGN.md §7 records which bug
+// classes are left to go vet and to test oracles instead, and why.
 //
 // Each analyzer is a pure function over one loaded package (a Pass) that
 // returns diagnostics; cmd/asvlint drives them over every package in the
@@ -17,12 +19,10 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"sort"
 	"strings"
 )
@@ -49,115 +49,28 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Msg)
 }
 
-// jsonDiagnostic is the stable machine-readable finding shape emitted by
-// asvlint -json: {file,line,col,rule,msg}, one object per finding. Field
-// names are part of the tool's interface; extend, don't rename.
-type jsonDiagnostic struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Rule string `json:"rule"`
-	Msg  string `json:"msg"`
-}
-
-// WriteJSON writes findings as an indented JSON array (never null: zero
-// findings encode as []), in the order given.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-			Rule: d.Rule, Msg: d.Msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// Analyzer names one rule and the function that checks it.
-type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(p *Pass) []Diagnostic
-}
-
-// All returns every analyzer the project ships, in stable order.
-func All() []*Analyzer {
-	return []*Analyzer{
-		AnalyzerPoolPair,
-		AnalyzerGoLocked,
-		AnalyzerDroppedErr,
-		AnalyzerDetGolden,
-		AnalyzerMutexCopy,
-		AnalyzerAtomicAlign,
-		AnalyzerArchLayer,
-		AnalyzerLockBalance,
-		AnalyzerWGBalance,
-	}
-}
-
-// ByName resolves a comma-separated rule list to analyzers, erroring on
-// unknown names.
-func ByName(list string) ([]*Analyzer, error) {
-	want := strings.Split(list, ",")
-	var out []*Analyzer
-	for _, name := range want {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, a := range All() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown rule %q", name)
-		}
-	}
-	return out, nil
-}
+// analyzers are the rules asvlint ships; every one runs on every pass.
+var analyzers = []func(p *Pass) []Diagnostic{runDroppedErr, runArchLayer}
 
 // Run applies the analyzers to the pass, filters findings suppressed by
 // //asvlint:ignore directives, and returns the remainder sorted by position.
 // A directive that suppressed nothing is itself reported (rule
-// "staleignore") when every rule it names was among the analyzers run —
-// stale suppressions otherwise outlive the code they excused and silently
-// mask the next real finding on that line.
-func Run(p *Pass, analyzers []*Analyzer) []Diagnostic {
+// "staleignore") — stale suppressions otherwise outlive the code they
+// excused and silently mask the next real finding on that line.
+func Run(p *Pass) []Diagnostic {
 	ign, bad := ignoreIndex(p)
 	var out []Diagnostic
 	out = append(out, bad...)
-	for _, a := range analyzers {
-		for _, d := range a.Run(p) {
+	for _, run := range analyzers {
+		for _, d := range run(p) {
 			if ign.suppressed(d) {
 				continue
 			}
 			out = append(out, d)
 		}
 	}
-	ran := map[string]bool{}
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	wildcardOK := len(analyzers) >= len(All())
 	for _, dir := range ign.directives {
-		if dir.hit {
-			continue
-		}
-		checkable := true
-		for r := range dir.rules {
-			if r == "*" {
-				checkable = checkable && wildcardOK
-			} else {
-				checkable = checkable && ran[r]
-			}
-		}
-		if checkable {
+		if !dir.hit {
 			out = append(out, Diagnostic{Pos: dir.pos, Rule: "staleignore",
 				Msg: fmt.Sprintf("ignore directive for %s suppresses nothing; remove it or tighten its rule list", dir.ruleList)})
 		}
@@ -257,7 +170,7 @@ func ignoreIndex(p *Pass) (*ignores, []Diagnostic) {
 	return ig, bad
 }
 
-// --- shared type helpers used by several analyzers ---
+// --- type helpers for droppederr ---
 
 // calleeFunc resolves a call expression to the *types.Func it invokes, or
 // nil for calls through function values, conversions and built-ins.
@@ -271,13 +184,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// isPkgFunc reports whether fn is the named package-level function of the
-// given import path.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
 }
 
 // errorType is the predeclared error interface.
@@ -318,16 +224,4 @@ func namedFrom(t types.Type, pkgPath string) (*types.Named, bool) {
 		return nil, false
 	}
 	return named, named.Obj().Pkg().Path() == pkgPath
-}
-
-// funcScopeBody returns the body of the function declaration or literal a
-// node belongs to; used to keep analyses function-local.
-func forEachFuncBody(files []*ast.File, fn func(name string, decl *ast.FuncDecl, body *ast.BlockStmt)) {
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn(fd.Name.Name, fd, fd.Body)
-			}
-		}
-	}
 }

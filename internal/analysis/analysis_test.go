@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -25,14 +24,18 @@ type expectation struct {
 	hit  bool
 }
 
+// testLoader is shared by every test in the package (none runs in
+// parallel), so the source importer type-checks the standard library and the
+// module's own packages once per test binary rather than once per test.
+var testLoader = NewLoader()
+
 // runFixture loads the fixture directory under the given synthetic import
-// path (several rules key off the package path), runs the analyzers, and
+// path (both rules key off the package path), runs the analyzers, and
 // matches every diagnostic against the fixture's `// want` annotations: each
 // annotation must fire, and no unannotated diagnostic may appear.
-func runFixture(t *testing.T, dir, importPath string, analyzers []*Analyzer) {
+func runFixture(t *testing.T, dir, importPath string) {
 	t.Helper()
-	loader := NewLoader()
-	pass, err := loader.LoadDir(dir, importPath)
+	pass, err := testLoader.LoadDir(dir, importPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
@@ -64,7 +67,7 @@ func runFixture(t *testing.T, dir, importPath string, analyzers []*Analyzer) {
 		}
 	}
 
-	diags := Run(pass, analyzers)
+	diags := Run(pass)
 	for _, d := range diags {
 		rendered := fmt.Sprintf("[%s] %s", d.Rule, d.Msg)
 		matched := false
@@ -95,90 +98,47 @@ func fixtureDir(t *testing.T, name string) string {
 	return dir
 }
 
-// Every analyzer runs over every fixture: this both proves each rule fires
-// on its seeded violations and that no rule false-positives on the other
-// fixtures' clean code.
-func TestPoolPairFixture(t *testing.T) {
-	runFixture(t, fixtureDir(t, "poolpair"), "asv/internal/analysis/testdata/poolpair", All())
-}
-
-func TestGoLockedFixture(t *testing.T) {
-	// Loaded as internal/pipeline so the package-scoped rule applies.
-	runFixture(t, fixtureDir(t, "golocked"), "asv/internal/pipeline", All())
-}
-
+// Both analyzers run over both fixtures: this proves each rule fires on its
+// seeded violations and that neither false-positives on the other fixture's
+// clean code.
 func TestDroppedErrFixture(t *testing.T) {
-	runFixture(t, fixtureDir(t, "droppederr"), "asv/internal/analysis/testdata/droppederr", All())
-}
-
-func TestDetGoldenFixture(t *testing.T) {
-	// Loaded as internal/stereo so the golden-corpus rule applies.
-	runFixture(t, fixtureDir(t, "detgolden"), "asv/internal/stereo", All())
-}
-
-func TestMutexCopyFixture(t *testing.T) {
-	runFixture(t, fixtureDir(t, "mutexcopy"), "asv/internal/analysis/testdata/mutexcopy", All())
+	runFixture(t, fixtureDir(t, "droppederr"), "asv/internal/analysis/testdata/droppederr")
 }
 
 func TestArchLayerFixture(t *testing.T) {
 	// Loaded under a neutral path, so the layering rule applies.
-	runFixture(t, fixtureDir(t, "archlayer"), "asv/internal/analysis/testdata/archlayer", All())
-}
-
-func TestLockBalanceFixture(t *testing.T) {
-	// Loaded as internal/cluster so the package-scoped rule applies.
-	runFixture(t, fixtureDir(t, "lockbalance"), "asv/internal/cluster", All())
-}
-
-func TestWGBalanceFixture(t *testing.T) {
-	runFixture(t, fixtureDir(t, "wgbalance"), "asv/internal/analysis/testdata/wgbalance", All())
+	runFixture(t, fixtureDir(t, "archlayer"), "asv/internal/analysis/testdata/archlayer")
 }
 
 // The archlayer rule must not fire inside the one subtree that is allowed
 // to import the concrete models: the same fixture loaded as an
 // internal/backend package produces no findings.
 func TestArchLayerSilentInsideBackendSubtree(t *testing.T) {
-	loader := NewLoader()
 	for _, path := range []string{"asv/internal/backend", "asv/internal/backend/backends"} {
-		pass, err := loader.LoadDir(fixtureDir(t, "archlayer"), path)
+		pass, err := testLoader.LoadDir(fixtureDir(t, "archlayer"), path)
 		if err != nil {
 			t.Fatalf("loading archlayer fixture as %s: %v", path, err)
 		}
-		if diags := Run(pass, []*Analyzer{AnalyzerArchLayer}); len(diags) != 0 {
+		if diags := Run(pass); len(diags) != 0 {
 			t.Errorf("archlayer fired inside %s: %v", path, diags)
 		}
 	}
 }
 
-// The detgolden and golocked rules must stay silent outside their target
-// packages: the same fixtures loaded under a neutral path produce none of
-// their findings.
+// droppederr's scope is every package except examples/: the same fixture
+// loaded under an examples path produces none of its findings.
 func TestPackageScopedRulesAreSilentElsewhere(t *testing.T) {
-	loader := NewLoader()
-	for _, tc := range []struct {
-		fixture string
-		rules   []*Analyzer
-	}{
-		{"golocked", []*Analyzer{AnalyzerGoLocked}},
-		{"detgolden", []*Analyzer{AnalyzerDetGolden}},
-		{"lockbalance", []*Analyzer{AnalyzerLockBalance}},
-	} {
-		pass, err := loader.LoadDir(fixtureDir(t, tc.fixture), "asv/internal/analysis/testdata/"+tc.fixture)
-		if err != nil {
-			t.Fatalf("loading %s: %v", tc.fixture, err)
-		}
-		var diags []Diagnostic
-		for _, d := range Run(pass, tc.rules) {
-			// Under this deliberately wrong import path the fixture's own
-			// ignore directives legitimately suppress nothing, so the
-			// staleignore sweep fires on them; only the scoped rule itself
-			// must stay silent.
-			if d.Rule != "staleignore" {
-				diags = append(diags, d)
-			}
-		}
-		if len(diags) != 0 {
-			t.Errorf("%s fired outside its target packages: %v", tc.fixture, diags)
+	pass, err := testLoader.LoadDir(fixtureDir(t, "droppederr"), "asv/examples/droppederr")
+	if err != nil {
+		t.Fatalf("loading droppederr fixture: %v", err)
+	}
+	for _, d := range Run(pass) {
+		// Under this deliberately exempt import path the fixture's own
+		// ignore directive legitimately suppresses nothing, so the
+		// staleignore sweep fires on it; only the scoped rule itself must
+		// stay silent.
+		if d.Rule != "staleignore" {
+			t.Errorf("droppederr fired inside examples/: %v", d)
 		}
 	}
 }
@@ -203,12 +163,12 @@ func parseSnippet(t *testing.T, src string) *Pass {
 
 func TestMalformedIgnoreDirectiveIsAFinding(t *testing.T) {
 	p := parseSnippet(t, "package snippet\n\nfunc f() {\n\t//asvlint:ignore\n}\n")
-	diags := Run(p, nil)
+	diags := Run(p)
 	if len(diags) != 1 || diags[0].Rule != "directive" {
 		t.Fatalf("want one directive finding, got %v", diags)
 	}
 	p = parseSnippet(t, "package snippet\n\nfunc f() {\n\t//asvlint:ignore droppederr\n}\n")
-	diags = Run(p, nil)
+	diags = Run(p)
 	if len(diags) != 1 || diags[0].Rule != "directive" {
 		t.Fatalf("reason-less directive should be a finding, got %v", diags)
 	}
@@ -216,28 +176,14 @@ func TestMalformedIgnoreDirectiveIsAFinding(t *testing.T) {
 
 func TestStaleIgnoreDirectiveIsAFinding(t *testing.T) {
 	const src = "package snippet\n\nfunc f() int {\n\t//asvlint:ignore droppederr nothing here returns an error\n\treturn 1\n}\n"
-	diags := Run(parseSnippet(t, src), All())
+	diags := Run(parseSnippet(t, src))
 	if len(diags) != 1 || diags[0].Rule != "staleignore" || diags[0].Pos.Line != 4 {
 		t.Fatalf("want one staleignore finding at line 4, got %v", diags)
 	}
 
-	// With a rule subset that does not include the directive's rule the
-	// directive is unverifiable, so the sweep must stay silent.
-	subset, err := ByName("poolpair")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := Run(parseSnippet(t, src), subset); len(diags) != 0 {
-		t.Fatalf("staleignore fired for a rule that did not run: %v", diags)
-	}
-
-	// A wildcard directive is only verifiable against the full set.
 	const wild = "package snippet\n\nfunc f() int {\n\t//asvlint:ignore * transitional suppression\n\treturn 1\n}\n"
-	if diags := Run(parseSnippet(t, wild), All()); len(diags) != 1 || diags[0].Rule != "staleignore" {
+	if diags := Run(parseSnippet(t, wild)); len(diags) != 1 || diags[0].Rule != "staleignore" {
 		t.Fatalf("want one staleignore finding for the wildcard, got %v", diags)
-	}
-	if diags := Run(parseSnippet(t, wild), subset); len(diags) != 0 {
-		t.Fatalf("wildcard staleness should not be judged from a subset run: %v", diags)
 	}
 }
 
@@ -248,65 +194,15 @@ func TestLiveIgnoreDirectiveIsNotStale(t *testing.T) {
 		"\t//asvlint:ignore droppederr the result is irrelevant in this test helper\n" +
 		"\tmk()\n" +
 		"}\n"
-	if diags := Run(parseSnippet(t, src), All()); len(diags) != 0 {
+	if diags := Run(parseSnippet(t, src)); len(diags) != 0 {
 		t.Fatalf("directive suppressing a real finding was reported: %v", diags)
 	}
 }
 
-// The -json output schema ({file,line,col,rule,msg}) is an interface other
-// tooling parses; this golden test pins it.
-func TestWriteJSONGoldenSchema(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "[]\n" {
-		t.Fatalf("empty findings = %q, want []", got)
-	}
-	buf.Reset()
-	diags := []Diagnostic{
-		{Pos: token.Position{Filename: "internal/serve/server.go", Line: 12, Column: 3}, Rule: "lockbalance", Msg: "Lock of s.mu is not released on every path to return/panic"},
-		{Pos: token.Position{Filename: "internal/imgproc/pool.go", Line: 40, Column: 2}, Rule: "poolpair", Msg: "pooled image is not returned on every path"},
-	}
-	if err := WriteJSON(&buf, diags); err != nil {
-		t.Fatal(err)
-	}
-	const want = `[
-  {
-    "file": "internal/serve/server.go",
-    "line": 12,
-    "col": 3,
-    "rule": "lockbalance",
-    "msg": "Lock of s.mu is not released on every path to return/panic"
-  },
-  {
-    "file": "internal/imgproc/pool.go",
-    "line": 40,
-    "col": 2,
-    "rule": "poolpair",
-    "msg": "pooled image is not returned on every path"
-  }
-]
-`
-	if got := buf.String(); got != want {
-		t.Fatalf("schema drifted:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestByName(t *testing.T) {
-	as, err := ByName("poolpair, detgolden")
-	if err != nil || len(as) != 2 || as[0].Name != "poolpair" || as[1].Name != "detgolden" {
-		t.Fatalf("ByName: %v %v", as, err)
-	}
-	if _, err := ByName("nosuchrule"); err == nil {
-		t.Fatal("ByName accepted an unknown rule")
-	}
-}
-
-// The linter must hold its own repo to zero findings — this is the
-// self-hosting gate ISSUE 4's acceptance criteria pin. Skipped in -short
-// runs (module-wide type-checking through the source importer takes a few
-// seconds); `make lint` and CI run the full binary instead.
+// The linter must hold its own repo to zero findings. This is the one test
+// in tier-1 that loads and type-checks the whole module (~11 s through the
+// source importer); cmd/asvlint's tests drive run() over a throwaway module
+// instead. Skipped in -short runs; `make lint` and CI run the full binary.
 func TestModuleIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module-wide lint run skipped in -short mode (covered by make lint)")
@@ -315,8 +211,7 @@ func TestModuleIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := NewLoader()
-	passes, err := loader.LoadModule(root)
+	passes, err := testLoader.LoadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +219,7 @@ func TestModuleIsLintClean(t *testing.T) {
 		t.Fatalf("expected to load the whole module, got %d packages", len(passes))
 	}
 	for _, p := range passes {
-		for _, d := range Run(p, All()) {
+		for _, d := range Run(p) {
 			t.Errorf("%s", d)
 		}
 	}

@@ -18,19 +18,13 @@ var archModelPkgs = map[string]bool{
 // neutral interface package and its backends/ registration shim.
 const archAllowedPrefix = "asv/internal/backend"
 
-// AnalyzerArchLayer enforces the backend layering boundary (DESIGN.md §8):
+// runArchLayer (rule "archlayer") enforces the backend layering boundary (DESIGN.md §8):
 // only the internal/backend subtree may import a concrete model package.
 // The pre-refactor failure mode this guards against: a consumer reaching
 // into one model's types (eyeriss, gpu and gannx all used to depend on
 // internal/systolic for its Report), which welds every tool to every model
 // and lets capability mismatches go unvalidated. Test files are exempt
 // (the loader never parses them): tests may poke concrete models directly.
-var AnalyzerArchLayer = &Analyzer{
-	Name: "archlayer",
-	Doc:  "concrete accelerator-model imports outside the internal/backend subtree",
-	Run:  runArchLayer,
-}
-
 func runArchLayer(p *Pass) []Diagnostic {
 	if p.Path == archAllowedPrefix || strings.HasPrefix(p.Path, archAllowedPrefix+"/") {
 		return nil

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// AnalyzerDroppedErr flags calls whose error result is silently discarded:
+// runDroppedErr (rule "droppederr") flags calls whose error result is silently discarded:
 // either the call is an expression statement (including `defer`/`go`), or
 // the error position is assigned to the blank identifier. Test files are
 // never loaded by the engine, and packages under examples/ are exempt —
@@ -16,12 +16,6 @@ import (
 // A small allowlist covers calls whose error is guaranteed nil by API
 // contract (strings.Builder, bytes.Buffer and hash.Hash writes) and the
 // fmt print family, where checking is noise.
-var AnalyzerDroppedErr = &Analyzer{
-	Name: "droppederr",
-	Doc:  "error result dropped via _ or an ignored call",
-	Run:  runDroppedErr,
-}
-
 func runDroppedErr(p *Pass) []Diagnostic {
 	if strings.HasPrefix(p.Path, "asv/examples") {
 		return nil

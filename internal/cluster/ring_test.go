@@ -2,15 +2,14 @@ package cluster
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
+	"asv/internal/testkit"
+)
 
 // goldenShards/goldenKeys define the pinned routing corpus. The golden file
 // locks the ring's placement function: FNV-64a with the fmix64 finalizer,
@@ -31,7 +30,7 @@ func TestRingGolden(t *testing.T) {
 	ring := NewRing(goldenShards, DefaultReplicas)
 	path := filepath.Join("testdata", "ring_golden.txt")
 
-	if *updateGolden {
+	if testkit.Update() {
 		var sb strings.Builder
 		sb.WriteString("# key -> owner, ring over shard-a..shard-d, 64 replicas, FNV-64a+fmix64\n")
 		for _, k := range goldenKeys() {

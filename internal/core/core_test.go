@@ -388,3 +388,36 @@ func TestOracleMatcherConsecutiveCallsDiffer(t *testing.T) {
 		t.Fatal("consecutive frames should draw fresh noise")
 	}
 }
+
+// TestPoolTrafficPerFrame pins the imgproc pool traffic of one frame: a
+// pooled buffer that is never returned, or returned twice, on any function
+// on the frame path — including one that crosses a function boundary —
+// moves these counts. Both are pure functions of the frame geometry and the
+// options, not of the worker count or the host, so the comparison is exact.
+// A kernel PR that changes how many temporaries a frame takes (ROADMAP
+// item 1) re-pins the numbers in the same commit. Puts exceed gets because
+// Downsample2 and Upsample2 build their result with NewImage and the flow
+// path hands those back to the pool.
+func TestPoolTrafficPerFrame(t *testing.T) {
+	const nonKeyGets, nonKeyPuts = 353, 369
+	opt := stereo.DefaultSGMOptions()
+	opt.MaxDisp = 16
+	seq := dataset.Generate(seqCfg(21))
+	for _, workers := range []string{"1", "3"} {
+		t.Setenv("ASV_WORKERS", workers)
+		p := New(SGMMatcher{Opt: opt}, DefaultConfig())
+		for i, fr := range seq.Frames {
+			g0, _, p0 := imgproc.PoolStats()
+			res := p.Process(fr.Left, fr.Right)
+			g1, _, p1 := imgproc.PoolStats()
+			wantGets, wantPuts := int64(nonKeyGets), int64(nonKeyPuts)
+			if res.IsKey {
+				wantGets, wantPuts = 0, 0
+			}
+			if g1-g0 != wantGets || p1-p0 != wantPuts {
+				t.Errorf("ASV_WORKERS=%s frame %d (key=%v): %d gets / %d puts, want %d / %d",
+					workers, i, res.IsKey, g1-g0, p1-p0, wantGets, wantPuts)
+			}
+		}
+	}
+}

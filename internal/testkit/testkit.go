@@ -6,10 +6,11 @@
 //     exploratory soak runs,
 //   - random tensor/image generators for property-based differential tests,
 //   - tolerance-aware diffing with first-mismatch reporting (DiffTensors,
-//     DiffImages), and
+//     DiffImages),
 //   - stable content checksums plus a key→value golden store with an
 //     `-update` flag (golden.go), so any change to numerical behaviour has
-//     to be committed explicitly.
+//     to be committed explicitly, and
+//   - a goroutine-leak check for a package's TestMain (MainNoLeaks, leak.go).
 //
 // The package may be imported only from test files. It depends on the leaf
 // packages imgproc and tensor; tests inside those two packages must use an
