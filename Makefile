@@ -18,6 +18,7 @@ FUZZ_TARGETS := \
 	./internal/deconv:FuzzTransformEquivalence \
 	./internal/schedule:FuzzCostModelInvariants \
 	./internal/stereo:FuzzSatAdd \
+	./internal/stereo:FuzzSatAddAssoc \
 	./internal/serve:FuzzSnapshotDecode \
 	./internal/perception:FuzzCalibrationJSON \
 	./internal/perception:FuzzCloudDecode

@@ -83,3 +83,32 @@ func TestRunKernelsGateReadsBaseline(t *testing.T) {
 		t.Fatal("want error for missing baseline file")
 	}
 }
+
+// The gate passes fresh-only rows, so a kernel added to the harness is
+// ungated until the committed baseline is regenerated with it. Pin the two
+// to each other: every (kernel, variant) a run measures — census-transform
+// and sgm-aggregate, the key frame's two parallel stages, among them — has a
+// committed row at both gated sizes.
+func TestCommittedBaselineCoversEveryKernel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark harness, skipped in -short")
+	}
+	buf, err := os.ReadFile(filepath.Join("..", "..", "BENCH_kernels.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed asv.KernelsBenchDoc
+	if err := json.Unmarshal(buf, &committed); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]int{}
+	for _, p := range committed.Points {
+		rows[p.Kernel+"|"+p.Variant]++
+	}
+	for _, p := range asv.MeasureKernelBench([][2]int{{32, 24}}, 8, 1).Points {
+		if rows[p.Kernel+"|"+p.Variant] != 2 {
+			t.Errorf("%s|%s: %d committed rows, want one per gated size (run `make kernels-json`)",
+				p.Kernel, p.Variant, rows[p.Kernel+"|"+p.Variant])
+		}
+	}
+}

@@ -6,7 +6,8 @@
 // Usage:
 //
 //	asvdepth -pw 4 -frames 12 -w 192 -h 120
-//	asvdepth -stream -metrics     # concurrent runtime + per-stage metrics
+//	asvdepth -metrics             # per-stage latency table after the run
+//	asvdepth -stream -metrics     # the same through the concurrent runtime
 package main
 
 import (
@@ -85,8 +86,7 @@ func run(args []string, out io.Writer) error {
 	} else {
 		pipe := asv.NewPipeline(matcher, cfg)
 		for _, fr := range seq.Frames {
-			res := pipe.Process(fr.Left, fr.Right)
-			results = append(results, res)
+			results = append(results, asv.ProcessDepthFrame(pipe, matcher, fr.Left, fr.Right, reg))
 		}
 	}
 

@@ -52,15 +52,22 @@ func TestRunFixedFlag(t *testing.T) {
 	}
 }
 
+// -metrics must fill the stage table in both modes: the serial loop once
+// handed its registry to nothing and printed the header alone.
 func TestRunMetricsFlag(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-frames", "4", "-w", "64", "-h", "48", "-stream", "-metrics"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"per-stage metrics:", "flow", "keymatch", "pool"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics dump missing %q:\n%s", want, out)
+	for _, mode := range [][]string{nil, {"-stream"}} {
+		var b strings.Builder
+		if err := run(append(mode, "-frames", "4", "-w", "64", "-h", "48", "-metrics"), &b); err != nil {
+			t.Fatal(err)
+		}
+		_, dump, found := strings.Cut(b.String(), "per-stage metrics:\n")
+		if !found {
+			t.Fatalf("%v: no metrics dump:\n%s", mode, b.String())
+		}
+		for _, want := range []string{"\nkeymatch ", "\nflow ", "\npropagate+refine ", "\nframe ", "pool"} {
+			if !strings.Contains(dump, want) {
+				t.Fatalf("%v: metrics dump missing %q:\n%s", mode, want, dump)
+			}
 		}
 	}
 }

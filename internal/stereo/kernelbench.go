@@ -17,7 +17,7 @@ import (
 
 // KernelPoint is one (kernel, variant, size) benchmark measurement.
 type KernelPoint struct {
-	Kernel     string  `json:"kernel"`  // sad | census | cvf | refine | sgm-aggregate | wta
+	Kernel     string  `json:"kernel"`  // sad | census | cvf | refine | census-transform | sgm-aggregate | wta
 	Variant    string  `json:"variant"` // numeric type: float (float32 cells) | fixed (integer cells)
 	W          int     `json:"w"`
 	H          int     `json:"h"`
@@ -74,7 +74,8 @@ type kernelRuns struct {
 // and disparity range, timing each run rounds times and keeping the fastest.
 // Kernels whose numeric type BMOptions.Fixed / CVFOptions.Fixed selects (sad,
 // cvf, refine) get a float row directly before their fixed row; kernels that
-// are integer by construction (census, sgm-aggregate, wta) get one fixed row.
+// are integer by construction (census, sgm-aggregate, wta; census-transform,
+// SGM's descriptor stage alone for both eyes) get one fixed row.
 func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 	var points []KernelPoint
 	for _, sz := range sizes {
@@ -115,6 +116,8 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 			{"refine",
 				func() { Refine(left, right, init, 3, bmOpt) },
 				func() { Refine(left, right, init, 3, bmFixed) }},
+			{"census-transform", nil,
+				func() { census(left, sgmOpt.CensusR); census(right, sgmOpt.CensusR) }},
 			{"sgm-aggregate", nil,
 				func() { aggregate(cost, w, h, nd, sgmOpt.Paths, p1, p2) }},
 			{"wta", nil,

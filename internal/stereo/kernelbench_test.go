@@ -7,8 +7,8 @@ func TestMeasureKernels(t *testing.T) {
 		t.Skip("benchmark harness, skipped in -short")
 	}
 	points := MeasureKernels([][2]int{{32, 24}}, 8, 1)
-	if len(points) != 9 { // sad, cvf, refine in both numeric types; census, sgm-aggregate, wta in one
-		t.Fatalf("got %d points, want 9", len(points))
+	if len(points) != 10 { // sad, cvf, refine in both numeric types; census, census-transform, sgm-aggregate, wta in one
+		t.Fatalf("got %d points, want 10", len(points))
 	}
 	paired := map[string]bool{"sad": true, "cvf": true, "refine": true}
 	for _, p := range points {

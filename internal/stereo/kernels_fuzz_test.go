@@ -28,3 +28,21 @@ func FuzzSatAdd(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSatAddAssoc pins the algebra the shared SGM sum volume rests on: a
+// chain of saturating adds is min(total, 65535) however it is bracketed, so
+// with FuzzSatAdd's commutativity a cell's value does not depend on the
+// order in which the two concurrent sweeps reach it.
+func FuzzSatAddAssoc(f *testing.F) {
+	f.Add(uint16(0), uint16(0), uint16(0))
+	f.Add(uint16(65535), uint16(1), uint16(65535))
+	f.Add(uint16(40000), uint16(20000), uint16(10000))
+	f.Add(uint16(30000), uint16(30000), uint16(5535))
+	f.Fuzz(func(t *testing.T, a, b, c uint16) {
+		wide := uint16(min(uint32(a)+uint32(b)+uint32(c), 65535))
+		left, right := satAdd16(satAdd16(a, b), c), satAdd16(a, satAdd16(b, c))
+		if left != wide || right != wide {
+			t.Fatalf("(%d+%d)+%d = %d, %d+(%d+%d) = %d, want %d", a, b, c, left, a, b, c, right, wide)
+		}
+	})
+}

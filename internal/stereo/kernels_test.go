@@ -75,7 +75,7 @@ func refPixelCost(left, right *imgproc.Image, fixed bool, cen int, limit float64
 	w := left.W
 	switch {
 	case cen > 0:
-		cl, cr := census(left, cen), census(right, cen)
+		cl, cr := naiveCensus(left, cen), naiveCensus(right, cen)
 		return func(x, xr, y int) float64 { return float64(bits.OnesCount64(cl[y*w+x] ^ cr[y*w+xr])) }
 	case fixed:
 		l8, r8 := quantize8(left), quantize8(right)
@@ -87,6 +87,27 @@ func refPixelCost(left, right *imgproc.Image, fixed bool, cen int, limit float64
 			return min(math.Abs(float64(left.Pix[y*w+x]-right.Pix[y*w+xr])), limit)
 		}
 	}
+}
+
+// naiveCensus is the reference for census: every tap of every pixel through
+// the clamping At, taps in raster order with the centre skipped.
+func naiveCensus(im *imgproc.Image, r int) []uint64 {
+	out := make([]uint64, im.W*im.H)
+	for p := range out {
+		x, y := p%im.W, p/im.W
+		for dy := -r; dy <= r; dy++ {
+			for dx := -r; dx <= r; dx++ {
+				if dx == 0 && dy == 0 {
+					continue
+				}
+				out[p] <<= 1
+				if im.At(x+dx, y+dy) < im.At(x, y) {
+					out[p] |= 1
+				}
+			}
+		}
+	}
+	return out
 }
 
 // refBlock sums c over the (2r+1)² block around (x, y) at disparity d with
@@ -230,7 +251,7 @@ func naiveAggregate[C cell](cost []uint8, w, h, nd, paths int, p1, p2 C) []C {
 // naiveSGM is the reference for SGM.
 func naiveSGM(left, right *imgproc.Image, opt SGMOptions) *imgproc.Image {
 	w, h, nd := left.W, left.H, opt.MaxDisp+1
-	cl, cr := census(left, opt.CensusR), census(right, opt.CensusR)
+	cl, cr := naiveCensus(left, opt.CensusR), naiveCensus(right, opt.CensusR)
 	cost := make([]uint8, w*h*nd)
 	for i := range cost {
 		cost[i] = uint8((2*opt.CensusR+1)*(2*opt.CensusR+1) - 1) // out of view

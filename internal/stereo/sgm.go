@@ -3,6 +3,7 @@ package stereo
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"asv/internal/imgproc"
 	"asv/internal/par"
@@ -29,31 +30,76 @@ func DefaultSGMOptions() SGMOptions {
 
 // census computes the census transform of im with the given radius: each
 // pixel becomes a bit-string recording which neighbours are darker than the
-// centre. Radius must be <= 3 so the descriptor fits 64 bits.
+// centre. Radius must be <= 3 so the descriptor fits 64 bits. Rows split
+// across par.Workers(); interior columns skip the border clamp.
 func census(im *imgproc.Image, r int) []uint64 {
 	if r < 1 || (2*r+1)*(2*r+1)-1 > 64 {
 		panic(fmt.Sprintf("stereo: census radius %d out of range", r))
 	}
-	out := make([]uint64, im.W*im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			c := im.At(x, y)
-			var desc uint64
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					if dx == 0 && dy == 0 {
-						continue
-					}
-					desc <<= 1
-					if im.At(x+dx, y+dy) < c {
-						desc |= 1
-					}
-				}
+	w, h := im.W, im.H
+	out := make([]uint64, w*h)
+	par.ForChunked(h, func(lo, hi int) {
+		for y := lo; y < hi; y++ {
+			// Columns [x0, x1) are the clamp-free interior; empty on a
+			// border row or a frame narrower than the window.
+			x0, x1 := 0, 0
+			if y >= r && y < h-r && w > 2*r {
+				x0, x1 = r, w-r
+				censusInterior(out[y*w+r:][:w-2*r], im.Pix, w, y, r)
 			}
-			out[y*im.W+x] = desc
+			for x := 0; x < w; x++ {
+				if x == x0 {
+					x = x1 // skip the interior; x1 < w since r >= 1
+				}
+				out[y*w+x] = censusClamped(im, x, y, r)
+			}
+		}
+	})
+	return out
+}
+
+// censusClamped is one pixel's descriptor with replicate padding, taps in
+// raster order, centre skipped: the border form and the definition.
+func censusClamped(im *imgproc.Image, x, y, r int) uint64 {
+	c := im.At(x, y)
+	var desc uint64
+	for dy := -r; dy <= r; dy++ {
+		for dx := -r; dx <= r; dx++ {
+			if dx == 0 && dy == 0 {
+				continue
+			}
+			desc <<= 1
+			if im.At(x+dx, y+dy) < c {
+				desc |= 1
+			}
 		}
 	}
-	return out
+	return desc
+}
+
+// censusInterior fills dst, the descriptors of columns [r, w-r) of row y,
+// for a row with r rows above and below it. Each tap is one pass over the
+// row: the tap's pixels, the centres and dst are windows of one length, so
+// the inner loop carries no clamp and no index check.
+func censusInterior(dst []uint64, pix []float32, w, y, r int) {
+	n := len(dst)
+	centre := pix[y*w+r:][:n]
+	clear(dst)
+	for dy := -r; dy <= r; dy++ {
+		for dx := -r; dx <= r; dx++ {
+			if dx == 0 && dy == 0 {
+				continue
+			}
+			tap := pix[(y+dy)*w+r+dx:][:n]
+			for i, c := range centre {
+				d := dst[i] << 1
+				if tap[i] < c {
+					d |= 1
+				}
+				dst[i] = d
+			}
+		}
+	}
 }
 
 // Aggregation makes two sweeps over the uint8 census-cost volume — a forward
@@ -165,11 +211,30 @@ func newSGMRolling(w, nd int) *sgmRolling {
 func (s *sgmRolling) swap() { s.prev, s.cur = s.cur, s.prev }
 
 // aggregate sums the SGM path costs over 4 or 8 directions into a uint16
-// volume with the same layout as cost.
+// volume with the same layout as cost. With a second worker the two sweeps
+// run at once over the one volume: each covers its own half of the rows,
+// they meet once, then each finishes in the half the other has left, so no
+// cell is touched by both at a time. Saturating adds of non-negative costs
+// commute and associate (a cell is min(total, 65535) in any order), so the
+// volume is the serial one bit for bit. A frame of fewer than two rows has
+// no two halves — a lone sweep would wait forever — and runs serially.
 func aggregate(cost []uint8, w, h, nd, paths int, p1, p2 uint16) []uint16 {
 	sum := make([]uint16, w*h*nd)
-	sgmSweep(cost, sum, w, h, nd, paths == 8, +1, p1, p2)
-	sgmSweep(cost, sum, w, h, nd, paths == 8, -1, p1, p2)
+	diag := paths == 8
+	if h < 2 || par.Workers() < 2 {
+		sgmSweep(cost, sum, w, h, nd, diag, +1, nil, p1, p2)
+		sgmSweep(cost, sum, w, h, nd, diag, -1, nil, p1, p2)
+		return sum
+	}
+	var met, done sync.WaitGroup
+	met.Add(2)
+	done.Add(1)
+	go func() {
+		defer done.Done()
+		sgmSweep(cost, sum, w, h, nd, diag, -1, &met, p1, p2)
+	}()
+	sgmSweep(cost, sum, w, h, nd, diag, +1, &met, p1, p2)
+	done.Wait()
 	return sum
 }
 
@@ -177,18 +242,24 @@ func aggregate(cost []uint8, w, h, nd, paths int, p1, p2 uint16) []uint16 {
 // for step +1, the mirror image for step -1 — and accumulates into sum the
 // path costs of the directions whose predecessor that order has already
 // visited: the horizontal one (x-step, y), the vertical one (x, y-step) and,
-// with diag, both diagonals (x∓1, y-step).
-func sgmSweep(cost []uint8, sum []uint16, w, h, nd int, diag bool, step int, p1, p2 uint16) {
+// with diag, both diagonals (x∓1, y-step). A non-nil met is the rendezvous
+// with the opposite sweep (h >= 2): until both arrive the forward sweep
+// stays in rows [0, h/2) and the backward sweep in [h/2, h).
+func sgmSweep(cost []uint8, sum []uint16, w, h, nd int, diag bool, step int, met *sync.WaitGroup, p1, p2 uint16) {
 	hor, ver := newSGMRolling(w, nd), newSGMRolling(w, nd)
 	var dl, dr *sgmRolling
 	if diag {
 		dl, dr = newSGMRolling(w, nd), newSGMRolling(w, nd)
 	}
-	x0, y0 := 0, 0
+	x0, y0, meet := 0, 0, h/2
 	if step < 0 {
-		x0, y0 = w-1, h-1
+		x0, y0, meet = w-1, h-1, h-h/2
 	}
 	for i, y := 0, y0; i < h; i, y = i+1, y+step {
+		if met != nil && i == meet {
+			met.Done()
+			met.Wait()
+		}
 		hor.swap()
 		ver.swap()
 		if diag {

@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -19,11 +20,14 @@ import (
 // The count must return to its pre-run baseline within two seconds of
 // closing the default transport's idle keep-alive connections (each holds
 // two goroutines by design); otherwise every goroutine's stack is printed.
+// A `-fuzz` run is exempt: its coordinator installs an interrupt handler
+// whose os/signal loop goroutine never exits, and it runs no test.
 func MainNoLeaks(m *testing.M) {
 	base := runtime.NumGoroutine()
 	code := m.Run()
 	http.DefaultClient.CloseIdleConnections()
-	if code == 0 && !settlesTo(base) {
+	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
+	if code == 0 && !fuzzing && !settlesTo(base) {
 		buf := make([]byte, 1<<20)
 		buf = buf[:runtime.Stack(buf, true)]
 		fmt.Fprintf(os.Stderr, "testkit: goroutine leak: %d running after the tests, %d before\n\n%s\n",

@@ -44,6 +44,14 @@ func StreamDepthFrames(matcher KeyMatcher, cfg PipelineConfig, frames []StreamFr
 	return pipeline.StreamFrames(matcher, cfg, frames, opt)
 }
 
+// ProcessDepthFrame runs one stereo pair through p on the caller's
+// goroutine — the per-frame path the depth service uses — and records the
+// "keymatch", "flow", "propagate+refine" and "frame" stage latencies in m
+// when m is non-nil. The result is bit-identical to p.Process.
+func ProcessDepthFrame(p *Pipeline, matcher KeyMatcher, left, right *Image, m *Metrics) FrameResult {
+	return pipeline.ProcessFrame(p, matcher, left, right, m)
+}
+
 // PipelineBenchPoint is one serial-vs-pipelined throughput measurement, the
 // record format of BENCH_pipeline.json.
 type PipelineBenchPoint struct {
