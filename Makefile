@@ -125,14 +125,16 @@ lint-fix:
 	gofmt -w .
 	go run ./cmd/asvlint ./...
 
-# Compiler-diagnostics gate for the matching kernels: rebuild
-# internal/stereo with escape/inline/bounds-check diagnostics and compare
-# per-function counts against internal/stereo/perf_contract.json. The fresh
-# parsed report is left for CI to upload. After an intentional kernel
-# change, regenerate the contract with
-# `go run ./cmd/asvlint -perf -perf-update`.
+# Compiler-diagnostics gate for the kernels: rebuild internal/stereo (the
+# matching kernels) and internal/imgproc (the separable-filter core) with
+# escape/inline/bounds-check diagnostics and compare per-function counts
+# against each package's perf_contract.json. The fresh parsed reports are
+# left for CI to upload. After an intentional kernel change, regenerate a
+# contract with `go run ./cmd/asvlint -perf -perf-update` (stereo) or the
+# same with `-perf-contract internal/imgproc/perf_contract.json`.
 perf-gate:
 	go run ./cmd/asvlint -perf -perf-json PERF_stereo.fresh.json
+	go run ./cmd/asvlint -perf -perf-contract internal/imgproc/perf_contract.json -perf-json PERF_imgproc.fresh.json
 
 # Run every native fuzz target briefly (seed corpus + ~10s of new inputs
 # each); any crasher fails the build.

@@ -12,8 +12,9 @@
 // root.
 //
 // -perf runs the compiler-diagnostics perf gate instead of the analyzers:
-// it rebuilds the matching-kernel package with escape/inline/bounds-check
-// diagnostics and compares per-function counts against the committed
+// it rebuilds the package a contract names (internal/stereo by default;
+// internal/imgproc has one too) with escape/inline/bounds-check diagnostics
+// and compares per-function counts against that committed
 // perf_contract.json (see internal/analysis/perfgate.go). -perf-json writes
 // the full parsed report for CI artifacts; -perf-update rewrites the
 // contract from the measured counts after an intentional kernel change.

@@ -130,3 +130,17 @@ func TestGoldenISMPipeline(t *testing.T) {
 	}
 	s.Check(t, "ism.pw2.mean_d3", fmt.Sprintf("%.6f", d3Sum/float64(len(results))))
 }
+
+// TestGoldenFarnebackField pins the motion field itself — U and V of the
+// corpus pair's left views — at full resolution and through the
+// half-resolution estimator ISM uses. The ISM lines above only see the
+// field after propagation and a ±3 refine have absorbed small drifts.
+func TestGoldenFarnebackField(t *testing.T) {
+	s := goldenStore(t)
+	kitti := corpusScene()
+	prev, next := kitti.Frames[0].Left, kitti.Frames[1].Left
+	for _, scale := range []int{1, 2} {
+		f := asv.FarnebackMotion{Opt: asv.DefaultFlowOptions(), Scale: scale}.Estimate(prev, next)
+		s.Check(t, fmt.Sprintf("kitti96.farneback.scale%d.uv", scale), testkit.ChecksumImages(f.U, f.V))
+	}
+}

@@ -7,13 +7,15 @@ import (
 	"testing"
 )
 
-func repoContract(t *testing.T) (string, *PerfContract) {
+// repoContract loads the committed contract of one gated package, named by
+// its directory under internal/.
+func repoContract(t *testing.T, pkg string) (string, *PerfContract) {
 	t.Helper()
 	root, err := ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := LoadPerfContract(filepath.Join(root, "internal/stereo/perf_contract.json"))
+	c, err := LoadPerfContract(filepath.Join(root, "internal", pkg, "perf_contract.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,34 +31,46 @@ func TestPerfGateRepoContractClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiler-diagnostics build skipped in -short mode (covered by make perf-gate)")
 	}
-	root, c := repoContract(t)
-	rep, err := RunPerfGate(root, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("perf contract violated:\n%s", strings.Join(rep.Violations, "\n"))
-	}
-	for _, name := range c.MustInline {
-		if !rep.Inlinable[name] {
-			t.Errorf("%s is not reported inlinable", name)
-		}
-	}
-	// The central guarantee: the sliding-window and SGM kernels carry zero
-	// per-element bounds checks in every instantiation (a check in either
-	// numeric type's copy of a generic kernel is reported at the shared
-	// source line). If the contract ever relaxes these to nonzero, this
-	// test — not just the JSON — has to change.
-	for file, fns := range map[string][]string{
-		"kernels.go": {"blockCostStrip", "adRowCost", "censusRowCost"},
-		"sgm.go":     {"sgmStep", "sgmSweep", "censusInterior"},
+	// The central guarantee: the sliding-window and SGM kernels, the
+	// interior block costs of the guided refine and the interior passes of
+	// the separable filter carry zero per-element bounds checks in every
+	// instantiation (a check in either numeric type's copy of a generic
+	// kernel is reported at the shared source line). If a contract ever
+	// relaxes these to nonzero, this test — not just the JSON — has to
+	// change.
+	for pkg, zero := range map[string]map[string][]string{
+		"stereo": {
+			"kernels.go": {"blockCostStrip", "adRowCost", "censusRowCost", "adBlockInterior", "hamBlockInterior"},
+			"sgm.go":     {"sgmStep", "sgmSweep", "censusInterior"},
+		},
+		"imgproc": {
+			"filter.go": {"rowInterior", "filterCols"},
+		},
 	} {
-		for _, fn := range fns {
-			if got := rep.Measured[file][fn].IndexChecks; got != 0 {
-				t.Errorf("%s: %s has %d per-element bounds checks, want 0", file, fn, got)
+		root, c := repoContract(t, pkg)
+		rep, err := RunPerfGate(root, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Violations) != 0 {
+			t.Fatalf("%s perf contract violated:\n%s", pkg, strings.Join(rep.Violations, "\n"))
+		}
+		for _, name := range c.MustInline {
+			if !rep.Inlinable[name] {
+				t.Errorf("%s: %s is not reported inlinable", pkg, name)
 			}
-			if got := c.Files[file][fn].IndexChecks; got != 0 {
-				t.Errorf("%s: contract allows %s %d per-element bounds checks, want 0", file, fn, got)
+		}
+		for file, fns := range zero {
+			for _, fn := range fns {
+				if _, ok := c.Files[file][fn]; !ok {
+					t.Errorf("%s/%s: contract has no entry for %s", pkg, file, fn)
+				}
+				if got := rep.Measured[file][fn].IndexChecks; got != 0 {
+					t.Errorf("%s/%s: %s has %d per-element bounds checks, want 0", pkg, file, fn, got)
+				}
+				if got := c.Files[file][fn].IndexChecks; got != 0 {
+					t.Errorf("%s/%s: contract allows %s %d per-element bounds checks, want 0", pkg, file, fn, got)
+				}
 			}
 		}
 	}
@@ -68,7 +82,7 @@ func TestPerfGateDetectsRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiler-diagnostics build skipped in -short mode")
 	}
-	root, c := repoContract(t)
+	root, c := repoContract(t, "stereo")
 	budget := c.Files["kernels.go"]["slideRow"]
 	if budget.IndexChecks == 0 {
 		t.Skip("slideRow's degenerate path lost its residual checks; pick another probe")

@@ -35,7 +35,8 @@ func (m FarnebackME) Estimate(prev, next *imgproc.Image) flow.Field {
 	if s <= 1 {
 		return flow.Farneback(prev, next, m.Opt)
 	}
-	sw, sh := prev.W/s, prev.H/s
+	// A frame narrower or shorter than Scale still has one row or column.
+	sw, sh := max(prev.W/s, 1), max(prev.H/s, 1)
 	ps := imgproc.Upsample2(prev, sw, sh)
 	ns := imgproc.Upsample2(next, sw, sh)
 	f := flow.Farneback(ps, ns, m.Opt)
@@ -58,7 +59,7 @@ func (m FarnebackME) MACs(w, h int) int64 {
 	if s < 1 {
 		s = 1
 	}
-	return flow.FarnebackMACs(w/s, h/s, m.Opt)
+	return flow.FarnebackMACs(max(w/s, 1), max(h/s, 1), m.Opt)
 }
 
 // Name implements MotionEstimator.

@@ -120,13 +120,7 @@ func polyExpand(im *imgproc.Image, r int, sigma float64) polyCoeffs {
 	}
 	ginv := invert6(g)
 
-	// Moment images m_pq = Σ a(x)a(y) x^p y^q f  — six separable filters.
-	m00 := imgproc.SeparableFilter(im, k0, k0)
-	m10 := imgproc.SeparableFilter(im, k1, k0)
-	m01 := imgproc.SeparableFilter(im, k0, k1)
-	m20 := imgproc.SeparableFilter(im, k2, k0)
-	m02 := imgproc.SeparableFilter(im, k0, k2)
-	m11 := imgproc.SeparableFilter(im, k1, k1)
+	mom := polyMoments(im, k0, k1, k2)
 
 	p := polyCoeffs{
 		bx:  imgproc.GetImage(im.W, im.H),
@@ -135,11 +129,11 @@ func polyExpand(im *imgproc.Image, r int, sigma float64) polyCoeffs {
 		ayy: imgproc.GetImage(im.W, im.H),
 		axy: imgproc.GetImage(im.W, im.H),
 	}
-	par.ForChunked(len(m00.Pix), func(lo, hi int) {
+	par.ForChunked(len(im.Pix), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			m := [6]float64{
-				float64(m00.Pix[i]), float64(m10.Pix[i]), float64(m01.Pix[i]),
-				float64(m20.Pix[i]), float64(m02.Pix[i]), float64(m11.Pix[i]),
+			var m [6]float64
+			for c, mi := range mom {
+				m[c] = float64(mi.Pix[i])
 			}
 			var rcoef [6]float64
 			for row := 0; row < 6; row++ {
@@ -156,13 +150,32 @@ func polyExpand(im *imgproc.Image, r int, sigma float64) polyCoeffs {
 			p.axy.Pix[i] = float32(rcoef[5])
 		}
 	})
-	imgproc.PutImage(m00)
-	imgproc.PutImage(m10)
-	imgproc.PutImage(m01)
-	imgproc.PutImage(m20)
-	imgproc.PutImage(m02)
-	imgproc.PutImage(m11)
+	for _, m := range mom {
+		imgproc.PutImage(m)
+	}
 	return p
+}
+
+// polyMoments returns the moment images m_pq = Σ a(x)a(y) x^p y^q f in the
+// order m00, m10, m01, m20, m02, m11 (p along x), given the 1-D moment
+// kernels k0 = a, k1 = x·a, k2 = x²·a. The six separable filters use only
+// three distinct horizontal kernels, so each row pass is computed once and
+// shared by the column passes that follow it.
+func polyMoments(im *imgproc.Image, k0, k1, k2 []float32) [6]*imgproc.Image {
+	var m [6]*imgproc.Image
+	rows := imgproc.FilterRows(im, k0)
+	m[0] = imgproc.FilterCols(rows, k0)
+	m[2] = imgproc.FilterCols(rows, k1)
+	m[4] = imgproc.FilterCols(rows, k2)
+	imgproc.PutImage(rows)
+	rows = imgproc.FilterRows(im, k1)
+	m[1] = imgproc.FilterCols(rows, k0)
+	m[5] = imgproc.FilterCols(rows, k1)
+	imgproc.PutImage(rows)
+	rows = imgproc.FilterRows(im, k2)
+	m[3] = imgproc.FilterCols(rows, k0)
+	imgproc.PutImage(rows)
+	return m
 }
 
 // put returns the coefficient buffers to the image pool.
@@ -242,6 +255,7 @@ func Farneback(prev, next *imgproc.Image, opt Options) Field {
 		opt.Levels--
 	}
 
+	win := imgproc.GaussianKernel1D(opt.WinSigma)
 	p1 := imgproc.Pyramid(prev, opt.Levels, opt.PyrSigma)
 	p2 := imgproc.Pyramid(next, opt.Levels, opt.PyrSigma)
 
@@ -263,7 +277,7 @@ func Farneback(prev, next *imgproc.Image, opt Options) Field {
 		c1 := polyExpand(im1, opt.PolyR, opt.PolySigma)
 		c2 := polyExpand(im2, opt.PolyR, opt.PolySigma)
 		for it := 0; it < opt.Iters; it++ {
-			next := flowIteration(c1, c2, fld, opt.WinSigma)
+			next := flowIteration(c1, c2, fld, win)
 			PutField(fld)
 			fld = next
 		}
@@ -281,8 +295,9 @@ func Farneback(prev, next *imgproc.Image, opt Options) Field {
 // flowIteration performs one Farneback update: form the per-pixel linear
 // system from the two polynomial expansions and the current displacement
 // ("Matrix Update"), aggregate it over a Gaussian window (a blur), and solve
-// the 2×2 system per pixel ("Compute Flow").
-func flowIteration(c1, c2 polyCoeffs, cur Field, winSigma float64) Field {
+// the 2×2 system per pixel ("Compute Flow"). win is the aggregation window's
+// 1-D kernel.
+func flowIteration(c1, c2 polyCoeffs, cur Field, win []float32) Field {
 	w, h := cur.U.W, cur.U.H
 	// Accumulator images for G = AᵀA (symmetric 2×2: g11,g12,g22) and
 	// hvec = AᵀΔb (h1,h2).
@@ -322,7 +337,7 @@ func flowIteration(c1, c2 polyCoeffs, cur Field, winSigma float64) Field {
 	// Aggregate the normal equations over the neighbourhood, releasing the
 	// pre-blur accumulators as they are consumed.
 	blur := func(im *imgproc.Image) *imgproc.Image {
-		b := imgproc.GaussianBlur(im, winSigma)
+		b := imgproc.SeparableFilter(im, win, win)
 		imgproc.PutImage(im)
 		return b
 	}

@@ -278,3 +278,29 @@ func TestFarnebackOpsSplitSumsToTotal(t *testing.T) {
 		t.Fatalf("expected conv-dominated cost: conv=%d point=%d", conv, point)
 	}
 }
+
+// TestPolyMomentsMatchIndependentFilters checks the shared row passes of
+// polyExpand against six independent separable filters, bit for bit, on
+// asymmetric kernels that tell a swapped x/y kernel or a reordered moment
+// apart. Frames smaller than the kernel are all border.
+func TestPolyMomentsMatchIndependentFilters(t *testing.T) {
+	k0 := []float32{0.2, 0.7, 1, 0.6, 0.1}
+	k1 := []float32{-0.5, -0.8, 0, 0.7, 0.3}
+	k2 := []float32{0.9, 0.75, 0, 0.65, 0.4}
+	for _, workers := range []string{"1", "3"} {
+		t.Setenv("ASV_WORKERS", workers)
+		for _, sz := range [][2]int{{1, 1}, {3, 2}, {12, 7}, {48, 30}} {
+			im := texture(sz[0], sz[1], 0.4)
+			got := polyMoments(im, k0, k1, k2)
+			for i, k := range [6][2][]float32{{k0, k0}, {k1, k0}, {k0, k1}, {k2, k0}, {k0, k2}, {k1, k1}} {
+				want := imgproc.SeparableFilter(im, k[0], k[1])
+				for p := range want.Pix {
+					if math.Float32bits(got[i].Pix[p]) != math.Float32bits(want.Pix[p]) {
+						t.Fatalf("ASV_WORKERS=%s %dx%d: moment %d pixel %d = %v, want %v",
+							workers, sz[0], sz[1], i, p, got[i].Pix[p], want.Pix[p])
+					}
+				}
+			}
+		}
+	}
+}

@@ -232,17 +232,10 @@ func Step(p *core.Pipeline, r Rung, basePW int, matcher core.KeyMatcher, left, r
 	return res
 }
 
-// DownsampleInput returns im blurred and decimated level times (the same
-// blur-then-decimate schedule imgproc.Pyramid uses); level 0 returns im
-// itself.
+// DownsampleInput returns level `level` of im's Gaussian pyramid (σ = 1 per
+// halving); level 0 returns im itself.
 func DownsampleInput(im *imgproc.Image, level int) *imgproc.Image {
-	out := im
-	for l := 0; l < level; l++ {
-		blurred := imgproc.GaussianBlur(out, 1.0)
-		out = imgproc.Downsample2(blurred)
-		imgproc.PutImage(blurred)
-	}
-	return out
+	return imgproc.Pyramid(im, level+1, 1.0)[level]
 }
 
 // UpsampleDisparity lifts a disparity map computed at pyramid level back to

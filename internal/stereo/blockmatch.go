@@ -52,15 +52,20 @@ func subpixelFit(cm1, c0, cp1 float64) float64 {
 	return off
 }
 
+// mustSameSize panics unless the two views of a pair share one geometry.
+func mustSameSize(left, right *imgproc.Image) {
+	if left.W != right.W || left.H != right.H {
+		panic(fmt.Sprintf("stereo: image sizes differ %dx%d vs %dx%d", left.W, left.H, right.W, right.H))
+	}
+}
+
 // Match performs full-search block matching: for every left pixel it scans
 // disparities 0..MaxDisp and keeps the winner-take-all disparity. The cost
 // is SAD over float32 samples, SAD over uint8-quantized samples when
 // opt.Fixed is set, or census-Hamming (integer either way) when opt.Census
 // is positive.
 func Match(left, right *imgproc.Image, opt BMOptions) *imgproc.Image {
-	if left.W != right.W || left.H != right.H {
-		panic(fmt.Sprintf("stereo: image sizes differ %dx%d vs %dx%d", left.W, left.H, right.W, right.H))
-	}
+	mustSameSize(left, right)
 	if opt.Census > 0 {
 		cl, cr := census(left, opt.Census), census(right, opt.Census)
 		return matchStrips(left.W, left.H, opt, censusRowCost(cl, cr, left.W), limU16)
@@ -85,6 +90,7 @@ func matchAD(left, right *imgproc.Image, opt BMOptions, truncate float32) *imgpr
 // This is dramatically cheaper than Match because searchR << MaxDisp. The
 // cost and its numeric type are chosen as in Match.
 func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgproc.Image {
+	mustSameSize(left, right)
 	if init.W != left.W || init.H != left.H {
 		panic("stereo: initial disparity size mismatch")
 	}
@@ -92,16 +98,25 @@ func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgpr
 	switch {
 	case opt.Census > 0:
 		cl, cr := census(left, opt.Census), census(right, opt.Census)
-		return refine(init, searchR, opt.Subpixel, func(x, y, d int) uint32 {
+		return refine(init, searchR, br, opt.Subpixel, func(x, y, d int, interior bool) uint32 {
+			if interior {
+				return hamBlockInterior(cl, cr, w, x, y, d, br)
+			}
 			return hamBlock(cl, cr, w, h, x, y, d, br)
 		})
 	case opt.Fixed:
 		l8, r8 := quantize8(left), quantize8(right)
-		return refine(init, searchR, opt.Subpixel, func(x, y, d int) uint32 {
+		return refine(init, searchR, br, opt.Subpixel, func(x, y, d int, interior bool) uint32 {
+			if interior {
+				return adBlockInterior[uint8, uint16, uint32](l8, r8, w, x, y, d, br)
+			}
 			return adBlock[uint8, uint16, uint32](l8, r8, w, h, x, y, d, br)
 		})
 	default:
-		return refine(init, searchR, opt.Subpixel, func(x, y, d int) float64 {
+		return refine(init, searchR, br, opt.Subpixel, func(x, y, d int, interior bool) float64 {
+			if interior {
+				return adBlockInterior[float32, float32, float64](left.Pix, right.Pix, w, x, y, d, br)
+			}
 			return adBlock[float32, float32, float64](left.Pix, right.Pix, w, h, x, y, d, br)
 		})
 	}
@@ -109,12 +124,17 @@ func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgpr
 
 // refine is the guided-search loop behind Refine: per pixel, the candidate
 // with the smallest cand cost in [init-searchR, init+searchR] ∩ [0, x], ties
-// to the smallest disparity, with optional subpixel refinement.
-func refine[A acc](init *imgproc.Image, searchR int, subpixel bool, cand func(x, y, d int) A) *imgproc.Image {
-	out := imgproc.NewImage(init.W, init.H)
-	par.For(init.H, func(y int) {
+// to the smallest disparity, with optional subpixel refinement. cand is told
+// whether the pixel is interior: its (2·br+1)² block and the right-view
+// block of every candidate lie inside the image, so none of their taps
+// clamps.
+func refine[A acc](init *imgproc.Image, searchR, br int, subpixel bool, cand func(x, y, d int, interior bool) A) *imgproc.Image {
+	w, h := init.W, init.H
+	out := imgproc.NewImage(w, h)
+	par.For(h, func(y int) {
 		costs := make([]A, 2*searchR+1)
-		for x := 0; x < init.W; x++ {
+		rowInside := y >= br && y < h-br
+		for x := 0; x < w; x++ {
 			center := int(math.Round(float64(init.At(x, y))))
 			lo := max(center-searchR, 0)
 			hi := min(center+searchR, x)
@@ -122,9 +142,10 @@ func refine[A acc](init *imgproc.Image, searchR int, subpixel bool, cand func(x,
 				out.Set(x, y, 0)
 				continue
 			}
+			interior := rowInside && x+br < w && x-br-hi >= 0
 			bestD := lo
 			for d := lo; d <= hi; d++ {
-				costs[d-lo] = cand(x, y, d)
+				costs[d-lo] = cand(x, y, d, interior)
 				if costs[d-lo] < costs[bestD-lo] {
 					bestD = d
 				}

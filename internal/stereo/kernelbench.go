@@ -17,7 +17,7 @@ import (
 
 // KernelPoint is one (kernel, variant, size) benchmark measurement.
 type KernelPoint struct {
-	Kernel     string  `json:"kernel"`  // sad | census | cvf | refine | census-transform | sgm-aggregate | wta
+	Kernel     string  `json:"kernel"`  // sad | census | cvf | refine | census-transform | sgm-aggregate | wta here; separable-filter | farneback from the root package
 	Variant    string  `json:"variant"` // numeric type: float (float32 cells) | fixed (integer cells)
 	W          int     `json:"w"`
 	H          int     `json:"h"`
@@ -50,8 +50,9 @@ func benchPair(w, h int) (*imgproc.Image, *imgproc.Image) {
 	return left, right
 }
 
-// timeKernel returns the minimum ns/pixel over rounds runs of f.
-func timeKernel(w, h, rounds int, f func()) float64 {
+// TimeKernel returns the minimum ns/pixel over rounds runs of f on a w×h
+// frame: how every row of BENCH_kernels.json is timed.
+func TimeKernel(w, h, rounds int, f func()) float64 {
 	best := math.Inf(1)
 	for i := 0; i < max(rounds, 1); i++ {
 		start := time.Now()
@@ -125,7 +126,7 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 		} {
 			point := func(variant string, run func()) KernelPoint {
 				return KernelPoint{Kernel: k.name, Variant: variant, W: w, H: h, MaxDisp: maxDisp,
-					NsPerPixel: timeKernel(w, h, rounds, run)}
+					NsPerPixel: TimeKernel(w, h, rounds, run)}
 			}
 			if k.float == nil {
 				points = append(points, point("fixed", k.fixed))

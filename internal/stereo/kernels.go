@@ -315,7 +315,8 @@ func wtaStrip[C cell](vol []C, out *imgproc.Image, w, y0, y1, nd int, opt BMOpti
 // disparity d — the per-candidate cost of the guided refinement, where
 // candidate centers vary per pixel and window reuse does not apply. Border
 // handling is clamp-then-shift and |l-r| is taken in the cell type C, both
-// as in adRowCost.
+// as in adRowCost. This is the definition, and the form blocks that touch
+// the border take; blocks that do not go through adBlockInterior.
 func adBlock[S sample, C cell, A acc](l, r []S, w, h, x, y, d, br int) A {
 	var s A
 	for dy := -br; dy <= br; dy++ {
@@ -333,6 +334,28 @@ func adBlock[S sample, C cell, A acc](l, r []S, w, h, x, y, d, br int) A {
 	return s
 }
 
+// adBlockInterior is adBlock when neither the block nor its right-view
+// counterpart touches the border — rows y±br and columns [x-br-d, x+br]
+// are all inside the image — so no tap clamps: each block row is a left and
+// a right window of one length, read with no index check. The taps are
+// added in adBlock's order, dy outer and dx inner, so the float64 sum of
+// the float instantiation has the same bits.
+func adBlockInterior[S sample, C cell, A acc](l, r []S, w, x, y, d, br int) A {
+	var s A
+	n := 2*br + 1
+	base := (y-br)*w + x - br
+	for dy := 0; dy < n; dy++ {
+		lwin := l[base:][:n]
+		rwin := r[base-d:][:n]
+		for i, v := range lwin {
+			lv, rv := C(v), C(rwin[i])
+			s += A(max(lv, rv) - min(lv, rv))
+		}
+		base += w
+	}
+	return s
+}
+
 // hamBlock is adBlock's census counterpart: the block Hamming cost between
 // census descriptor planes.
 func hamBlock(cl, cr []uint64, w, h, x, y, d, br int) uint32 {
@@ -345,6 +368,22 @@ func hamBlock(cl, cr []uint64, w, h, x, y, d, br int) uint32 {
 			xx := clampInt(x+dx, 0, w-1)
 			s += uint32(bits.OnesCount64(lrow[xx] ^ rrow[clampInt(xx-d, 0, w-1)]))
 		}
+	}
+	return s
+}
+
+// hamBlockInterior is hamBlock under adBlockInterior's condition.
+func hamBlockInterior(cl, cr []uint64, w, x, y, d, br int) uint32 {
+	var s uint32
+	n := 2*br + 1
+	base := (y-br)*w + x - br
+	for dy := 0; dy < n; dy++ {
+		lwin := cl[base:][:n]
+		rwin := cr[base-d:][:n]
+		for i, v := range lwin {
+			s += uint32(bits.OnesCount64(v ^ rwin[i]))
+		}
+		base += w
 	}
 	return s
 }

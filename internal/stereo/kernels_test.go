@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"asv/internal/imgproc"
@@ -339,15 +340,105 @@ func TestCensusFixedMatchesFloatBitExactly(t *testing.T) {
 
 func TestRefineAgainstNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	left, right := randPair(rng, 41, 35, true)
-	init := imgproc.NewImage(41, 35)
-	for i := range init.Pix {
-		init.Pix[i] = float32(rng.Intn(12)) - 1.5
+	for _, g := range []struct {
+		name             string
+		w, h, br         int
+		dyadic           bool
+		initLo, initSpan int // init = initLo + [0, initSpan) - 0.5
+		interior, border bool
+	}{
+		// Negative and oversized guesses, both kinds of pixel.
+		{"mixed", 41, 35, 2, true, -1, 12, true, true},
+		// w <= 2·br + R with every guess >= 0: each candidate window of each
+		// pixel leaves the row on one side or the other.
+		{"all border", 7, 9, 2, false, 1, 6, false, true},
+		{"shorter than the block", 40, 4, 2, false, 0, 6, false, true},
+		// Small guesses on a wide frame: only the frame's rim is border.
+		{"mostly interior", 64, 40, 1, false, 0, 4, true, true},
+	} {
+		left, right := randPair(rng, g.w, g.h, g.dyadic)
+		init := imgproc.NewImage(g.w, g.h)
+		for i := range init.Pix {
+			init.Pix[i] = float32(g.initLo+rng.Intn(g.initSpan)) - 0.5
+		}
+		for _, cen := range []int{0, 2} {
+			for _, fixed := range []bool{true, false} {
+				opt := BMOptions{BlockR: g.br, Subpixel: true, Fixed: fixed, Census: cen}
+				want := naiveRefine(refPixelCost(left, right, fixed, cen, math.Inf(1)), init, 3, opt)
+				sameImage(t, fmt.Sprintf("%s: refine fixed=%v census=%d", g.name, fixed, cen), Refine(left, right, init, 3, opt), want)
+			}
+		}
+		// Which block-cost form each pixel is handed, and that an interior
+		// pixel's taps really are all inside the image.
+		var interior, border atomic.Int64
+		refine(init, 3, g.br, false, func(x, y, d int, in bool) uint32 {
+			if !in {
+				border.Add(1)
+				return 0
+			}
+			interior.Add(1)
+			if x-g.br-d < 0 || x+g.br >= g.w || y-g.br < 0 || y+g.br >= g.h {
+				t.Errorf("%s: (%d,%d) d=%d called interior, but its block leaves the %dx%d image", g.name, x, y, d, g.w, g.h)
+			}
+			return 0
+		})
+		if (interior.Load() > 0) != g.interior || (border.Load() > 0) != g.border {
+			t.Errorf("%s: %d interior and %d border candidates, want interior=%v border=%v",
+				g.name, interior.Load(), border.Load(), g.interior, g.border)
+		}
 	}
-	for _, fixed := range []bool{true, false} {
-		opt := BMOptions{BlockR: 2, Subpixel: true, Fixed: fixed}
-		want := naiveRefine(refPixelCost(left, right, fixed, 0, math.Inf(1)), init, 3, opt)
-		sameImage(t, fmt.Sprintf("refine fixed=%v", fixed), Refine(left, right, init, 3, opt), want)
+}
+
+// The clamp-free block costs against the clamped ones they stand in for, on
+// every block of a frame that qualifies, compared as bits. The samples span
+// forty binades so that the float64 sum rounds and a reordered tap shows.
+func TestInteriorBlockCostsMatchClamped(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	w, h := 23, 17
+	left, right := imgproc.NewImage(w, h), imgproc.NewImage(w, h)
+	for i := range left.Pix {
+		left.Pix[i] = float32(math.Ldexp(rng.Float64(), -rng.Intn(40)))
+		right.Pix[i] = float32(math.Ldexp(rng.Float64(), -rng.Intn(40)))
+	}
+	l8, r8 := quantize8(left), quantize8(right)
+	cl, cr := census(left, 2), census(right, 2)
+	for _, br := range []int{0, 1, 2, 3} {
+		for y := br; y < h-br; y++ {
+			for x := br; x < w-br; x++ {
+				for d := 0; d <= x-br; d++ {
+					got := adBlockInterior[float32, float32, float64](left.Pix, right.Pix, w, x, y, d, br)
+					want := adBlock[float32, float32, float64](left.Pix, right.Pix, w, h, x, y, d, br)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("float br=%d (%d,%d) d=%d: %x, want %x", br, x, y, d, math.Float64bits(got), math.Float64bits(want))
+					}
+					if got, want := adBlockInterior[uint8, uint16, uint32](l8, r8, w, x, y, d, br), adBlock[uint8, uint16, uint32](l8, r8, w, h, x, y, d, br); got != want {
+						t.Fatalf("fixed br=%d (%d,%d) d=%d: %d, want %d", br, x, y, d, got, want)
+					}
+					if got, want := hamBlockInterior(cl, cr, w, x, y, d, br), hamBlock(cl, cr, w, h, x, y, d, br); got != want {
+						t.Fatalf("census br=%d (%d,%d) d=%d: %d, want %d", br, x, y, d, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Refine reads right through left's geometry: a right view of another size
+// must be refused like Match refuses it, not read out of step.
+func TestRefineRejectsMismatchedRight(t *testing.T) {
+	left, init := imgproc.NewImage(8, 6), imgproc.NewImage(8, 6)
+	for _, right := range []*imgproc.Image{imgproc.NewImage(6, 8), imgproc.NewImage(8, 5), imgproc.NewImage(9, 6)} {
+		for _, opt := range []BMOptions{{BlockR: 1}, {BlockR: 1, Fixed: true}, {BlockR: 1, Census: 1}} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("stereo: image sizes differ 8x6 vs %dx%d", right.W, right.H)
+					if got := recover(); got != want {
+						t.Errorf("right %dx%d, %+v: panic %v, want %q", right.W, right.H, opt, got, want)
+					}
+				}()
+				Refine(left, right, init, 2, opt)
+			}()
+		}
 	}
 }
 
