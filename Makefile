@@ -26,7 +26,7 @@ FUZZ_TARGETS := \
 # Minimum total test coverage (percent) enforced by `make cover` and CI.
 COVER_THRESHOLD := 80
 
-.PHONY: build test race bench bench-json serve-bench-json kernels-json kernels-gate eval-json ladder-json serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
+.PHONY: build test race bench backends-json kernels-json kernels-gate eval-json ladder-json serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
 
 build:
 	go build ./...
@@ -44,13 +44,11 @@ race:
 bench:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
-# Regenerate BENCH_pipeline.json (serial vs streaming-runtime throughput).
-bench-json:
-	go run ./cmd/asvbench -exp pipeline -json BENCH_pipeline.json
-
-# Regenerate BENCH_serve.json (depth-serving latency + backpressure).
-serve-bench-json:
-	go run ./cmd/asvbench -exp serve -json BENCH_serve.json
+# Regenerate BENCH_backends.json, the committed cost sweep of every
+# registered accelerator model x network x supported policy (analytic, so
+# deterministic on any host).
+backends-json:
+	go run ./cmd/asvbench -exp backends -json BENCH_backends.json
 
 # Regenerate BENCH_kernels.json, the committed ns/pixel baseline for the
 # matching kernels (one row per kernel and numeric type).

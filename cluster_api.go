@@ -1,9 +1,6 @@
 package asv
 
-import (
-	"asv/internal/cluster"
-	"asv/internal/serve"
-)
+import "asv/internal/cluster"
 
 // Cluster facade: re-exports of the internal/cluster types that commands and
 // external users need to run the sharded serving tier. See DESIGN.md §10
@@ -21,31 +18,11 @@ type ClusterConfig = cluster.Config
 // the snapshot/restore API on drain.
 type ClusterGateway = cluster.Gateway
 
-// ClusterRing is the consistent-hash ring the gateway routes with, exported
-// so tooling (e.g. the bench's balanced-id picker) can predict placement.
-type ClusterRing = cluster.Ring
-
 // ClusterDrainReport summarizes one drain operation.
 type ClusterDrainReport = cluster.DrainReport
-
-// ServeClusterLoadReport is a cluster-mode load run: per-target reports plus
-// an aggregate whose percentiles cover the merged sample set.
-type ServeClusterLoadReport = serve.ClusterLoadReport
-
-// RunServeLoadCluster fans the configured workload out over every target
-// concurrently and merges the results; see ServeClusterLoadReport.
-func RunServeLoadCluster(cfg ServeLoadConfig, targets []string) (ServeClusterLoadReport, error) {
-	return serve.RunLoadCluster(cfg, targets)
-}
 
 // NewClusterGateway builds a gateway over the configured shards. Call Start
 // to bind a listener and Close to stop.
 func NewClusterGateway(cfg ClusterConfig) (*ClusterGateway, error) {
 	return cluster.New(cfg)
-}
-
-// NewClusterRing builds a consistent-hash ring over the named shards;
-// replicas < 1 selects the default vnode count.
-func NewClusterRing(shards []string, replicas int) *ClusterRing {
-	return cluster.NewRing(shards, replicas)
 }

@@ -18,8 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -27,11 +25,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig1,fig3,fig4,fig9,fig10,fig11,fig12,fig13,fig14,backends,sec71,sec33,pipeline,serve,kernels,all)")
+	exp := flag.String("exp", "all", "experiment to run (fig1,fig3,fig4,fig9,fig10,fig11,fig12,fig13,fig14,backends,sec71,sec33,kernels,all)")
 	scale := flag.String("scale", "quick", "dataset scale for accuracy experiments (quick|full)")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	backendName := flag.String("backend", "", "run the network-zoo cost sweep on one registered backend ("+strings.Join(asv.BackendNames(), "|")+") and exit")
-	flag.StringVar(&jsonPath, "json", "", "with -exp pipeline/serve/backends/kernels: also write the measurements to this JSON file")
+	flag.StringVar(&jsonPath, "json", "", "with -exp backends/kernels: also write the measurements to this JSON file")
 	flag.StringVar(&gatePath, "gate", "", "with -exp kernels: fail if any kernel regressed past 2.5x the committed baseline JSON at this path")
 	flag.StringVar(&format, "format", "table", "output format (table|csv)")
 	flag.Parse()
@@ -44,8 +42,6 @@ func main() {
 		for _, l := range asv.ExperimentIndex() {
 			fmt.Println(l)
 		}
-		fmt.Println("pipeline   serial vs concurrent streaming-runtime throughput (-json writes BENCH_pipeline.json)")
-		fmt.Println("serve      depth-serving latency percentiles + backpressure (-json writes BENCH_serve.json)")
 		fmt.Println("kernels    matching-kernel ns/pixel per numeric type (-json writes BENCH_kernels.json, -gate checks a baseline)")
 		return
 	}
@@ -88,8 +84,6 @@ func main() {
 		"ablation-param": ablationParam,
 		"ablation-key":   ablationKey,
 		"ablation-order": ablationOrder,
-		"pipeline":       func(asv.ExpScale) { pipelineBench() },
-		"serve":          func(asv.ExpScale) { serveBench() },
 		"kernels":        func(asv.ExpScale) { kernelsExp() },
 	}
 	order := []string{"fig1", "fig3", "fig4", "fig9", "fig10", "fig11",
@@ -114,7 +108,8 @@ func main() {
 // format selects the output renderer ("table" or "csv").
 var format = "table"
 
-// jsonPath, when non-empty, is where -exp pipeline writes its JSON record.
+// jsonPath, when non-empty, is where -exp backends or kernels writes its
+// JSON record.
 var jsonPath = ""
 
 // gatePath, when non-empty, is the committed BENCH_kernels.json baseline the
@@ -370,166 +365,4 @@ func ablationOrder(asv.ExpScale) {
 	}
 	table("Ablation: reuse order (Equ. 7 beta), transformed nets, ILAR",
 		[]string{"network", "auto-ms", "ifmap-stationary-ms", "weight-stationary-ms"}, rows)
-}
-
-// pipelineBenchDoc is the top-level record of BENCH_pipeline.json. CPUs is
-// the usable-CPU count at measurement time: wall-clock speedup is bounded by
-// it, so a single-core container records ~1.0x even though the pipeline
-// overlaps stages (see README "Streaming pipeline & metrics").
-type pipelineBenchDoc struct {
-	CPUsAvailable int                      `json:"cpus_available"`
-	GoMaxProcs    int                      `json:"gomaxprocs_default"`
-	Points        []asv.PipelineBenchPoint `json:"points"`
-}
-
-func pipelineBench() {
-	maxCores := runtime.GOMAXPROCS(0)
-	cores := []int{2, maxCores}
-	if maxCores <= 2 {
-		cores = []int{maxCores}
-	}
-	points := asv.MeasurePipelineThroughput(cores, 12, 160, 96)
-
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{p.Mode, fmt.Sprintf("%d", p.Cores),
-			fmt.Sprintf("%dx%d", p.W, p.H), fmt.Sprintf("%d", p.PW),
-			fmt.Sprintf("%.2f", p.FPS), fmt.Sprintf("%.2f", p.SpeedupX)})
-	}
-	table(fmt.Sprintf("Streaming pipeline throughput (%d usable CPUs)", runtime.NumCPU()),
-		[]string{"mode", "cores", "size", "PW", "fps", "speedup-x"}, rows)
-
-	if jsonPath == "" {
-		return
-	}
-	doc := pipelineBenchDoc{
-		CPUsAvailable: runtime.NumCPU(),
-		GoMaxProcs:    maxCores,
-		Points:        points,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "encode:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "write:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
-}
-
-// serveBench measures the depth-serving layer over real loopback HTTP: a
-// paced normal phase for latency percentiles, then an overload phase
-// against a deliberately tiny admission queue to observe backpressure.
-// ASV_SMOKE=1 shrinks the run for CI.
-func serveBench() {
-	bc := asv.ServeBenchConfig{W: 128, H: 80, PW: 4, Sessions: 4, Frames: 16, QPS: 40,
-		ShardFrameMs: 12, ShardSessions: 10, ShardFrames: 20}
-	if os.Getenv("ASV_SMOKE") != "" {
-		bc = asv.ServeBenchConfig{W: 64, H: 48, PW: 4, Sessions: 2, Frames: 6, QPS: 30,
-			ShardFrameMs: 12, ShardSessions: 6, ShardFrames: 10}
-	}
-	doc, err := asv.MeasureServeLoad(bc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve bench:", err)
-		os.Exit(1)
-	}
-
-	row := func(name string, r asv.ServeLoadReport) []string {
-		return []string{name, fmt.Sprintf("%d", r.Requests), fmt.Sprintf("%d", r.OK),
-			fmt.Sprintf("%d", r.Rejected), fmt.Sprintf("%d", r.Status5xx),
-			fmt.Sprintf("%.1f", r.P50Ms), fmt.Sprintf("%.1f", r.P95Ms),
-			fmt.Sprintf("%.1f", r.P99Ms), fmt.Sprintf("%.1f", r.AchievedTP)}
-	}
-	table(fmt.Sprintf("Depth serving: %d sessions, %dx%d, PW-%d", doc.Sessions, doc.W, doc.H, doc.PW),
-		[]string{"phase", "req", "ok", "429", "5xx", "p50-ms", "p95-ms", "p99-ms", "req/s"},
-		[][]string{row("normal", doc.Normal), row("overload", doc.Overload)})
-
-	ms := doc.MultiShard
-	shardRow := func(name string, r asv.ServeLoadReport) []string {
-		return []string{name, fmt.Sprintf("%d", r.Requests), fmt.Sprintf("%d", r.OK),
-			fmt.Sprintf("%d", r.Rejected), fmt.Sprintf("%d", r.Status5xx),
-			fmt.Sprintf("%.1f", r.P50Ms), fmt.Sprintf("%.1f", r.P99Ms),
-			fmt.Sprintf("%.1f", r.OKRps)}
-	}
-	table(fmt.Sprintf("Gateway scaling: %d sessions x %d frames, %d ms/frame shards",
-		ms.Sessions, ms.Frames, ms.FrameMs),
-		[]string{"shards", "req", "ok", "429", "5xx", "p50-ms", "p99-ms", "ok/s"},
-		[][]string{shardRow("1", ms.OneShard), shardRow("2", ms.TwoShard)})
-	fmt.Printf("  2-shard scaling: %.2fx\n", ms.ScaleX)
-
-	dg := doc.Degrade
-	table(fmt.Sprintf("Degrade ladder: %d best-effort sessions, %d ms frames, %.0f ms deadline",
-		dg.Sessions, dg.FrameMs, dg.DeadlineMs),
-		[]string{"phase", "req", "ok", "429", "5xx", "degraded", "p50-ms", "p99-ms", "ok-frac"},
-		[][]string{
-			{"overload (gold)", fmt.Sprintf("%d", doc.Overload.Requests), fmt.Sprintf("%d", doc.Overload.OK),
-				fmt.Sprintf("%d", doc.Overload.Rejected), fmt.Sprintf("%d", doc.Overload.Status5xx), "0",
-				fmt.Sprintf("%.1f", doc.Overload.P50Ms), fmt.Sprintf("%.1f", doc.Overload.P99Ms),
-				fmt.Sprintf("%.2f", dg.BaselineOKFrac)},
-			{"degrade (b-e)", fmt.Sprintf("%d", dg.BestEffort.Requests), fmt.Sprintf("%d", dg.BestEffort.OK),
-				fmt.Sprintf("%d", dg.BestEffort.Rejected), fmt.Sprintf("%d", dg.BestEffort.Status5xx),
-				fmt.Sprintf("%d", dg.BestEffort.Degraded),
-				fmt.Sprintf("%.1f", dg.BestEffort.P50Ms), fmt.Sprintf("%.1f", dg.BestEffort.P99Ms),
-				fmt.Sprintf("%.2f", dg.OKFrac)},
-		})
-	if len(dg.BestEffort.Rungs) > 0 {
-		names := make([]string, 0, len(dg.BestEffort.Rungs))
-		for name := range dg.BestEffort.Rungs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		parts := make([]string, 0, len(names))
-		for _, name := range names {
-			parts = append(parts, fmt.Sprintf("%s %d", name, dg.BestEffort.Rungs[name]))
-		}
-		fmt.Printf("  rungs served: %s\n", strings.Join(parts, "  "))
-	}
-
-	if doc.Normal.Status5xx > 0 || doc.Overload.Status5xx > 0 || dg.BestEffort.Status5xx > 0 ||
-		ms.OneShard.Status5xx > 0 || ms.TwoShard.Status5xx > 0 {
-		fmt.Fprintln(os.Stderr, "serve bench: observed 5xx responses")
-		os.Exit(1)
-	}
-	if doc.Overload.Rejected == 0 {
-		fmt.Fprintln(os.Stderr, "serve bench: overload phase saw no 429 backpressure")
-		os.Exit(1)
-	}
-	if ms.ScaleX < 1.6 {
-		fmt.Fprintf(os.Stderr, "serve bench: 2-shard scaling %.2fx below the 1.6x floor\n", ms.ScaleX)
-		os.Exit(1)
-	}
-	if dg.BestEffort.Rejected > 0 || dg.BestEffort.Dropped > 0 {
-		fmt.Fprintf(os.Stderr, "serve bench: degrade phase rejected %d / dropped %d best-effort frames (want 0 — degrade, don't refuse)\n",
-			dg.BestEffort.Rejected, dg.BestEffort.Dropped)
-		os.Exit(1)
-	}
-	if dg.BestEffort.Degraded == 0 {
-		fmt.Fprintln(os.Stderr, "serve bench: degrade phase never stepped below the top rung")
-		os.Exit(1)
-	}
-	if dg.OKFrac < 0.8 {
-		fmt.Fprintf(os.Stderr, "serve bench: degrade phase served-ok fraction %.2f below the 0.80 floor\n", dg.OKFrac)
-		os.Exit(1)
-	}
-	if dg.OKFrac <= dg.BaselineOKFrac {
-		fmt.Fprintf(os.Stderr, "serve bench: degrading (%.2f ok) did not beat rejecting (%.2f ok)\n",
-			dg.OKFrac, dg.BaselineOKFrac)
-		os.Exit(1)
-	}
-
-	if jsonPath == "" {
-		return
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "encode:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "write:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
 }

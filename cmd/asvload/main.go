@@ -29,7 +29,7 @@ import (
 	"strings"
 	"time"
 
-	"asv"
+	"asv/internal/loadgen"
 )
 
 func main() {
@@ -65,7 +65,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg := asv.ServeLoadConfig{
+	cfg := loadgen.Config{
 		BaseURL:    *addr,
 		Sessions:   *sessions,
 		Frames:     *frames,
@@ -92,7 +92,7 @@ func run(args []string, out io.Writer) error {
 				targets = append(targets, a)
 			}
 		}
-		crep, err := asv.RunServeLoadCluster(cfg, targets)
+		crep, err := loadgen.RunCluster(cfg, targets)
 		if err != nil {
 			return err
 		}
@@ -116,7 +116,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	rep, err := asv.RunServeLoad(cfg)
+	rep, err := loadgen.Run(cfg)
 	if err != nil {
 		return err
 	}
@@ -132,7 +132,7 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func printReport(out io.Writer, label string, rep asv.ServeLoadReport) {
+func printReport(out io.Writer, label string, rep loadgen.Report) {
 	fmt.Fprintf(out, "%s: %d requests in %.0f ms (%.1f req/s achieved, %.1f ok/s)\n",
 		label, rep.Requests, rep.DurationMs, rep.AchievedTP, rep.OKRps)
 	fmt.Fprintf(out, "  ok %d (key %d, propagated %d)  429 %d (retried %d, dropped %d)  4xx %d  5xx %d  transport %d\n",

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"asv"
+	"asv/internal/loadgen"
 )
 
 func startServer(t *testing.T) string {
@@ -42,7 +43,7 @@ func TestLoadAgainstLiveServer(t *testing.T) {
 		t.Fatalf("run: %v (output: %s)", err, out.String())
 	}
 
-	var rep asv.ServeLoadReport
+	var rep loadgen.Report
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("parsing report: %v from %s", err, out.String())
 	}
@@ -98,7 +99,7 @@ func TestLoadClusterMode(t *testing.T) {
 		t.Fatalf("run: %v (output: %s)", err, out.String())
 	}
 
-	var crep asv.ServeClusterLoadReport
+	var crep loadgen.ClusterReport
 	if err := json.Unmarshal(out.Bytes(), &crep); err != nil {
 		t.Fatalf("parsing report: %v from %s", err, out.String())
 	}

@@ -141,13 +141,17 @@ func New(cfg Config) (*Gateway, error) {
 // Handler exposes the gateway's routes (for tests and embedding).
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
+// readHeaderTimeout is the shards' serve.ReadHeaderTimeout, applied by
+// Start; a variable only so tests can shorten it.
+var readHeaderTimeout = serve.ReadHeaderTimeout
+
 // Start listens on addr and serves until Close.
 func (g *Gateway) Start(addr string) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	g.httpSrv = &http.Server{Handler: g.mux}
+	g.httpSrv = &http.Server{Handler: g.mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := g.httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			g.serveErr <- err

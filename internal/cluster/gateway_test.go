@@ -15,6 +15,7 @@ import (
 	"asv/internal/core"
 	"asv/internal/serve"
 	"asv/internal/stereo"
+	"asv/internal/testkit"
 )
 
 // stubShardServer records which session ids it saw, so routing tests can
@@ -443,6 +444,100 @@ func TestGatewayDrainMigratesSessions(t *testing.T) {
 			t.Fatalf("healthy shard reported down: %+v", s)
 		}
 	}
+}
+
+// TestGatewayRunsShardsConcurrently: frames for sessions on different shards
+// are proxied in parallel, which is what lets a second shard add capacity.
+// Each stub shard's frame handler waits at a two-party rendezvous, so a
+// gateway that proxied one request at a time would hold the second frame
+// back while the first waits for it.
+func TestGatewayRunsShardsConcurrently(t *testing.T) {
+	var mu sync.Mutex
+	arrived := 0
+	met, giveUp := make(chan struct{}), make(chan struct{})
+	rendezvous := func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		if arrived++; arrived == 2 {
+			close(met)
+		}
+		mu.Unlock()
+		select {
+		case <-met:
+			fmt.Fprintf(w, `{"session":%q,"frame":0}`, r.PathValue("id"))
+		case <-giveUp:
+			http.Error(w, `{"error":"rendezvous abandoned"}`, http.StatusGatewayTimeout)
+		}
+	}
+	cfg := Config{}
+	for _, name := range []string{"c0", "c1"} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/sessions/{id}/frames", rendezvous)
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		cfg.Shards = append(cfg.Shards, Shard{Name: name, URL: ts.URL})
+	}
+	g, ts := newTestGateway(t, cfg)
+	// Cleanups run last-registered first: release a stranded handler before
+	// the servers above wait for their requests to finish.
+	t.Cleanup(func() { close(giveUp) })
+
+	idOn := make(map[string]string) // shard → a session id the ring puts there
+	for c := 0; len(idOn) < 2; c++ {
+		id := fmt.Sprintf("sess-%d", c)
+		if owner := g.ring.Owner(id); idOn[owner] == "" {
+			idOn[owner] = id
+		}
+	}
+	results := make(chan error, len(idOn))
+	for _, id := range idOn {
+		go func(id string) {
+			resp, err := http.Post(ts.URL+"/v1/sessions/"+id+"/frames", "", nil)
+			if err != nil {
+				results <- err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("session %s: status %d", id, resp.StatusCode)
+			}
+			results <- err
+		}(id)
+	}
+	timeout := time.After(10 * time.Second)
+	for range idOn {
+		select {
+		case err := <-results:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatal("no reply after 10s — one shard's frame is waiting at a rendezvous the gateway never let the other shard's frame reach")
+		}
+	}
+}
+
+// TestGatewayStalledHeadersAreCutOff: a client that sends a request line and
+// never finishes its headers is hung up on after readHeaderTimeout.
+func TestGatewayStalledHeadersAreCutOff(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	g, err := New(Config{Shards: []Shard{{Name: "a", URL: "http://127.0.0.1:1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := g.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := g.Close(ctx); err != nil {
+			t.Errorf("closing gateway: %v", err)
+		}
+	}()
+	testkit.MustDropStalledHeaders(t, addr.String(), 10*time.Second)
 }
 
 func TestGatewayRejectsBadConfigs(t *testing.T) {

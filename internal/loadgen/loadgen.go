@@ -1,10 +1,17 @@
-package serve
+// Package loadgen replays synthetic stereo streams against a live depth
+// server (internal/serve, or a cluster gateway in front of its shards) at a
+// target aggregate QPS and reports latency percentiles and outcome counts.
+// It is a client of serve's wire types only. cmd/asvload wraps it for the
+// command line, including cluster mode, which fans the same workload out
+// over several endpoints and reports aggregate percentiles.
+package loadgen
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"sort"
@@ -16,16 +23,11 @@ import (
 	"asv/internal/imgproc"
 	"asv/internal/perception"
 	"asv/internal/rectify"
+	"asv/internal/serve"
 )
 
-// Load generation: replay synthetic stereo streams against a live server at
-// a target aggregate QPS and report latency percentiles. cmd/asvload wraps
-// this for the command line (including cluster mode, which fans the same
-// workload out over several endpoints and reports aggregate percentiles);
-// asvbench -exp serve runs it in-process to produce BENCH_serve.json.
-
-// LoadConfig parameterizes one load run.
-type LoadConfig struct {
+// Config parameterizes one load run.
+type Config struct {
 	BaseURL  string  `json:"base_url"` // e.g. "http://127.0.0.1:8080"
 	Sessions int     `json:"sessions"` // concurrent sessions to drive
 	Frames   int     `json:"frames"`   // frames submitted per session
@@ -53,12 +55,6 @@ type LoadConfig struct {
 	// all four response formats, exercising every serving path at once.
 	// Per-session it overrides Raw and Format.
 	Mixed bool `json:"mixed"`
-	// IDs optionally pins the session ids this run creates (session i gets
-	// IDs[i]; extra sessions fall back to server-minted ids). The multi-shard
-	// bench uses this to pre-balance sessions across a gateway's hash ring so
-	// the measured scaling is deterministic rather than at the mercy of a
-	// random id split. Ids must satisfy the server's [A-Za-z0-9._-] rule.
-	IDs []string `json:"-"`
 	// SLO is the service class every session of this run declares: ""/"gold"
 	// (never degraded, overload answers 429) or "besteffort" (the server may
 	// degrade frames down the quality ladder instead of rejecting them).
@@ -78,7 +74,7 @@ type LoadConfig struct {
 	Timeout time.Duration `json:"-"`
 }
 
-func (c LoadConfig) withDefaults() LoadConfig {
+func (c Config) withDefaults() Config {
 	if c.Sessions < 1 {
 		c.Sessions = 4
 	}
@@ -118,9 +114,9 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// LoadReport aggregates one run. Latency percentiles cover successful frame
+// Report aggregates one run. Latency percentiles cover successful frame
 // submissions only; error counts cover everything else.
-type LoadReport struct {
+type Report struct {
 	Requests  int   `json:"requests"`
 	OK        int   `json:"ok"`
 	Rejected  int   `json:"rejected_429"`
@@ -148,19 +144,19 @@ type LoadReport struct {
 	MaxMs      float64        `json:"max_ms"`
 }
 
-// ClusterLoadReport is a cluster-mode run: one LoadReport per endpoint plus
+// ClusterReport is a cluster-mode run: one Report per endpoint plus
 // an aggregate whose percentiles are computed over the merged sample set
 // (not averaged per-target percentiles, which would understate the tail).
-type ClusterLoadReport struct {
-	Aggregate LoadReport            `json:"aggregate"`
-	Targets   map[string]LoadReport `json:"targets"`
+type ClusterReport struct {
+	Aggregate Report            `json:"aggregate"`
+	Targets   map[string]Report `json:"targets"`
 }
 
 // collector tallies request outcomes and latency samples across the session
 // goroutines of one run.
 type collector struct {
 	mu      sync.Mutex
-	rep     LoadReport
+	rep     Report
 	samples []float64 // latency ms of OK requests, unsorted until finish
 }
 
@@ -220,7 +216,7 @@ func (c *collector) dropped() {
 
 // finish stamps duration-derived rates and percentiles and returns the
 // report plus the raw samples (for cluster-level aggregation).
-func (c *collector) finish(elapsed time.Duration) (LoadReport, []float64) {
+func (c *collector) finish(elapsed time.Duration) (Report, []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rep.DurationMs = float64(elapsed) / 1e6
@@ -233,18 +229,19 @@ func (c *collector) finish(elapsed time.Duration) (LoadReport, []float64) {
 }
 
 // setPercentiles fills rep's latency fields from samples (sorted in place).
-func setPercentiles(rep *LoadReport, samples []float64) {
+// Each percentile is the nearest rank: the smallest sample with at least
+// q·n samples at or below it.
+func setPercentiles(rep *Report, samples []float64) {
 	n := len(samples)
 	if n == 0 {
 		return
 	}
 	sort.Float64s(samples)
 	pct := func(q float64) float64 {
-		idx := int(q*float64(n)) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return samples[idx]
+		// The epsilon absorbs float excess in q·n (0.07·100 evaluates to
+		// 7.000000000000001), which would otherwise round up a whole rank.
+		rank := int(math.Ceil(q*float64(n) - 1e-9))
+		return samples[max(rank, 1)-1]
 	}
 	rep.P50Ms = pct(0.50)
 	rep.P95Ms = pct(0.95)
@@ -252,29 +249,29 @@ func setPercentiles(rep *LoadReport, samples []float64) {
 	rep.MaxMs = samples[n-1]
 }
 
-// RunLoad drives the server at cfg.BaseURL. Each session goroutine submits
+// Run drives the server at cfg.BaseURL. Each session goroutine submits
 // its frames strictly in order (mirroring a real camera client); global
 // pacing comes from a shared token bucket at cfg.QPS. The first error that
 // prevents the run from even starting (e.g. session creation refused) is
 // returned; per-request failures are tallied in the report instead.
-func RunLoad(cfg LoadConfig) (LoadReport, error) {
+func Run(cfg Config) (Report, error) {
 	rep, _, err := runLoad(cfg)
 	return rep, err
 }
 
-// RunLoadCluster runs the same workload against every target concurrently —
+// RunCluster runs the same workload against every target concurrently —
 // each target gets cfg.Sessions sessions and its own pacer — and merges the
 // results. Aggregate percentiles come from the union of all latency
 // samples, so the cluster p99 reflects the true tail across shards. A
 // target that cannot even start (session creation refused) fails the whole
 // run: a half-missing cluster would silently report inflated throughput.
-func RunLoadCluster(cfg LoadConfig, targets []string) (ClusterLoadReport, error) {
+func RunCluster(cfg Config, targets []string) (ClusterReport, error) {
 	if len(targets) == 0 {
-		return ClusterLoadReport{}, fmt.Errorf("cluster load: no targets")
+		return ClusterReport{}, fmt.Errorf("cluster load: no targets")
 	}
 	type result struct {
 		target  string
-		rep     LoadReport
+		rep     Report
 		samples []float64
 		err     error
 	}
@@ -297,11 +294,11 @@ func RunLoadCluster(cfg LoadConfig, targets []string) (ClusterLoadReport, error)
 	wg.Wait()
 	elapsed := time.Since(t0)
 
-	out := ClusterLoadReport{Targets: make(map[string]LoadReport, len(targets))}
+	out := ClusterReport{Targets: make(map[string]Report, len(targets))}
 	var all []float64
 	for _, r := range results {
 		if r.err != nil {
-			return ClusterLoadReport{}, fmt.Errorf("target %s: %w", r.target, r.err)
+			return ClusterReport{}, fmt.Errorf("target %s: %w", r.target, r.err)
 		}
 		out.Targets[r.target] = r.rep
 		agg := &out.Aggregate
@@ -341,7 +338,7 @@ var loadFormats = []string{"json", "disparity", "depth", "cloud"}
 
 // scenario resolves what session i of the run does: whether its uploads are
 // raw (misaligned, server rectifies) and which response format it requests.
-func (c LoadConfig) scenario(i int) (raw bool, format string) {
+func (c Config) scenario(i int) (raw bool, format string) {
 	if c.Mixed {
 		return c.Upload && i%2 == 1, loadFormats[i%len(loadFormats)]
 	}
@@ -350,14 +347,14 @@ func (c LoadConfig) scenario(i int) (raw bool, format string) {
 
 // calibrated reports whether session i needs a camera model: raw uploads
 // (the server must rectify) or a triangulating response format.
-func (c LoadConfig) calibrated(i int) bool {
+func (c Config) calibrated(i int) bool {
 	raw, format := c.scenario(i)
 	return raw || format == "depth" || format == "cloud"
 }
 
 // loadCalibration is the camera model load sessions use; raw sessions get
 // non-zero per-eye rotations so rectification is a real warp.
-func loadCalibration(cfg LoadConfig, raw bool) *perception.Calibration {
+func loadCalibration(cfg Config, raw bool) *perception.Calibration {
 	c := perception.DefaultCalibration(cfg.W, cfg.H)
 	if raw {
 		c.LeftRPY = [3]float64{0.004, -0.003, 0.002}
@@ -382,11 +379,11 @@ func formatQuery(format string) (string, error) {
 	}
 }
 
-func runLoad(cfg LoadConfig) (LoadReport, []float64, error) {
+func runLoad(cfg Config) (Report, []float64, error) {
 	cfg = cfg.withDefaults()
 	client := &http.Client{Timeout: cfg.Timeout}
 	if _, err := formatQuery(cfg.Format); err != nil {
-		return LoadReport{}, nil, err
+		return Report{}, nil, err
 	}
 
 	// Pre-encode upload bodies once per session so client-side encoding
@@ -401,7 +398,7 @@ func runLoad(cfg LoadConfig) (LoadReport, []float64, error) {
 			}
 			frames, err := encodeFrames(cfg, cfg.Seed+int64(i), misalign)
 			if err != nil {
-				return LoadReport{}, nil, fmt.Errorf("encoding upload frames: %w", err)
+				return Report{}, nil, fmt.Errorf("encoding upload frames: %w", err)
 			}
 			uploads[i] = frames
 		}
@@ -411,7 +408,7 @@ func runLoad(cfg LoadConfig) (LoadReport, []float64, error) {
 	for i := range ids {
 		id, err := createSession(client, cfg, i)
 		if err != nil {
-			return LoadReport{}, nil, err
+			return Report{}, nil, err
 		}
 		ids[i] = id
 	}
@@ -498,11 +495,8 @@ func runLoad(cfg LoadConfig) (LoadReport, []float64, error) {
 
 // createSession opens one serving session; preset mode asks the server to
 // synthesize frames, upload mode leaves the session empty.
-func createSession(client *http.Client, cfg LoadConfig, i int) (string, error) {
-	req := CreateSessionRequest{PW: cfg.PW, SLO: cfg.SLO, DeadlineMs: cfg.DeadlineMs}
-	if i < len(cfg.IDs) {
-		req.ID = cfg.IDs[i]
-	}
+func createSession(client *http.Client, cfg Config, i int) (string, error) {
+	req := serve.CreateSessionRequest{PW: cfg.PW, SLO: cfg.SLO, DeadlineMs: cfg.DeadlineMs}
 	if !cfg.Upload {
 		req.Preset = cfg.Preset
 		req.W, req.H = cfg.W, cfg.H
@@ -528,7 +522,7 @@ func createSession(client *http.Client, cfg LoadConfig, i int) (string, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return "", fmt.Errorf("creating session: %s: %s", resp.Status, body)
 	}
-	var info SessionInfo
+	var info serve.SessionInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return "", fmt.Errorf("decoding session info: %w", err)
 	}
@@ -590,7 +584,7 @@ func submitFrame(client *http.Client, baseURL, id, query string, body io.Reader,
 			res.points, _ = strconv.Atoi(resp.Header.Get("X-ASV-Points"))
 			return res, nil
 		}
-		var fr FrameResponse
+		var fr serve.FrameResponse
 		if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
 			return res, nil // count as OK; stats only lose key split
 		}
@@ -615,7 +609,7 @@ type framePayload struct {
 // multipart PGM upload. A non-nil misalign warps each pair off the
 // rectified frame through the calibration's per-eye rotations first —
 // simulating the raw capture a physical rig would upload.
-func encodeFrames(cfg LoadConfig, seed int64, misalign *perception.Calibration) ([]framePayload, error) {
+func encodeFrames(cfg Config, seed int64, misalign *perception.Calibration) ([]framePayload, error) {
 	scene := dataset.SceneFlowLike(cfg.W, cfg.H, cfg.Frames, seed)[0]
 	if cfg.Preset == "kitti" {
 		scene = dataset.KITTILike(cfg.W, cfg.H, 1, seed)[0]

@@ -1,14 +1,20 @@
-package serve
+package loadgen
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"asv/internal/core"
+	"asv/internal/serve"
+	"asv/internal/stereo"
 )
 
 // stubShard is a minimal fake of the serving API for loadgen unit tests:
@@ -56,6 +62,25 @@ func (s *stubShard) handler() http.Handler {
 	return mux
 }
 
+// liveServer runs a real depth server (block matching at a small disparity
+// range) on an httptest listener, closed and drained at test cleanup.
+func liveServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	opt := stereo.DefaultBMOptions()
+	opt.MaxDisp = 12
+	s := serve.New(core.BMMatcher{Opt: opt}, serve.DefaultConfig())
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("closing server: %v", err)
+		}
+	})
+	return ts
+}
+
 // TestRunLoadRetriesAfter429 scripts one 429 per session before letting
 // frames through: every frame must eventually succeed via the retry path,
 // with the Retry-After hint honored but capped.
@@ -87,7 +112,7 @@ func TestRunLoadRetriesAfter429(t *testing.T) {
 	defer ts.Close()
 
 	t0 := time.Now()
-	rep, err := RunLoad(LoadConfig{
+	rep, err := Run(Config{
 		BaseURL: ts.URL, Sessions: sessions, Frames: frames,
 		Max429Wait: 5 * time.Millisecond,
 	})
@@ -124,7 +149,7 @@ func TestRunLoadDropsAfterRetryBudget(t *testing.T) {
 	ts := httptest.NewServer(stub.handler())
 	defer ts.Close()
 
-	rep, err := RunLoad(LoadConfig{
+	rep, err := Run(Config{
 		BaseURL: ts.URL, Sessions: sessions, Frames: frames,
 		Retry429: retries, Max429Wait: time.Millisecond,
 	})
@@ -161,7 +186,7 @@ func TestRunLoadCountsErrorClasses(t *testing.T) {
 	ts := httptest.NewServer(stub.handler())
 	defer ts.Close()
 
-	rep, err := RunLoad(LoadConfig{BaseURL: ts.URL, Sessions: 1, Frames: 9})
+	rep, err := Run(Config{BaseURL: ts.URL, Sessions: 1, Frames: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +200,9 @@ func TestRunLoadCountsErrorClasses(t *testing.T) {
 // mixed mode gives rectified+json, raw+disparity, rectified+depth and
 // raw+cloud — every serving path in one run, no failures allowed.
 func TestRunLoadMixedScenarios(t *testing.T) {
-	_, ts := testServer(t, DefaultConfig(), 0)
+	ts := liveServer(t)
 	const sessions, frames = 4, 4
-	rep, err := RunLoad(LoadConfig{
+	rep, err := Run(Config{
 		BaseURL: ts.URL, Sessions: sessions, Frames: frames,
 		W: 48, H: 32, PW: 2, Upload: true, Mixed: true,
 	})
@@ -197,7 +222,7 @@ func TestRunLoadMixedScenarios(t *testing.T) {
 
 	// Single-format runs work against preset sessions too (the server
 	// synthesizes frames, calibration comes from the load config).
-	rep, err = RunLoad(LoadConfig{
+	rep, err = Run(Config{
 		BaseURL: ts.URL, Sessions: 1, Frames: 3,
 		W: 48, H: 32, PW: 2, Format: "cloud",
 	})
@@ -209,7 +234,7 @@ func TestRunLoadMixedScenarios(t *testing.T) {
 	}
 
 	// An unknown format fails the run before any traffic.
-	if _, err := RunLoad(LoadConfig{BaseURL: ts.URL, Format: "stl"}); err == nil {
+	if _, err := Run(Config{BaseURL: ts.URL, Format: "stl"}); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 }
@@ -223,7 +248,7 @@ func TestRunLoadCluster(t *testing.T) {
 	defer ts1.Close()
 	defer ts2.Close()
 
-	rep, err := RunLoadCluster(LoadConfig{Sessions: sessions, Frames: frames}, []string{ts1.URL, ts2.URL})
+	rep, err := RunCluster(Config{Sessions: sessions, Frames: frames}, []string{ts1.URL, ts2.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +272,43 @@ func TestRunLoadCluster(t *testing.T) {
 	// A dead target fails the run rather than silently halving it.
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	if _, err := RunLoadCluster(LoadConfig{Sessions: 1, Frames: 1}, []string{ts1.URL, dead.URL}); err == nil {
+	if _, err := RunCluster(Config{Sessions: 1, Frames: 1}, []string{ts1.URL, dead.URL}); err == nil {
 		t.Fatal("cluster run with a dead target reported no error")
+	}
+}
+
+// TestSetPercentilesNearestRank checks every reported percentile against a
+// nearest-rank oracle in integer arithmetic: the smallest sample with at
+// least p% of the samples at or below it.
+func TestSetPercentilesNearestRank(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 50, 101} {
+		// Shuffled so setPercentiles has to sort.
+		samples := make([]float64, n)
+		for i := range samples {
+			samples[i] = float64((i*7)%n + 1)
+		}
+		sorted := slices.Clone(samples)
+		slices.Sort(sorted)
+		oracle := func(p int) float64 {
+			for i, v := range sorted {
+				if (i+1)*100 >= p*n {
+					return v
+				}
+			}
+			return sorted[n-1]
+		}
+		var rep Report
+		setPercentiles(&rep, samples)
+		for _, c := range []struct {
+			p   int
+			got float64
+		}{{50, rep.P50Ms}, {95, rep.P95Ms}, {99, rep.P99Ms}} {
+			if want := oracle(c.p); c.got != want {
+				t.Errorf("n=%d: p%d = %g, want %g", n, c.p, c.got, want)
+			}
+		}
+		if rep.MaxMs != sorted[n-1] {
+			t.Errorf("n=%d: max = %g, want %g", n, rep.MaxMs, sorted[n-1])
+		}
 	}
 }

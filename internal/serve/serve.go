@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -300,6 +301,15 @@ func New(matcher core.KeyMatcher, cfg Config) *Server {
 // Handler returns the root HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// ReadHeaderTimeout bounds how long a client may take to send its request
+// headers, on this server and the cluster gateway alike; without it a
+// client that never finishes them holds a connection forever.
+const ReadHeaderTimeout = 10 * time.Second
+
+// readHeaderTimeout is what Start applies; a variable only so tests can
+// shorten it.
+var readHeaderTimeout = ReadHeaderTimeout
+
 // Start listens on addr (host:port, port 0 for ephemeral) and serves until
 // Close. It returns the bound address.
 func (s *Server) Start(addr string) (net.Addr, error) {
@@ -307,7 +317,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	s.httpSrv = srv
 	go func() {
 		// Serve returns ErrServerClosed on graceful Shutdown; anything else
@@ -1030,13 +1040,15 @@ func (s *Server) decodePair(r *http.Request) (left, right *imgproc.Image, err er
 // configured pixel cap, scrubbing non-finite PFM samples (the kernels are
 // clamp-safe on any finite input).
 func (s *Server) decodeImage(f io.Reader) (*imgproc.Image, error) {
-	br := newSniffReader(f)
-	magic, err := br.peek2()
+	// Peek leaves the magic unread for the PGM/PFM readers, which reuse br
+	// rather than buffering the part a second time.
+	br := bufio.NewReader(f)
+	magic, err := br.Peek(2)
 	if err != nil {
 		return nil, fmt.Errorf("reading magic: %w", err)
 	}
 	var im *imgproc.Image
-	switch magic {
+	switch string(magic) {
 	case "P5":
 		im, err = imgproc.ReadPGMLimit(br, s.cfg.MaxPixels)
 	case "Pf":
@@ -1077,29 +1089,3 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
-
-// sniffReader lets the decoder peek the 2-byte magic without consuming it.
-type sniffReader struct {
-	r      io.Reader
-	peeked []byte
-}
-
-func newSniffReader(r io.Reader) *sniffReader { return &sniffReader{r: r} }
-
-func (s *sniffReader) peek2() (string, error) {
-	buf := make([]byte, 2)
-	if _, err := io.ReadFull(s.r, buf); err != nil {
-		return "", err
-	}
-	s.peeked = buf
-	return string(buf), nil
-}
-
-func (s *sniffReader) Read(p []byte) (int, error) {
-	if len(s.peeked) > 0 {
-		n := copy(p, s.peeked)
-		s.peeked = s.peeked[n:]
-		return n, nil
-	}
-	return s.r.Read(p)
-}

@@ -24,6 +24,7 @@ import (
 	"asv/internal/imgproc"
 	"asv/internal/metrics"
 	"asv/internal/stereo"
+	"asv/internal/testkit"
 )
 
 // testMatcher wraps BM with an optional artificial delay so backpressure
@@ -498,6 +499,26 @@ func TestHealthzAndPprofGate(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof gate on: %d", resp.StatusCode)
 	}
+}
+
+// TestStalledHeadersAreCutOff: a client that sends a request line and never
+// finishes its headers is hung up on after readHeaderTimeout.
+func TestStalledHeadersAreCutOff(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	s := New(quickMatcher(0), Config{})
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	testkit.MustDropStalledHeaders(t, addr.String(), 10*time.Second)
 }
 
 // hookMatcher runs around before every Match and the function it returns

@@ -9,8 +9,11 @@
 //     DiffImages),
 //   - stable content checksums plus a key→value golden store with an
 //     `-update` flag (golden.go), so any change to numerical behaviour has
-//     to be committed explicitly, and
-//   - a goroutine-leak check for a package's TestMain (MainNoLeaks, leak.go).
+//     to be committed explicitly,
+//   - a goroutine-leak check for a package's TestMain (MainNoLeaks, leak.go),
+//     and
+//   - a stalled-client probe for HTTP listeners (MustDropStalledHeaders,
+//     http.go).
 //
 // The package may be imported only from test files. It depends on the leaf
 // packages imgproc and tensor; tests inside those two packages must use an

@@ -18,10 +18,9 @@ import (
 // KernelPoint is one (kernel, variant, size) ns/pixel measurement.
 type KernelPoint = stereo.KernelPoint
 
-// KernelsBenchDoc is the top-level record of BENCH_kernels.json. Like
-// BENCH_pipeline.json it records the CPU envelope at measurement time:
-// ns/pixel is a per-core metric, but the parallel strip decomposition still
-// shifts with GOMAXPROCS.
+// KernelsBenchDoc is the top-level record of BENCH_kernels.json. It records
+// the CPU envelope at measurement time: ns/pixel is a per-core metric, but
+// the parallel strip decomposition still shifts with GOMAXPROCS.
 type KernelsBenchDoc struct {
 	CPUsAvailable int           `json:"cpus_available"`
 	GoMaxProcs    int           `json:"gomaxprocs_default"`
