@@ -19,6 +19,7 @@ FUZZ_TARGETS := \
 	./internal/schedule:FuzzCostModelInvariants \
 	./internal/stereo:FuzzSatAdd \
 	./internal/stereo:FuzzSatAddAssoc \
+	./internal/stereo:FuzzRefineMatchesReference \
 	./internal/serve:FuzzSnapshotDecode \
 	./internal/perception:FuzzCalibrationJSON \
 	./internal/perception:FuzzCloudDecode
@@ -124,15 +125,17 @@ lint-fix:
 	go run ./cmd/asvlint ./...
 
 # Compiler-diagnostics gate for the kernels: rebuild internal/stereo (the
-# matching kernels) and internal/imgproc (the separable-filter core) with
+# matching kernels), internal/imgproc (the separable-filter core) and
+# internal/flow (Farneback's matrix update and solves) with
 # escape/inline/bounds-check diagnostics and compare per-function counts
 # against each package's perf_contract.json. The fresh parsed reports are
 # left for CI to upload. After an intentional kernel change, regenerate a
 # contract with `go run ./cmd/asvlint -perf -perf-update` (stereo) or the
-# same with `-perf-contract internal/imgproc/perf_contract.json`.
+# same with `-perf-contract internal/<pkg>/perf_contract.json`.
 perf-gate:
 	go run ./cmd/asvlint -perf -perf-json PERF_stereo.fresh.json
 	go run ./cmd/asvlint -perf -perf-contract internal/imgproc/perf_contract.json -perf-json PERF_imgproc.fresh.json
+	go run ./cmd/asvlint -perf -perf-contract internal/flow/perf_contract.json -perf-json PERF_flow.fresh.json
 
 # Run every native fuzz target briefly (seed corpus + ~10s of new inputs
 # each); any crasher fails the build.

@@ -151,3 +151,29 @@ func TestHWOverheadExposed(t *testing.T) {
 		t.Fatalf("area overhead %.2f%% outside (0, 0.5%%)", o.TotalAreaPct)
 	}
 }
+
+// A guide that Go cannot convert to int portably — NaN, ±Inf, or a
+// magnitude past the int range — refines to 0 on every GOARCH, exactly as
+// a finite guide far outside the search does, and leaves every other pixel
+// alone.
+func TestGuidedRefineNonFiniteGuides(t *testing.T) {
+	seq := GenerateSequence(SceneConfig{W: 64, H: 40, FrameCount: 1, Layers: 2, MinDisp: 2, MaxDisp: 12, Seed: 5})
+	fr := seq.Frames[0]
+	bad := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e30, -1e30}
+	init, far := fr.GT.Clone(), fr.GT.Clone()
+	for i := 5; i < len(init.Pix); i += 17 {
+		init.Pix[i] = bad[i%len(bad)]
+		far.Pix[i] = -1000
+	}
+	for _, opt := range []BMOptions{{BlockR: 2, Subpixel: true}, {BlockR: 2, Subpixel: true, Fixed: true}, {BlockR: 2, Census: 2}} {
+		got, want := GuidedRefine(fr.Left, fr.Right, init, 3, opt), GuidedRefine(fr.Left, fr.Right, far, 3, opt)
+		for i := range got.Pix {
+			if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
+				t.Fatalf("%+v pixel %d (guide %v): %v, want %v", opt, i, init.Pix[i], got.Pix[i], want.Pix[i])
+			}
+			if i%17 == 5 && got.Pix[i] != 0 {
+				t.Fatalf("%+v pixel %d (guide %v): %v, want 0", opt, i, init.Pix[i], got.Pix[i])
+			}
+		}
+	}
+}

@@ -31,20 +31,23 @@ func TestPerfGateRepoContractClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiler-diagnostics build skipped in -short mode (covered by make perf-gate)")
 	}
-	// The central guarantee: the sliding-window and SGM kernels, the
-	// interior block costs of the guided refine and the interior passes of
-	// the separable filter carry zero per-element bounds checks in every
-	// instantiation (a check in either numeric type's copy of a generic
-	// kernel is reported at the shared source line). If a contract ever
-	// relaxes these to nonzero, this test — not just the JSON — has to
-	// change.
+	// The central guarantee: the sliding-window and SGM kernels, the guided
+	// refine's row sums and the vertical sums of its candidates, the
+	// interior passes of the separable filter and Farneback's two per-pixel
+	// solves carry zero per-element bounds checks in every instantiation (a
+	// check in either numeric type's copy of a generic kernel is reported at
+	// the shared source line). If a contract ever relaxes these to nonzero,
+	// this test — not just the JSON — has to change.
 	for pkg, zero := range map[string]map[string][]string{
 		"stereo": {
-			"kernels.go": {"blockCostStrip", "adRowCost", "censusRowCost", "adBlockInterior", "hamBlockInterior"},
+			"kernels.go": {"blockCostStrip", "adRowCost", "censusRowCost", "adRowSums", "censusRowSums", "addRowSums"},
 			"sgm.go":     {"sgmStep", "sgmSweep", "censusInterior"},
 		},
 		"imgproc": {
 			"filter.go": {"rowInterior", "filterCols"},
+		},
+		"flow": {
+			"farneback.go": {"polySolve", "solveFlow"},
 		},
 	} {
 		root, c := repoContract(t, pkg)

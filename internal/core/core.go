@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"asv/internal/flow"
 	"asv/internal/imgproc"
@@ -130,6 +131,11 @@ type Pipeline struct {
 	prevLeft  *imgproc.Image
 	prevRight *imgproc.Image
 	prevDisp  *imgproc.Image
+
+	// carry holds, per eye (left, right), the expansion the last
+	// EstimateMotion built of its next frame. It is a cache, not state:
+	// never exported or serialized, rebuilt cold whenever it does not match.
+	carry [2]motionCarry
 }
 
 // New returns a pipeline that calls matcher on key frames. matcher may be
@@ -168,6 +174,7 @@ func (p *Pipeline) Reset() {
 	p.sinceKey = 0
 	p.needKey = false
 	p.prevLeft, p.prevRight, p.prevDisp = nil, nil, nil
+	p.dropCarry()
 }
 
 // FrameIndex returns the number of frames processed since the last Reset.
@@ -224,7 +231,8 @@ func (p *Pipeline) ProcessNonKey(left, right *imgproc.Image) Result {
 // ProcessNonKeyWith consumes the next pair as a non-key frame using
 // externally computed motion fields: fl must be the configured estimator's
 // flow from the previous left frame to left, and fr likewise for the right
-// stream. The streaming runtime (internal/pipeline) uses this to overlap
+// stream — computed by EstimateMotion, or by the estimator's stateless
+// Estimate. The streaming runtime (internal/pipeline) uses this to overlap
 // frame t+1's flow estimation with frame t's refinement; the result is
 // bit-identical to Process because the same estimator ran on the same
 // inputs, just on another goroutine. It panics if no key frame has been
@@ -237,6 +245,9 @@ func (p *Pipeline) ProcessNonKeyWith(left, right *imgproc.Image, fl, fr flow.Fie
 }
 
 func (p *Pipeline) commitKey(left, right, disp *imgproc.Image, macs int64) Result {
+	// The next frame propagates from this one, whose expansion no
+	// EstimateMotion built.
+	p.dropCarry()
 	p.prevLeft, p.prevRight, p.prevDisp = left, right, disp
 	p.frameIdx++
 	p.sinceKey = 1
@@ -246,10 +257,76 @@ func (p *Pipeline) commitKey(left, right, disp *imgproc.Image, macs int64) Resul
 
 func (p *Pipeline) processNonKey(left, right *imgproc.Image) Result {
 	// Step 3: propagate correspondences with per-view motion estimation.
-	me := p.cfg.me()
-	fl := me.Estimate(p.prevLeft, left)
-	fr := me.Estimate(p.prevRight, right)
+	fl, fr := p.EstimateMotion(left, right)
 	return p.propagateRefine(left, right, fl, fr)
+}
+
+// EstimateMotion returns the configured estimator's motion fields from the
+// previous frame pair (PrevFrames) to left and right, the two eyes
+// estimated concurrently, for a ProcessNonKeyWith of the same pair. With
+// the paper's Farneback estimator, each eye keeps the expansion it builds
+// of its new frame, and the next call uses it as the previous frame's when
+// that frame is still PrevFrames' and the estimator's options and scale are
+// unchanged — so in a run of non-key frames each frame is expanded once,
+// not twice. Otherwise the expansion is built cold. The fields are
+// bit-identical to the estimator's stateless Estimate either way. It panics
+// if no key frame has been processed yet.
+func (p *Pipeline) EstimateMotion(left, right *imgproc.Image) (fl, fr flow.Field) {
+	if p.prevDisp == nil {
+		panic("core: non-key frame before any key frame")
+	}
+	me := p.cfg.me()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		fr = p.carry[1].estimate(me, p.prevRight, right)
+	}()
+	fl = p.carry[0].estimate(me, p.prevLeft, left)
+	wg.Wait()
+	return fl, fr
+}
+
+// motionCarry is one eye's expansion of the frame it was built from, under
+// the Farneback estimator it was built with.
+type motionCarry struct {
+	src *imgproc.Image
+	me  FarnebackME
+	exp *flow.Expansion
+}
+
+// estimate is me.Estimate(prev, next) through the carry: the expansion of
+// prev is the carried one when it matches, and next's is kept for the next
+// call.
+func (c *motionCarry) estimate(me MotionEstimator, prev, next *imgproc.Image) flow.Field {
+	fb, ok := me.(FarnebackME)
+	if !ok {
+		c.drop()
+		return me.Estimate(prev, next)
+	}
+	if c.exp == nil || c.src != prev || c.me != fb {
+		c.drop()
+		c.exp = fb.expand(prev)
+	}
+	en := fb.expand(next)
+	f := fb.estimateExpanded(c.exp, en, prev.W, prev.H)
+	c.exp.Put()
+	*c = motionCarry{src: next, me: fb, exp: en}
+	return f
+}
+
+// drop returns the carried expansion to the image pool.
+func (c *motionCarry) drop() {
+	if c.exp != nil {
+		c.exp.Put()
+	}
+	*c = motionCarry{}
+}
+
+// dropCarry drops both eyes' carried expansions.
+func (p *Pipeline) dropCarry() {
+	p.carry[0].drop()
+	p.carry[1].drop()
 }
 
 // propagateRefine runs ISM steps 2–4 on a non-key frame given the two
@@ -302,38 +379,43 @@ func meanMotion(f flow.Field) float64 {
 // (PL=(x,y), PR=(x-D,y)) from the previous frame moves to
 // (PL+ΔL, PR+ΔR), so the new disparity at PL+ΔL is D + ΔL.u - ΔR.u.
 // Collisions keep the nearest surface (largest disparity); holes left by
-// disocclusion are filled from valid neighbours.
+// disocclusion are filled from valid neighbours. The fields must share
+// prevDisp's geometry.
 func propagate(prevDisp *imgproc.Image, fl, fr flow.Field) *imgproc.Image {
 	w, h := prevDisp.W, prevDisp.H
+	for _, im := range []*imgproc.Image{fl.U, fl.V, fr.U} {
+		if im.W != w || im.H != h {
+			panic(fmt.Sprintf("core: motion field is %dx%d, disparity %dx%d", im.W, im.H, w, h))
+		}
+	}
 	out := imgproc.GetImage(w, h)
 	for i := range out.Pix {
 		out.Pix[i] = -1
 	}
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			d := float64(prevDisp.At(x, y))
+		row := y * w
+		disp, ul, vl, ur := prevDisp.Pix[row:][:w], fl.U.Pix[row:][:w], fl.V.Pix[row:][:w], fr.U.Pix[row:][:w]
+		for x, dv := range disp {
+			d := float64(dv)
 			if d < 0 {
 				continue
 			}
-			ul := float64(fl.U.At(x, y))
-			vl := float64(fl.V.At(x, y))
-			xr := int(math.Round(float64(x) - d))
-			if xr < 0 {
-				xr = 0
-			}
-			ur := float64(fr.U.At(xr, y))
-
-			nx := int(math.Round(float64(x) + ul))
-			ny := int(math.Round(float64(y) + vl))
+			u, v := float64(ul[x]), float64(vl[x])
+			// x−d <= x, so only the left border can clamp; the right
+			// clamp keeps a NaN d, whose conversion Go leaves to the
+			// platform, inside the row.
+			xr := min(max(int(math.Round(float64(x)-d)), 0), w-1)
+			nx := int(math.Round(float64(x) + u))
+			ny := int(math.Round(float64(y) + v))
 			if nx < 0 || nx >= w || ny < 0 || ny >= h {
 				continue
 			}
-			nd := float32(d + ul - ur)
+			nd := float32(d + u - float64(ur[xr]))
 			if nd < 0 {
 				nd = 0
 			}
-			if nd > out.At(nx, ny) {
-				out.Set(nx, ny, nd)
+			if i := ny*w + nx; nd > out.Pix[i] {
+				out.Pix[i] = nd
 			}
 		}
 	}
@@ -344,27 +426,33 @@ func propagate(prevDisp *imgproc.Image, fl, fr flow.Field) *imgproc.Image {
 // fillHoles replaces negative entries with the average of valid neighbours,
 // iterating until the map is dense (disocclusions are thin, so a few passes
 // suffice; any pathological remainder falls back to 0 = far background).
+// Pixels are visited in raster order and filled in place, so a hole sees
+// the holes before it already filled; a neighbour outside the map is its
+// nearest pixel inside (replicate padding).
 func fillHoles(d *imgproc.Image) {
 	const maxPasses = 8
+	w, h := d.W, d.H
 	for pass := 0; pass < maxPasses; pass++ {
 		holes := 0
-		for y := 0; y < d.H; y++ {
-			for x := 0; x < d.W; x++ {
-				if d.At(x, y) >= 0 {
+		for y := 0; y < h; y++ {
+			up, mid, down := max(y-1, 0)*w, y*w, min(y+1, h-1)*w
+			for x := 0; x < w; x++ {
+				if d.Pix[mid+x] >= 0 {
 					continue
 				}
+				l, r := max(x-1, 0), min(x+1, w-1)
 				var s float32
 				var n int
-				for dy := -1; dy <= 1; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						if v := d.At(x+dx, y+dy); v >= 0 {
+				for _, row := range [3]int{up, mid, down} {
+					for _, i := range [3]int{row + l, row + x, row + r} {
+						if v := d.Pix[i]; v >= 0 {
 							s += v
 							n++
 						}
 					}
 				}
 				if n > 0 {
-					d.Set(x, y, s/float32(n))
+					d.Pix[mid+x] = s / float32(n)
 				} else {
 					holes++
 				}

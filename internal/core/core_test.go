@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"asv/internal/dataset"
@@ -389,24 +391,33 @@ func TestOracleMatcherConsecutiveCallsDiffer(t *testing.T) {
 	}
 }
 
-// TestPoolTrafficPerFrame pins the imgproc pool traffic of one frame: a
-// pooled buffer that is never returned, or returned twice, on any function
-// on the frame path — including one that crosses a function boundary —
-// moves these counts. Both are pure functions of the frame geometry and the
-// options, not of the worker count or the host, so the comparison is exact.
-// A kernel PR that changes how many temporaries a frame takes (ROADMAP
-// item 1) re-pins the numbers in the same commit. Puts exceed gets because
-// the pyramid and Upsample2 build their result with NewImage and the flow
-// path hands those back to the pool.
+// TestPoolTrafficPerFrame pins the imgproc pool traffic of each frame of a
+// PW-4 window and the key frame after it: a pooled buffer that is never
+// returned, or returned twice, on any function on the frame path —
+// including one that crosses a function boundary or a frame — moves these
+// counts. They are pure functions of the frame geometry, the options and
+// the frame's place in the window, not of the worker count or the host, so
+// the comparison is exact. A kernel PR that changes how many temporaries a
+// frame takes (ROADMAP item 1) re-pins the numbers in the same commit. Puts
+// exceed gets because the pyramid and Upsample2 build their result with
+// NewImage and the flow path hands those back to the pool.
 //
-// 353 / 369 until polyExpand shared its row passes and the pyramid stopped
-// blurring at full size: this clip's half-resolution flow runs L = 2 levels,
-// each of the frame's two Farneback calls makes 2L polyExpand calls that
-// take 3 temporaries fewer (three row passes, not six) and builds 2(L−1)
-// pyramid levels that take 1 fewer (no full-size blurred image), so both
-// counts fall by 2·(3·2L + 2(L−1)) = 28.
+// A frame that expanded both of its flow pairs from scratch took 325 gets
+// and gave 341 puts. This clip's half-resolution flow runs L = 2 levels,
+// and one Farneback expansion takes 29 gets (2L polyExpand calls of 14, one
+// pyramid temporary) and gives 20 puts (9 per polyExpand, the pyramid
+// temporary, the coarse level) while building, plus 10 (five coefficient
+// planes per level) when dropped; the half-resolution frame it is built
+// from is one more put. Now each eye keeps the expansion of its new frame:
+//   - the first non-key frame is cold: it builds both expansions, but keeps
+//     the new one, so 325 gets and 341 − 2·10 = 321 puts;
+//   - the next ones are warm: the previous frame's expansion is the kept
+//     one, so each eye builds one fewer — 325 − 2·29 = 267 gets — and drops
+//     the kept one instead, 321 − 2·(20 + 1) = 279 puts;
+//   - the key frame drops both kept expansions: 0 gets, 2·10 = 20 puts,
+//     where the first key frame, with nothing kept, has none.
 func TestPoolTrafficPerFrame(t *testing.T) {
-	const nonKeyGets, nonKeyPuts = 325, 341
+	want := [][2]int64{{0, 0}, {325, 321}, {267, 279}, {267, 279}, {0, 20}}
 	opt := stereo.DefaultSGMOptions()
 	opt.MaxDisp = 16
 	seq := dataset.Generate(seqCfg(21))
@@ -417,13 +428,9 @@ func TestPoolTrafficPerFrame(t *testing.T) {
 			g0, _, p0 := imgproc.PoolStats()
 			res := p.Process(fr.Left, fr.Right)
 			g1, _, p1 := imgproc.PoolStats()
-			wantGets, wantPuts := int64(nonKeyGets), int64(nonKeyPuts)
-			if res.IsKey {
-				wantGets, wantPuts = 0, 0
-			}
-			if g1-g0 != wantGets || p1-p0 != wantPuts {
+			if g1-g0 != want[i][0] || p1-p0 != want[i][1] {
 				t.Errorf("ASV_WORKERS=%s frame %d (key=%v): %d gets / %d puts, want %d / %d",
-					workers, i, res.IsKey, g1-g0, p1-p0, wantGets, wantPuts)
+					workers, i, res.IsKey, g1-g0, p1-p0, want[i][0], want[i][1])
 			}
 		}
 	}
@@ -467,6 +474,90 @@ func TestNonKeyDegenerateGeometry(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestNonKeyFrameAllocBudget bounds the heap bytes one non-key frame
+// allocates — the garbage behind the offline workloads'
+// runtime.alloc_kb_per_frame. The garbage collector is paused, so neither
+// the image pool nor the refine's scratch is released mid-measurement, and
+// each frame of a PW-4 window is measured over four passes of the window,
+// keeping its least: a sync.Pool slot that misses (it is per-P) adds a
+// buffer to one pass but not to all four. The budget is the least every
+// non-key frame took before the refine recycled its scratch and each eye
+// kept its flow expansion, 324,232 bytes (ASV_WORKERS=2); now the cold
+// first frame takes ~319 kB and the warm ones ~283 kB. A change that
+// allocates more per frame raises the budget in the same commit, with its
+// reason.
+func TestNonKeyFrameAllocBudget(t *testing.T) {
+	const budget = 324_232
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	t.Setenv("ASV_WORKERS", "2")
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	seq := dataset.Generate(seqCfg(21))
+	p := New(nil, DefaultConfig())
+	least := [4]uint64{0, math.MaxUint64, math.MaxUint64, math.MaxUint64}
+	for pass := 0; pass < 4; pass++ {
+		p.ProcessKey(seq.Frames[0].Left, seq.Frames[0].Right, seq.Frames[0].GT, 0)
+		for f := 1; f <= 3; f++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			p.ProcessNonKey(seq.Frames[f].Left, seq.Frames[f].Right)
+			runtime.ReadMemStats(&m1)
+			least[f] = min(least[f], m1.TotalAlloc-m0.TotalAlloc)
+		}
+	}
+	for f := 1; f <= 3; f++ {
+		if least[f] > budget {
+			t.Errorf("non-key frame %d of the window allocated at least %d bytes, budget %d", f, least[f], budget)
+		}
+	}
+}
+
+// The expansion each eye carries is a cache: a stream whose flow goes
+// through EstimateMotion gives the bits of one whose flow is the stateless
+// Estimate, whatever invalidates the cache between frames — a key frame, a
+// change of flow options, a restore through SetState, a frame committed
+// with external flows.
+func TestCarriedFlowMatchesStatelessEstimate(t *testing.T) {
+	scene := seqCfg(33)
+	scene.FrameCount = 9
+	seq := dataset.Generate(scene)
+	cfg := DefaultConfig()
+	cfg.PW = 5
+	carried, stateless := New(nil, cfg), New(nil, cfg)
+	for i, fr := range seq.Frames {
+		switch i {
+		case 2: // the frame after this one expands its pair under other options
+			cfg.Flow.PolySigma = 1.3
+			carried.SetConfig(cfg)
+			stateless.SetConfig(cfg)
+		case 3:
+			if err := carried.SetState(carried.State()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%cfg.PW == 0 {
+			carried.ProcessKey(fr.Left, fr.Right, fr.GT, 0)
+			stateless.ProcessKey(fr.Left, fr.Right, fr.GT, 0)
+			continue
+		}
+		me := stateless.Config().MotionSource()
+		pl, pr := stateless.PrevFrames()
+		want := stateless.ProcessNonKeyWith(fr.Left, fr.Right, me.Estimate(pl, fr.Left), me.Estimate(pr, fr.Right))
+		var got Result
+		if i == 7 {
+			got = carried.ProcessNonKeyWith(fr.Left, fr.Right, me.Estimate(pl, fr.Left), me.Estimate(pr, fr.Right))
+		} else {
+			got = carried.ProcessNonKey(fr.Left, fr.Right)
+		}
+		for p := range want.Disparity.Pix {
+			if math.Float32bits(got.Disparity.Pix[p]) != math.Float32bits(want.Disparity.Pix[p]) {
+				t.Fatalf("frame %d pixel %d: %v, want %v", i, p, got.Disparity.Pix[p], want.Disparity.Pix[p])
 			}
 		}
 	}

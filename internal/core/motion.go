@@ -31,19 +31,37 @@ type FarnebackME struct {
 
 // Estimate implements MotionEstimator.
 func (m FarnebackME) Estimate(prev, next *imgproc.Image) flow.Field {
+	ep := m.expand(prev)
+	en := m.expand(next)
+	f := m.estimateExpanded(ep, en, prev.W, prev.H)
+	ep.Put()
+	en.Put()
+	return f
+}
+
+// expand returns the Farneback expansion of im at 1/Scale resolution.
+func (m FarnebackME) expand(im *imgproc.Image) *flow.Expansion {
 	s := m.Scale
 	if s <= 1 {
-		return flow.Farneback(prev, next, m.Opt)
+		return flow.Expand(im, m.Opt)
 	}
 	// A frame narrower or shorter than Scale still has one row or column.
-	sw, sh := max(prev.W/s, 1), max(prev.H/s, 1)
-	ps := imgproc.Upsample2(prev, sw, sh)
-	ns := imgproc.Upsample2(next, sw, sh)
-	f := flow.Farneback(ps, ns, m.Opt)
-	imgproc.PutImage(ps)
-	imgproc.PutImage(ns)
-	u := imgproc.Upsample2(f.U, prev.W, prev.H)
-	v := imgproc.Upsample2(f.V, prev.W, prev.H)
+	small := imgproc.Upsample2(im, max(im.W/s, 1), max(im.H/s, 1))
+	e := flow.Expand(small, m.Opt)
+	imgproc.PutImage(small)
+	return e
+}
+
+// estimateExpanded is the flow between two frames' expansions, brought to
+// their full w×h resolution.
+func (m FarnebackME) estimateExpanded(prev, next *flow.Expansion, w, h int) flow.Field {
+	f := flow.FarnebackExpanded(prev, next, m.Opt)
+	s := m.Scale
+	if s <= 1 {
+		return f
+	}
+	u := imgproc.Upsample2(f.U, w, h)
+	v := imgproc.Upsample2(f.V, w, h)
 	flow.PutField(f)
 	scale := float32(s)
 	for i := range u.Pix {

@@ -79,5 +79,8 @@ func (p *Pipeline) SetState(st State) error {
 	p.sinceKey = st.SinceKey
 	p.needKey = st.NeedKey
 	p.prevLeft, p.prevRight, p.prevDisp = st.PrevLeft, st.PrevRight, st.PrevDisp
+	// The carried flow expansions are not part of the state: a restored
+	// stream rebuilds them cold, with the same bits.
+	p.dropCarry()
 	return nil
 }

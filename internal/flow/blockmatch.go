@@ -59,61 +59,6 @@ func blockMatchRow(prev, next *imgproc.Image, out Field, by, block, searchR int)
 	}
 }
 
-// LucasKanade estimates sparse motion at the given points with the
-// iterative Lucas-Kanade method over a (2r+1)² window. Points whose normal
-// matrix is ill-conditioned (untextured neighbourhoods) report ok=false —
-// the coverage limitation that rules the method out for dense stereo
-// (Sec. 3.3).
-func LucasKanade(prev, next *imgproc.Image, pts [][2]int, r, iters int) (vecs [][2]float32, ok []bool) {
-	gx := imgproc.GradX(prev)
-	gy := imgproc.GradY(prev)
-	vecs = make([][2]float32, len(pts))
-	ok = make([]bool, len(pts))
-	for i, pt := range pts {
-		px, py := pt[0], pt[1]
-		// Structure tensor over the window.
-		var sxx, sxy, syy float64
-		for dy := -r; dy <= r; dy++ {
-			for dx := -r; dx <= r; dx++ {
-				ix := float64(gx.At(px+dx, py+dy))
-				iy := float64(gy.At(px+dx, py+dy))
-				sxx += ix * ix
-				sxy += ix * iy
-				syy += iy * iy
-			}
-		}
-		det := sxx*syy - sxy*sxy
-		trace := sxx + syy
-		// Reject untextured or edge-only windows (Shi-Tomasi style check).
-		if det < 1e-7 || det/math.Max(trace, 1e-12) < 1e-4 {
-			continue
-		}
-		var u, v float64
-		for it := 0; it < iters; it++ {
-			var b1, b2 float64
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					ix := float64(gx.At(px+dx, py+dy))
-					iy := float64(gy.At(px+dx, py+dy))
-					dt := float64(next.Bilinear(float32(px+dx)+float32(u), float32(py+dy)+float32(v)) - prev.At(px+dx, py+dy))
-					b1 -= ix * dt
-					b2 -= iy * dt
-				}
-			}
-			du := (syy*b1 - sxy*b2) / det
-			dv := (sxx*b2 - sxy*b1) / det
-			u += du
-			v += dv
-			if math.Abs(du) < 1e-3 && math.Abs(dv) < 1e-3 {
-				break
-			}
-		}
-		vecs[i] = [2]float32{float32(u), float32(v)}
-		ok[i] = true
-	}
-	return vecs, ok
-}
-
 // EndpointError returns the mean Euclidean distance between the estimated
 // field and a ground-truth field, the standard dense-flow accuracy metric.
 func EndpointError(est, gt Field) float64 {

@@ -1,7 +1,7 @@
 // Package flow implements dense motion estimation for ASV's non-key
 // frames: the Farneback polynomial-expansion optical flow algorithm chosen
-// by the paper (Sec. 3.3), plus block-matching and Lucas-Kanade estimators
-// used to justify that choice.
+// by the paper (Sec. 3.3), plus the block-matching and Horn-Schunck
+// estimators the motion-estimator ablation compares it against.
 //
 // Farneback's algorithm approximates each pixel neighbourhood with a
 // quadratic polynomial f(x) ≈ xᵀAx + bᵀx + c fitted under a Gaussian
@@ -81,25 +81,40 @@ type polyCoeffs struct {
 // separable correlations, exactly the structure ASV maps onto convolution
 // hardware.
 func polyExpand(im *imgproc.Image, r int, sigma float64) polyCoeffs {
+	k0, k1, k2, ginv := polyBasis(r, sigma)
+	mom := polyMoments(im, k0, k1, k2)
+	p := polyCoeffs{
+		bx:  imgproc.GetImage(im.W, im.H),
+		by:  imgproc.GetImage(im.W, im.H),
+		axx: imgproc.GetImage(im.W, im.H),
+		ayy: imgproc.GetImage(im.W, im.H),
+		axy: imgproc.GetImage(im.W, im.H),
+	}
+	par.ForChunked(len(im.Pix), func(lo, hi int) { polySolve(mom, &ginv, p, lo, hi) })
+	for _, m := range mom {
+		imgproc.PutImage(m)
+	}
+	return p
+}
+
+// polyBasis returns the 1-D moment kernels k0 = a, k1 = x·a, k2 = x²·a of
+// the Gaussian applicability a of radius r, and the inverse of the normal
+// matrix G over the basis (1, x, y, x², y², xy).
+func polyBasis(r int, sigma float64) (k0, k1, k2 []float32, ginv [6][6]float64) {
 	if r < 1 {
 		panic(fmt.Sprintf("flow: polynomial radius %d < 1", r))
 	}
 	n := 2*r + 1
-	// 1-D applicability and its moment kernels.
 	a := make([]float64, n)
 	for i := -r; i <= r; i++ {
 		a[i+r] = math.Exp(-float64(i*i) / (2 * sigma * sigma))
 	}
-	k0 := make([]float32, n) // a(x)
-	k1 := make([]float32, n) // x·a(x)
-	k2 := make([]float32, n) // x²·a(x)
+	k0, k1, k2 = make([]float32, n), make([]float32, n), make([]float32, n)
 	for i := -r; i <= r; i++ {
 		k0[i+r] = float32(a[i+r])
 		k1[i+r] = float32(float64(i) * a[i+r])
 		k2[i+r] = float32(float64(i*i) * a[i+r])
 	}
-
-	// Normal matrix G over basis (1, x, y, x², y², xy).
 	var s0, s2, s4, s22 float64
 	for i := -r; i <= r; i++ {
 		for j := -r; j <= r; j++ {
@@ -118,42 +133,43 @@ func polyExpand(im *imgproc.Image, r int, sigma float64) polyCoeffs {
 		{s2, 0, 0, s22, s4, 0},
 		{0, 0, 0, 0, 0, s22},
 	}
-	ginv := invert6(g)
+	return k0, k1, k2, invert6(g)
+}
 
-	mom := polyMoments(im, k0, k1, k2)
-
-	p := polyCoeffs{
-		bx:  imgproc.GetImage(im.W, im.H),
-		by:  imgproc.GetImage(im.W, im.H),
-		axx: imgproc.GetImage(im.W, im.H),
-		ayy: imgproc.GetImage(im.W, im.H),
-		axy: imgproc.GetImage(im.W, im.H),
+// polySolve writes the coefficients r = G⁻¹m of pixels [lo, hi) from their
+// moments. Only rows 1–5 of G⁻¹ are needed (the constant term goes unused),
+// and G couples only 1, x² and y², a structure Gauss-Jordan keeps exact:
+// every other entry of those rows is an exact zero, and so is its product
+// with a finite moment. Added to an accumulator that starts at +0, such a
+// product changes nothing, so the solve multiplies the nine entries that
+// can be non-zero, in column order, onto +0.
+func polySolve(mom [6]*imgproc.Image, ginv *[6][6]float64, p polyCoeffs, lo, hi int) {
+	g11, g22, g55 := ginv[1][1], ginv[2][2], ginv[5][5]
+	g30, g33, g34 := ginv[3][0], ginv[3][3], ginv[3][4]
+	g40, g43, g44 := ginv[4][0], ginv[4][3], ginv[4][4]
+	n := hi - lo
+	m0, m1, m2 := mom[0].Pix[lo:][:n], mom[1].Pix[lo:][:n], mom[2].Pix[lo:][:n]
+	m3, m4, m5 := mom[3].Pix[lo:][:n], mom[4].Pix[lo:][:n], mom[5].Pix[lo:][:n]
+	bx, by := p.bx.Pix[lo:][:n], p.by.Pix[lo:][:n]
+	axx, ayy, axy := p.axx.Pix[lo:][:n], p.ayy.Pix[lo:][:n], p.axy.Pix[lo:][:n]
+	for i, v0 := range m0 {
+		c0, c3, c4 := float64(v0), float64(m3[i]), float64(m4[i])
+		var r1, r2, r3, r4, r5 float64
+		r1 += g11 * float64(m1[i])
+		r2 += g22 * float64(m2[i])
+		r3 += g30 * c0
+		r3 += g33 * c3
+		r3 += g34 * c4
+		r4 += g40 * c0
+		r4 += g43 * c3
+		r4 += g44 * c4
+		r5 += g55 * float64(m5[i])
+		bx[i] = float32(r1)
+		by[i] = float32(r2)
+		axx[i] = float32(r3)
+		ayy[i] = float32(r4)
+		axy[i] = float32(r5)
 	}
-	par.ForChunked(len(im.Pix), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var m [6]float64
-			for c, mi := range mom {
-				m[c] = float64(mi.Pix[i])
-			}
-			var rcoef [6]float64
-			for row := 0; row < 6; row++ {
-				var acc float64
-				for col := 0; col < 6; col++ {
-					acc += ginv[row][col] * m[col]
-				}
-				rcoef[row] = acc
-			}
-			p.bx.Pix[i] = float32(rcoef[1])
-			p.by.Pix[i] = float32(rcoef[2])
-			p.axx.Pix[i] = float32(rcoef[3])
-			p.ayy.Pix[i] = float32(rcoef[4])
-			p.axy.Pix[i] = float32(rcoef[5])
-		}
-	})
-	for _, m := range mom {
-		imgproc.PutImage(m)
-	}
-	return p
 }
 
 // polyMoments returns the moment images m_pq = Σ a(x)a(y) x^p y^q f in the
@@ -239,34 +255,78 @@ func Farneback(prev, next *imgproc.Image, opt Options) Field {
 	if prev.W != next.W || prev.H != next.H {
 		panic(fmt.Sprintf("flow: frame sizes differ %dx%d vs %dx%d", prev.W, prev.H, next.W, next.H))
 	}
-	if opt.Levels < 1 {
-		opt.Levels = 1
-	}
-	if opt.Iters < 1 {
-		opt.Iters = 1
-	}
-	// Clamp the pyramid so the coarsest level is still big enough for the
-	// polynomial window.
-	minDim := prev.W
-	if prev.H < minDim {
-		minDim = prev.H
-	}
-	for opt.Levels > 1 && minDim>>(opt.Levels-1) < 4*opt.PolyR+2 {
-		opt.Levels--
-	}
+	ep := Expand(prev, opt)
+	en := Expand(next, opt)
+	f := FarnebackExpanded(ep, en, opt)
+	ep.Put()
+	en.Put()
+	return f
+}
 
+// Expansion is one frame's side of a Farneback estimate: the polynomial
+// expansion of every level of its pyramid. Farneback builds one for each of
+// its two frames; a stream that estimates t−1 → t and then t → t+1 can build
+// frame t's once and use it on both sides, with the same bits.
+type Expansion struct {
+	w, h   int
+	levels []polyCoeffs // finest first
+}
+
+// levels returns how many pyramid levels opt asks for on a w×h frame,
+// clamped so that the coarsest level is still big enough for the polynomial
+// window.
+func (opt Options) levels(w, h int) int {
+	n := max(opt.Levels, 1)
+	for n > 1 && min(w, h)>>(n-1) < 4*opt.PolyR+2 {
+		n--
+	}
+	return n
+}
+
+// Expand builds im's Expansion under opt: its pyramid, level by level
+// polynomially expanded. The pyramid itself is released as soon as it is
+// expanded; the Expansion owns pooled buffers until Put.
+func Expand(im *imgproc.Image, opt Options) *Expansion {
+	pyr := imgproc.Pyramid(im, opt.levels(im.W, im.H), opt.PyrSigma)
+	e := &Expansion{w: im.W, h: im.H, levels: make([]polyCoeffs, len(pyr))}
+	for l, lv := range pyr {
+		e.levels[l] = polyExpand(lv, opt.PolyR, opt.PolySigma)
+		if l > 0 {
+			// Pyramid levels above the base are scratch built by this call.
+			imgproc.PutImage(lv)
+		}
+	}
+	return e
+}
+
+// Put returns the expansion's buffers to the image pool. The caller must
+// not use e afterwards.
+func (e *Expansion) Put() {
+	for _, c := range e.levels {
+		c.put()
+	}
+	e.levels = nil
+}
+
+// FarnebackExpanded is Farneback from the two frames' expansions, which
+// must have been built under opt from frames of one size. It leaves both
+// expansions intact.
+func FarnebackExpanded(prev, next *Expansion, opt Options) Field {
+	if prev.w != next.w || prev.h != next.h || len(prev.levels) != len(next.levels) {
+		panic(fmt.Sprintf("flow: expansions differ %dx%d/%d vs %dx%d/%d",
+			prev.w, prev.h, len(prev.levels), next.w, next.h, len(next.levels)))
+	}
+	iters := max(opt.Iters, 1)
 	win := imgproc.GaussianKernel1D(opt.WinSigma)
-	p1 := imgproc.Pyramid(prev, opt.Levels, opt.PyrSigma)
-	p2 := imgproc.Pyramid(next, opt.Levels, opt.PyrSigma)
-
 	var fld Field
-	for l := opt.Levels - 1; l >= 0; l-- {
-		im1, im2 := p1[l], p2[l]
+	for l := len(prev.levels) - 1; l >= 0; l-- {
+		c1, c2 := prev.levels[l], next.levels[l]
+		w, h := c1.bx.W, c1.bx.H
 		if fld.U == nil {
-			fld = NewField(im1.W, im1.H)
+			fld = NewField(w, h)
 		} else {
-			u := imgproc.Upsample2(fld.U, im1.W, im1.H)
-			v := imgproc.Upsample2(fld.V, im1.W, im1.H)
+			u := imgproc.Upsample2(fld.U, w, h)
+			v := imgproc.Upsample2(fld.V, w, h)
 			for i := range u.Pix {
 				u.Pix[i] *= 2
 				v.Pix[i] *= 2
@@ -274,19 +334,10 @@ func Farneback(prev, next *imgproc.Image, opt Options) Field {
 			PutField(fld)
 			fld = Field{U: u, V: v}
 		}
-		c1 := polyExpand(im1, opt.PolyR, opt.PolySigma)
-		c2 := polyExpand(im2, opt.PolyR, opt.PolySigma)
-		for it := 0; it < opt.Iters; it++ {
+		for it := 0; it < iters; it++ {
 			next := flowIteration(c1, c2, fld, win)
 			PutField(fld)
 			fld = next
-		}
-		c1.put()
-		c2.put()
-		if l > 0 {
-			// Pyramid levels above the base are scratch built by this call.
-			imgproc.PutImage(p1[l])
-			imgproc.PutImage(p2[l])
 		}
 	}
 	return fld
@@ -301,74 +352,92 @@ func flowIteration(c1, c2 polyCoeffs, cur Field, win []float32) Field {
 	w, h := cur.U.W, cur.U.H
 	// Accumulator images for G = AᵀA (symmetric 2×2: g11,g12,g22) and
 	// hvec = AᵀΔb (h1,h2).
-	g11 := imgproc.GetImage(w, h)
-	g12 := imgproc.GetImage(w, h)
-	g22 := imgproc.GetImage(w, h)
-	h1 := imgproc.GetImage(w, h)
-	h2 := imgproc.GetImage(w, h)
-
-	par.ForChunked(h, func(ylo, yhi int) {
-		for y := ylo; y < yhi; y++ {
-			for x := 0; x < w; x++ {
-				du := float64(cur.U.At(x, y))
-				dv := float64(cur.V.At(x, y))
-				// Look up frame-2 coefficients at the displaced position
-				// (rounded to the nearest pixel, clamped to the border).
-				x2 := int(math.Round(float64(x) + du))
-				y2 := int(math.Round(float64(y) + dv))
-
-				a11 := (float64(c1.axx.At(x, y)) + float64(c2.axx.At(x2, y2))) / 2
-				a22 := (float64(c1.ayy.At(x, y)) + float64(c2.ayy.At(x2, y2))) / 2
-				a12 := (float64(c1.axy.At(x, y)) + float64(c2.axy.At(x2, y2))) / 4 // A off-diag = axy/2, averaged
-
-				db1 := -0.5*(float64(c2.bx.At(x2, y2))-float64(c1.bx.At(x, y))) + a11*du + a12*dv
-				db2 := -0.5*(float64(c2.by.At(x2, y2))-float64(c1.by.At(x, y))) + a12*du + a22*dv
-
-				i := y*w + x
-				g11.Pix[i] = float32(a11*a11 + a12*a12)
-				g12.Pix[i] = float32(a12 * (a11 + a22))
-				g22.Pix[i] = float32(a22*a22 + a12*a12)
-				h1.Pix[i] = float32(a11*db1 + a12*db2)
-				h2.Pix[i] = float32(a12*db1 + a22*db2)
-			}
-		}
-	})
+	sys := flowSystem{
+		g11: imgproc.GetImage(w, h),
+		g12: imgproc.GetImage(w, h),
+		g22: imgproc.GetImage(w, h),
+		h1:  imgproc.GetImage(w, h),
+		h2:  imgproc.GetImage(w, h),
+	}
+	par.ForChunked(h, func(ylo, yhi int) { matrixUpdate(c1, c2, cur, sys, ylo, yhi) })
 
 	// Aggregate the normal equations over the neighbourhood, releasing the
 	// pre-blur accumulators as they are consumed.
-	blur := func(im *imgproc.Image) *imgproc.Image {
-		b := imgproc.SeparableFilter(im, win, win)
-		imgproc.PutImage(im)
-		return b
+	for _, im := range []**imgproc.Image{&sys.g11, &sys.g12, &sys.g22, &sys.h1, &sys.h2} {
+		b := imgproc.SeparableFilter(*im, win, win)
+		imgproc.PutImage(*im)
+		*im = b
 	}
-	g11 = blur(g11)
-	g12 = blur(g12)
-	g22 = blur(g22)
-	h1 = blur(h1)
-	h2 = blur(h2)
 
 	out := NewField(w, h)
-	par.ForChunked(len(g11.Pix), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := float64(g11.Pix[i])
-			b := float64(g12.Pix[i])
-			c := float64(g22.Pix[i])
-			det := a*c - b*b
-			if math.Abs(det) < 1e-9 {
-				out.U.Pix[i] = cur.U.Pix[i]
-				out.V.Pix[i] = cur.V.Pix[i]
-				continue
-			}
-			hh1 := float64(h1.Pix[i])
-			hh2 := float64(h2.Pix[i])
-			out.U.Pix[i] = float32((c*hh1 - b*hh2) / det)
-			out.V.Pix[i] = float32((a*hh2 - b*hh1) / det)
-		}
-	})
-	imgproc.PutImage(g11)
-	imgproc.PutImage(g12)
-	imgproc.PutImage(g22)
-	imgproc.PutImage(h1)
-	imgproc.PutImage(h2)
+	par.ForChunked(w*h, func(lo, hi int) { solveFlow(sys, cur, out, lo, hi) })
+	for _, im := range []*imgproc.Image{sys.g11, sys.g12, sys.g22, sys.h1, sys.h2} {
+		imgproc.PutImage(im)
+	}
 	return out
+}
+
+// flowSystem is the per-pixel 2×2 system of one Farneback update: the
+// symmetric matrix AᵀA (g11, g12, g22) and the vector AᵀΔb (h1, h2).
+type flowSystem struct {
+	g11, g12, g22, h1, h2 *imgproc.Image
+}
+
+// matrixUpdate fills rows [ylo, yhi) of sys from the two expansions and the
+// current displacement. Frame 2's coefficients are looked up at the
+// displaced position, rounded to the nearest pixel and clamped to the
+// border.
+func matrixUpdate(c1, c2 polyCoeffs, cur Field, sys flowSystem, ylo, yhi int) {
+	w := cur.U.W
+	for y := ylo; y < yhi; y++ {
+		row := y * w
+		u, v := cur.U.Pix[row:][:w], cur.V.Pix[row:][:w]
+		axx1, ayy1, axy1 := c1.axx.Pix[row:][:w], c1.ayy.Pix[row:][:w], c1.axy.Pix[row:][:w]
+		bx1, by1 := c1.bx.Pix[row:][:w], c1.by.Pix[row:][:w]
+		g11, g12, g22 := sys.g11.Pix[row:][:w], sys.g12.Pix[row:][:w], sys.g22.Pix[row:][:w]
+		h1, h2 := sys.h1.Pix[row:][:w], sys.h2.Pix[row:][:w]
+		for x, uu := range u {
+			du, dv := float64(uu), float64(v[x])
+			x2 := int(math.Round(float64(x) + du))
+			y2 := int(math.Round(float64(y) + dv))
+
+			a11 := (float64(axx1[x]) + float64(c2.axx.At(x2, y2))) / 2
+			a22 := (float64(ayy1[x]) + float64(c2.ayy.At(x2, y2))) / 2
+			a12 := (float64(axy1[x]) + float64(c2.axy.At(x2, y2))) / 4 // A off-diag = axy/2, averaged
+
+			db1 := -0.5*(float64(c2.bx.At(x2, y2))-float64(bx1[x])) + a11*du + a12*dv
+			db2 := -0.5*(float64(c2.by.At(x2, y2))-float64(by1[x])) + a12*du + a22*dv
+
+			g11[x] = float32(a11*a11 + a12*a12)
+			g12[x] = float32(a12 * (a11 + a22))
+			g22[x] = float32(a22*a22 + a12*a12)
+			h1[x] = float32(a11*db1 + a12*db2)
+			h2[x] = float32(a12*db1 + a22*db2)
+		}
+	}
+}
+
+// solveFlow solves the aggregated 2×2 systems of pixels [lo, hi) into out,
+// keeping the current displacement where the system is singular.
+func solveFlow(sys flowSystem, cur, out Field, lo, hi int) {
+	n := hi - lo
+	g11, g12, g22 := sys.g11.Pix[lo:][:n], sys.g12.Pix[lo:][:n], sys.g22.Pix[lo:][:n]
+	h1, h2 := sys.h1.Pix[lo:][:n], sys.h2.Pix[lo:][:n]
+	cu, cv := cur.U.Pix[lo:][:n], cur.V.Pix[lo:][:n]
+	ou, ov := out.U.Pix[lo:][:n], out.V.Pix[lo:][:n]
+	for i, gv := range g11 {
+		a := float64(gv)
+		b := float64(g12[i])
+		c := float64(g22[i])
+		det := a*c - b*b
+		if math.Abs(det) < 1e-9 {
+			ou[i] = cu[i]
+			ov[i] = cv[i]
+			continue
+		}
+		hh1 := float64(h1[i])
+		hh2 := float64(h2[i])
+		ou[i] = float32((c*hh1 - b*hh2) / det)
+		ov[i] = float32((a*hh2 - b*hh1) / det)
+	}
 }

@@ -126,29 +126,6 @@ func TestBlockMatchIsBlockwiseConstant(t *testing.T) {
 	}
 }
 
-func TestLucasKanadeAtTexturedPoints(t *testing.T) {
-	prev := texture(48, 48, 0.5)
-	next := shifted(prev, 1.2, 0.6)
-	pts := [][2]int{{16, 16}, {24, 30}, {32, 20}}
-	vecs, ok := LucasKanade(prev, next, pts, 4, 10)
-	for i := range pts {
-		if !ok[i] {
-			t.Fatalf("point %d rejected on textured image", i)
-		}
-		if math.Abs(float64(vecs[i][0])-1.2) > 0.4 || math.Abs(float64(vecs[i][1])-0.6) > 0.4 {
-			t.Errorf("point %d flow = %v, want ~(1.2, 0.6)", i, vecs[i])
-		}
-	}
-}
-
-func TestLucasKanadeRejectsFlatRegion(t *testing.T) {
-	flat := imgproc.NewImage(32, 32) // all zeros: no texture anywhere
-	_, ok := LucasKanade(flat, flat, [][2]int{{16, 16}}, 4, 5)
-	if ok[0] {
-		t.Fatal("LK accepted a textureless point; sparse coverage argument (Sec 3.3) relies on rejection")
-	}
-}
-
 func TestEndpointErrorZeroForIdenticalFields(t *testing.T) {
 	f := NewField(8, 8)
 	if EndpointError(f, f) != 0 {
@@ -302,5 +279,69 @@ func TestPolyMomentsMatchIndependentFilters(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// polySolve multiplies nine entries of G⁻¹ where the definition multiplies
+// all thirty-six: the other entries must be exact zeros for every window
+// the options can ask for, and the coefficients must equal the full
+// product's bit for bit.
+func TestPolySolveMatchesFullProduct(t *testing.T) {
+	nonZero := map[[2]int]bool{{1, 1}: true, {2, 2}: true, {5, 5}: true,
+		{3, 0}: true, {3, 3}: true, {3, 4}: true, {4, 0}: true, {4, 3}: true, {4, 4}: true}
+	im := texture(37, 23, 0.7)
+	for _, r := range []int{1, 2, 3, 4} {
+		for _, sigma := range []float64{0.5, 1.1, 1.5, 3} {
+			k0, k1, k2, ginv := polyBasis(r, sigma)
+			for row := 1; row < 6; row++ {
+				for col := 0; col < 6; col++ {
+					if !nonZero[[2]int{row, col}] && ginv[row][col] != 0 {
+						t.Fatalf("r=%d σ=%v: G⁻¹[%d][%d] = %g, want an exact zero", r, sigma, row, col, ginv[row][col])
+					}
+				}
+			}
+			got := polyExpand(im, r, sigma)
+			mom := polyMoments(im, k0, k1, k2)
+			for i := range im.Pix {
+				for row, plane := range []*imgproc.Image{nil, got.bx, got.by, got.axx, got.ayy, got.axy} {
+					if plane == nil {
+						continue
+					}
+					var acc float64
+					for col := 0; col < 6; col++ {
+						acc += ginv[row][col] * float64(mom[col].Pix[i])
+					}
+					if math.Float32bits(plane.Pix[i]) != math.Float32bits(float32(acc)) {
+						t.Fatalf("r=%d σ=%v pixel %d coefficient %d: %v, want %v", r, sigma, i, row, plane.Pix[i], float32(acc))
+					}
+				}
+			}
+			got.put()
+		}
+	}
+}
+
+// An expansion is read, never consumed: the middle frame's, built once and
+// used as next and then as prev, gives both estimates Farneback's bits.
+func TestExpansionReuseMatchesFarneback(t *testing.T) {
+	a := texture(48, 40, 0.2)
+	b := shifted(a, 0.8, -0.5)
+	c := shifted(b, 1.1, 0.3)
+	opt := DefaultOptions()
+	ea, eb, ec := Expand(a, opt), Expand(b, opt), Expand(c, opt)
+	for i, pair := range [][2]Field{
+		{FarnebackExpanded(ea, eb, opt), Farneback(a, b, opt)},
+		{FarnebackExpanded(eb, ec, opt), Farneback(b, c, opt)},
+	} {
+		got, want := pair[0], pair[1]
+		for p := range want.U.Pix {
+			if math.Float32bits(got.U.Pix[p]) != math.Float32bits(want.U.Pix[p]) ||
+				math.Float32bits(got.V.Pix[p]) != math.Float32bits(want.V.Pix[p]) {
+				t.Fatalf("estimate %d pixel %d: (%v, %v), want (%v, %v)", i, p, got.U.Pix[p], got.V.Pix[p], want.U.Pix[p], want.V.Pix[p])
+			}
+		}
+	}
+	for _, e := range []*Expansion{ea, eb, ec} {
+		e.Put()
 	}
 }

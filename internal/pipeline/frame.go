@@ -1,11 +1,9 @@
 package pipeline
 
 import (
-	"sync"
 	"time"
 
 	"asv/internal/core"
-	"asv/internal/flow"
 	"asv/internal/imgproc"
 	"asv/internal/metrics"
 )
@@ -13,8 +11,10 @@ import (
 // ProcessFrame runs one stereo pair through p, exploiting the same
 // intra-frame parallelism as the streaming runtime: on non-key frames the
 // left- and right-stream motion fields are estimated concurrently (they are
-// independent by construction), then committed with ProcessNonKeyWith. Key
-// frames run matcher (which must not be nil when the schedule selects one).
+// independent by construction) by p.EstimateMotion, which reuses the
+// previous frame's flow expansion, then committed with ProcessNonKeyWith.
+// Key frames run matcher (which must not be nil when the schedule selects
+// one).
 // Stage latencies are recorded under the runtime's standard names —
 // "keymatch", "flow", "propagate+refine" and "frame" — when m is non-nil.
 //
@@ -49,17 +49,7 @@ func ProcessFrameAs(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgp
 		observe(m, "keymatch", time.Since(t0))
 		res = p.ProcessKey(left, right, disp, matcher.MACs(left.W, left.H))
 	} else {
-		me := p.Config().MotionSource()
-		prevLeft, prevRight := p.PrevFrames()
-		var fr flow.Field
-		var inner sync.WaitGroup
-		inner.Add(1)
-		go func() {
-			defer inner.Done()
-			fr = me.Estimate(prevRight, right)
-		}()
-		fl := me.Estimate(prevLeft, left)
-		inner.Wait()
+		fl, fr := p.EstimateMotion(left, right)
 		observe(m, "flow", time.Since(t0))
 		t1 := time.Now()
 		res = p.ProcessNonKeyWith(left, right, fl, fr)

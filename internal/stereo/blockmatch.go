@@ -94,69 +94,28 @@ func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgpr
 	if init.W != left.W || init.H != left.H {
 		panic("stereo: initial disparity size mismatch")
 	}
-	w, h, br := left.W, left.H, opt.BlockR
+	w, br := left.W, opt.BlockR
 	switch {
 	case opt.Census > 0:
 		cl, cr := census(left, opt.Census), census(right, opt.Census)
-		return refine(init, searchR, br, opt.Subpixel, func(x, y, d int, interior bool) uint32 {
-			if interior {
-				return hamBlockInterior(cl, cr, w, x, y, d, br)
-			}
-			return hamBlock(cl, cr, w, h, x, y, d, br)
-		})
+		return refine(init, searchR, br, opt.Subpixel, censusRowSums(cl, cr, w, br))
 	case opt.Fixed:
-		l8, r8 := quantize8(left), quantize8(right)
-		return refine(init, searchR, br, opt.Subpixel, func(x, y, d int, interior bool) uint32 {
-			if interior {
-				return adBlockInterior[uint8, uint16, uint32](l8, r8, w, x, y, d, br)
-			}
-			return adBlock[uint8, uint16, uint32](l8, r8, w, h, x, y, d, br)
-		})
+		return refine(init, searchR, br, opt.Subpixel, adRowSums[uint8, uint16, uint32](quantize8(left), quantize8(right), w, br))
 	default:
-		return refine(init, searchR, br, opt.Subpixel, func(x, y, d int, interior bool) float64 {
-			if interior {
-				return adBlockInterior[float32, float32, float64](left.Pix, right.Pix, w, x, y, d, br)
-			}
-			return adBlock[float32, float32, float64](left.Pix, right.Pix, w, h, x, y, d, br)
-		})
+		return refine(init, searchR, br, opt.Subpixel, adRowSums[float32, float32, float64](left.Pix, right.Pix, w, br))
 	}
 }
 
-// refine is the guided-search loop behind Refine: per pixel, the candidate
-// with the smallest cand cost in [init-searchR, init+searchR] ∩ [0, x], ties
-// to the smallest disparity, with optional subpixel refinement. cand is told
-// whether the pixel is interior: its (2·br+1)² block and the right-view
-// block of every candidate lie inside the image, so none of their taps
-// clamps.
-func refine[A acc](init *imgproc.Image, searchR, br int, subpixel bool, cand func(x, y, d int, interior bool) A) *imgproc.Image {
+// refine is the guided-search loop behind Refine: per strip of stripRows
+// rows, refineStrip over the cost whose row sums rowSums computes, on
+// scratch recycled through refineFree.
+func refine[A acc](init *imgproc.Image, searchR, br int, subpixel bool, rowSums rowSummer[A]) *imgproc.Image {
 	w, h := init.W, init.H
 	out := imgproc.NewImage(w, h)
-	par.For(h, func(y int) {
-		costs := make([]A, 2*searchR+1)
-		rowInside := y >= br && y < h-br
-		for x := 0; x < w; x++ {
-			center := int(math.Round(float64(init.At(x, y))))
-			lo := max(center-searchR, 0)
-			hi := min(center+searchR, x)
-			if lo > hi {
-				out.Set(x, y, 0)
-				continue
-			}
-			interior := rowInside && x+br < w && x-br-hi >= 0
-			bestD := lo
-			for d := lo; d <= hi; d++ {
-				costs[d-lo] = cand(x, y, d, interior)
-				if costs[d-lo] < costs[bestD-lo] {
-					bestD = d
-				}
-			}
-			disp := float64(bestD)
-			if subpixel && bestD > lo && bestD < hi {
-				i := bestD - lo
-				disp += subpixelFit(float64(costs[i-1]), float64(costs[i]), float64(costs[i+1]))
-			}
-			out.Set(x, y, float32(disp))
-		}
+	par.For((h+stripRows-1)/stripRows, func(s int) {
+		sc := getRefineScratch[A]()
+		refineStrip(init, out, s*stripRows, min((s+1)*stripRows, h), searchR, br, subpixel, rowSums, sc)
+		putRefineScratch(sc)
 	})
 	return out
 }

@@ -89,10 +89,13 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 		bmFixed.Fixed = true
 		censusOpt := bmOpt
 		censusOpt.Census = 2
-		// benchPair shifts by 6..10 px, so ±3 around 8 covers the truth.
+		// The guide is benchPair's true shift off by up to ±1 px, drawn per
+		// pixel: a constant guide would give every column the same 7-wide
+		// band, narrower than a propagated guide's.
+		rng := rand.New(rand.NewSource(int64(w)*7919 + int64(h)))
 		init := imgproc.NewImage(w, h)
 		for i := range init.Pix {
-			init.Pix[i] = 8
+			init.Pix[i] = float32(6+(i/w/8)%5) + float32(2*rng.Float64()-1)
 		}
 
 		cvfOpt := DefaultCVFOptions()

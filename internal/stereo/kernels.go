@@ -3,6 +3,7 @@ package stereo
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"asv/internal/imgproc"
 	"asv/internal/par"
@@ -311,81 +312,348 @@ func wtaStrip[C cell](vol []C, out *imgproc.Image, w, y0, y1, nd int, opt BMOpti
 	}
 }
 
-// adBlock returns the block SAD of aligning the block around (x, y) with
-// disparity d — the per-candidate cost of the guided refinement, where
-// candidate centers vary per pixel and window reuse does not apply. Border
-// handling is clamp-then-shift and |l-r| is taken in the cell type C, both
-// as in adRowCost. This is the definition, and the form blocks that touch
-// the border take; blocks that do not go through adBlockInterior.
-func adBlock[S sample, C cell, A acc](l, r []S, w, h, x, y, d, br int) A {
+// The guided refine (ISM step 4) searches each pixel's own window
+// [lo, hi] = [g−R, g+R] ∩ [0, x] around its rounded guide g, so the
+// sliding windows above do not apply: the band of disparities a strip
+// would have to slide over is close to the full search. What does repeat
+// is the row sum. A candidate's block cost is
+//
+//	cost(x, y, d) = Σ_{|dy|<=br} H(x, clamp(y+dy), d)
+//	H(x, yy, d)   = Σ_{|dx|<=br} |l(clamp(x+dx), yy) − r(clamp(clamp(x+dx)−d), yy)|
+//
+// and H(x, yy, d) is shared by every pixel of column x within br rows of yy
+// whose window holds d. refineStrip computes each such H once, over the
+// union of those windows (the band), and sums 2·br+1 of them per
+// candidate. Integer sums are exact in any order; the float cost is
+// defined in this bracketing — taps summed into a row, rows into the
+// block, both in float64 — which the per-candidate reference in
+// kernels_test.go follows.
+
+// rowSummer fills the row sums H(x, yy, d) of image row yy for every
+// column x and every d in [lo[x], hi[x]] (none when lo[x] > hi[x]), packed
+// into dst column after column in increasing d.
+type rowSummer[A acc] func(yy int, lo, hi []int32, dst []A)
+
+// adRowSums is the rowSummer of the absolute-difference cost, |l−r| taken
+// in the cell type as in adRowCost. A sum whose taps and partners all lie
+// inside the row — x−br ≥ 0, x+br < w and x−br−d ≥ 0 — reads a left and a
+// right window of 2·br+1 samples with no clamp and no index check; the
+// rest go through adSumClamped.
+func adRowSums[S sample, C cell, A acc](l, r []S, w, br int) rowSummer[A] {
+	return func(yy int, lo, hi []int32, dst []A) {
+		if w <= 0 {
+			return
+		}
+		row := yy * w
+		lr, rr := l[row:][:w], r[row:][:w]
+		lo, hi = lo[:w], hi[:w]
+		n := 2*br + 1
+		for x, b0 := range lo {
+			cnt := int(hi[x]) - int(b0) + 1
+			if cnt <= 0 {
+				continue
+			}
+			out := dst[:cnt]
+			dst = dst[cnt:]
+			// The first in candidates read inside the row; candidate i's
+			// right window starts at x−br−b0−i. Four candidates at a time
+			// keep four sums in flight, each adding its own taps in dx
+			// order.
+			in := 0
+			if x >= br && x+br < w {
+				in = max(min(cnt, x-br-int(b0)+1), 0)
+			}
+			if o := out[:in]; len(o) > 0 {
+				lw := lr[x-br:][:n]
+				p := x - br - int(b0)
+				for ; len(o) >= 4; o, p = o[4:], p-4 {
+					r0, r1, r2, r3 := rr[p:][:len(lw)], rr[p-1:][:len(lw)], rr[p-2:][:len(lw)], rr[p-3:][:len(lw)]
+					var s0, s1, s2, s3 A
+					for j, v := range lw {
+						a, q0, q1, q2, q3 := C(v), C(r0[j]), C(r1[j]), C(r2[j]), C(r3[j])
+						s0 += A(max(a, q0) - min(a, q0))
+						s1 += A(max(a, q1) - min(a, q1))
+						s2 += A(max(a, q2) - min(a, q2))
+						s3 += A(max(a, q3) - min(a, q3))
+					}
+					o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+				}
+				for k := range o {
+					rw := rr[p-k:][:len(lw)]
+					var s A
+					for j, v := range lw {
+						a, b := C(v), C(rw[j])
+						s += A(max(a, b) - min(a, b))
+					}
+					o[k] = s
+				}
+			}
+			border := out[in:]
+			for k := range border {
+				border[k] = adSumClamped[S, C, A](lr, rr, x, int(b0)+in+k, br)
+			}
+		}
+	}
+}
+
+// adSumClamped is H(x, ·, d) of one row pair through the border rule, the
+// form for sums that touch the border.
+func adSumClamped[S sample, C cell, A acc](lr, rr []S, x, d, br int) A {
+	w := len(lr)
 	var s A
-	for dy := -br; dy <= br; dy++ {
-		// Row windows of length w: the clamped column indexes are provably
-		// inside them, so the candidate loop carries no bounds checks.
-		row := clampInt(y+dy, 0, h-1) * w
-		lrow := l[row:][:w]
-		rrow := r[row:][:w]
-		for dx := -br; dx <= br; dx++ {
-			xx := clampInt(x+dx, 0, w-1)
-			lv, rv := C(lrow[xx]), C(rrow[clampInt(xx-d, 0, w-1)])
-			s += A(max(lv, rv) - min(lv, rv))
-		}
+	for dx := -br; dx <= br; dx++ {
+		xx := clampInt(x+dx, 0, w-1)
+		a, b := C(lr[xx]), C(rr[clampInt(xx-d, 0, w-1)])
+		s += A(max(a, b) - min(a, b))
 	}
 	return s
 }
 
-// adBlockInterior is adBlock when neither the block nor its right-view
-// counterpart touches the border — rows y±br and columns [x-br-d, x+br]
-// are all inside the image — so no tap clamps: each block row is a left and
-// a right window of one length, read with no index check. The taps are
-// added in adBlock's order, dy outer and dx inner, so the float64 sum of
-// the float instantiation has the same bits.
-func adBlockInterior[S sample, C cell, A acc](l, r []S, w, x, y, d, br int) A {
-	var s A
-	n := 2*br + 1
-	base := (y-br)*w + x - br
-	for dy := 0; dy < n; dy++ {
-		lwin := l[base:][:n]
-		rwin := r[base-d:][:n]
-		for i, v := range lwin {
-			lv, rv := C(v), C(rwin[i])
-			s += A(max(lv, rv) - min(lv, rv))
+// censusRowSums is adRowSums over census descriptor planes, the cost the
+// Hamming distance.
+func censusRowSums(cl, cr []uint64, w, br int) rowSummer[uint32] {
+	return func(yy int, lo, hi []int32, dst []uint32) {
+		if w <= 0 {
+			return
 		}
-		base += w
+		row := yy * w
+		lr, rr := cl[row:][:w], cr[row:][:w]
+		lo, hi = lo[:w], hi[:w]
+		n := 2*br + 1
+		for x, b0 := range lo {
+			cnt := int(hi[x]) - int(b0) + 1
+			if cnt <= 0 {
+				continue
+			}
+			out := dst[:cnt]
+			dst = dst[cnt:]
+			in := 0
+			if x >= br && x+br < w {
+				in = max(min(cnt, x-br-int(b0)+1), 0)
+			}
+			if o := out[:in]; len(o) > 0 {
+				lw := lr[x-br:][:n]
+				p := x - br - int(b0)
+				for ; len(o) >= 4; o, p = o[4:], p-4 {
+					r0, r1, r2, r3 := rr[p:][:len(lw)], rr[p-1:][:len(lw)], rr[p-2:][:len(lw)], rr[p-3:][:len(lw)]
+					var s0, s1, s2, s3 uint32
+					for j, v := range lw {
+						s0 += uint32(bits.OnesCount64(v ^ r0[j]))
+						s1 += uint32(bits.OnesCount64(v ^ r1[j]))
+						s2 += uint32(bits.OnesCount64(v ^ r2[j]))
+						s3 += uint32(bits.OnesCount64(v ^ r3[j]))
+					}
+					o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+				}
+				for k := range o {
+					rw := rr[p-k:][:len(lw)]
+					var s uint32
+					for j, v := range lw {
+						s += uint32(bits.OnesCount64(v ^ rw[j]))
+					}
+					o[k] = s
+				}
+			}
+			border := out[in:]
+			for k := range border {
+				border[k] = hamSumClamped(lr, rr, x, int(b0)+in+k, br)
+			}
+		}
 	}
-	return s
 }
 
-// hamBlock is adBlock's census counterpart: the block Hamming cost between
-// census descriptor planes.
-func hamBlock(cl, cr []uint64, w, h, x, y, d, br int) uint32 {
+// hamSumClamped is adSumClamped's census counterpart.
+func hamSumClamped(lr, rr []uint64, x, d, br int) uint32 {
+	w := len(lr)
 	var s uint32
-	for dy := -br; dy <= br; dy++ {
-		row := clampInt(y+dy, 0, h-1) * w
-		lrow := cl[row:][:w]
-		rrow := cr[row:][:w]
-		for dx := -br; dx <= br; dx++ {
-			xx := clampInt(x+dx, 0, w-1)
-			s += uint32(bits.OnesCount64(lrow[xx] ^ rrow[clampInt(xx-d, 0, w-1)]))
-		}
+	for dx := -br; dx <= br; dx++ {
+		xx := clampInt(x+dx, 0, w-1)
+		s += uint32(bits.OnesCount64(lr[xx] ^ rr[clampInt(xx-d, 0, w-1)]))
 	}
 	return s
 }
 
-// hamBlockInterior is hamBlock under adBlockInterior's condition.
-func hamBlockInterior(cl, cr []uint64, w, x, y, d, br int) uint32 {
-	var s uint32
-	n := 2*br + 1
-	base := (y-br)*w + x - br
-	for dy := 0; dy < n; dy++ {
-		lwin := cl[base:][:n]
-		rwin := cr[base-d:][:n]
-		for i, v := range lwin {
-			s += uint32(bits.OnesCount64(v ^ rwin[i]))
-		}
-		base += w
+// emptyLo, emptyHi is the empty search window: lo > hi, and merged into a
+// band with min/max it leaves the band unchanged.
+const emptyLo, emptyHi int32 = math.MaxInt32, math.MinInt32
+
+// searchWindow returns the guided window [lo, hi] of the pixel in column x
+// whose guide is g, or the empty window. A guide outside (−R−1, x+R+1)
+// leaves the window empty however it rounds, so it is tested before the
+// conversion to int, whose result Go leaves to the platform for NaN, ±Inf
+// and values past the int range: such a pixel comes out 0 everywhere.
+func searchWindow(g float32, x, searchR int) (lo, hi int32) {
+	v := float64(g)
+	if !(v > -float64(searchR+1) && v < float64(x+searchR+1)) {
+		return emptyLo, emptyHi
 	}
-	return s
+	c := int(math.Round(v))
+	l, h := max(c-searchR, 0), min(c+searchR, x)
+	if l > h {
+		return emptyLo, emptyHi
+	}
+	return int32(l), int32(h)
+}
+
+// refineScratch is one strip's working memory, sized to the strip's bands
+// and recycled across strips and calls through refineFree.
+type refineScratch[A acc] struct {
+	lo, hi     []int32 // per strip pixel: its search window
+	bLo, bHi   []int32 // per column: the band of the row being summed
+	ring       []sumRow[A]
+	rows       []*sumRow[A] // the ring rows one output row reads, in dy order
+	candidates []A          // one pixel's candidate costs
+}
+
+// sumRow is the packed row sums of one image row: H(x, ·, d) is
+// sums[off[x]+d] for every d in column x's band.
+type sumRow[A acc] struct {
+	off  []int
+	sums []A
+}
+
+// refineFree holds the scratch of finished strips for the next ones, one
+// list per accumulator type. It is a plain free list, not a sync.Pool: a
+// pool's per-P slot misses whenever a strip runs on another P than the one
+// that put the last scratch back, and the miss reallocates a scratch. The
+// lists hold as many scratches as strips ever ran at once.
+var refineFree [2]struct {
+	sync.Mutex
+	list []any
+}
+
+// getRefineScratch takes a scratch of the A instantiation off its free
+// list, or makes one.
+func getRefineScratch[A acc]() *refineScratch[A] {
+	l := &refineFree[refineFreeIndex[A]()]
+	l.Lock()
+	defer l.Unlock()
+	if n := len(l.list); n > 0 {
+		sc := l.list[n-1].(*refineScratch[A])
+		l.list = l.list[:n-1]
+		return sc
+	}
+	return new(refineScratch[A])
+}
+
+// putRefineScratch returns a scratch to its free list.
+func putRefineScratch[A acc](sc *refineScratch[A]) {
+	l := &refineFree[refineFreeIndex[A]()]
+	l.Lock()
+	l.list = append(l.list, sc)
+	l.Unlock()
+}
+
+// refineFreeIndex is the index of A's list in refineFree.
+func refineFreeIndex[A acc]() int {
+	if _, float := any(A(0)).(float64); float {
+		return 1
+	}
+	return 0
+}
+
+// grow returns s resliced to n entries. When s is too short it reallocates
+// with a quarter more room, so that a band a little wider than any before
+// it does not reallocate again.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	return s[:n]
+}
+
+// refineStrip runs the guided search for rows [y0, y1) of init, writing the
+// refined disparities into out (pixels with an empty window keep out's 0).
+// Per pixel, the candidate with the smallest cost in its window wins, ties
+// to the smallest disparity, with the optional parabola fit. The row sums
+// of image row r are computed once, when output row r−br is reached, into
+// a ring of 2·br+1 rows: output row y reads rows clamp(y±br), the ring's
+// whole content.
+func refineStrip[A acc](init, out *imgproc.Image, y0, y1, searchR, br int, subpixel bool, rowSums rowSummer[A], sc *refineScratch[A]) {
+	w, h := init.W, init.H
+	sc.lo, sc.hi = grow(sc.lo, (y1-y0)*w), grow(sc.hi, (y1-y0)*w)
+	for y := y0; y < y1; y++ {
+		g := init.Pix[y*w:][:w]
+		lo, hi := sc.lo[(y-y0)*w:][:w], sc.hi[(y-y0)*w:][:w]
+		for x, v := range g {
+			lo[x], hi[x] = searchWindow(v, x, searchR)
+		}
+	}
+	n := 2*br + 1
+	sc.bLo, sc.bHi = grow(sc.bLo, w), grow(sc.bHi, w)
+	sc.ring, sc.rows = grow(sc.ring, n), grow(sc.rows, n)
+	sc.candidates = grow(sc.candidates, 2*searchR+1)
+	next := max(y0-br, 0) // the next image row to sum
+	for y := y0; y < y1; y++ {
+		for ; next <= min(y+br, h-1); next++ {
+			sumRowBand(sc, &sc.ring[next%n], next, y0, y1, br, rowSums)
+		}
+		for dy := -br; dy <= br; dy++ {
+			sc.rows[dy+br] = &sc.ring[clampInt(y+dy, 0, h-1)%n]
+		}
+		lo, hi := sc.lo[(y-y0)*w:][:w], sc.hi[(y-y0)*w:][:w]
+		dst := out.Pix[y*w:][:w]
+		for x, l := range lo {
+			if l > hi[x] {
+				continue
+			}
+			// The candidates' costs: the column's row sums, added in dy
+			// order onto +0.
+			c := sc.candidates[:int(hi[x]-l)+1]
+			clear(c)
+			for _, r := range sc.rows {
+				addRowSums(c, r.sums[r.off[x]+int(l):])
+			}
+			best, bv := 0, c[0]
+			for k, v := range c {
+				if v < bv {
+					best, bv = k, v
+				}
+			}
+			disp := float64(int(l) + best)
+			if subpixel && best > 0 && best < len(c)-1 {
+				disp += subpixelFit(float64(c[best-1]), float64(c[best]), float64(c[best+1]))
+			}
+			dst[x] = float32(disp)
+		}
+	}
+}
+
+// sumRowBand fills dst with the row sums of image row r over its bands:
+// at column x, the union of the windows of the strip pixels in column x
+// within br rows of r — every pixel that reads H(x, r, ·) reads it inside
+// its own window.
+func sumRowBand[A acc](sc *refineScratch[A], dst *sumRow[A], r, y0, y1, br int, rowSums rowSummer[A]) {
+	w := len(sc.bLo)
+	bLo, bHi := sc.bLo, sc.bHi[:w]
+	for x := range bLo {
+		bLo[x], bHi[x] = emptyLo, emptyHi
+	}
+	for y := max(r-br, y0); y <= min(r+br, y1-1); y++ {
+		lo, hi := sc.lo[(y-y0)*w:][:w], sc.hi[(y-y0)*w:][:w]
+		for x, l := range lo {
+			bLo[x], bHi[x] = min(bLo[x], l), max(bHi[x], hi[x])
+		}
+	}
+	dst.off = grow(dst.off, w)
+	off := dst.off[:w]
+	total := 0
+	for x, b0 := range bLo {
+		off[x] = total - int(b0)
+		if b1 := bHi[x]; b1 >= b0 {
+			total += int(b1-b0) + 1
+		}
+	}
+	dst.sums = grow(dst.sums, total)
+	rowSums(r, bLo, bHi, dst.sums)
+}
+
+// addRowSums adds src's leading row sums onto the candidate costs c.
+func addRowSums[A acc](c, src []A) {
+	src = src[:len(c)]
+	for i, v := range src {
+		c[i] += v
+	}
 }
 
 func clampInt(v, lo, hi int) int {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"asv/internal/imgproc"
@@ -124,6 +123,23 @@ func refBlock(c refCost, w, h, x, y, d, r int) float64 {
 	return s
 }
 
+// refBlockRows is refBlock in the guided refine's bracketing: each block
+// row's taps summed on their own, then the rows in dy order. Integer costs
+// are exact either way; float ones can differ from refBlock's in the last
+// bit of the float64 sum.
+func refBlockRows(c refCost, w, h, x, y, d, r int) float64 {
+	var s float64
+	for dy := -r; dy <= r; dy++ {
+		var row float64
+		for dx := -r; dx <= r; dx++ {
+			xx := clampInt(x+dx, 0, w-1)
+			row += c(xx, clampInt(xx-d, 0, w-1), clampInt(y+dy, 0, h-1))
+		}
+		s += row
+	}
+	return s
+}
+
 // refReadout picks the disparity from costs, where costs[i] belongs to
 // disparity lo+i: first minimum, uniqueness test, parabola fit.
 func refReadout(costs []float64, lo int, uniq float64, subpixel bool) float32 {
@@ -177,20 +193,27 @@ func naiveCVF(left, right *imgproc.Image, opt CVFOptions) *imgproc.Image {
 		BMOptions{BlockR: opt.AggR, MaxDisp: opt.MaxDisp, Subpixel: opt.Subpixel})
 }
 
-// naiveRefine is the reference for Refine.
-func naiveRefine(c refCost, init *imgproc.Image, searchR int, opt BMOptions) *imgproc.Image {
+// naiveRefine is the reference for Refine: per pixel, every candidate's
+// block cost from scratch, in block's bracketing (refBlockRows for Refine's
+// own). A NaN guide has no window and leaves the pixel 0; an infinite or
+// huge one is a window far outside the row, empty too.
+func naiveRefine(c refCost, init *imgproc.Image, searchR int, opt BMOptions, block func(c refCost, w, h, x, y, d, r int) float64) *imgproc.Image {
 	w, h := init.W, init.H
 	out := imgproc.NewImage(w, h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			center := int(math.Round(float64(init.At(x, y))))
+			g := float64(init.At(x, y))
+			if math.IsNaN(g) {
+				continue
+			}
+			center := int(math.Round(min(max(g, -1e9), 1e9)))
 			lo, hi := max(center-searchR, 0), min(center+searchR, x)
 			if lo > hi {
 				continue
 			}
 			costs := make([]float64, hi-lo+1)
 			for i := range costs {
-				costs[i] = refBlock(c, w, h, x, y, lo+i, opt.BlockR)
+				costs[i] = block(c, w, h, x, y, lo+i, opt.BlockR)
 			}
 			out.Set(x, y, refReadout(costs, lo, 0, opt.Subpixel))
 		}
@@ -330,7 +353,7 @@ func TestCensusFixedMatchesFloatBitExactly(t *testing.T) {
 	}
 	opt := BMOptions{BlockR: 3, MaxDisp: 24, Subpixel: true, Census: 2}
 	c := refPixelCost(left, right, false, opt.Census, math.Inf(1))
-	wantMatch, wantRefine := naiveMatch(c, 45, 38, opt), naiveRefine(c, init, 3, opt)
+	wantMatch, wantRefine := naiveMatch(c, 45, 38, opt), naiveRefine(c, init, 3, opt, refBlockRows)
 	for _, fixed := range []bool{false, true} {
 		opt.Fixed = fixed
 		sameImage(t, "census match", Match(left, right, opt), wantMatch)
@@ -345,16 +368,17 @@ func TestRefineAgainstNaiveReference(t *testing.T) {
 		w, h, br         int
 		dyadic           bool
 		initLo, initSpan int // init = initLo + [0, initSpan) - 0.5
-		interior, border bool
 	}{
-		// Negative and oversized guesses, both kinds of pixel.
-		{"mixed", 41, 35, 2, true, -1, 12, true, true},
+		// Negative and oversized guesses, interior and border sums.
+		{"mixed", 41, 35, 2, true, -1, 12},
 		// w <= 2·br + R with every guess >= 0: each candidate window of each
 		// pixel leaves the row on one side or the other.
-		{"all border", 7, 9, 2, false, 1, 6, false, true},
-		{"shorter than the block", 40, 4, 2, false, 0, 6, false, true},
+		{"all border", 7, 9, 2, false, 1, 6},
+		{"shorter than the block", 40, 4, 2, false, 0, 6},
 		// Small guesses on a wide frame: only the frame's rim is border.
-		{"mostly interior", 64, 40, 1, false, 0, 4, true, true},
+		{"mostly interior", 64, 40, 1, false, 0, 4},
+		// Two strips and the rows either side of their seam.
+		{"two strips", 48, stripRows + 9, 2, false, 2, 9},
 	} {
 		left, right := randPair(rng, g.w, g.h, g.dyadic)
 		init := imgproc.NewImage(g.w, g.h)
@@ -364,34 +388,24 @@ func TestRefineAgainstNaiveReference(t *testing.T) {
 		for _, cen := range []int{0, 2} {
 			for _, fixed := range []bool{true, false} {
 				opt := BMOptions{BlockR: g.br, Subpixel: true, Fixed: fixed, Census: cen}
-				want := naiveRefine(refPixelCost(left, right, fixed, cen, math.Inf(1)), init, 3, opt)
-				sameImage(t, fmt.Sprintf("%s: refine fixed=%v census=%d", g.name, fixed, cen), Refine(left, right, init, 3, opt), want)
+				c := refPixelCost(left, right, fixed, cen, math.Inf(1))
+				got := Refine(left, right, init, 3, opt)
+				name := fmt.Sprintf("%s: refine fixed=%v census=%d", g.name, fixed, cen)
+				sameImage(t, name, got, naiveRefine(c, init, 3, opt, refBlockRows))
+				// The bracketing is invisible in the output here: the
+				// tap-by-tap float64 sum picks the same disparities, parabola
+				// fits included.
+				sameImage(t, name+" (tap-order sum)", got, naiveRefine(c, init, 3, opt, refBlock))
 			}
-		}
-		// Which block-cost form each pixel is handed, and that an interior
-		// pixel's taps really are all inside the image.
-		var interior, border atomic.Int64
-		refine(init, 3, g.br, false, func(x, y, d int, in bool) uint32 {
-			if !in {
-				border.Add(1)
-				return 0
-			}
-			interior.Add(1)
-			if x-g.br-d < 0 || x+g.br >= g.w || y-g.br < 0 || y+g.br >= g.h {
-				t.Errorf("%s: (%d,%d) d=%d called interior, but its block leaves the %dx%d image", g.name, x, y, d, g.w, g.h)
-			}
-			return 0
-		})
-		if (interior.Load() > 0) != g.interior || (border.Load() > 0) != g.border {
-			t.Errorf("%s: %d interior and %d border candidates, want interior=%v border=%v",
-				g.name, interior.Load(), border.Load(), g.interior, g.border)
 		}
 	}
 }
 
-// The clamp-free block costs against the clamped ones they stand in for, on
-// every block of a frame that qualifies, compared as bits. The samples span
-// forty binades so that the float64 sum rounds and a reordered tap shows.
+// The row-sum kernels against the per-candidate reference they replace, on
+// every (x, y, d ≤ x) of a frame — sums that read inside the row and sums
+// that clamp — compared as cost bits, the candidate's row sums added in dy
+// order as refineStrip adds them. The samples span forty binades so that
+// the float64 sums round and a reordered tap or row shows.
 func TestInteriorBlockCostsMatchClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	w, h := 23, 17
@@ -400,23 +414,80 @@ func TestInteriorBlockCostsMatchClamped(t *testing.T) {
 		left.Pix[i] = float32(math.Ldexp(rng.Float64(), -rng.Intn(40)))
 		right.Pix[i] = float32(math.Ldexp(rng.Float64(), -rng.Intn(40)))
 	}
-	l8, r8 := quantize8(left), quantize8(right)
-	cl, cr := census(left, 2), census(right, 2)
 	for _, br := range []int{0, 1, 2, 3} {
-		for y := br; y < h-br; y++ {
-			for x := br; x < w-br; x++ {
-				for d := 0; d <= x-br; d++ {
-					got := adBlockInterior[float32, float32, float64](left.Pix, right.Pix, w, x, y, d, br)
-					want := adBlock[float32, float32, float64](left.Pix, right.Pix, w, h, x, y, d, br)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("float br=%d (%d,%d) d=%d: %x, want %x", br, x, y, d, math.Float64bits(got), math.Float64bits(want))
+		float := blockCosts(adRowSums[float32, float32, float64](left.Pix, right.Pix, w, br), w, h, br)
+		fixed := blockCosts(adRowSums[uint8, uint16, uint32](quantize8(left), quantize8(right), w, br), w, h, br)
+		cen := blockCosts(censusRowSums(census(left, 2), census(right, 2), w, br), w, h, br)
+		for _, k := range []struct {
+			name string
+			got  func(x, y, d int) float64
+			c    refCost
+		}{
+			{"float", float, refPixelCost(left, right, false, 0, math.Inf(1))},
+			{"fixed", fixed, refPixelCost(left, right, true, 0, math.Inf(1))},
+			{"census", cen, refPixelCost(left, right, false, 2, math.Inf(1))},
+		} {
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					for d := 0; d <= x; d++ {
+						got, want := k.got(x, y, d), refBlockRows(k.c, w, h, x, y, d, br)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s br=%d (%d,%d) d=%d: %x, want %x", k.name, br, x, y, d, math.Float64bits(got), math.Float64bits(want))
+						}
 					}
-					if got, want := adBlockInterior[uint8, uint16, uint32](l8, r8, w, x, y, d, br), adBlock[uint8, uint16, uint32](l8, r8, w, h, x, y, d, br); got != want {
-						t.Fatalf("fixed br=%d (%d,%d) d=%d: %d, want %d", br, x, y, d, got, want)
-					}
-					if got, want := hamBlockInterior(cl, cr, w, x, y, d, br), hamBlock(cl, cr, w, h, x, y, d, br); got != want {
-						t.Fatalf("census br=%d (%d,%d) d=%d: %d, want %d", br, x, y, d, got, want)
-					}
+				}
+			}
+		}
+	}
+}
+
+// blockCosts runs rowSums over every row of a w×h frame with each column's
+// band the whole [0, x], and returns the block cost of (x, y, d) summed from
+// those row sums as refineStrip sums them.
+func blockCosts[A acc](rowSums rowSummer[A], w, h, br int) func(x, y, d int) float64 {
+	lo, hi := make([]int32, w), make([]int32, w)
+	for x := range hi {
+		hi[x] = int32(x)
+	}
+	n := w * (w + 1) / 2
+	sums := make([]A, h*n)
+	for yy := 0; yy < h; yy++ {
+		rowSums(yy, lo, hi, sums[yy*n:][:n])
+	}
+	return func(x, y, d int) float64 {
+		c := make([]A, 1)
+		for dy := -br; dy <= br; dy++ {
+			addRowSums(c, sums[clampInt(y+dy, 0, h-1)*n+x*(x+1)/2+d:])
+		}
+		return float64(c[0])
+	}
+}
+
+// A guide that Go cannot convert to int portably — NaN, ±Inf, or a
+// magnitude past the int range — leaves its pixel 0 before it can reach a
+// window or a band, in every cost type, and the strip's other pixels match
+// the reference.
+func TestRefineNonFiniteGuides(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	w, h := 33, 21
+	left, right := randPair(rng, w, h, false)
+	bad := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e30, -1e30}
+	init := imgproc.NewImage(w, h)
+	for i := range init.Pix {
+		init.Pix[i] = float32(2 + rng.Intn(5))
+		if i%7 == 3 {
+			init.Pix[i] = bad[i%len(bad)]
+		}
+	}
+	for _, cen := range []int{0, 2} {
+		for _, fixed := range []bool{false, true} {
+			opt := BMOptions{BlockR: 2, Subpixel: true, Fixed: fixed, Census: cen}
+			got := Refine(left, right, init, 3, opt)
+			name := fmt.Sprintf("fixed=%v census=%d", fixed, cen)
+			sameImage(t, name, got, naiveRefine(refPixelCost(left, right, fixed, cen, math.Inf(1)), init, 3, opt, refBlockRows))
+			for i := 3; i < len(got.Pix); i += 7 {
+				if got.Pix[i] != 0 {
+					t.Fatalf("%s: pixel %d with guide %v refined to %v, want 0", name, i, init.Pix[i], got.Pix[i])
 				}
 			}
 		}
@@ -625,7 +696,7 @@ func TestDegenerateGeometry(t *testing.T) {
 				c := refPixelCost(left, right, fixed, cen, math.Inf(1))
 				sameImage(t, fmt.Sprintf("%s census=%d match", name, cen), Match(left, right, opt), naiveMatch(c, g.w, g.h, opt))
 				sameImage(t, fmt.Sprintf("%s census=%d refine", name, cen),
-					Refine(left, right, init, g.searchR, opt), naiveRefine(c, init, g.searchR, opt))
+					Refine(left, right, init, g.searchR, opt), naiveRefine(c, init, g.searchR, opt, refBlockRows))
 			}
 			cvf := CVFOptions{MaxDisp: g.maxD, AggR: g.r, Truncate: 0.125, Subpixel: true, Fixed: fixed}
 			sameImage(t, name+" cvf", CostVolumeFilter(left, right, cvf), naiveCVF(left, right, cvf))
