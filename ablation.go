@@ -5,7 +5,6 @@ import (
 	"asv/internal/dataset"
 	"asv/internal/flow"
 	"asv/internal/schedule"
-	"asv/internal/stereo"
 )
 
 // Ablations of ISM's algorithmic design decisions (paper Sec. 3.3). The
@@ -49,31 +48,11 @@ func fastMotionConfigs(sc ExpScale) []dataset.SceneConfig {
 	return cfgs
 }
 
-// runISMWith runs the PW-4 accuracy protocol with an explicit pipeline
-// configuration (DispNet-class oracle on key frames) and returns the mean
-// three-pixel error over all frames.
-func runISMWith(cfgs []dataset.SceneConfig, pcfg core.Config, seed int64) float64 {
-	var errSum float64
-	var n int
-	for i, cfg := range cfgs {
-		seq := dataset.Generate(cfg)
-		oracle := &core.OracleMatcher{
-			ErrRatePct: 4.3, SubpixelSigma: 0.3, Seed: seed + int64(i)*97,
-		}
-		pipe := core.New(nil, pcfg)
-		for _, fr := range seq.Frames {
-			var res core.Result
-			if pipe.NextIsKey() {
-				oracle.SetGT(fr.GT)
-				res = pipe.ProcessKey(fr.Left, fr.Right, oracle.Match(fr.Left, fr.Right), 0)
-			} else {
-				res = pipe.ProcessNonKey(fr.Left, fr.Right)
-			}
-			errSum += stereo.ThreePixelError(res.Disparity, fr.GT)
-			n++
-		}
-	}
-	return errSum / float64(n)
+// runISMWith runs the ablations' accuracy protocol (a DispNet-class oracle
+// on key frames) with an explicit pipeline configuration and returns the
+// mean three-pixel error over all frames and the key-frame rate.
+func runISMWith(cfgs []dataset.SceneConfig, pcfg core.Config, seed int64) (errPct, keyRate float64) {
+	return runOracleISM(cfgs, pcfg, core.OracleMatcher{ErrRatePct: 4.3, SubpixelSigma: 0.3, Seed: seed}, 97)
 }
 
 // ExperimentMEAblation compares ISM accuracy across motion-estimation
@@ -95,9 +74,10 @@ func ExperimentMEAblation(sc ExpScale) []MEAblationRow {
 		pcfg := core.DefaultConfig()
 		pcfg.PW = 4
 		pcfg.ME = me
+		errPct, _ := runISMWith(cfgs, pcfg, sc.Seed)
 		rows = append(rows, MEAblationRow{
 			ME:       me.Name(),
-			ErrorPct: runISMWith(cfgs, pcfg, sc.Seed),
+			ErrorPct: errPct,
 			MEMops:   2 * float64(me.MACs(sc.W, sc.H)) / 1e6,
 		})
 	}
@@ -124,12 +104,12 @@ func ExperimentISMParamAblation(sc ExpScale) []ParamAblationRow {
 			pcfg.PW = 4
 			pcfg.FlowScale = scale
 			pcfg.RefineR = rr
-			pipe := core.New(nil, pcfg)
+			errPct, _ := runISMWith(cfgs, pcfg, sc.Seed)
 			rows = append(rows, ParamAblationRow{
 				FlowScale:  scale,
 				RefineR:    rr,
-				ErrorPct:   runISMWith(cfgs, pcfg, sc.Seed),
-				NonKeyMops: float64(pipe.NonKeyMACs(sc.W, sc.H)) / 1e6,
+				ErrorPct:   errPct,
+				NonKeyMops: float64(core.New(nil, pcfg).NonKeyMACs(sc.W, sc.H)) / 1e6,
 			})
 		}
 	}
@@ -151,26 +131,8 @@ func ExperimentKeyPolicyAblation(sc ExpScale) []KeyPolicyRow {
 	// just the key-frame budget.
 	cfgs := append(ablationConfigs(sc)[:2:2], fastMotionConfigs(sc)...)
 	run := func(name string, pcfg core.Config) KeyPolicyRow {
-		var errSum float64
-		var frames, keys int
-		for i, cfg := range cfgs {
-			seq := dataset.Generate(cfg)
-			oracle := &core.OracleMatcher{ErrRatePct: 4.3, SubpixelSigma: 0.3, Seed: sc.Seed + int64(i)*97}
-			pipe := core.New(nil, pcfg)
-			for _, fr := range seq.Frames {
-				var res core.Result
-				if pipe.NextIsKey() {
-					oracle.SetGT(fr.GT)
-					res = pipe.ProcessKey(fr.Left, fr.Right, oracle.Match(fr.Left, fr.Right), 0)
-					keys++
-				} else {
-					res = pipe.ProcessNonKey(fr.Left, fr.Right)
-				}
-				errSum += stereo.ThreePixelError(res.Disparity, fr.GT)
-				frames++
-			}
-		}
-		return KeyPolicyRow{Policy: name, ErrorPct: errSum / float64(frames), KeyRate: float64(keys) / float64(frames)}
+		errPct, keyRate := runISMWith(cfgs, pcfg, sc.Seed)
+		return KeyPolicyRow{Policy: name, ErrorPct: errPct, KeyRate: keyRate}
 	}
 
 	var rows []KeyPolicyRow

@@ -78,31 +78,37 @@ func kittiConfigs(sc ExpScale) []dataset.SceneConfig {
 func runAccuracy(cfgs []dataset.SceneConfig, prof DNNProfile, pw int, seed int64) float64 {
 	pcfg := core.DefaultConfig()
 	pcfg.PW = pw
+	oracle := core.OracleMatcher{ModelName: prof.Name, ErrRatePct: prof.ErrRatePct, SubpixelSigma: 0.3, Seed: seed}
+	errPct, _ := runOracleISM(cfgs, pcfg, oracle, 131)
+	return errPct
+}
+
+// runOracleISM streams each scene through its own ISM pipeline, configured
+// by pcfg, whose key matcher is a copy of oracle seeded oracle.Seed +
+// i·seedStride for the i-th scene. It returns the mean three-pixel error
+// over all frames, key and non-key, and the fraction of frames that ran the
+// key matcher. Every frame hands the oracle its ground truth; only a key
+// frame's Match consumes it.
+func runOracleISM(cfgs []dataset.SceneConfig, pcfg core.Config, oracle core.OracleMatcher, seedStride int64) (errPct, keyRate float64) {
 	var errSum float64
-	var n int
+	var frames, keys int
 	for i, cfg := range cfgs {
 		seq := dataset.Generate(cfg)
-		oracle := &core.OracleMatcher{
-			ModelName:     prof.Name,
-			ErrRatePct:    prof.ErrRatePct,
-			SubpixelSigma: 0.3,
-			Seed:          seed + int64(i)*131,
-		}
-		pipe := core.New(nil, pcfg)
+		o := oracle
+		o.Seed += int64(i) * seedStride
+		pipe := core.New(&o, pcfg)
 		for _, fr := range seq.Frames {
-			var res core.Result
-			if pipe.NextIsKey() {
-				oracle.SetGT(fr.GT)
-				res = pipe.ProcessKey(fr.Left, fr.Right, oracle.Match(fr.Left, fr.Right), 0)
-			} else {
-				res = pipe.ProcessNonKey(fr.Left, fr.Right)
-			}
+			o.SetGT(fr.GT)
+			res := pipe.Process(fr.Left, fr.Right)
 			errSum += stereo.ThreePixelError(res.Disparity, fr.GT)
-			n++
+			if res.IsKey {
+				keys++
+			}
+			frames++
 		}
 	}
-	if n == 0 {
-		return 0
+	if frames == 0 {
+		return 0, 0
 	}
-	return errSum / float64(n)
+	return errSum / float64(frames), float64(keys) / float64(frames)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
 	"asv"
 )
@@ -14,11 +15,14 @@ import (
 //
 //	asvbench -exp kernels -json BENCH_kernels.fresh.json -gate BENCH_kernels.json
 //
-// and fails only on a >2.5x ns/pixel regression, a bound loose enough for
-// shared-runner noise but tight enough to catch a kernel losing its
+// and fails only when one kernel's fresh/committed ns/pixel ratio exceeds
+// 2.5x the median of that ratio over all rows. The median cancels a host
+// that is uniformly slower or faster than the one that committed the
+// baseline; the bound stays tight enough to catch a kernel losing its
 // sliding-window or cache-blocking structure.
 
-// gateFactor is the allowed fresh/committed ns-per-pixel ratio.
+// gateFactor is the allowed fresh/committed ns-per-pixel ratio of one row,
+// relative to the median row's.
 const gateFactor = 2.5
 
 func kernelsExp() {
@@ -54,7 +58,7 @@ func kernelsExp() {
 			fmt.Fprintln(os.Stderr, "asvbench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("gate ok: no kernel regressed past %.1fx of %s\n", gateFactor, gatePath)
+		fmt.Printf("gate ok: no kernel regressed past %.1fx of %s, relative to the median row\n", gateFactor, gatePath)
 	}
 }
 
@@ -78,9 +82,13 @@ func runKernelsGate(fresh asv.KernelsBenchDoc, path string) error {
 var retiredRows = map[string]bool{"census|float": true, "sgm-aggregate|float": true, "wta|float": true}
 
 // gateKernels fails when a committed (kernel, variant, size) row is missing
-// from the fresh run or its fresh ns/pixel exceeds gateFactor times the
-// committed value. Fresh-only rows pass: growing the suite must not require
-// regenerating the baseline on the machine that grew it.
+// from the fresh run, or when a row's fresh/committed ns-per-pixel ratio
+// exceeds gateFactor times the median of that ratio over the rows both runs
+// have. Dividing by the median makes the gate a comparison between kernels
+// measured in one process: a host that runs every kernel 3x slower passes,
+// one kernel 3x slower than the rest fails. Fresh-only rows pass: growing
+// the suite must not require regenerating the baseline on the machine that
+// grew it.
 func gateKernels(fresh, committed []asv.KernelPoint) error {
 	key := func(p asv.KernelPoint) string {
 		return fmt.Sprintf("%s|%s|%dx%d", p.Kernel, p.Variant, p.W, p.H)
@@ -90,6 +98,8 @@ func gateKernels(fresh, committed []asv.KernelPoint) error {
 		freshBy[key(p)] = p
 	}
 	var failures []string
+	var both []asv.KernelPoint // the committed rows with a fresh measurement
+	var ratios []float64
 	for _, c := range committed {
 		f, ok := freshBy[key(c)]
 		if !ok {
@@ -98,9 +108,16 @@ func gateKernels(fresh, committed []asv.KernelPoint) error {
 			}
 			continue
 		}
-		if c.NsPerPixel > 0 && f.NsPerPixel > gateFactor*c.NsPerPixel {
-			failures = append(failures, fmt.Sprintf("%s: %.1f ns/px vs committed %.1f (>%.1fx)",
-				key(c), f.NsPerPixel, c.NsPerPixel, gateFactor))
+		if c.NsPerPixel > 0 {
+			both = append(both, c)
+			ratios = append(ratios, f.NsPerPixel/c.NsPerPixel)
+		}
+	}
+	host := median(ratios)
+	for i, c := range both {
+		if rel := ratios[i] / host; rel > gateFactor {
+			failures = append(failures, fmt.Sprintf("%s: %.1f ns/px vs committed %.1f, %.2fx the median row's ratio %.2f (>%.1fx)",
+				key(c), freshBy[key(c)].NsPerPixel, c.NsPerPixel, rel, host, gateFactor))
 		}
 	}
 	if len(failures) > 0 {
@@ -111,4 +128,18 @@ func gateKernels(fresh, committed []asv.KernelPoint) error {
 		return fmt.Errorf("%s", msg)
 	}
 	return nil
+}
+
+// median returns the median of xs, or 1 when xs is empty.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }

@@ -18,27 +18,50 @@ func TestGateKernels(t *testing.T) {
 	committed := []asv.KernelPoint{
 		point("sad", "float", 128, 80, 100),
 		point("sad", "fixed", 128, 80, 40),
+		point("refine", "float", 128, 80, 130),
+		point("refine", "fixed", 128, 80, 90),
+	}
+	// scaled is committed measured on a host slower by factor, with row i
+	// slower by extra[i] on top.
+	scaled := func(factor float64, extra map[int]float64) []asv.KernelPoint {
+		out := make([]asv.KernelPoint, len(committed))
+		for i, c := range committed {
+			out[i] = c
+			out[i].NsPerPixel = c.NsPerPixel * factor
+			if x, ok := extra[i]; ok {
+				out[i].NsPerPixel *= x
+			}
+		}
+		return out
 	}
 
 	t.Run("pass within factor", func(t *testing.T) {
-		fresh := []asv.KernelPoint{
-			point("sad", "float", 128, 80, 240), // 2.4x, inside the 2.5x bound
-			point("sad", "fixed", 128, 80, 40),
-			point("wta", "fixed", 128, 80, 5), // fresh-only rows are allowed
-		}
+		fresh := append(scaled(1, map[int]float64{0: 2.4}), // 2.4x the median row, inside the 2.5x bound
+			point("wta", "fixed", 128, 80, 5)) // fresh-only rows are allowed
 		if err := gateKernels(fresh, committed); err != nil {
 			t.Fatalf("unexpected gate failure: %v", err)
 		}
 	})
 
 	t.Run("fail on regression", func(t *testing.T) {
-		fresh := []asv.KernelPoint{
-			point("sad", "float", 128, 80, 100),
-			point("sad", "fixed", 128, 80, 101), // >2.5x the committed 40
-		}
+		fresh := scaled(1, map[int]float64{1: 2.525}) // 101 ns/px against the committed 40
 		err := gateKernels(fresh, committed)
 		if err == nil || !strings.Contains(err.Error(), "sad|fixed|128x80") {
 			t.Fatalf("want sad|fixed regression failure, got %v", err)
+		}
+	})
+
+	t.Run("every row 3x slower passes", func(t *testing.T) {
+		if err := gateKernels(scaled(3, nil), committed); err != nil {
+			t.Fatalf("a uniformly slower host failed the gate: %v", err)
+		}
+	})
+
+	t.Run("one row 3x slower than the rest fails", func(t *testing.T) {
+		fresh := scaled(2, map[int]float64{2: 3}) // a 2x slower host, refine float 3x on top
+		err := gateKernels(fresh, committed)
+		if err == nil || !strings.Contains(err.Error(), "refine|float|128x80") || strings.Contains(err.Error(), "sad|") {
+			t.Fatalf("want exactly the refine|float failure, got %v", err)
 		}
 	})
 
@@ -48,11 +71,7 @@ func TestGateKernels(t *testing.T) {
 			point("sgm-aggregate", "float", 128, 80, 5000),
 			point("wta", "float", 128, 80, 90),
 		}, committed...)
-		fresh := []asv.KernelPoint{
-			point("sad", "float", 128, 80, 100),
-			point("sad", "fixed", 128, 80, 40),
-		}
-		if err := gateKernels(fresh, old); err != nil {
+		if err := gateKernels(scaled(1, nil), old); err != nil {
 			t.Fatalf("unexpected gate failure: %v", err)
 		}
 	})

@@ -30,7 +30,7 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	backendName := flag.String("backend", "", "run the network-zoo cost sweep on one registered backend ("+strings.Join(asv.BackendNames(), "|")+") and exit")
 	flag.StringVar(&jsonPath, "json", "", "with -exp backends/kernels: also write the measurements to this JSON file")
-	flag.StringVar(&gatePath, "gate", "", "with -exp kernels: fail if any kernel regressed past 2.5x the committed baseline JSON at this path")
+	flag.StringVar(&gatePath, "gate", "", "with -exp kernels: fail if any kernel's fresh/committed ns/pixel ratio exceeds 2.5x the median row's, against the baseline JSON at this path")
 	flag.StringVar(&format, "format", "table", "output format (table|csv)")
 	flag.Parse()
 	if format != "table" && format != "csv" {
