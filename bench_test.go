@@ -308,10 +308,11 @@ func BenchmarkPipelineSerial(b *testing.B) {
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
-// BenchmarkPipelineStreaming runs the same stream through the concurrent
-// runtime; compare frames/s against BenchmarkPipelineSerial for the
-// pipelining win (bit-identical output, see internal/pipeline's golden
-// test).
+// BenchmarkPipelineStreaming runs the same stream through
+// pipeline.StreamFrames, whose workers run later frames' key match or flow
+// while the caller commits; compare frames/s against
+// BenchmarkPipelineSerial for the overlap's win (bit-identical output, see
+// internal/pipeline's golden test).
 func BenchmarkPipelineStreaming(b *testing.B) {
 	frames, matcher, cfg := benchStreamSetup(b)
 	b.ResetTimer()

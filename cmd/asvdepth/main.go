@@ -7,7 +7,7 @@
 //
 //	asvdepth -pw 4 -frames 12 -w 192 -h 120
 //	asvdepth -metrics             # per-stage latency table after the run
-//	asvdepth -stream -metrics     # the same through the concurrent runtime
+//	asvdepth -stream -metrics     # the same through pipeline.StreamFrames
 package main
 
 import (
@@ -36,7 +36,7 @@ func run(args []string, out io.Writer) error {
 	width := fs.Int("w", 192, "frame width")
 	height := fs.Int("h", 120, "frame height")
 	seed := fs.Int64("seed", 7, "scene seed")
-	stream := fs.Bool("stream", false, "use the concurrent streaming runtime (bit-identical to serial)")
+	stream := fs.Bool("stream", false, "run later frames' flow and key match on worker goroutines ahead of the in-order commit (bit-identical to serial)")
 	showMetrics := fs.Bool("metrics", false, "print per-stage latency metrics after the run")
 	fixed := fs.Bool("fixed", false, "run the SAD kernels on uint8 samples and uint16 costs instead of float32 (guided refine; the SGM key matcher is integer either way)")
 	if err := fs.Parse(args); err != nil {
@@ -80,9 +80,7 @@ func run(args []string, out io.Writer) error {
 		for i, fr := range seq.Frames {
 			in[i] = asv.StreamFrame{Left: fr.Left, Right: fr.Right}
 		}
-		for _, r := range asv.StreamDepthFrames(matcher, cfg, in, asv.StreamOptions{Metrics: reg}) {
-			results = append(results, r.Result)
-		}
+		results = asv.StreamDepthFrames(matcher, cfg, in, asv.StreamOptions{Metrics: reg})
 	} else {
 		pipe := asv.NewPipeline(matcher, cfg)
 		for _, fr := range seq.Frames {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -53,7 +54,9 @@ func TestRunFixedFlag(t *testing.T) {
 }
 
 // -metrics must fill the stage table in both modes: the serial loop once
-// handed its registry to nothing and printed the header alone.
+// handed its registry to nothing and printed the header alone. The frame
+// stage spans a frame's key match or flow as well as its commit in both
+// modes: streaming once recorded only the commit under it.
 func TestRunMetricsFlag(t *testing.T) {
 	for _, mode := range [][]string{nil, {"-stream"}} {
 		var b strings.Builder
@@ -69,7 +72,29 @@ func TestRunMetricsFlag(t *testing.T) {
 				t.Fatalf("%v: metrics dump missing %q:\n%s", mode, want, dump)
 			}
 		}
+		// Each total is printed to 0.1 ms, so three of them may be off by
+		// 0.15 ms between them.
+		frame, firstHalves := totalMs(t, dump, "frame"), totalMs(t, dump, "keymatch")+totalMs(t, dump, "flow")
+		if frame < firstHalves-0.15 {
+			t.Fatalf("%v: frame total %.1f ms < keymatch + flow totals %.1f ms:\n%s", mode, frame, firstHalves, dump)
+		}
 	}
+}
+
+// totalMs reads the total-ms column, the last, of stage's row in dump.
+func totalMs(t *testing.T, dump, stage string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(dump, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == stage {
+			v, err := strconv.ParseFloat(f[len(f)-1], 64)
+			if err != nil {
+				t.Fatalf("stage %s: total %q: %v", stage, f[len(f)-1], err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no %s row in:\n%s", stage, dump)
+	return 0
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {

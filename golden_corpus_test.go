@@ -121,7 +121,7 @@ func TestGoldenISMPipeline(t *testing.T) {
 	for i, fr := range seq.Frames {
 		frames[i] = pipeline.Frame{Left: fr.Left, Right: fr.Right}
 	}
-	results := pipeline.StreamFrames(asv.SGMKeyMatcher{Opt: opt}, cfg, frames, pipeline.Options{Workers: 2})
+	results := pipeline.StreamFrames(asv.SGMKeyMatcher{Opt: opt}, cfg, frames, pipeline.Options{})
 
 	var d3Sum float64
 	for i, r := range results {

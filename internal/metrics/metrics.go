@@ -1,4 +1,4 @@
-// Package metrics instruments the streaming runtime: per-stage frame
+// Package metrics instruments the ISM frame path: per-stage frame
 // counters, latency histograms and allocation statistics, cheap enough to
 // leave on in production. A Registry is a set of named stages; stages are
 // created on first use and safe for concurrent observation from every

@@ -9,8 +9,8 @@ import (
 )
 
 // Randomized differential oracle (ISSUE 2): beyond the fixed golden
-// sequence, the concurrent runtime must match the serial path bit for bit
-// on randomized scenes, key-frame windows and worker counts. Scene
+// sequence, StreamFrames must match the serial path bit for bit on
+// randomized scenes, key-frame windows and worker counts. Scene
 // parameters are drawn from the per-test seed so a failure reproduces with
 // ASV_TEST_SEED.
 func TestDifferentialStreamMatchesSerialRandomScenes(t *testing.T) {
@@ -40,7 +40,8 @@ func TestDifferentialStreamMatchesSerialRandomScenes(t *testing.T) {
 
 		serial := serialResults(testMatcher(), cfg, frames)
 		for _, workers := range []int{1, 2, 3, 8} {
-			streamed := StreamFrames(testMatcher(), cfg, frames, Options{Workers: workers})
+			setWorkers(t, workers)
+			streamed := StreamFrames(testMatcher(), cfg, frames, Options{})
 			if len(streamed) != len(serial) {
 				t.Fatalf("scene %d workers %d: %d results, want %d", i, workers, len(streamed), len(serial))
 			}

@@ -4,23 +4,21 @@ import (
 	"time"
 
 	"asv/internal/core"
+	"asv/internal/flow"
 	"asv/internal/imgproc"
 	"asv/internal/metrics"
 )
 
-// ProcessFrame runs one stereo pair through p, exploiting the same
-// intra-frame parallelism as the streaming runtime: on non-key frames the
-// left- and right-stream motion fields are estimated concurrently (they are
-// independent by construction) by p.EstimateMotion, which reuses the
-// previous frame's flow expansion, then committed with ProcessNonKeyWith.
-// Key frames run matcher (which must not be nil when the schedule selects
-// one).
-// Stage latencies are recorded under the runtime's standard names —
-// "keymatch", "flow", "propagate+refine" and "frame" — when m is non-nil.
+// ProcessFrame runs one stereo pair through p: its first half inline — key
+// matching with matcher (which must not be nil when the schedule selects a
+// key frame), or both eyes' motion fields from p.EstimateMotion, which
+// reuses the previous frame's flow expansion — then its commit. Stage
+// latencies are recorded under "keymatch", "flow", "propagate+refine" and
+// "frame" when m is non-nil.
 //
 // The result is bit-identical to p.Process(left, right): the same kernels
-// run on the same inputs, only on more goroutines. Unlike Stream, it works
-// for motion-adaptive schedules too, because the key decision is made
+// run on the same inputs, only on more goroutines. It works for
+// motion-adaptive schedules too, because the key decision is made
 // frame-by-frame via NextIsKey. Like every core.Pipeline entry point it
 // must be called from one goroutine at a time per pipeline; the serving
 // layer serializes calls per session.
@@ -39,22 +37,59 @@ func ProcessFrameAs(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgp
 	if l, _ := p.PrevFrames(); l == nil {
 		isKey = true
 	}
+	h := firstHalf(matcher, left, right, isKey, func() (fl, fr flow.Field) {
+		return p.EstimateMotion(left, right)
+	}, m)
+	return commit(p, left, right, h, m)
+}
+
+// half is a frame's first half: the work that reads no earlier frame's
+// disparity, so it may run before that frame is committed.
+type half struct {
+	key    bool
+	disp   *imgproc.Image // key frames: the matcher's disparity and cost
+	macs   int64
+	fl, fr flow.Field // non-key frames: the two eyes' motion fields
+	took   time.Duration
+}
+
+// firstHalf runs matcher on a key frame, motion on a non-key frame, and
+// observes it as "keymatch" or "flow".
+func firstHalf(matcher core.KeyMatcher, left, right *imgproc.Image, isKey bool, motion func() (fl, fr flow.Field), m *metrics.Registry) half {
 	t0 := time.Now()
-	var res core.Result
+	h, stage := half{key: isKey}, "flow"
 	if isKey {
 		if matcher == nil {
 			panic("pipeline: key frame reached with nil KeyMatcher")
 		}
-		disp := matcher.Match(left, right)
-		observe(m, "keymatch", time.Since(t0))
-		res = p.ProcessKey(left, right, disp, matcher.MACs(left.W, left.H))
+		h.disp, h.macs, stage = matcher.Match(left, right), matcher.MACs(left.W, left.H), "keymatch"
 	} else {
-		fl, fr := p.EstimateMotion(left, right)
-		observe(m, "flow", time.Since(t0))
-		t1 := time.Now()
-		res = p.ProcessNonKeyWith(left, right, fl, fr)
-		observe(m, "propagate+refine", time.Since(t1))
+		h.fl, h.fr = motion()
 	}
-	observe(m, "frame", time.Since(t0))
+	h.took = time.Since(t0)
+	observe(m, stage, h.took)
+	return h
+}
+
+// commit retires the frame whose first half is h through p — a key frame's
+// disparity becomes the one to propagate from, a non-key frame is
+// propagated and refined — and observes "frame" as the first half plus the
+// commit, whichever goroutine ran the first half.
+func commit(p *core.Pipeline, left, right *imgproc.Image, h half, m *metrics.Registry) core.Result {
+	t0 := time.Now()
+	var res core.Result
+	if h.key {
+		res = p.ProcessKey(left, right, h.disp, h.macs)
+	} else {
+		res = p.ProcessNonKeyWith(left, right, h.fl, h.fr)
+		observe(m, "propagate+refine", time.Since(t0))
+	}
+	observe(m, "frame", h.took+time.Since(t0))
 	return res
+}
+
+func observe(r *metrics.Registry, stage string, d time.Duration) {
+	if r != nil {
+		r.Stage(stage).Observe(d)
+	}
 }

@@ -1,30 +1,20 @@
-// Package pipeline is the concurrent streaming runtime for ISM: it runs the
-// per-frame stages of core.Pipeline — optical flow on the left and right
-// video streams, key-frame matching, correspondence propagation and guided
-// refinement — as a bounded-channel pipeline, so frame t+1's flow estimation
-// overlaps frame t's refinement and key-frame matching runs ahead of the
-// stream instead of stalling it.
-//
-// The decomposition exploits ISM's dependency structure (paper Sec. 3):
-//
-//   - flow estimation for frame t needs only the frames t-1 and t, never a
-//     disparity result, so it can run arbitrarily far ahead on worker
-//     goroutines (left and right streams in parallel);
-//   - key-frame matching needs only frame t itself;
-//   - only propagation + refinement consume the previous frame's disparity,
-//     so only that stage is serialized, on a single committer goroutine that
-//     retires frames strictly in stream order.
-//
-// Because every stage runs the exact same kernels on the exact same inputs
-// as the serial path and the committer retires frames in order, the output
-// is bit-identical to core.Pipeline.Process — verified by the golden test —
-// while throughput scales with the worker pool. See DESIGN.md
-// ("Stage-boundary determinism").
+// Package pipeline runs ISM over core.Pipeline one frame at a time
+// (ProcessFrame) or over a whole stream (StreamFrames). Each frame splits
+// at ISM's one loop-carried dependence (paper Sec. 3): its first half —
+// key matching of frame t, or flow from frame t-1 to t — reads no
+// disparity, and its commit — propagation + refinement from the previous
+// frame's disparity, or a key frame's hand-over — runs in stream order.
+// ProcessFrame runs the first half inline and then commits; StreamFrames
+// runs later frames' first halves on worker goroutines while the caller
+// commits in order through the same commit, so frame t+1's flow overlaps
+// frame t's refinement. The same kernels run on the same inputs either
+// way, so the output is bit-identical to core.Pipeline.Process (the golden
+// and differential tests). See DESIGN.md ("Stage-boundary determinism").
 package pipeline
 
 import (
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"asv/internal/core"
 	"asv/internal/flow"
@@ -33,216 +23,98 @@ import (
 	"asv/internal/par"
 )
 
-// Frame is one stereo pair of the input stream. Frames are owned by the
-// runtime once sent: the producer must not mutate the images afterwards.
+// Frame is one stereo pair of the input stream. StreamFrames reads the
+// images on worker goroutines, and the pipeline keeps the last committed
+// pair as the next frame's reference: the caller must not mutate them.
 type Frame struct {
 	Left, Right *imgproc.Image
 }
 
-// Result pairs a core.Result with the index of the frame that produced it.
-// Results arrive strictly in frame order.
-type Result struct {
-	Index int
-	core.Result
-}
-
-// Options tunes the streaming runtime. The zero value selects sensible
-// defaults.
+// Options configures StreamFrames.
 type Options struct {
-	// Workers is the number of precompute goroutines running flow
-	// estimation and key-frame matching (default par.Workers()).
-	Workers int
-	// Depth bounds how many frames may be in flight beyond the committer
-	// (default 2×Workers). Larger values smooth over stage-latency jitter at
-	// the price of buffered frames.
-	Depth int
 	// Metrics, when non-nil, receives per-stage frame counters and latency
 	// histograms under the stage names "flow", "keymatch",
 	// "propagate+refine" and "frame".
 	Metrics *metrics.Registry
 }
 
-func (o Options) withDefaults() Options {
-	if o.Workers < 1 {
-		o.Workers = par.Workers()
-	}
-	if o.Depth < 1 {
-		o.Depth = 2 * o.Workers
-	}
-	return o
-}
-
-// job is one frame's precomputable work.
-type job struct {
-	idx         int
-	key         bool
-	left, right *imgproc.Image
-	// prevLeft/prevRight are the previous frame's images (non-key only).
-	prevLeft, prevRight *imgproc.Image
-}
-
-// done is a frame whose precompute stage has finished, waiting for in-order
-// commit.
-type done struct {
-	idx         int
-	key         bool
-	left, right *imgproc.Image
-	disp        *imgproc.Image // key frames: precomputed disparity
-	macs        int64          // key frames: matcher cost
-	fl, fr      flow.Field     // non-key frames: precomputed flows
-}
-
-// Stream processes the stereo stream read from frames through a concurrent
-// ISM pipeline and returns the channel of in-order results. The channel is
-// closed after the last frame's result. matcher must not be nil, and both
-// matcher and the configured motion estimator must tolerate concurrent
-// calls (all built-in implementations do).
+// StreamFrames runs frames through ISM and returns one result per frame,
+// bit-identical to feeding them one by one to core.Pipeline.Process.
+// matcher must not be nil, and it and the configured motion estimator must
+// tolerate concurrent calls (all built-in implementations do).
 //
-// The output is bit-identical to feeding the frames one by one through
-// core.Pipeline.Process. Configurations with a motion-adaptive key-frame
-// schedule (cfg.Adaptive != nil) decide key frames from the previous
-// frame's result, which forbids precomputation; they transparently fall
-// back to serial in-order processing on a single goroutine.
-func Stream(matcher core.KeyMatcher, cfg core.Config, frames <-chan Frame, opt Options) <-chan Result {
+// par.Workers() goroutines take frame indices in order and run each first
+// half (key frames by the static PW schedule) at most 2×par.Workers()
+// frames ahead of the commit; the caller's goroutine commits in order, and
+// every goroutine has exited when StreamFrames returns. A motion-adaptive
+// schedule (cfg.Adaptive != nil) keys off the previous frame's result, so
+// nothing can run ahead: its frames go through ProcessFrame one by one.
+func StreamFrames(matcher core.KeyMatcher, cfg core.Config, frames []Frame, opt Options) []core.Result {
 	if matcher == nil {
 		panic("pipeline: nil KeyMatcher")
 	}
-	opt = opt.withDefaults()
-	out := make(chan Result, opt.Depth)
 	p := core.New(matcher, cfg) // validates cfg
-
+	out := make([]core.Result, len(frames))
 	if cfg.Adaptive != nil {
-		go streamSerial(p, matcher, frames, out, opt)
+		for i, f := range frames {
+			out[i] = ProcessFrame(p, matcher, f.Left, f.Right, opt.Metrics)
+		}
 		return out
 	}
 
-	jobs := make(chan job, opt.Depth)
-	dones := make(chan done, opt.Depth)
-
-	// Dispatcher: assign indices, pair each frame with its predecessor and
-	// mark key frames by the static PW schedule.
-	go func() {
-		defer close(jobs)
-		idx := 0
-		var prev Frame
-		for fr := range frames {
-			j := job{idx: idx, left: fr.Left, right: fr.Right}
-			if idx%cfg.PW == 0 {
-				j.key = true
-			} else {
-				j.prevLeft, j.prevRight = prev.Left, prev.Right
-			}
-			prev = fr
-			idx++
-			jobs <- j
-		}
-	}()
-
-	// Precompute workers: key-frame matching, or left+right flow (the two
-	// streams in parallel — they are independent by construction).
+	halves := make([]chan half, len(frames))
+	for i := range halves {
+		halves[i] = make(chan half, 1)
+	}
+	// A worker takes a permit before each frame index and the caller hands
+	// one back per commit, so at most cap(permits) frames run ahead.
+	workers := par.Workers()
+	permits := make(chan struct{}, 2*workers)
+	for range cap(permits) {
+		permits <- struct{}{}
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	me := cfg.MotionSource()
-	for w := 0; w < opt.Workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				d := done{idx: j.idx, key: j.key, left: j.left, right: j.right}
-				t0 := time.Now()
-				if j.key {
-					d.disp = matcher.Match(j.left, j.right)
-					d.macs = matcher.MACs(j.left.W, j.left.H)
-					observe(opt.Metrics, "keymatch", time.Since(t0))
-				} else {
-					var inner sync.WaitGroup
-					inner.Add(1)
-					go func() {
-						defer inner.Done()
-						d.fr = me.Estimate(j.prevRight, j.right)
-					}()
-					d.fl = me.Estimate(j.prevLeft, j.left)
-					inner.Wait()
-					observe(opt.Metrics, "flow", time.Since(t0))
+			for range permits {
+				i := int(next.Add(1)) - 1
+				if i >= len(frames) {
+					return
 				}
-				dones <- d
+				f := frames[i]
+				halves[i] <- firstHalf(matcher, f.Left, f.Right, i%cfg.PW == 0, func() (fl, fr flow.Field) {
+					return estimatePair(me, frames[i-1], f)
+				}, opt.Metrics)
 			}
 		}()
 	}
-	go func() {
+	defer func() { // also on a panic: the workers spend what is left and stop
+		close(permits)
 		wg.Wait()
-		close(dones)
 	}()
-
-	// Committer: retire frames strictly in stream order; only this stage
-	// touches the disparity recurrence.
-	go func() {
-		defer close(out)
-		pending := make(map[int]done, opt.Depth)
-		next := 0
-		for d := range dones {
-			pending[d.idx] = d
-			for {
-				d, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				t0 := time.Now()
-				var res core.Result
-				if d.key {
-					res = p.ProcessKey(d.left, d.right, d.disp, d.macs)
-				} else {
-					res = p.ProcessNonKeyWith(d.left, d.right, d.fl, d.fr)
-					observe(opt.Metrics, "propagate+refine", time.Since(t0))
-				}
-				observe(opt.Metrics, "frame", time.Since(t0))
-				out <- Result{Index: next, Result: res}
-				next++
-			}
-		}
-	}()
-	return out
-}
-
-// streamSerial is the fallback for adaptive schedules: in-order processing
-// via ProcessFrame, so the left/right motion fields of each non-key frame
-// are still estimated concurrently even though frames cannot be precomputed
-// ahead of the key-frame decision.
-func streamSerial(p *core.Pipeline, matcher core.KeyMatcher, frames <-chan Frame, out chan<- Result, opt Options) {
-	defer close(out)
-	idx := 0
-	for fr := range frames {
-		res := ProcessFrame(p, matcher, fr.Left, fr.Right, opt.Metrics)
-		out <- Result{Index: idx, Result: res}
-		idx++
-	}
-}
-
-func observe(r *metrics.Registry, stage string, d time.Duration) {
-	if r != nil {
-		r.Stage(stage).Observe(d)
-	}
-}
-
-// Collect drains a result channel into a slice, in order. It is a
-// convenience for batch callers and tests.
-func Collect(results <-chan Result) []Result {
-	var out []Result
-	for r := range results {
-		out = append(out, r)
+	for i, f := range frames {
+		out[i] = commit(p, f.Left, f.Right, <-halves[i], opt.Metrics)
+		permits <- struct{}{}
 	}
 	return out
 }
 
-// StreamFrames feeds a pre-materialized frame slice through Stream — the
-// batch entry point used by the benchmarks and cmds.
-func StreamFrames(matcher core.KeyMatcher, cfg core.Config, frames []Frame, opt Options) []Result {
-	in := make(chan Frame)
+// estimatePair is me's motion fields from prev to f, the two eyes on two
+// goroutines. Unlike core.Pipeline.EstimateMotion it carries no expansion
+// from frame to frame: the workers take frames in turn, so the frame a
+// worker ran last is in general not this frame's predecessor.
+func estimatePair(me core.MotionEstimator, prev, f Frame) (fl, fr flow.Field) {
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		defer close(in)
-		for _, f := range frames {
-			in <- f
-		}
+		defer wg.Done()
+		fr = me.Estimate(prev.Right, f.Right)
 	}()
-	return Collect(Stream(matcher, cfg, in, opt))
+	fl = me.Estimate(prev.Left, f.Left)
+	wg.Wait()
+	return fl, fr
 }

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"runtime"
+	"strconv"
 	"testing"
 
 	"asv/internal/core"
@@ -46,18 +48,20 @@ func serialResults(matcher core.KeyMatcher, cfg core.Config, frames []Frame) []c
 	return out
 }
 
+// setWorkers sets the worker count StreamFrames and the kernels read.
+func setWorkers(t *testing.T, workers int) {
+	t.Setenv("ASV_WORKERS", strconv.Itoa(workers))
+}
+
 // assertIdentical fails unless the streamed results match the serial results
 // bit for bit.
-func assertIdentical(t *testing.T, serial []core.Result, streamed []Result) {
+func assertIdentical(t *testing.T, serial, streamed []core.Result) {
 	t.Helper()
 	if len(streamed) != len(serial) {
 		t.Fatalf("got %d results, want %d", len(streamed), len(serial))
 	}
 	for i, got := range streamed {
 		want := serial[i]
-		if got.Index != i {
-			t.Fatalf("result %d carries index %d", i, got.Index)
-		}
 		if got.IsKey != want.IsKey {
 			t.Fatalf("frame %d: IsKey=%v, serial %v", i, got.IsKey, want.IsKey)
 		}
@@ -80,29 +84,29 @@ func assertIdentical(t *testing.T, serial []core.Result, streamed []Result) {
 }
 
 // TestGoldenStreamMatchesSerialBitExact is the pipeline's central guarantee:
-// the concurrent runtime must reproduce the serial ISM path bit for bit.
+// streaming must reproduce the serial ISM path bit for bit, and leave no
+// goroutine of its own behind once it returns.
 func TestGoldenStreamMatchesSerialBitExact(t *testing.T) {
 	frames := testSequence(t, 10)
 	serial := serialResults(testMatcher(), testConfig(), frames)
 	for _, workers := range []int{1, 2, 4} {
-		streamed := StreamFrames(testMatcher(), testConfig(), frames, Options{Workers: workers})
+		setWorkers(t, workers)
+		before := runtime.NumGoroutine()
+		streamed := StreamFrames(testMatcher(), testConfig(), frames, Options{})
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("workers %d: %d goroutines after StreamFrames returned, %d before", workers, after, before)
+		}
 		assertIdentical(t, serial, streamed)
 	}
 }
 
-func TestStreamDepthOneStillCorrect(t *testing.T) {
-	frames := testSequence(t, 7)
-	serial := serialResults(testMatcher(), testConfig(), frames)
-	streamed := StreamFrames(testMatcher(), testConfig(), frames, Options{Workers: 3, Depth: 1})
-	assertIdentical(t, serial, streamed)
-}
-
 func TestStreamEveryFrameKey(t *testing.T) {
+	setWorkers(t, 4)
 	frames := testSequence(t, 5)
 	cfg := testConfig()
 	cfg.PW = 1
 	serial := serialResults(testMatcher(), cfg, frames)
-	streamed := StreamFrames(testMatcher(), cfg, frames, Options{Workers: 4})
+	streamed := StreamFrames(testMatcher(), cfg, frames, Options{})
 	assertIdentical(t, serial, streamed)
 	for i, r := range streamed {
 		if !r.IsKey {
@@ -112,68 +116,58 @@ func TestStreamEveryFrameKey(t *testing.T) {
 }
 
 func TestStreamAdaptiveFallsBackToSerial(t *testing.T) {
+	setWorkers(t, 4)
 	frames := testSequence(t, 8)
 	cfg := testConfig()
 	a := core.DefaultAdaptiveConfig()
 	cfg.Adaptive = &a
 	serial := serialResults(testMatcher(), cfg, frames)
-	streamed := StreamFrames(testMatcher(), cfg, frames, Options{Workers: 4})
+	streamed := StreamFrames(testMatcher(), cfg, frames, Options{})
 	assertIdentical(t, serial, streamed)
 }
 
 func TestStreamEmptyInput(t *testing.T) {
-	in := make(chan Frame)
-	close(in)
-	out := Stream(testMatcher(), testConfig(), in, Options{})
-	if got := Collect(out); len(got) != 0 {
+	if got := StreamFrames(testMatcher(), testConfig(), nil, Options{}); len(got) != 0 {
 		t.Fatalf("empty stream produced %d results", len(got))
 	}
 }
 
+// TestStreamMetricsStages pins the stage counts, and that the "frame" stage
+// spans the first half as well as the commit whichever path ran the frame:
+// its total must cover the key matches', the flows' and the refines'.
 func TestStreamMetricsStages(t *testing.T) {
+	setWorkers(t, 2)
 	frames := testSequence(t, 9) // PW=3 -> keys at 0,3,6: 3 key, 6 non-key
-	reg := metrics.NewRegistry()
-	StreamFrames(testMatcher(), testConfig(), frames, Options{Workers: 2, Metrics: reg})
-	if got := reg.Stage("frame").Count(); got != 9 {
-		t.Fatalf("frame count = %d, want 9", got)
-	}
-	if got := reg.Stage("keymatch").Count(); got != 3 {
-		t.Fatalf("keymatch count = %d, want 3", got)
-	}
-	if got := reg.Stage("flow").Count(); got != 6 {
-		t.Fatalf("flow count = %d, want 6", got)
-	}
-	if got := reg.Stage("propagate+refine").Count(); got != 6 {
-		t.Fatalf("propagate+refine count = %d, want 6", got)
-	}
-}
-
-func TestStreamResultsArriveInOrder(t *testing.T) {
-	frames := testSequence(t, 12)
-	in := make(chan Frame)
-	go func() {
-		defer close(in)
+	serial := func(reg *metrics.Registry) {
+		p := core.New(testMatcher(), testConfig())
 		for _, f := range frames {
-			in <- f
+			ProcessFrame(p, testMatcher(), f.Left, f.Right, reg)
 		}
-	}()
-	last := -1
-	for r := range Stream(testMatcher(), testConfig(), in, Options{Workers: 4}) {
-		if r.Index != last+1 {
-			t.Fatalf("out-of-order result: %d after %d", r.Index, last)
-		}
-		last = r.Index
 	}
-	if last != len(frames)-1 {
-		t.Fatalf("stream ended at index %d, want %d", last, len(frames)-1)
+	streaming := func(reg *metrics.Registry) {
+		StreamFrames(testMatcher(), testConfig(), frames, Options{Metrics: reg})
+	}
+	for name, run := range map[string]func(*metrics.Registry){"serial": serial, "streaming": streaming} {
+		reg := metrics.NewRegistry()
+		run(reg)
+		for stage, want := range map[string]int64{"frame": 9, "keymatch": 3, "flow": 6, "propagate+refine": 6} {
+			if got := reg.Stage(stage).Count(); got != want {
+				t.Fatalf("%s: %s count = %d, want %d", name, stage, got, want)
+			}
+		}
+		frame := reg.Stage("frame").Total()
+		parts := reg.Stage("keymatch").Total() + reg.Stage("flow").Total() + reg.Stage("propagate+refine").Total()
+		if frame < parts {
+			t.Fatalf("%s: frame total %v < keymatch + flow + propagate+refine totals %v", name, frame, parts)
+		}
 	}
 }
 
 func TestStreamNilMatcherPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Stream accepted a nil matcher")
+			t.Fatal("StreamFrames accepted a nil matcher")
 		}
 	}()
-	Stream(nil, testConfig(), make(chan Frame), Options{})
+	StreamFrames(nil, testConfig(), testSequence(t, 2), Options{})
 }

@@ -138,9 +138,10 @@ func (s *Server) drain(sess *session) {
 }
 
 // process runs one frame — the full ISM step for its session, key-frame
-// matching or concurrent L/R flow + propagation + refinement, via the shared
-// pipeline.ProcessFrame, so the serving path and the batch streaming runtime
-// are the same code observing the same metric stages — and replies.
+// matching or concurrent L/R flow + propagation + refinement, via
+// pipeline.ProcessFrame, whose first half and commit pipeline.StreamFrames
+// runs too, so the served frame and the batch stream are one frame path
+// observing the same metric stages — and replies.
 func (s *Server) process(it *workItem, queueWait time.Duration) {
 	rep := frameReply{queueWait: queueWait}
 	if s.cfg.Metrics != nil {

@@ -106,15 +106,15 @@ func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgpr
 	}
 }
 
-// refine is the guided-search loop behind Refine: per strip of stripRows
-// rows, refineStrip over the cost whose row sums rowSums computes, on
-// scratch recycled through refineFree.
+// refine is the guided-search loop behind Refine: one row range per worker,
+// each refineStrip over the cost whose row sums rowSums computes, on
+// scratch recycled through refineFree. Every output row depends only on
+// init and the images, so the partition does not change the bits.
 func refine[A acc](init *imgproc.Image, searchR, br int, subpixel bool, rowSums rowSummer[A]) *imgproc.Image {
-	w, h := init.W, init.H
-	out := imgproc.NewImage(w, h)
-	par.For((h+stripRows-1)/stripRows, func(s int) {
+	out := imgproc.NewImage(init.W, init.H)
+	par.ForChunked(init.H, func(y0, y1 int) {
 		sc := getRefineScratch[A]()
-		refineStrip(init, out, s*stripRows, min((s+1)*stripRows, h), searchR, br, subpixel, rowSums, sc)
+		refineStrip(init, out, y0, y1, searchR, br, subpixel, rowSums, sc)
 		putRefineScratch(sc)
 	})
 	return out

@@ -377,7 +377,8 @@ func TestRefineAgainstNaiveReference(t *testing.T) {
 		{"shorter than the block", 40, 4, 2, false, 0, 6},
 		// Small guesses on a wide frame: only the frame's rim is border.
 		{"mostly interior", 64, 40, 1, false, 0, 4},
-		// Two strips and the rows either side of their seam.
+		// Taller than a matcher strip; with two or more workers the refine
+		// splits it into row ranges, and this covers the rows at a seam.
 		{"two strips", 48, stripRows + 9, 2, false, 2, 9},
 	} {
 		left, right := randPair(rng, g.w, g.h, g.dyadic)

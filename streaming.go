@@ -5,20 +5,16 @@ import (
 	"asv/internal/pipeline"
 )
 
-// Concurrent streaming runtime (see internal/pipeline): the per-frame ISM
-// stages run as a bounded-channel pipeline so frame t+1's optical flow
-// overlaps frame t's refinement, with output bit-identical to the serial
-// Pipeline.
+// Streaming (see internal/pipeline): each frame's first half — key matching,
+// or the two eyes' optical flow — runs ahead on worker goroutines while the
+// caller commits frames in order, so frame t+1's flow overlaps frame t's
+// refinement, with output bit-identical to the serial Pipeline.
 
 // StreamFrame is one stereo pair of an input stream.
 type StreamFrame = pipeline.Frame
 
-// StreamOptions tunes the streaming runtime (workers, in-flight depth,
-// metrics sink).
+// StreamOptions configures StreamDepthFrames (the metrics sink).
 type StreamOptions = pipeline.Options
-
-// StreamResult is one in-order result of the streaming runtime.
-type StreamResult = pipeline.Result
 
 // Metrics collects per-stage frame counters, latency histograms and
 // allocation statistics.
@@ -27,16 +23,10 @@ type Metrics = metrics.Registry
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return metrics.NewRegistry() }
 
-// StreamDepth runs the concurrent ISM pipeline over the frame channel and
-// returns the channel of in-order results, bit-identical to calling
+// StreamDepthFrames runs ISM over a pre-materialized stereo sequence and
+// returns one result per frame, in input order, bit-identical to calling
 // Pipeline.Process frame by frame.
-func StreamDepth(matcher KeyMatcher, cfg PipelineConfig, frames <-chan StreamFrame, opt StreamOptions) <-chan StreamResult {
-	return pipeline.Stream(matcher, cfg, frames, opt)
-}
-
-// StreamDepthFrames is the batch form of StreamDepth for pre-materialized
-// sequences.
-func StreamDepthFrames(matcher KeyMatcher, cfg PipelineConfig, frames []StreamFrame, opt StreamOptions) []StreamResult {
+func StreamDepthFrames(matcher KeyMatcher, cfg PipelineConfig, frames []StreamFrame, opt StreamOptions) []FrameResult {
 	return pipeline.StreamFrames(matcher, cfg, frames, opt)
 }
 
