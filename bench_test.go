@@ -19,7 +19,6 @@ import (
 	"asv/internal/hw"
 	"asv/internal/imgproc"
 	"asv/internal/nn"
-	"asv/internal/pipeline"
 	"asv/internal/schedule"
 	"asv/internal/stereo"
 	"asv/internal/tensor"
@@ -274,52 +273,27 @@ func BenchmarkKernelISMNonKeyFrame(b *testing.B) {
 	}
 }
 
-// ---------------------------------------------------- streaming pipeline
+// ---------------------------------------------------- ISM stream
 
-// benchStreamSetup builds the stereo video and ISM configuration shared by
-// the serial and streaming throughput benchmarks.
-func benchStreamSetup(b *testing.B) ([]pipeline.Frame, core.KeyMatcher, core.Config) {
-	b.Helper()
+// BenchmarkPipelineSerial runs a 12-frame 160×96 stereo video at PW-4
+// through the stateful core pipeline, frames strictly one at a time.
+func BenchmarkPipelineSerial(b *testing.B) {
 	seq := dataset.Generate(dataset.SceneConfig{
 		W: 160, H: 96, FrameCount: 12, Layers: 3,
 		MinDisp: 2, MaxDisp: 18, MaxVel: 1.5, MaxDispVel: 0.3,
 		Ground: true, Noise: 0.01, Seed: 81,
 	})
-	frames := make([]pipeline.Frame, len(seq.Frames))
-	for i, fr := range seq.Frames {
-		frames[i] = pipeline.Frame{Left: fr.Left, Right: fr.Right}
-	}
 	opt := stereo.DefaultSGMOptions()
 	opt.MaxDisp = 24
-	return frames, core.SGMMatcher{Opt: opt}, core.DefaultConfig()
-}
-
-// BenchmarkPipelineSerial is the reference: frames strictly one at a time
-// through the stateful core pipeline.
-func BenchmarkPipelineSerial(b *testing.B) {
-	frames, matcher, cfg := benchStreamSetup(b)
+	matcher, cfg := core.SGMMatcher{Opt: opt}, core.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := core.New(matcher, cfg)
-		for _, fr := range frames {
+		for _, fr := range seq.Frames {
 			p.Process(fr.Left, fr.Right)
 		}
 	}
-	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-}
-
-// BenchmarkPipelineStreaming runs the same stream through
-// pipeline.StreamFrames, whose workers run later frames' key match or flow
-// while the caller commits; compare frames/s against
-// BenchmarkPipelineSerial for the overlap's win (bit-identical output, see
-// internal/pipeline's golden test).
-func BenchmarkPipelineStreaming(b *testing.B) {
-	frames, matcher, cfg := benchStreamSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pipeline.StreamFrames(matcher, cfg, frames, pipeline.Options{})
-	}
-	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+	b.ReportMetric(float64(len(seq.Frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 
 func BenchmarkSchedulerOptimizeLayer(b *testing.B) {

@@ -1,13 +1,12 @@
 // Command asvdepth demonstrates the ISM pipeline on a generated stereo
-// video: it streams frames through the pipeline, prints the per-frame
-// accuracy and arithmetic cost, and summarizes the compute saving relative
-// to running the key-frame matcher on every frame.
+// video: it streams frames through the pipeline (asv.StreamDepthFrames),
+// prints the per-frame accuracy and arithmetic cost, and summarizes the
+// compute saving relative to running the key-frame matcher on every frame.
 //
 // Usage:
 //
 //	asvdepth -pw 4 -frames 12 -w 192 -h 120
-//	asvdepth -metrics             # per-stage latency table after the run
-//	asvdepth -stream -metrics     # the same through pipeline.StreamFrames
+//	asvdepth -metrics    # per-stage latency table after the run
 package main
 
 import (
@@ -36,7 +35,6 @@ func run(args []string, out io.Writer) error {
 	width := fs.Int("w", 192, "frame width")
 	height := fs.Int("h", 120, "frame height")
 	seed := fs.Int64("seed", 7, "scene seed")
-	stream := fs.Bool("stream", false, "run later frames' flow and key match on worker goroutines ahead of the in-order commit (bit-identical to serial)")
 	showMetrics := fs.Bool("metrics", false, "print per-stage latency metrics after the run")
 	fixed := fs.Bool("fixed", false, "run the SAD kernels on uint8 samples and uint16 costs instead of float32 (guided refine; the SGM key matcher is integer either way)")
 	if err := fs.Parse(args); err != nil {
@@ -57,16 +55,12 @@ func run(args []string, out io.Writer) error {
 	cfg.BM.Fixed = *fixed
 	matcher := asv.SGMKeyMatcher{Opt: sgmOpt}
 
-	mode := "serial"
-	if *stream {
-		mode = "streaming"
-	}
 	kernels := "float"
 	if *fixed {
 		kernels = "fixed-point"
 	}
-	fmt.Fprintf(out, "ISM over %d frames at %dx%d, PW-%d, key matcher: SGM (%s, %s kernels)\n\n",
-		*frames, *width, *height, *pw, mode, kernels)
+	fmt.Fprintf(out, "ISM over %d frames at %dx%d, PW-%d, key matcher: SGM (%s kernels)\n\n",
+		*frames, *width, *height, *pw, kernels)
 	fmt.Fprintln(out, "frame  kind     error-%   MOps")
 
 	var reg *asv.Metrics
@@ -74,19 +68,11 @@ func run(args []string, out io.Writer) error {
 		reg = asv.NewMetrics()
 	}
 
-	var results []asv.FrameResult
-	if *stream {
-		in := make([]asv.StreamFrame, len(seq.Frames))
-		for i, fr := range seq.Frames {
-			in[i] = asv.StreamFrame{Left: fr.Left, Right: fr.Right}
-		}
-		results = asv.StreamDepthFrames(matcher, cfg, in, asv.StreamOptions{Metrics: reg})
-	} else {
-		pipe := asv.NewPipeline(matcher, cfg)
-		for _, fr := range seq.Frames {
-			results = append(results, asv.ProcessDepthFrame(pipe, matcher, fr.Left, fr.Right, reg))
-		}
+	in := make([]asv.StreamFrame, len(seq.Frames))
+	for i, fr := range seq.Frames {
+		in[i] = asv.StreamFrame{Left: fr.Left, Right: fr.Right}
 	}
+	results := asv.StreamDepthFrames(matcher, cfg, in, asv.StreamOptions{Metrics: reg})
 
 	var totalMACs, keyMACs int64
 	var errSum float64

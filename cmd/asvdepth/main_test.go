@@ -19,27 +19,6 @@ func TestRunSerialSmoke(t *testing.T) {
 	}
 }
 
-func TestRunStreamingMatchesSerialOutput(t *testing.T) {
-	args := []string{"-frames", "5", "-w", "64", "-h", "48", "-pw", "2"}
-	var serial, streamed strings.Builder
-	if err := run(args, &serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append([]string{"-stream"}, args...), &streamed); err != nil {
-		t.Fatal(err)
-	}
-	// Everything below the mode header must match bit for bit — the
-	// cmd-level view of the pipeline's golden guarantee.
-	tail := func(s string) string {
-		_, rest, _ := strings.Cut(s, "\n")
-		return rest
-	}
-	if tail(serial.String()) != tail(streamed.String()) {
-		t.Fatalf("streaming output differs from serial:\n--- serial\n%s\n--- streaming\n%s",
-			serial.String(), streamed.String())
-	}
-}
-
 func TestRunFixedFlag(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-frames", "4", "-w", "64", "-h", "48", "-pw", "2", "-fixed"}, &b); err != nil {
@@ -53,31 +32,29 @@ func TestRunFixedFlag(t *testing.T) {
 	}
 }
 
-// -metrics must fill the stage table in both modes: the serial loop once
-// handed its registry to nothing and printed the header alone. The frame
-// stage spans a frame's key match or flow as well as its commit in both
-// modes: streaming once recorded only the commit under it.
+// -metrics must fill the stage table: the frame loop once handed its
+// registry to nothing and printed the header alone. The frame stage spans a
+// frame's key match or flow as well as its refine: a cross-frame runtime
+// once recorded only the latter under it.
 func TestRunMetricsFlag(t *testing.T) {
-	for _, mode := range [][]string{nil, {"-stream"}} {
-		var b strings.Builder
-		if err := run(append(mode, "-frames", "4", "-w", "64", "-h", "48", "-metrics"), &b); err != nil {
-			t.Fatal(err)
+	var b strings.Builder
+	if err := run([]string{"-frames", "4", "-w", "64", "-h", "48", "-metrics"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	_, dump, found := strings.Cut(b.String(), "per-stage metrics:\n")
+	if !found {
+		t.Fatalf("no metrics dump:\n%s", b.String())
+	}
+	for _, want := range []string{"\nkeymatch ", "\nflow ", "\npropagate+refine ", "\nframe ", "pool"} {
+		if !strings.Contains(dump, want) {
+			t.Fatalf("metrics dump missing %q:\n%s", want, dump)
 		}
-		_, dump, found := strings.Cut(b.String(), "per-stage metrics:\n")
-		if !found {
-			t.Fatalf("%v: no metrics dump:\n%s", mode, b.String())
-		}
-		for _, want := range []string{"\nkeymatch ", "\nflow ", "\npropagate+refine ", "\nframe ", "pool"} {
-			if !strings.Contains(dump, want) {
-				t.Fatalf("%v: metrics dump missing %q:\n%s", mode, want, dump)
-			}
-		}
-		// Each total is printed to 0.1 ms, so three of them may be off by
-		// 0.15 ms between them.
-		frame, firstHalves := totalMs(t, dump, "frame"), totalMs(t, dump, "keymatch")+totalMs(t, dump, "flow")
-		if frame < firstHalves-0.15 {
-			t.Fatalf("%v: frame total %.1f ms < keymatch + flow totals %.1f ms:\n%s", mode, frame, firstHalves, dump)
-		}
+	}
+	// Each total is printed to 0.1 ms, so three of them may be off by
+	// 0.15 ms between them.
+	frame, firstHalves := totalMs(t, dump, "frame"), totalMs(t, dump, "keymatch")+totalMs(t, dump, "flow")
+	if frame < firstHalves-0.15 {
+		t.Fatalf("frame total %.1f ms < keymatch + flow totals %.1f ms:\n%s", frame, firstHalves, dump)
 	}
 }
 

@@ -4,9 +4,9 @@
 // frames ride the correspondence invariant for a tiny fraction of the
 // compute, and accuracy degrades only slightly as the window widens.
 //
-// The sweep runs through StreamDepthFrames, which overlaps each frame's
-// flow or key match with the previous frame's refinement (bit-identical to
-// the serial Pipeline), and finishes with its per-stage metrics dump.
+// The sweep runs through StreamDepthFrames, the served frame path over a
+// whole sequence (bit-identical to the serial Pipeline), and finishes with
+// its per-stage metrics dump.
 package main
 
 import (

@@ -141,9 +141,9 @@ func New(cfg Config) (*Gateway, error) {
 // Handler exposes the gateway's routes (for tests and embedding).
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
-// readHeaderTimeout is the shards' serve.ReadHeaderTimeout, applied by
-// Start; a variable only so tests can shorten it.
-var readHeaderTimeout = serve.ReadHeaderTimeout
+// The shards' connection timeouts, applied by Start; variables only so
+// tests can shorten them.
+var readHeaderTimeout, readTimeout, writeTimeout = serve.ReadHeaderTimeout, serve.ReadTimeout, serve.WriteTimeout
 
 // Start listens on addr and serves until Close.
 func (g *Gateway) Start(addr string) (net.Addr, error) {
@@ -151,7 +151,8 @@ func (g *Gateway) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.httpSrv = &http.Server{Handler: g.mux, ReadHeaderTimeout: readHeaderTimeout}
+	g.httpSrv = &http.Server{Handler: g.mux, ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, WriteTimeout: writeTimeout}
 	go func() {
 		if err := g.httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			g.serveErr <- err

@@ -517,12 +517,12 @@ func TestGatewayRunsShardsConcurrently(t *testing.T) {
 	}
 }
 
-// TestGatewayStalledHeadersAreCutOff: a client that sends a request line and
-// never finishes its headers is hung up on after readHeaderTimeout.
-func TestGatewayStalledHeadersAreCutOff(t *testing.T) {
-	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
-	readHeaderTimeout = 100 * time.Millisecond
-	g, err := New(Config{Shards: []Shard{{Name: "a", URL: "http://127.0.0.1:1"}}})
+// startTimedGateway serves a gateway over cfg through Start, whose
+// http.Server applies the connection timeouts, and returns its address; the
+// gateway is closed at cleanup.
+func startTimedGateway(t *testing.T, cfg Config) string {
+	t.Helper()
+	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,14 +530,62 @@ func TestGatewayStalledHeadersAreCutOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := g.Close(ctx); err != nil {
 			t.Errorf("closing gateway: %v", err)
 		}
-	}()
-	testkit.MustDropStalledHeaders(t, addr.String(), 10*time.Second)
+	})
+	return addr.String()
+}
+
+// deadShard is a shard no request reaches: the stalled-client tests never
+// get past reading the request.
+var deadShard = Config{Shards: []Shard{{Name: "a", URL: "http://127.0.0.1:1"}}}
+
+// TestGatewayStalledHeadersAreCutOff: a client that sends a request line and
+// never finishes its headers is hung up on after readHeaderTimeout.
+func TestGatewayStalledHeadersAreCutOff(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	testkit.MustDropStalledRequest(t, startTimedGateway(t, deadShard), testkit.StalledHeaders, 10*time.Second)
+}
+
+// TestGatewayStalledBodyIsCutOff: a client that sends its headers and part
+// of the body they declare, then stalls, is hung up on after readTimeout.
+func TestGatewayStalledBodyIsCutOff(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 100 * time.Millisecond
+	testkit.MustDropStalledRequest(t, startTimedGateway(t, deadShard), testkit.StalledBody, 10*time.Second)
+}
+
+// TestGatewaySlowReplyIsCutOff: a frame that outlives the gateway's
+// writeTimeout has its client's connection cut, and the shard still counts
+// it completed.
+func TestGatewaySlowReplyIsCutOff(t *testing.T) {
+	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
+	writeTimeout = 300 * time.Millisecond
+	opt := stereo.DefaultBMOptions()
+	opt.MaxDisp = 12
+	shard := serve.New(serve.NewPacedKeyMatcher(core.BMMatcher{Opt: opt}, time.Second), serve.DefaultConfig())
+	ts := httptest.NewServer(shard.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shard.Close(ctx)
+	})
+	base := "http://" + startTimedGateway(t, Config{Shards: []Shard{{Name: "p", URL: ts.URL}}})
+	info := createViaGateway(t, base, `{"pw":1,"preset":"sceneflow","w":32,"h":24,"frames":2}`)
+	if resp, err := http.Post(base+"/v1/sessions/"+info.ID+"/frames", "", nil); err == nil {
+		resp.Body.Close()
+		t.Fatalf("a frame paced past the gateway's writeTimeout was answered %s", resp.Status)
+	}
+	// The shard counts a frame completed before it replies to the gateway.
+	if c := shard.CountersSnapshot(); c["frames_accepted"] != int64(1) || c["frames_completed"] != int64(1) {
+		t.Fatalf("after a cut reply: shard accepted %v, completed %v; want 1, 1", c["frames_accepted"], c["frames_completed"])
+	}
 }
 
 func TestGatewayRejectsBadConfigs(t *testing.T) {

@@ -74,10 +74,8 @@ func (c Config) me() MotionEstimator {
 }
 
 // MotionSource returns the motion estimator the pipeline will use: Config.ME
-// when set, the paper's Farneback estimator otherwise. pipeline.StreamFrames
-// calls it to run non-key frames' flow on worker goroutines ahead of the
-// commit, so implementations must be safe for concurrent Estimate calls
-// (all built-in estimators are stateless values).
+// when set, the paper's Farneback estimator otherwise. Callers that run a
+// non-key frame's flow themselves, for ProcessNonKeyWith, estimate with it.
 func (c Config) MotionSource() MotionEstimator { return c.me() }
 
 // DefaultConfig returns the configuration used in the evaluation: PW-4,
@@ -162,8 +160,9 @@ func (p *Pipeline) SetConfig(cfg Config) {
 // PrevFrames returns the previous frame's left and right images — the
 // reference inputs a motion estimator needs to compute flow to the current
 // frame — or nil before the first key frame. Callers that run flow outside
-// the pipeline read it to pair frames for ProcessNonKeyWith, and
-// pipeline.ProcessFrameAs to force a key frame before there is one.
+// the pipeline read it to pair frames for ProcessNonKeyWith;
+// pipeline.ProcessFrameAs and quality.NextIsKey read it to force a key
+// frame before there is one.
 func (p *Pipeline) PrevFrames() (left, right *imgproc.Image) {
 	return p.prevLeft, p.prevRight
 }
@@ -232,10 +231,10 @@ func (p *Pipeline) ProcessNonKey(left, right *imgproc.Image) Result {
 // externally computed motion fields: fl must be the configured estimator's
 // flow from the previous left frame to left, and fr likewise for the right
 // stream — computed by EstimateMotion, or by the estimator's stateless
-// Estimate. internal/pipeline commits every non-key frame through it, and
-// StreamFrames overlaps frame t+1's flow with frame t's refinement this
-// way; the result is bit-identical to Process because the same estimator
-// ran on the same inputs. It panics if no key frame has been processed yet.
+// Estimate. internal/pipeline runs every non-key frame as EstimateMotion
+// then ProcessNonKeyWith, so it can time the flow and the refine apart; the
+// result is bit-identical to Process because the same estimator ran on the
+// same inputs. It panics if no key frame has been processed yet.
 func (p *Pipeline) ProcessNonKeyWith(left, right *imgproc.Image, fl, fr flow.Field) Result {
 	if p.prevDisp == nil {
 		panic("core: non-key frame before any key frame")

@@ -22,9 +22,15 @@ import (
 	"asv/internal/imgproc"
 )
 
-// nBuckets covers latencies from <1µs up to >2^40µs in power-of-two steps;
-// bucket i counts observations with ceil(log2(µs)) == i.
-const nBuckets = 42
+// The latency histogram counts whole microseconds: one bucket per
+// microsecond below 2^subBits µs, then 2^subBits equal-width buckets per
+// power-of-two octave, up to 2^41 µs. A bucket is thus one microsecond or
+// at most 2^-subBits of its lower edge wide, so its upper edge is within
+// 1.05x + 1 µs of every sample in it.
+const (
+	subBits  = 5
+	nBuckets = (41 - subBits + 1) << subBits
+)
 
 // Stage accumulates observations for one named pipeline stage. All methods
 // are safe for concurrent use.
@@ -34,7 +40,7 @@ type Stage struct {
 	sumNs atomic.Int64
 	minNs atomic.Int64 // 0 when unset; stored as ns+1 so 0 ns is representable
 	maxNs atomic.Int64
-	// buckets is the latency histogram over power-of-two microsecond bins.
+	// buckets is the latency histogram (see subBits).
 	buckets [nBuckets]atomic.Int64
 }
 
@@ -99,9 +105,9 @@ func (s *Stage) Min() time.Duration {
 func (s *Stage) Max() time.Duration { return time.Duration(s.maxNs.Load()) }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) of the
-// observed latencies, resolved to the histogram's power-of-two buckets and
-// clamped to [Min, Max]: a bucket's upper edge can lie up to 2x above every
-// sample in it, and no quantile lies outside the observed range.
+// observed latencies, resolved to the histogram's buckets and clamped to
+// [Min, Max]: it lies at most 1.05x + 1 µs above the true quantile, and
+// never outside the observed range.
 func (s *Stage) Quantile(q float64) time.Duration {
 	n := s.count.Load()
 	if n == 0 {
@@ -124,17 +130,23 @@ func (s *Stage) Quantile(q float64) time.Duration {
 // bucketOf maps a latency in ns to its histogram bucket.
 func bucketOf(ns int64) int {
 	us := uint64(ns / 1e3)
-	b := bits.Len64(us) // 0 for <1µs, 1 for 1µs, ...
-	if b >= nBuckets {
-		b = nBuckets - 1
+	if us < 1<<subBits {
+		return int(us)
 	}
-	return b
+	// The octave's shift keeps subBits bits below the leading one.
+	shift := bits.Len64(us) - 1 - subBits
+	return min((shift+1)<<subBits|int(us>>shift)&(1<<subBits-1), nBuckets-1)
 }
 
 // bucketUpper returns the inclusive upper latency bound of bucket i: the
-// last nanosecond before 2^i µs (bucketOf truncates to whole microseconds).
+// last nanosecond before the next bucket's first microsecond (bucketOf
+// truncates to whole microseconds).
 func bucketUpper(i int) time.Duration {
-	return time.Duration(int64(1)<<i)*time.Microsecond - 1
+	octave, sub := i>>subBits, int64(i&(1<<subBits-1))
+	if octave == 0 {
+		return time.Duration(sub+1)*time.Microsecond - 1
+	}
+	return time.Duration((1<<subBits|sub)+1)<<(octave-1)*time.Microsecond - 1
 }
 
 // Registry is a named collection of stages plus process-level allocation

@@ -69,15 +69,16 @@ func TestQuantileBounds(t *testing.T) {
 }
 
 // Property: against a sorted-sample oracle, Quantile never under-reports the
-// true quantile and never exceeds the stage's own Max.
+// true quantile, over-reports it by at most 5 % plus the microsecond the
+// histogram truncates to, and never exceeds the stage's own Max.
 func TestQuantileAgainstSortedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		s := NewRegistry().Stage("q")
 		samples := make([]time.Duration, 1+rng.Intn(300))
 		for i := range samples {
-			// Log-uniform from sub-microsecond to minutes, so every bucket
-			// (including the first and the overflow one) is exercised.
+			// Log-uniform from sub-microsecond to minutes, so the exact
+			// buckets and every octave up to minutes are exercised.
 			samples[i] = time.Duration(math.Exp(rng.Float64() * math.Log(float64(10*time.Minute))))
 			s.Observe(samples[i])
 		}
@@ -85,9 +86,10 @@ func TestQuantileAgainstSortedOracle(t *testing.T) {
 		for _, q := range []float64{0.01, 0.5, 0.95, 0.99, 1, rng.Float64()} {
 			rank := max(int(q*float64(len(samples))), 1)
 			got, truth := s.Quantile(q), samples[rank-1]
-			if got < truth || got > s.Max() {
-				t.Fatalf("trial %d: Quantile(%v) = %v, want in [%v (rank %d of %d), max %v]",
-					trial, q, got, truth, rank, len(samples), s.Max())
+			bound := min(time.Duration(1.05*float64(truth))+time.Microsecond, s.Max())
+			if got < truth || got > bound {
+				t.Fatalf("trial %d: Quantile(%v) = %v, want in [%v (rank %d of %d), %v]",
+					trial, q, got, truth, rank, len(samples), bound)
 			}
 		}
 	}
@@ -98,7 +100,7 @@ func TestQuantileAgainstSortedOracle(t *testing.T) {
 func TestQuantileClampedToObservedRange(t *testing.T) {
 	s := NewRegistry().Stage("q")
 	for i := 0; i < 10; i++ {
-		s.Observe(600 * time.Millisecond) // bucket edge: ~1.05 s
+		s.Observe(600 * time.Millisecond) // bucket edge: 606.208 ms
 	}
 	for _, q := range []float64{0.5, 0.95, 1} {
 		if got := s.Quantile(q); got != 600*time.Millisecond {

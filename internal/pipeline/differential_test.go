@@ -10,7 +10,7 @@ import (
 
 // Randomized differential oracle (ISSUE 2): beyond the fixed golden
 // sequence, StreamFrames must match the serial path bit for bit on
-// randomized scenes, key-frame windows and worker counts. Scene
+// randomized scenes, key-frame windows and kernel worker counts. Scene
 // parameters are drawn from the per-test seed so a failure reproduces with
 // ASV_TEST_SEED.
 func TestDifferentialStreamMatchesSerialRandomScenes(t *testing.T) {

@@ -1,12 +1,12 @@
 package pipeline
 
 import (
-	"runtime"
 	"strconv"
 	"testing"
 
 	"asv/internal/core"
 	"asv/internal/dataset"
+	"asv/internal/imgproc"
 	"asv/internal/metrics"
 	"asv/internal/stereo"
 )
@@ -48,7 +48,7 @@ func serialResults(matcher core.KeyMatcher, cfg core.Config, frames []Frame) []c
 	return out
 }
 
-// setWorkers sets the worker count StreamFrames and the kernels read.
+// setWorkers sets the worker count the kernels read.
 func setWorkers(t *testing.T, workers int) {
 	t.Setenv("ASV_WORKERS", strconv.Itoa(workers))
 }
@@ -84,19 +84,14 @@ func assertIdentical(t *testing.T, serial, streamed []core.Result) {
 }
 
 // TestGoldenStreamMatchesSerialBitExact is the pipeline's central guarantee:
-// streaming must reproduce the serial ISM path bit for bit, and leave no
-// goroutine of its own behind once it returns.
+// streaming must reproduce the serial ISM path bit for bit at every kernel
+// worker count.
 func TestGoldenStreamMatchesSerialBitExact(t *testing.T) {
 	frames := testSequence(t, 10)
 	serial := serialResults(testMatcher(), testConfig(), frames)
 	for _, workers := range []int{1, 2, 4} {
 		setWorkers(t, workers)
-		before := runtime.NumGoroutine()
-		streamed := StreamFrames(testMatcher(), testConfig(), frames, Options{})
-		if after := runtime.NumGoroutine(); after != before {
-			t.Fatalf("workers %d: %d goroutines after StreamFrames returned, %d before", workers, after, before)
-		}
-		assertIdentical(t, serial, streamed)
+		assertIdentical(t, serial, StreamFrames(testMatcher(), testConfig(), frames, Options{}))
 	}
 }
 
@@ -133,7 +128,7 @@ func TestStreamEmptyInput(t *testing.T) {
 }
 
 // TestStreamMetricsStages pins the stage counts, and that the "frame" stage
-// spans the first half as well as the commit whichever path ran the frame:
+// spans the key match or flow as well as the refine on either entry point:
 // its total must cover the key matches', the flows' and the refines'.
 func TestStreamMetricsStages(t *testing.T) {
 	setWorkers(t, 2)
@@ -160,6 +155,31 @@ func TestStreamMetricsStages(t *testing.T) {
 		if frame < parts {
 			t.Fatalf("%s: frame total %v < keymatch + flow + propagate+refine totals %v", name, frame, parts)
 		}
+	}
+}
+
+// TestStreamFramesCarriesFlowExpansion pins that a stream runs the
+// production frame: each non-key frame's flow reuses the expansion the
+// previous non-key frame built of its own pair, so a stream takes exactly as
+// many pooled buffers as a ProcessFrame loop over the same clip.
+func TestStreamFramesCarriesFlowExpansion(t *testing.T) {
+	setWorkers(t, 2)
+	frames := testSequence(t, 9)
+	gets := func(run func()) int64 {
+		g0, _, _ := imgproc.PoolStats()
+		run()
+		g1, _, _ := imgproc.PoolStats()
+		return g1 - g0
+	}
+	loop := gets(func() {
+		p := core.New(testMatcher(), testConfig())
+		for _, f := range frames {
+			ProcessFrame(p, testMatcher(), f.Left, f.Right, nil)
+		}
+	})
+	stream := gets(func() { StreamFrames(testMatcher(), testConfig(), frames, Options{}) })
+	if stream != loop {
+		t.Fatalf("StreamFrames took %d pooled buffers, a ProcessFrame loop %d", stream, loop)
 	}
 }
 

@@ -35,12 +35,12 @@ func TestRetryAfterSeconds(t *testing.T) {
 }
 
 // The hint's p95 is clamped to the frame stage's observed range: frames that
-// all took 600 ms sit in a histogram bucket whose upper edge is ~1.05 s, and
-// the unclamped edge would send Retry-After: 2 for a 0.6 s drain.
+// all took 1 s sit in a histogram bucket whose upper edge is 1.015808 s, and
+// the unclamped edge would send Retry-After: 2 for a 1 s drain.
 func TestRetryAfterHintUsesClampedP95(t *testing.T) {
 	s, _ := testServer(t, Config{Workers: 1}, 0)
 	for i := 0; i < 20; i++ {
-		s.cfg.Metrics.Stage("frame").Observe(600 * time.Millisecond)
+		s.cfg.Metrics.Stage("frame").Observe(time.Second)
 	}
 	if got := s.retryAfterHint(); got != 1 {
 		t.Fatalf("retryAfterHint = %d, want 1", got)

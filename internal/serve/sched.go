@@ -139,9 +139,9 @@ func (s *Server) drain(sess *session) {
 
 // process runs one frame — the full ISM step for its session, key-frame
 // matching or concurrent L/R flow + propagation + refinement, via
-// pipeline.ProcessFrame, whose first half and commit pipeline.StreamFrames
-// runs too, so the served frame and the batch stream are one frame path
-// observing the same metric stages — and replies.
+// pipeline.ProcessFrame, which pipeline.StreamFrames loops over too, so the
+// served frame and the batch stream are one frame path observing the same
+// metric stages — and replies.
 func (s *Server) process(it *workItem, queueWait time.Duration) {
 	rep := frameReply{queueWait: queueWait}
 	if s.cfg.Metrics != nil {

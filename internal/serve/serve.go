@@ -301,14 +301,55 @@ func New(matcher core.KeyMatcher, cfg Config) *Server {
 // Handler returns the root HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ReadHeaderTimeout bounds how long a client may take to send its request
-// headers, on this server and the cluster gateway alike; without it a
-// client that never finishes them holds a connection forever.
-const ReadHeaderTimeout = 10 * time.Second
+// pacedMatcher wraps a key matcher and sleeps out the remainder of a fixed
+// per-frame budget, emulating a shard whose matching runs on a dedicated
+// accelerator with a deterministic frame time. Because the budget is spent
+// sleeping, the frame cost is the same on any host, however many cores it
+// has and however loaded it is.
+type pacedMatcher struct {
+	inner     core.KeyMatcher
+	frameTime time.Duration
+}
 
-// readHeaderTimeout is what Start applies; a variable only so tests can
-// shorten it.
-var readHeaderTimeout = ReadHeaderTimeout
+func (m pacedMatcher) Match(left, right *imgproc.Image) *imgproc.Image {
+	t0 := time.Now()
+	out := m.inner.Match(left, right)
+	if d := m.frameTime - time.Since(t0); d > 0 {
+		time.Sleep(d)
+	}
+	return out
+}
+
+func (m pacedMatcher) MACs(w, h int) int64 { return m.inner.MACs(w, h) }
+
+func (m pacedMatcher) Name() string {
+	return fmt.Sprintf("paced(%s,%v)", m.inner.Name(), m.frameTime)
+}
+
+// NewPacedKeyMatcher wraps inner so every Match call takes at least
+// frameTime, emulating an accelerator with a deterministic key-frame budget.
+func NewPacedKeyMatcher(inner core.KeyMatcher, frameTime time.Duration) core.KeyMatcher {
+	return pacedMatcher{inner: inner, frameTime: frameTime}
+}
+
+// The connection timeouts of this server and the cluster gateway alike:
+// without them a client that stalls mid-request, or never reads its reply,
+// holds a connection forever.
+const (
+	// ReadHeaderTimeout bounds how long a client may take to send its
+	// request headers.
+	ReadHeaderTimeout = 10 * time.Second
+	// ReadTimeout bounds how long it may take to send the whole request,
+	// body included, and how long a keep-alive connection may sit idle.
+	ReadTimeout = 30 * time.Second
+	// WriteTimeout bounds the time from the end of the headers to the end of
+	// the reply — queueing and compute included — after which the client's
+	// connection is cut. It is above pprof's default 30 s profile.
+	WriteTimeout = 60 * time.Second
+)
+
+// What Start applies; variables only so tests can shorten them.
+var readHeaderTimeout, readTimeout, writeTimeout = ReadHeaderTimeout, ReadTimeout, WriteTimeout
 
 // Start listens on addr (host:port, port 0 for ephemeral) and serves until
 // Close. It returns the bound address.
@@ -317,7 +358,8 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, WriteTimeout: writeTimeout}
 	s.httpSrv = srv
 	go func() {
 		// Serve returns ErrServerClosed on graceful Shutdown; anything else

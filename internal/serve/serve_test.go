@@ -501,24 +501,58 @@ func TestHealthzAndPprofGate(t *testing.T) {
 	}
 }
 
-// TestStalledHeadersAreCutOff: a client that sends a request line and never
-// finishes its headers is hung up on after readHeaderTimeout.
-func TestStalledHeadersAreCutOff(t *testing.T) {
-	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
-	readHeaderTimeout = 100 * time.Millisecond
-	s := New(quickMatcher(0), Config{})
+// startTimed serves s through Start, whose http.Server applies the
+// connection timeouts, and returns its address; s is drained at cleanup.
+func startTimed(t *testing.T, s *Server) string {
+	t.Helper()
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := s.Close(ctx); err != nil {
 			t.Errorf("close: %v", err)
 		}
-	}()
-	testkit.MustDropStalledHeaders(t, addr.String(), 10*time.Second)
+	})
+	return addr.String()
+}
+
+// TestStalledHeadersAreCutOff: a client that sends a request line and never
+// finishes its headers is hung up on after readHeaderTimeout.
+func TestStalledHeadersAreCutOff(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	addr := startTimed(t, New(quickMatcher(0), Config{}))
+	testkit.MustDropStalledRequest(t, addr, testkit.StalledHeaders, 10*time.Second)
+}
+
+// TestStalledBodyIsCutOff: a client that sends its headers and part of the
+// body they declare, then stalls, is hung up on after readTimeout.
+func TestStalledBodyIsCutOff(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 100 * time.Millisecond
+	addr := startTimed(t, New(quickMatcher(0), Config{}))
+	testkit.MustDropStalledRequest(t, addr, testkit.StalledBody, 10*time.Second)
+}
+
+// TestSlowReplyIsCutOff: a frame that outlives writeTimeout has its
+// client's connection cut, and is still counted completed.
+func TestSlowReplyIsCutOff(t *testing.T) {
+	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
+	writeTimeout = 300 * time.Millisecond
+	s := New(NewPacedKeyMatcher(quickMatcher(0), time.Second), Config{Metrics: metrics.NewRegistry()})
+	base := "http://" + startTimed(t, s)
+	info := createPresetSession(t, base, CreateSessionRequest{Preset: "sceneflow", W: 32, H: 24, Frames: 2, PW: 1})
+	if resp, err := http.Post(base+"/v1/sessions/"+info.ID+"/frames", "", nil); err == nil {
+		resp.Body.Close()
+		t.Fatalf("a frame paced past writeTimeout was answered %s", resp.Status)
+	}
+	// A frame is counted completed before its reply is written.
+	if c := s.CountersSnapshot(); c["frames_accepted"] != int64(1) || c["frames_completed"] != int64(1) {
+		t.Fatalf("after a cut reply: accepted %v, completed %v; want 1, 1", c["frames_accepted"], c["frames_completed"])
+	}
 }
 
 // hookMatcher runs around before every Match and the function it returns

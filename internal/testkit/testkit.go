@@ -12,7 +12,7 @@
 //     to be committed explicitly,
 //   - a goroutine-leak check for a package's TestMain (MainNoLeaks, leak.go),
 //     and
-//   - a stalled-client probe for HTTP listeners (MustDropStalledHeaders,
+//   - a stalled-client probe for HTTP listeners (MustDropStalledRequest,
 //     http.go).
 //
 // The package may be imported only from test files. It depends on the leaf

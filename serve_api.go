@@ -1,7 +1,6 @@
 package asv
 
 import (
-	"fmt"
 	"time"
 
 	"asv/internal/serve"
@@ -32,36 +31,11 @@ func NewServeServer(matcher KeyMatcher, cfg ServeConfig) *ServeServer {
 	return serve.New(matcher, cfg)
 }
 
-// pacedMatcher wraps a key matcher and sleeps out the remainder of a fixed
-// per-frame budget, emulating a shard whose matching runs on a dedicated
-// accelerator with a deterministic frame time. Because the budget is spent
-// sleeping, the frame cost is the same on any host, however many cores it
-// has and however loaded it is.
-type pacedMatcher struct {
-	inner     KeyMatcher
-	frameTime time.Duration
-}
-
-func (m pacedMatcher) Match(left, right *Image) *Image {
-	t0 := time.Now()
-	out := m.inner.Match(left, right)
-	if d := m.frameTime - time.Since(t0); d > 0 {
-		time.Sleep(d)
-	}
-	return out
-}
-
-func (m pacedMatcher) MACs(w, h int) int64 { return m.inner.MACs(w, h) }
-
-func (m pacedMatcher) Name() string {
-	return fmt.Sprintf("paced(%s,%v)", m.inner.Name(), m.frameTime)
-}
-
 // NewPacedKeyMatcher wraps inner so every Match call takes at least
 // frameTime, emulating an accelerator with a deterministic key-frame
 // budget. asvserve's -paced-frame-ms flag uses it, and through that flag
 // scripts/degrade_smoke.sh, to make overload scenarios reproducible on any
 // host.
 func NewPacedKeyMatcher(inner KeyMatcher, frameTime time.Duration) KeyMatcher {
-	return pacedMatcher{inner: inner, frameTime: frameTime}
+	return serve.NewPacedKeyMatcher(inner, frameTime)
 }

@@ -5,10 +5,9 @@ import (
 	"asv/internal/pipeline"
 )
 
-// Streaming (see internal/pipeline): each frame's first half — key matching,
-// or the two eyes' optical flow — runs ahead on worker goroutines while the
-// caller commits frames in order, so frame t+1's flow overlaps frame t's
-// refinement, with output bit-identical to the serial Pipeline.
+// Streaming (see internal/pipeline): a sequence runs frame by frame through
+// one Pipeline on the caller's goroutine, each stage's kernels parallel
+// inside the frame, with per-stage latencies recorded in the metrics sink.
 
 // StreamFrame is one stereo pair of an input stream.
 type StreamFrame = pipeline.Frame
@@ -28,12 +27,4 @@ func NewMetrics() *Metrics { return metrics.NewRegistry() }
 // Pipeline.Process frame by frame.
 func StreamDepthFrames(matcher KeyMatcher, cfg PipelineConfig, frames []StreamFrame, opt StreamOptions) []FrameResult {
 	return pipeline.StreamFrames(matcher, cfg, frames, opt)
-}
-
-// ProcessDepthFrame runs one stereo pair through p on the caller's
-// goroutine — the per-frame path the depth service uses — and records the
-// "keymatch", "flow", "propagate+refine" and "frame" stage latencies in m
-// when m is non-nil. The result is bit-identical to p.Process.
-func ProcessDepthFrame(p *Pipeline, matcher KeyMatcher, left, right *Image, m *Metrics) FrameResult {
-	return pipeline.ProcessFrame(p, matcher, left, right, m)
 }
