@@ -17,8 +17,8 @@ FUZZ_TARGETS := \
 	./internal/imgproc:FuzzImagePool \
 	./internal/deconv:FuzzTransformEquivalence \
 	./internal/schedule:FuzzCostModelInvariants \
-	./internal/stereo:FuzzSatAdd \
-	./internal/stereo:FuzzSatAddAssoc \
+	./internal/stereo:FuzzLaneMin \
+	./internal/stereo:FuzzPackedStepMatchesScalar \
 	./internal/stereo:FuzzRefineMatchesReference \
 	./internal/serve:FuzzSnapshotDecode \
 	./internal/perception:FuzzCalibrationJSON \

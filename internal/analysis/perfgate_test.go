@@ -41,7 +41,7 @@ func TestPerfGateRepoContractClean(t *testing.T) {
 	for pkg, zero := range map[string]map[string][]string{
 		"stereo": {
 			"kernels.go": {"blockCostStrip", "adRowCost", "censusRowCost", "adRowSums", "censusRowSums", "addRowSums"},
-			"sgm.go":     {"sgmStep", "sgmSweep", "censusInterior"},
+			"sgm.go":     {"pairStep", "sgmSweep", "censusInterior"},
 		},
 		"imgproc": {
 			"filter.go": {"rowInterior", "filterCols"},

@@ -398,26 +398,29 @@ func TestOracleMatcherConsecutiveCallsDiffer(t *testing.T) {
 // counts. They are pure functions of the frame geometry, the options and
 // the frame's place in the window, not of the worker count or the host, so
 // the comparison is exact. A kernel PR that changes how many temporaries a
-// frame takes (ROADMAP item 1) re-pins the numbers in the same commit. Puts
-// exceed gets because the pyramid and Upsample2 build their result with
-// NewImage and the flow path hands those back to the pool.
+// frame takes (ROADMAP item 1) re-pins the numbers in the same commit. Every
+// buffer the flow path hands back, pyramid levels and Upsample2 results
+// included, came from the pool, so a frame that keeps nothing gets and puts
+// alike: the pool holds the frame's working set and no more. (When those two
+// built their result with NewImage, each warm frame put 12 buffers more than
+// it got, and the pool grew between collections.)
 //
-// A frame that expanded both of its flow pairs from scratch took 325 gets
-// and gave 341 puts. This clip's half-resolution flow runs L = 2 levels,
-// and one Farneback expansion takes 29 gets (2L polyExpand calls of 14, one
-// pyramid temporary) and gives 20 puts (9 per polyExpand, the pyramid
-// temporary, the coarse level) while building, plus 10 (five coefficient
-// planes per level) when dropped; the half-resolution frame it is built
-// from is one more put. Now each eye keeps the expansion of its new frame:
+// A frame that expands both of its flow pairs from scratch takes 341 gets
+// and gives 341 puts. This clip's half-resolution flow runs L = 2 levels,
+// and one Farneback expansion takes 31 gets (the half-resolution frame, 2L
+// polyExpand calls of 14, one pyramid level and its temporary) and gives 21
+// puts (the half-resolution frame, 9 per polyExpand, the pyramid level and
+// its temporary) while building, plus 10 (five coefficient planes per
+// level) when dropped. Now each eye keeps the expansion of its new frame:
 //   - the first non-key frame is cold: it builds both expansions, but keeps
-//     the new one, so 325 gets and 341 − 2·10 = 321 puts;
+//     the new one, so 341 gets and 341 − 2·10 = 321 puts;
 //   - the next ones are warm: the previous frame's expansion is the kept
-//     one, so each eye builds one fewer — 325 − 2·29 = 267 gets — and drops
-//     the kept one instead, 321 − 2·(20 + 1) = 279 puts;
+//     one, so each eye builds one fewer — 341 − 2·31 = 279 gets — and drops
+//     the kept one instead, 321 − 2·21 = 279 puts;
 //   - the key frame drops both kept expansions: 0 gets, 2·10 = 20 puts,
 //     where the first key frame, with nothing kept, has none.
 func TestPoolTrafficPerFrame(t *testing.T) {
-	want := [][2]int64{{0, 0}, {325, 321}, {267, 279}, {267, 279}, {0, 20}}
+	want := [][2]int64{{0, 0}, {341, 321}, {279, 279}, {279, 279}, {0, 20}}
 	opt := stereo.DefaultSGMOptions()
 	opt.MaxDisp = 16
 	seq := dataset.Generate(seqCfg(21))
@@ -514,6 +517,45 @@ func TestNonKeyFrameAllocBudget(t *testing.T) {
 	for f := 1; f <= 3; f++ {
 		if least[f] > budget {
 			t.Errorf("non-key frame %d of the window allocated at least %d bytes, budget %d", f, least[f], budget)
+		}
+	}
+}
+
+// TestKeyFrameAllocBudget bounds the heap bytes one SGM key frame allocates
+// once warm, at the offline_key operating point (160×96, MaxDisp 32). SGM
+// takes its census planes, packed volumes and rolling rows off a free list,
+// so a warm key frame allocates its output image and a few hundred bytes of
+// goroutine bookkeeping; the budget is 1.25× the image's bytes. Before the
+// free list, the same frame allocated about 2 MB. The garbage collector is
+// paused, and the frames after the first are measured, every one of them:
+// the free list, unlike a sync.Pool, does not miss.
+func TestKeyFrameAllocBudget(t *testing.T) {
+	const w, h = 160, 96
+	const budget = w * h * 4 * 5 / 4
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	t.Setenv("ASV_WORKERS", "2")
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	scene := seqCfg(21)
+	scene.W, scene.H, scene.FrameCount = w, h, 4
+	seq := dataset.Generate(scene)
+	opt := stereo.DefaultSGMOptions()
+	opt.MaxDisp = 32
+	p := New(SGMMatcher{Opt: opt}, DefaultConfig())
+	for i, fr := range seq.Frames {
+		p.Reset()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res := p.Process(fr.Left, fr.Right)
+		runtime.ReadMemStats(&m1)
+		if !res.IsKey {
+			t.Fatalf("frame %d after Reset is not a key frame", i)
+		}
+		got := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("key frame %d: %d bytes", i, got)
+		if i > 0 && got > budget {
+			t.Errorf("warm key frame %d allocated %d bytes, budget %d", i, got, budget)
 		}
 	}
 }

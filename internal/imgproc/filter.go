@@ -57,12 +57,12 @@ func FilterCols(im *Image, k []float32) *Image {
 // dimension, computing only the samples the decimation keeps: the row pass
 // on even columns, the column pass on even rows. Each kept sample goes
 // through the arithmetic the full-size blur gives it. The result is
-// ceil(W/2) × ceil(H/2) and, unlike the filters' results, not pooled.
+// ceil(W/2) × ceil(H/2).
 func blurDownsample2(im *Image, sigma float64) *Image {
 	k := GaussianKernel1D(sigma)
 	tmp := GetImage((im.W+1)/2, im.H)
 	filterRows(tmp, im, k, 2)
-	out := NewImage(tmp.W, (im.H+1)/2)
+	out := GetImage(tmp.W, (im.H+1)/2)
 	filterCols(out, tmp, k, 2)
 	PutImage(tmp)
 	return out

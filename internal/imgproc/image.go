@@ -128,7 +128,7 @@ func mustSameSize(a, b *Image, op string) {
 // (typically 2× the input), sampling with replicate border handling as
 // Bilinear does.
 func Upsample2(im *Image, w, h int) *Image {
-	out := NewImage(w, h)
+	out := GetImage(w, h)
 	sx := float32(im.W) / float32(w)
 	sy := float32(im.H) / float32(h)
 	// A column's two source columns and its weight are the same on every

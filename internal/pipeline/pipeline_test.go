@@ -110,7 +110,7 @@ func TestStreamEveryFrameKey(t *testing.T) {
 	}
 }
 
-func TestStreamAdaptiveFallsBackToSerial(t *testing.T) {
+func TestStreamAdaptiveMatchesSerial(t *testing.T) {
 	setWorkers(t, 4)
 	frames := testSequence(t, 8)
 	cfg := testConfig()

@@ -34,11 +34,3 @@ func quantize8(im *imgproc.Image) []uint8 {
 func roundPenalty(p float32) uint16 {
 	return uint16(min(max(math.Round(float64(p)), 0), math.MaxUint16))
 }
-
-// satAdd16 returns a+b clamped to the uint16 range. SGM path accumulators
-// and cross-path sums use it so that pathological penalty settings saturate
-// instead of wrapping around (a wrapped cost would win winner-take-all).
-func satAdd16(a, b uint16) uint16 {
-	s := uint32(a) + uint32(b)
-	return uint16(min(s, 65535))
-}

@@ -104,9 +104,11 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 		cvfFixed.Fixed = true
 
 		sgmOpt := DefaultSGMOptions()
-		cost := costVolume(census(left, sgmOpt.CensusR), census(right, sgmOpt.CensusR), w, h, nd, sgmOpt.CensusR)
+		sgm := &sgmScratch{cl: census(left, sgmOpt.CensusR), cr: census(right, sgmOpt.CensusR),
+			cost: make([]uint64, w*h*laneWords(nd))}
+		costVolume(sgm.cost, sgm.cl, sgm.cr, w, h, nd, sgmOpt.CensusR)
 		p1, p2 := roundPenalty(sgmOpt.P1), roundPenalty(sgmOpt.P2)
-		sum := aggregate(cost, w, h, nd, sgmOpt.Paths, p1, p2)
+		sgm.aggregate(w, h, nd, sgmOpt.Paths, p1, p2)
 
 		for _, k := range []kernelRuns{
 			{"sad",
@@ -123,9 +125,9 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 			{"census-transform", nil,
 				func() { census(left, sgmOpt.CensusR); census(right, sgmOpt.CensusR) }},
 			{"sgm-aggregate", nil,
-				func() { aggregate(cost, w, h, nd, sgmOpt.Paths, p1, p2) }},
+				func() { sgm.aggregate(w, h, nd, sgmOpt.Paths, p1, p2) }},
 			{"wta", nil,
-				func() { wtaVolume(sum, w, h, nd, true) }},
+				func() { wtaVolume(sgm.sum, w, h, nd, true) }},
 		} {
 			point := func(variant string, run func()) KernelPoint {
 				return KernelPoint{Kernel: k.name, Variant: variant, W: w, H: h, MaxDisp: maxDisp,

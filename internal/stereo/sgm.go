@@ -2,6 +2,7 @@ package stereo
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -10,6 +11,12 @@ import (
 )
 
 // SGMOptions configures semi-global matching.
+//
+// Aggregation runs eight disparities to a uint64, in 8-bit lanes whose top
+// bit is a guard, and is exact only while every value fits the seven bits
+// below it. With M = (2·CensusR+1)²−1, the largest census cost, and P1, P2
+// rounded to integers, SGM requires M + P1 + P2 ≤ 127 and panics otherwise;
+// the defaults give 24 + 1 + 8 = 33.
 type SGMOptions struct {
 	MaxDisp  int     // disparity search range [0, MaxDisp]
 	CensusR  int     // census-transform window radius (<= 3 for a 64-bit descriptor)
@@ -28,16 +35,27 @@ func DefaultSGMOptions() SGMOptions {
 	return SGMOptions{MaxDisp: 64, CensusR: 2, P1: 1.0, P2: 8.0, Paths: 8, Subpixel: true}
 }
 
-// census computes the census transform of im with the given radius: each
-// pixel becomes a bit-string recording which neighbours are darker than the
-// centre. Radius must be <= 3 so the descriptor fits 64 bits. Rows split
-// across par.Workers(); interior columns skip the border clamp.
-func census(im *imgproc.Image, r int) []uint64 {
+// censusBits returns the descriptor length of a census window of radius r,
+// which is also the largest census cost, and panics unless it fits 64 bits.
+func censusBits(r int) int {
 	if r < 1 || (2*r+1)*(2*r+1)-1 > 64 {
 		panic(fmt.Sprintf("stereo: census radius %d out of range", r))
 	}
+	return (2*r+1)*(2*r+1) - 1
+}
+
+// census computes the census transform of im with the given radius: each
+// pixel becomes a bit-string recording which neighbours are darker than the
+// centre. Radius must be <= 3 so the descriptor fits 64 bits.
+func census(im *imgproc.Image, r int) []uint64 {
+	return censusInto(make([]uint64, im.W*im.H), im, r)
+}
+
+// censusInto is census writing into out, of length im.W·im.H. Rows split
+// across par.Workers(); interior columns skip the border clamp.
+func censusInto(out []uint64, im *imgproc.Image, r int) []uint64 {
+	censusBits(r)
 	w, h := im.W, im.H
-	out := make([]uint64, w*h)
 	par.ForChunked(h, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			// Columns [x0, x1) are the clamp-free interior; empty on a
@@ -102,194 +120,322 @@ func censusInterior(dst []uint64, pix []float32, w, y, r int) {
 	}
 }
 
-// Aggregation makes two sweeps over the uint8 census-cost volume — a forward
-// pass (top-down, left-to-right) carrying the paths from W/NW/N/NE and a
+// Packed lanes. One pixel's nd disparities are n = laneWords(nd) words of
+// eight 8-bit lanes, and lane l of word k holds disparity l·n + k: the d±1
+// neighbours of word k are the whole words k±1, and only words 0 and n−1
+// shift a lane across. Bit 7 of every lane is a guard. Every path cost is
+// ≤ M + P2, every row minimum ≤ M (the minimum's own lane adds nothing to
+// its matching cost) and every intermediate ≤ M + P1 + P2, so under the
+// lane bound no add, subtract or minimum carries into the next lane and
+// each lane computes exactly what the scalar recurrence does. The pad lanes
+// (d ≥ nd) are held at laneMax − P1 ≥ M + P2: never below a real lane, and
+// never below the large-jump term as a neighbour.
+//
+// Aggregation makes two sweeps over the packed cost volume — a forward pass
+// (top-down, left-to-right) carrying the paths from W/NW/N/NE and a
 // backward pass (bottom-up, right-to-left) carrying those from E/SE/S/SW —
-// and each direction keeps only two rolling rows of uint16 path costs
-// (2·W·D cells).
-// Path costs are accumulated into one uint16 sum volume with saturating adds
-// as they are produced, so the working set per row is a few hundred KiB
-// instead of one full volume per direction.
+// and each direction keeps only two rolling rows of path costs. Each entry
+// of a rolling row is a pixel's n words and one more holding their lane
+// minimum, which the next step of the path needs. Two directions' words
+// are added in 8-bit lanes (≤ 2·laneMax), widened once into 16-bit lanes
+// and accumulated into the sum volume: 2n words per pixel, the even lanes'
+// then the odd lanes', ≤ 8·laneMax, so nothing saturates.
+const (
+	laneMax   = 127                // the largest value a lane may hold
+	laneOnes  = 0x0101010101010101 // 1 in every 8-bit lane
+	laneGuard = 0x8080808080808080 // the guard bit of every 8-bit lane
+	wideMask  = 0x00FF00FF00FF00FF // the even 8-bit lanes, as 16-bit lanes
+)
 
-// costVolume builds the uint8 census-Hamming cost volume
-// C[(y*W+x)*(D+1)+d]; cells whose right-view column falls outside the image
-// get the worst cost, the full descriptor length.
-func costVolume(cl, cr []uint64, w, h, nd, censusR int) []uint8 {
-	maxCost := uint8((2*censusR+1)*(2*censusR+1) - 1)
-	vol := make([]uint8, w*h*nd)
-	par.For(h, func(y int) {
-		row := y * w
-		clRow := cl[row:][:w]
-		crRow := cr[row:][:w]
-		for x := 0; x < w; x++ {
-			cells := vol[(row+x)*nd:][:nd]
-			l := clRow[x]
-			hi := min(nd, x+1)
-			for d := 0; d < hi; d++ {
-				cells[d] = uint8(bits.OnesCount64(l ^ crRow[x-d]))
+// laneWords is the number of words holding nd disparities: ⌈nd/8⌉, and at
+// least two, so that a pixel's first and last words are different words
+// and one step shape serves every nd (a smaller nd only has more pads).
+func laneWords(nd int) int { return max(2, (nd+7)/8) }
+
+// laneMin is the lane-wise minimum of a and b, whose lanes are ≤ laneMax.
+// t holds 128 + a − b per lane without a borrow between lanes, so its guard
+// bit is set exactly where a ≥ b; there a − b is subtracted from a.
+func laneMin(a, b uint64) uint64 {
+	t := (a | laneGuard) - b
+	ge := t & laneGuard
+	return a - t&(ge-ge>>7)
+}
+
+// rowMins returns the smallest lane of a and that of b, each broadcast to
+// every lane. After one halving each, a's four candidate lanes and b's
+// share a word and halve together: lane 0 ends with a's minimum, and lane 4,
+// which only ever reads b's lanes, with b's.
+func rowMins(a, b uint64) (uint64, uint64) {
+	a = laneMin(a, a>>32)
+	b = laneMin(b, b>>32)
+	v := a&0xFFFFFFFF | b<<32
+	v = laneMin(v, v>>16)
+	v = laneMin(v, v>>8)
+	return (v & 0xFF) * laneOnes, (v >> 32 & 0xFF) * laneOnes
+}
+
+// sgmLanes is one frame's lane constants.
+type sgmLanes struct {
+	p1, p2 uint64 // the penalties in every lane
+	// lo and hi are laneMax−P1 in lane 0 and lane 7: the missing d−1 of
+	// d = 0 and d+1 of d = 8n−1, never cheaper than the large jump.
+	lo, hi uint64
+	pad    []uint64 // per word, the pad lanes
+	fill   []uint64 // per word, laneMax−P1 in the pad lanes
+	zero   []uint64 // the entry before a path's start: no cost, minimum 0
+}
+
+// reset sets the constants for nd disparities and penalties p1, p2.
+func (k *sgmLanes) reset(nd int, p1, p2 uint16) {
+	n := laneWords(nd)
+	far := uint64(laneMax - p1)
+	k.p1, k.p2 = uint64(p1)*laneOnes, uint64(p2)*laneOnes
+	k.lo, k.hi = far, far<<56
+	k.pad, k.fill, k.zero = grow(k.pad, n), grow(k.fill, n), grow(k.zero, n+1)
+	clear(k.zero)
+	fills := k.fill[:n]
+	for w := range k.pad {
+		var pad, fill uint64
+		for l := 0; l < 8; l++ {
+			if l*n+w >= nd {
+				pad |= 0xFF << (8 * l)
+				fill |= far << (8 * l)
 			}
-			for d := hi; d < nd; d++ {
-				cells[d] = maxCost
+		}
+		k.pad[w], fills[w] = pad, fill
+	}
+}
+
+// relax is one word of one direction's step: the path costs
+//
+//	C(d) + min(L(d), L(d−1)+P1, L(d+1)+P1, minL+P2) − minL
+//
+// of matching costs c, from the predecessor's costs p at the same
+// disparities and nb, the smaller of its d−1 and d+1 neighbours plus P1,
+// with minL in every lane of mp and minL+P2 in jump; the pad lanes then
+// take fill.
+func relax(c, p, nb, mp, jump, pad, fill uint64) uint64 {
+	return (c+(laneMin(laneMin(p, nb), jump)-mp))&^pad | fill
+}
+
+// widen adds the eight 8-bit lanes of s into the 16-bit lanes of even (its
+// even lanes) and odd (its odd lanes), or stores them there.
+func widen(s, even, odd uint64, store bool) (uint64, uint64) {
+	if store {
+		even, odd = 0, 0
+	}
+	return even + s&wideMask, odd + s>>8&wideMask
+}
+
+// pairStep advances two directions by one pixel: from the predecessor
+// entries ap and bp it writes into a and b each direction's path costs of
+// the matching costs cost (relax), and their lane minimum, then adds the
+// two into the pixel's sums — sum[k] holds the even 16-bit lanes of word k,
+// sum[n+k] the odd ones — or, for the pixel's first visitor (store), writes
+// them. The zero entry steps to the matching costs, a path's start.
+func pairStep(a, ap, b, bp, cost, sum []uint64, k *sgmLanes, store bool) {
+	n := len(k.pad)
+	p1, p2, lo, hi := k.p1, k.p2, k.lo, k.hi
+	a, ap, b, bp, cost = a[:n+1], ap[:n+1], b[:n+1], bp[:n+1], cost[:n]
+	am, bm := ap[n], bp[n] // the predecessors' minima
+	even, odd := sum[:n], sum[n:][:n]
+	pad, fill := k.pad, k.fill[:n]
+	// Words 1..n−2 are the interior: every neighbour is a whole word. The
+	// taps and outputs are windows of one length, so prove elides every
+	// check, and cutting them first proves n >= 2 for the edge words.
+	m := n - 2
+	apm, apc, app := ap[:m], ap[1:][:m], ap[2:][:m]
+	bpm, bpc, bpp := bp[:m], bp[1:][:m], bp[2:][:m]
+	ac, bc, pc, fc := a[1:][:m], b[1:][:m], pad[1:][:m], fill[1:][:m]
+	cc, ec, oc := cost[1:][:m], even[1:][:m], odd[1:][:m]
+	aj, bj := am+p2, bm+p2
+	// Word 0: its d−1 neighbours are word n−1's lanes, one lane up.
+	av := relax(cost[0], ap[0], laneMin(ap[n-1]<<8|lo, ap[1])+p1, am, aj, pad[0], fill[0])
+	bv := relax(cost[0], bp[0], laneMin(bp[n-1]<<8|lo, bp[1])+p1, bm, bj, pad[0], fill[0])
+	a[0], b[0] = av, bv
+	even[0], odd[0] = widen(av+bv, even[0], odd[0], store)
+	aLeast, bLeast := av, bv
+	for i, c := range cc {
+		av := relax(c, apc[i], laneMin(apm[i], app[i])+p1, am, aj, pc[i], fc[i])
+		bv := relax(c, bpc[i], laneMin(bpm[i], bpp[i])+p1, bm, bj, pc[i], fc[i])
+		ac[i], bc[i] = av, bv
+		ec[i], oc[i] = widen(av+bv, ec[i], oc[i], store)
+		aLeast, bLeast = laneMin(aLeast, av), laneMin(bLeast, bv)
+	}
+	// Word n−1: its d+1 neighbours are word 0's lanes, one lane down.
+	av = relax(cost[n-1], ap[n-1], laneMin(ap[n-2], ap[0]>>8|hi)+p1, am, aj, pad[n-1], fill[n-1])
+	bv = relax(cost[n-1], bp[n-1], laneMin(bp[n-2], bp[0]>>8|hi)+p1, bm, bj, pad[n-1], fill[n-1])
+	a[n-1], b[n-1] = av, bv
+	even[n-1], odd[n-1] = widen(av+bv, even[n-1], odd[n-1], store)
+	a[n], b[n] = rowMins(laneMin(aLeast, av), laneMin(bLeast, bv))
+}
+
+// costVolume writes the packed census-Hamming cost volume into vol, n words
+// per pixel in raster order; cells whose right-view column falls outside
+// the image get the worst cost, the full descriptor length, and pad lanes 0.
+func costVolume(vol, cl, cr []uint64, w, h, nd, censusR int) {
+	n := laneWords(nd)
+	worst := uint64(censusBits(censusR))
+	par.ForChunked(h, func(y0, y1 int) {
+		for y := y0; y < y1; y++ {
+			crRow := cr[y*w:][:w]
+			for x, l := range cl[y*w:][:w] {
+				words := vol[(y*w+x)*n:][:n]
+				seen := min(nd, x+1) // disparities whose column is in view
+				for k := range words {
+					var word uint64
+					lane, d := 0, k
+					for ; d < seen; lane, d = lane+1, d+n {
+						word |= uint64(bits.OnesCount64(l^crRow[x-d])) << (8 * lane)
+					}
+					for ; d < nd; lane, d = lane+1, d+n {
+						word |= worst << (8 * lane)
+					}
+					words[k] = word
+				}
 			}
 		}
 	})
-	return vol
 }
 
-// sgmStep computes one pixel's path costs dst[0:nd] along a direction
-// from the predecessor's costs prev (nil at a path start, where dst is a
-// copy of the matching costs), then accumulates dst into sum with saturating
-// adds. The d loop is peeled at both ends so the interior is branch-free:
-// per disparity it is two saturating adds, three mins and a subtraction, the
-// form that maps onto conditional moves.
-func sgmStep(dst, prev, sum []uint16, costRow []uint8, nd int, p1, p2 uint16) {
-	if nd <= 0 {
-		return
-	}
-	// Pinning every slice length to nd (and branching on nd < 2, so the
-	// tail below runs with nd >= 2 proven) lets prove drop all per-disparity
-	// bounds checks; perf_contract.json holds this function to zero.
-	dst = dst[:nd]
-	sum = sum[:nd]
-	costRow = costRow[:nd]
-	if prev == nil {
-		for d := 0; d < nd; d++ {
-			c := uint16(costRow[d])
-			dst[d] = c
-			sum[d] = satAdd16(sum[d], c)
-		}
-		return
-	}
-	prev = prev[:nd]
-	minPrev := prev[0]
-	for d := 1; d < nd; d++ {
-		minPrev = min(minPrev, prev[d])
-	}
-	jump := satAdd16(minPrev, p2)
-	if nd < 2 {
-		v := satAdd16(uint16(costRow[0]), min(prev[0], jump)-minPrev)
-		dst[0] = v
-		sum[0] = satAdd16(sum[0], v)
-		return
-	}
-	// d = 0: no d-1 neighbour.
-	best := min(min(prev[0], satAdd16(prev[1], p1)), jump)
-	v := satAdd16(uint16(costRow[0]), best-minPrev)
-	dst[0] = v
-	sum[0] = satAdd16(sum[0], v)
-	// Interior, d in [1, nd-2]: the three prev taps and the three outputs
-	// are windows sharing one length, so prove elides every check.
-	n := nd - 2
-	pm := prev[:n]
-	pc := prev[1:][:n]
-	pp := prev[2:][:n]
-	dc := dst[1:][:n]
-	sc := sum[1:][:n]
-	cc := costRow[1:][:n]
-	for i, pcv := range pc {
-		best = min(min(pcv, jump), satAdd16(min(pm[i], pp[i]), p1))
-		v = satAdd16(uint16(cc[i]), best-minPrev)
-		dc[i] = v
-		sc[i] = satAdd16(sc[i], v)
-	}
-	// d = nd-1: no d+1 neighbour.
-	best = min(min(prev[nd-1], satAdd16(prev[nd-2], p1)), jump)
-	v = satAdd16(uint16(costRow[nd-1]), best-minPrev)
-	dst[nd-1] = v
-	sum[nd-1] = satAdd16(sum[nd-1], v)
+// sgmDir is one direction's pair of rolling rows of entries.
+type sgmDir struct {
+	prev, cur []uint64
 }
 
-// sgmRolling is one direction's pair of rolling Lr rows.
-type sgmRolling struct {
-	prev, cur []uint16 // w*nd path costs of the previous and current row
+func (s *sgmDir) grow(n int) {
+	s.prev, s.cur = grow(s.prev, n), grow(s.cur, n)
 }
 
-func newSGMRolling(w, nd int) *sgmRolling {
-	return &sgmRolling{prev: make([]uint16, w*nd), cur: make([]uint16, w*nd)}
+func (s *sgmDir) swap() { s.prev, s.cur = s.cur, s.prev }
+
+// sgmRows is one sweep's rolling state: the horizontal path needs only the
+// previous pixel's entry, the others the previous row's.
+type sgmRows struct {
+	hor         []uint64 // two entries, alternating
+	ver, dl, dr sgmDir
 }
 
-func (s *sgmRolling) swap() { s.prev, s.cur = s.cur, s.prev }
+// sgmScratch is one key frame's working memory, recycled across frames
+// through sgmFree.
+type sgmScratch struct {
+	cl, cr    []uint64 // census descriptors of the two views
+	cost, sum []uint64 // packed cost volume and path-cost sums
+	lanes     sgmLanes
+	rows      [2]sgmRows // one per sweep
+}
 
-// aggregate sums the SGM path costs over 4 or 8 directions into a uint16
-// volume with the same layout as cost. With a second worker the two sweeps
-// run at once over the one volume: each covers its own half of the rows,
-// they meet once, then each finishes in the half the other has left, so no
-// cell is touched by both at a time. Saturating adds of non-negative costs
-// commute and associate (a cell is min(total, 65535) in any order), so the
-// volume is the serial one bit for bit. A frame of fewer than two rows has
-// no two halves — a lone sweep would wait forever — and runs serially.
-func aggregate(cost []uint8, w, h, nd, paths int, p1, p2 uint16) []uint16 {
-	sum := make([]uint16, w*h*nd)
+// sgmFree holds the scratch of finished frames, as refineFree does the
+// refine's: as many as SGM calls ever ran at once.
+var sgmFree struct {
+	sync.Mutex
+	list []*sgmScratch
+}
+
+func getSGMScratch() *sgmScratch {
+	sgmFree.Lock()
+	defer sgmFree.Unlock()
+	if n := len(sgmFree.list); n > 0 {
+		sc := sgmFree.list[n-1]
+		sgmFree.list = sgmFree.list[:n-1]
+		return sc
+	}
+	return new(sgmScratch)
+}
+
+func putSGMScratch(sc *sgmScratch) {
+	sgmFree.Lock()
+	sgmFree.list = append(sgmFree.list, sc)
+	sgmFree.Unlock()
+}
+
+// aggregate sums the path costs of sc.cost over 4 or 8 directions into
+// sc.sum. With a second worker the two sweeps run at once over the one
+// volume: each covers its own half of the rows, writing them, they meet
+// once, then each adds into the half the other has left, so no cell is
+// touched by both at a time. Integer adds that cannot saturate commute, so
+// the volume is the serial one bit for bit. A frame of fewer than two rows
+// has no two halves — a lone sweep would wait forever — and runs serially.
+func (sc *sgmScratch) aggregate(w, h, nd, paths int, p1, p2 uint16) {
+	n := laneWords(nd)
+	sc.lanes.reset(nd, p1, p2)
+	sc.sum = grow(sc.sum, 2*w*h*n)
 	diag := paths == 8
+	for i := range sc.rows {
+		r := &sc.rows[i]
+		r.hor = grow(r.hor, 2*(n+1))
+		r.ver.grow(w * (n + 1))
+		if diag {
+			r.dl.grow(w * (n + 1))
+			r.dr.grow(w * (n + 1))
+		}
+	}
 	if h < 2 || par.Workers() < 2 {
-		sgmSweep(cost, sum, w, h, nd, diag, +1, nil, p1, p2)
-		sgmSweep(cost, sum, w, h, nd, diag, -1, nil, p1, p2)
-		return sum
+		sgmSweep(sc, &sc.rows[0], w, h, diag, +1, h, nil)
+		sgmSweep(sc, &sc.rows[1], w, h, diag, -1, 0, nil)
+		return
 	}
 	var met, done sync.WaitGroup
 	met.Add(2)
 	done.Add(1)
 	go func() {
 		defer done.Done()
-		sgmSweep(cost, sum, w, h, nd, diag, -1, &met, p1, p2)
+		sgmSweep(sc, &sc.rows[1], w, h, diag, -1, h-h/2, &met)
 	}()
-	sgmSweep(cost, sum, w, h, nd, diag, +1, &met, p1, p2)
+	sgmSweep(sc, &sc.rows[0], w, h, diag, +1, h/2, &met)
 	done.Wait()
-	return sum
 }
 
 // sgmSweep makes one raster pass over the volume — top-down, left-to-right
-// for step +1, the mirror image for step -1 — and accumulates into sum the
-// path costs of the directions whose predecessor that order has already
+// for step +1, the mirror image for step -1 — and accumulates into sc.sum
+// the path costs of the directions whose predecessor that order has already
 // visited: the horizontal one (x-step, y), the vertical one (x, y-step) and,
-// with diag, both diagonals (x∓1, y-step). A non-nil met is the rendezvous
-// with the opposite sweep (h >= 2): until both arrive the forward sweep
-// stays in rows [0, h/2) and the backward sweep in [h/2, h).
-func sgmSweep(cost []uint8, sum []uint16, w, h, nd int, diag bool, step int, met *sync.WaitGroup, p1, p2 uint16) {
-	hor, ver := newSGMRolling(w, nd), newSGMRolling(w, nd)
-	var dl, dr *sgmRolling
-	if diag {
-		dl, dr = newSGMRolling(w, nd), newSGMRolling(w, nd)
-	}
-	x0, y0, meet := 0, 0, h/2
+// with diag, both diagonals (x∓1, y-step). Its first `first` rows are those
+// it reaches before the opposite sweep: it writes their sums rather than
+// adding to them. A non-nil met is the rendezvous with the opposite sweep
+// (h >= 2), reached after those rows.
+func sgmSweep(sc *sgmScratch, r *sgmRows, w, h int, diag bool, step, first int, met *sync.WaitGroup) {
+	k := &sc.lanes
+	n := len(k.pad)
+	e := n + 1
+	zero := k.zero[:e]
+	x0, y0 := 0, 0
 	if step < 0 {
-		x0, y0, meet = w-1, h-1, h-h/2
+		x0, y0 = w-1, h-1
 	}
 	for i, y := 0, y0; i < h; i, y = i+1, y+step {
-		if met != nil && i == meet {
+		if met != nil && i == first {
 			met.Done()
 			met.Wait()
 		}
-		hor.swap()
-		ver.swap()
+		store := i < first
+		r.ver.swap()
 		if diag {
-			dl.swap()
-			dr.swap()
+			r.dl.swap()
+			r.dr.swap()
 		}
-		rowBase := y * w * nd
+		hor := zero
 		for j, x := 0, x0; j < w; j, x = j+1, x+step {
-			b := x * nd
-			costRow := cost[rowBase+b : rowBase+b+nd]
-			sumRow := sum[rowBase+b : rowBase+b+nd]
-			var pHor, pVer []uint16
-			if j > 0 {
-				pHor = hor.cur[b-step*nd:][:nd]
-			}
+			p := y*w + x
+			cost := sc.cost[p*n:][:n]
+			sum := sc.sum[2*p*n:][:2*n]
+			b := x * e
+			hCur := r.hor[(j&1)*e:][:e]
+			ver := zero
 			if i > 0 {
-				pVer = ver.prev[b : b+nd]
+				ver = r.ver.prev[b:][:e]
 			}
-			sgmStep(hor.cur[b:b+nd], pHor, sumRow, costRow, nd, p1, p2)
-			sgmStep(ver.cur[b:b+nd], pVer, sumRow, costRow, nd, p1, p2)
+			pairStep(hCur, hor, r.ver.cur[b:][:e], ver, cost, sum, k, store)
+			hor = hCur
 			if diag {
-				var pDL, pDR []uint16
+				dl, dr := zero, zero
 				if x > 0 && i > 0 {
-					pDL = dl.prev[b-nd : b]
+					dl = r.dl.prev[b-e:][:e]
 				}
 				if x+1 < w && i > 0 {
-					pDR = dr.prev[b+nd : b+2*nd]
+					dr = r.dr.prev[b+e:][:e]
 				}
-				sgmStep(dl.cur[b:b+nd], pDL, sumRow, costRow, nd, p1, p2)
-				sgmStep(dr.cur[b:b+nd], pDR, sumRow, costRow, nd, p1, p2)
+				pairStep(r.dl.cur[b:][:e], dl, r.dr.cur[b:][:e], dr, cost, sum, k, false)
 			}
 		}
 	}
@@ -297,7 +443,8 @@ func sgmSweep(cost []uint8, sum []uint16, w, h, nd int, diag bool, step int, met
 
 // SGM computes a disparity map with semi-global matching: census costs
 // aggregated along opt.Paths directions with penalties P1/P2, followed by
-// winner-take-all and optional subpixel refinement.
+// winner-take-all and optional subpixel refinement. It panics on options
+// outside the lane bound (see SGMOptions).
 func SGM(left, right *imgproc.Image, opt SGMOptions) *imgproc.Image {
 	if left.W != right.W || left.H != right.H {
 		panic("stereo: image sizes differ")
@@ -305,35 +452,62 @@ func SGM(left, right *imgproc.Image, opt SGMOptions) *imgproc.Image {
 	if opt.Paths != 4 && opt.Paths != 8 {
 		panic(fmt.Sprintf("stereo: SGM paths must be 4 or 8, got %d", opt.Paths))
 	}
+	if opt.MaxDisp < 0 {
+		panic(fmt.Sprintf("stereo: SGM MaxDisp %d is negative", opt.MaxDisp))
+	}
+	worst := censusBits(opt.CensusR)
+	p1, p2 := roundPenalty(opt.P1), roundPenalty(opt.P2)
+	if worst+int(p1)+int(p2) > laneMax {
+		panic(fmt.Sprintf("stereo: SGM census cost %d + P1 %d + P2 %d exceeds the lane bound %d", worst, p1, p2, laneMax))
+	}
 	w, h, nd := left.W, left.H, opt.MaxDisp+1
-	cost := costVolume(census(left, opt.CensusR), census(right, opt.CensusR), w, h, nd, opt.CensusR)
-	sum := aggregate(cost, w, h, nd, opt.Paths, roundPenalty(opt.P1), roundPenalty(opt.P2))
-	return wtaVolume(sum, w, h, nd, opt.Subpixel)
+	sc := getSGMScratch()
+	defer putSGMScratch(sc)
+	sc.cl = censusInto(grow(sc.cl, w*h), left, opt.CensusR)
+	sc.cr = censusInto(grow(sc.cr, w*h), right, opt.CensusR)
+	sc.cost = grow(sc.cost, w*h*laneWords(nd))
+	costVolume(sc.cost, sc.cl, sc.cr, w, h, nd, opt.CensusR)
+	sc.aggregate(w, h, nd, opt.Paths, p1, p2)
+	return wtaVolume(sc.sum, w, h, nd, opt.Subpixel)
 }
 
-// wtaVolume reads a summed cost volume (pixel-major, disparity innermost)
-// out into disparities: winner-take-all restricted to d <= x with optional
-// subpixel refinement.
-func wtaVolume(sum []uint16, w, h, nd int, subpixel bool) *imgproc.Image {
+// wtaVolume reads a packed sum volume out into disparities: winner-take-all
+// restricted to d <= x with optional subpixel refinement.
+func wtaVolume(sum []uint64, w, h, nd int, subpixel bool) *imgproc.Image {
+	n := laneWords(nd)
 	out := imgproc.NewImage(w, h)
-	par.For(h, func(y int) {
-		for x := 0; x < w; x++ {
-			cells := sum[(y*w+x)*nd:][:nd]
-			bestD := 0
-			hi := min(nd-1, x)
-			for d := 1; d <= hi; d++ {
-				if cells[d] < cells[bestD] {
-					bestD = d
-				}
-			}
-			disp := float64(bestD)
-			if subpixel && bestD > 0 && bestD < hi {
-				disp += subpixelFit(float64(cells[bestD-1]), float64(cells[bestD]), float64(cells[bestD+1]))
-			}
-			out.Set(x, y, float32(disp))
+	par.ForChunked(h, func(y0, y1 int) {
+		for p := y0 * w; p < y1*w; p++ {
+			out.Pix[p] = readout(sum[2*p*n:][:2*n], n, min(nd-1, p%w), subpixel)
 		}
 	})
 	return out
+}
+
+// readout picks a disparity from one pixel's packed sums: the first
+// minimum over d <= hi, with the optional parabola fit.
+func readout(sum []uint64, n, hi int, subpixel bool) float32 {
+	best, bestD := uint64(math.MaxUint64), 0
+	for l := 0; l < 8 && l*n <= hi; l++ {
+		words := sum[(l&1)*n:][:min(n, hi-l*n+1)]
+		shift := 16 * (l >> 1)
+		for k, word := range words {
+			if c := word >> shift & 0xFFFF; c < best {
+				best, bestD = c, l*n+k
+			}
+		}
+	}
+	disp := float64(bestD)
+	if subpixel && bestD > 0 && bestD < hi {
+		disp += subpixelFit(float64(laneSum(sum, n, bestD-1)), float64(best), float64(laneSum(sum, n, bestD+1)))
+	}
+	return float32(disp)
+}
+
+// laneSum is disparity d's sum in one pixel's packed sums.
+func laneSum(sum []uint64, n, d int) uint64 {
+	l := d / n
+	return sum[(l&1)*n+d-l*n] >> (16 * (l >> 1)) & 0xFFFF
 }
 
 // SGMMACs estimates the arithmetic cost of SGM on a w×h frame: census

@@ -3,16 +3,15 @@ package stereo
 import (
 	"fmt"
 	"math/rand"
-	"slices"
+	"strings"
 	"testing"
 	"time"
 )
 
 // The key frame's two parallel stages are held, cell for cell, to serial
-// references: aggregate to the two sweeps run back to back with no
-// rendezvous, census to naiveCensus. Heights 1..3 put the meeting row on the
-// first, the last or no row of a sweep; widths 1 and 7 are narrower than a
-// census window.
+// references: aggregate to naiveAggregate's per-direction volumes, census to
+// naiveCensus. Heights 1..3 put the meeting row on the first, the last or no
+// row of a sweep; widths 1 and 7 are narrower than a census window.
 var (
 	parallelHeights = []int{1, 2, 3, 19, 96}
 	parallelWidths  = []int{1, 7, 37, 160}
@@ -33,45 +32,98 @@ func within(t *testing.T, name string, f func()) {
 	}
 }
 
-func TestAggregateMatchesSerialSweeps(t *testing.T) {
+// aggregate runs the packed kernel on a cost volume in the references'
+// layout — uint8 cells, pixel-major, disparity innermost — and returns its
+// sums in that layout as uint16 cells.
+func aggregate(cost []uint8, w, h, nd, paths int, p1, p2 uint16) []uint16 {
+	n := laneWords(nd)
+	sc := new(sgmScratch)
+	sc.cost = make([]uint64, w*h*n)
+	for p := 0; p < w*h; p++ {
+		for d := 0; d < nd; d++ {
+			sc.cost[p*n+d%n] |= uint64(cost[p*nd+d]) << (8 * (d / n))
+		}
+	}
+	sc.aggregate(w, h, nd, paths, p1, p2)
+	sum := make([]uint16, w*h*nd)
+	for p := 0; p < w*h; p++ {
+		for d := 0; d < nd; d++ {
+			sum[p*nd+d] = uint16(laneSum(sc.sum[2*p*n:][:2*n], n, d))
+		}
+	}
+	return sum
+}
+
+// Every lane-boundary case of nd (one word, a full word, one lane into the
+// next, ...) meets the heights and widths in turn, under the default
+// penalties and under penalties at the lane bound for each census radius,
+// where path costs reach laneMax − P1 and every lane is one step from its
+// guard bit.
+func TestAggregateSweepsMatchNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	saturated := false
+	nds := []int{1, 2, 7, 8, 9, 16, 17, 33, 41}
+	penalties := []struct {
+		r      int // census radius: costs in [0, M]
+		p1, p2 uint16
+	}{
+		{2, 1, 8},   // the defaults
+		{1, 1, 118}, // M + P1 + P2 = 127 from here on
+		{2, 40, 63},
+		{3, 60, 19},
+	}
+	combo := 0
 	for _, h := range parallelHeights {
-		for wi, w := range parallelWidths {
-			nd := []int{1, 2, 7, 9}[wi] // 1 and 2 are sgmStep's peeled cases
-			cost := make([]uint8, w*h*nd)
-			// Disparity 0 is cheap and the rest dear, so under penalties too
-			// large to switch the others' path costs grow by ~220 a pixel
-			// and the eight-path sum of a mid-frame cell passes 65535.
-			for i := range cost {
-				cost[i] = uint8(200 + rng.Intn(56))
-				if i%nd == 0 {
-					cost[i] = uint8(rng.Intn(16))
+		for _, w := range parallelWidths {
+			nd := nds[combo%len(nds)]
+			combo++
+			for _, pen := range penalties {
+				m := censusBits(pen.r)
+				// Worst-cost runs and free cells make long jumps: the path
+				// costs climb to M + P2 and the minimum drops to 0.
+				cost := make([]uint8, w*h*nd)
+				for i := range cost {
+					switch c := rng.Intn(8); {
+					case c < 3:
+						cost[i] = uint8(m)
+					case c == 3:
+						cost[i] = 0
+					default:
+						cost[i] = uint8(rng.Intn(m + 1))
+					}
 				}
-			}
-			for _, paths := range []int{4, 8} {
-				for _, pen := range [][2]uint16{{1, 8}, {4000, 20000}} {
-					t.Setenv("ASV_WORKERS", "1")
-					want := make([]uint16, w*h*nd)
-					sgmSweep(cost, want, w, h, nd, paths == 8, +1, nil, pen[0], pen[1])
-					sgmSweep(cost, want, w, h, nd, paths == 8, -1, nil, pen[0], pen[1])
-					saturated = saturated || slices.Contains(want, 65535)
+				for _, paths := range []int{4, 8} {
+					want := naiveAggregate[uint16](cost, w, h, nd, paths, pen.p1, pen.p2)
 					for _, workers := range parallelWorkers {
 						t.Setenv("ASV_WORKERS", workers)
-						name := fmt.Sprintf("%dx%dx%d paths=%d P1=%d P2=%d workers=%s", w, h, nd, paths, pen[0], pen[1], workers)
+						name := fmt.Sprintf("%dx%dx%d paths=%d M=%d P1=%d P2=%d workers=%s", w, h, nd, paths, m, pen.p1, pen.p2, workers)
 						var got []uint16
-						within(t, name, func() { got = aggregate(cost, w, h, nd, paths, pen[0], pen[1]) })
+						within(t, name, func() { got = aggregate(cost, w, h, nd, paths, pen.p1, pen.p2) })
 						if i := firstDiff(got, want); i >= 0 {
-							t.Fatalf("%s: cell %d (row %d): got %d, serial sweeps give %d", name, i, i/(w*nd), got[i], want[i])
+							t.Fatalf("%s: cell %d (row %d): got %d, the reference gives %d", name, i, i/(w*nd), got[i], want[i])
 						}
 					}
 				}
 			}
 		}
 	}
-	if !saturated {
-		t.Fatal("no case saturated a cell: the penalties no longer exercise the saturating add")
-	}
+}
+
+// SGM refuses penalties whose path costs could overflow a lane, naming the
+// bound, and runs at the bound itself.
+func TestSGMRejectsPenaltiesBeyondLaneBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	left, right := randPair(rng, 23, 11, false)
+	opt := SGMOptions{MaxDisp: 9, CensusR: 2, P1: 1, P2: 103, Paths: 8, Subpixel: true} // 24 + 1 + 103 = 128
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "lane bound 127") {
+				t.Fatalf("M + P1 + P2 = 128: panic %q, want one naming the lane bound 127", msg)
+			}
+		}()
+		SGM(left, right, opt)
+	}()
+	opt.P2 = 102
+	sameImage(t, "M + P1 + P2 = 127", SGM(left, right, opt), naiveSGM(left, right, opt))
 }
 
 func TestCensusMatchesNaiveReference(t *testing.T) {
