@@ -27,7 +27,7 @@ FUZZ_TARGETS := \
 # Minimum total test coverage (percent) enforced by `make cover` and CI.
 COVER_THRESHOLD := 80
 
-.PHONY: build test race bench backends-json kernels-json kernels-gate eval-json ladder-json serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
+.PHONY: build test race bench backends-json kernels-json kernels-gate eval-json ladder-json ladder-check serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
 
 build:
 	go build ./...
@@ -72,6 +72,14 @@ eval-json:
 # pricing of the operating-point ladder the server degrades along.
 ladder-json:
 	go run ./cmd/asveval -ladder quality_ladder.json
+
+# Regenerate the ladder pricing into quality_ladder.fresh.json and fail
+# unless it is byte-identical to the committed quality_ladder.json: the
+# scores are deterministic, so any drift means the degraded serving path
+# changed. The fresh file is left for CI to upload.
+ladder-check:
+	go run ./cmd/asveval -ladder quality_ladder.fresh.json
+	cmp quality_ladder.fresh.json quality_ladder.json
 
 # End-to-end smoke of the serving layer: boot asvserve on a random port,
 # push ~50 requests through asvload, assert latency was reported, no request
@@ -157,4 +165,4 @@ cover:
 	if [ "$$ok" != 1 ]; then \
 		echo "coverage $$total% is below the $(COVER_THRESHOLD)% floor" >&2; exit 1; fi
 
-check: build vet lint perf-gate fmt-check test race bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke cover kernels-gate
+check: build vet lint perf-gate fmt-check test race bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke ladder-check benchmark-smoke cover kernels-gate

@@ -143,26 +143,14 @@ func New(matcher KeyMatcher, cfg Config) *Pipeline {
 	return &Pipeline{cfg: cfg, matcher: matcher}
 }
 
-// Config returns the pipeline's (validated) configuration.
+// Config returns the pipeline's (validated) configuration, fixed at New;
+// reading it is safe while another goroutine processes frames.
 func (p *Pipeline) Config() Config { return p.cfg }
-
-// SetConfig replaces the pipeline's tuning parameters in place, leaving the
-// temporal state untouched. The quality ladder uses it to flip the
-// fixed-point refine kernels around degraded frames; callers that change
-// parameters the temporal kernels are sensitive to (flow options, refine
-// radius) own the accuracy consequences. Panics, like New, on an invalid
-// configuration.
-func (p *Pipeline) SetConfig(cfg Config) {
-	cfg.validate()
-	p.cfg = cfg
-}
 
 // PrevFrames returns the previous frame's left and right images — the
 // reference inputs a motion estimator needs to compute flow to the current
 // frame — or nil before the first key frame. Callers that run flow outside
-// the pipeline read it to pair frames for ProcessNonKeyWith;
-// pipeline.ProcessFrameAs and quality.NextIsKey read it to force a key
-// frame before there is one.
+// the pipeline read it to pair frames for ProcessNonKeyWith.
 func (p *Pipeline) PrevFrames() (left, right *imgproc.Image) {
 	return p.prevLeft, p.prevRight
 }
@@ -179,24 +167,28 @@ func (p *Pipeline) Reset() {
 // FrameIndex returns the number of frames processed since the last Reset.
 func (p *Pipeline) FrameIndex() int { return p.frameIdx }
 
-// SinceKey returns the number of frames since the last key commit (1 means
-// the key frame itself was the previous frame), or 0 before any key frame.
-// External schedulers (the quality ladder's stretched-window rule) key off
-// it because, unlike the frame index, it stays coherent when the effective
-// window changes mid-stream.
-func (p *Pipeline) SinceKey() int { return p.sinceKey }
-
 // NextIsKey reports whether the next Process call will treat its frame as a
-// key frame: the static PW schedule by default, or the motion-triggered
-// controller when Config.Adaptive is set.
-func (p *Pipeline) NextIsKey() bool {
+// key frame: KeyDue at the configured window.
+func (p *Pipeline) NextIsKey() bool { return p.KeyDue(1) }
+
+// KeyDue is the key schedule, the one place that decides whether the next
+// frame is a key frame when the propagation window is stretched stretch
+// times (the quality ladder's rungs stretch it; 1 is the configured
+// window). Before the first key frame, and after a Reset, it always is.
+// Under the motion-triggered controller (Config.Adaptive) it is when motion
+// asked for one or MaxWindow·stretch frames have passed since the last;
+// otherwise every PW·stretch frames. The count is frames since the last key
+// frame, not the frame index, so the schedule stays coherent when the
+// stretch changes mid-stream; at stretch 1 a stream processed by this
+// schedule keys on every PW-th frame.
+func (p *Pipeline) KeyDue(stretch int) bool {
 	if p.prevDisp == nil {
 		return true
 	}
 	if a := p.cfg.Adaptive; a != nil {
-		return p.needKey || p.sinceKey >= a.MaxWindow
+		return p.needKey || p.sinceKey >= a.MaxWindow*stretch
 	}
-	return p.frameIdx%p.cfg.PW == 0
+	return p.sinceKey >= p.cfg.PW*stretch
 }
 
 // Process consumes the next stereo pair of the stream, deciding key/non-key
@@ -231,15 +223,24 @@ func (p *Pipeline) ProcessNonKey(left, right *imgproc.Image) Result {
 // externally computed motion fields: fl must be the configured estimator's
 // flow from the previous left frame to left, and fr likewise for the right
 // stream — computed by EstimateMotion, or by the estimator's stateless
-// Estimate. internal/pipeline runs every non-key frame as EstimateMotion
-// then ProcessNonKeyWith, so it can time the flow and the refine apart; the
-// result is bit-identical to Process because the same estimator ran on the
-// same inputs. It panics if no key frame has been processed yet.
+// Estimate. The result is bit-identical to Process because the same
+// estimator ran on the same inputs. It panics if no key frame has been
+// processed yet.
 func (p *Pipeline) ProcessNonKeyWith(left, right *imgproc.Image, fl, fr flow.Field) Result {
+	return p.ProcessNonKeyAs(left, right, fl, fr, false)
+}
+
+// ProcessNonKeyAs is ProcessNonKeyWith with the guided refine's kernel
+// chosen for this frame: the fixed-point (uint8) kernel when fixedRefine or
+// the configured BM.Fixed is set, the float kernel otherwise. The quality
+// ladder's fixed-point rungs pass true; the Config does not change.
+// internal/pipeline runs every non-key frame as EstimateMotion then
+// ProcessNonKeyAs, so it can time the flow and the refine apart.
+func (p *Pipeline) ProcessNonKeyAs(left, right *imgproc.Image, fl, fr flow.Field, fixedRefine bool) Result {
 	if p.prevDisp == nil {
 		panic("core: non-key frame before any key frame")
 	}
-	return p.propagateRefine(left, right, fl, fr)
+	return p.propagateRefine(left, right, fl, fr, fixedRefine)
 }
 
 func (p *Pipeline) commitKey(left, right, disp *imgproc.Image, macs int64) Result {
@@ -256,7 +257,7 @@ func (p *Pipeline) commitKey(left, right, disp *imgproc.Image, macs int64) Resul
 func (p *Pipeline) processNonKey(left, right *imgproc.Image) Result {
 	// Step 3: propagate correspondences with per-view motion estimation.
 	fl, fr := p.EstimateMotion(left, right)
-	return p.propagateRefine(left, right, fl, fr)
+	return p.propagateRefine(left, right, fl, fr, false)
 }
 
 // EstimateMotion returns the configured estimator's motion fields from the
@@ -264,11 +265,10 @@ func (p *Pipeline) processNonKey(left, right *imgproc.Image) Result {
 // estimated concurrently, for a ProcessNonKeyWith of the same pair. With
 // the paper's Farneback estimator, each eye keeps the expansion it builds
 // of its new frame, and the next call uses it as the previous frame's when
-// that frame is still PrevFrames' and the estimator's options and scale are
-// unchanged — so in a run of non-key frames each frame is expanded once,
-// not twice. Otherwise the expansion is built cold. The fields are
-// bit-identical to the estimator's stateless Estimate either way. It panics
-// if no key frame has been processed yet.
+// that frame is still PrevFrames' — so in a run of non-key frames each
+// frame is expanded once, not twice. Otherwise the expansion is built cold.
+// The fields are bit-identical to the estimator's stateless Estimate either
+// way. It panics if no key frame has been processed yet.
 func (p *Pipeline) EstimateMotion(left, right *imgproc.Image) (fl, fr flow.Field) {
 	if p.prevDisp == nil {
 		panic("core: non-key frame before any key frame")
@@ -286,10 +286,9 @@ func (p *Pipeline) EstimateMotion(left, right *imgproc.Image) (fl, fr flow.Field
 }
 
 // motionCarry is one eye's expansion of the frame it was built from, under
-// the Farneback estimator it was built with.
+// the pipeline's Farneback estimator (fixed with its Config at New).
 type motionCarry struct {
 	src *imgproc.Image
-	me  FarnebackME
 	exp *flow.Expansion
 }
 
@@ -302,14 +301,14 @@ func (c *motionCarry) estimate(me MotionEstimator, prev, next *imgproc.Image) fl
 		c.drop()
 		return me.Estimate(prev, next)
 	}
-	if c.exp == nil || c.src != prev || c.me != fb {
+	if c.exp == nil || c.src != prev {
 		c.drop()
 		c.exp = fb.expand(prev)
 	}
 	en := fb.expand(next)
 	f := fb.estimateExpanded(c.exp, en, prev.W, prev.H)
 	c.exp.Put()
-	*c = motionCarry{src: next, me: fb, exp: en}
+	*c = motionCarry{src: next, exp: en}
 	return f
 }
 
@@ -328,14 +327,17 @@ func (p *Pipeline) dropCarry() {
 }
 
 // propagateRefine runs ISM steps 2–4 on a non-key frame given the two
-// motion fields, and commits the frame. It takes ownership of fl and fr.
-func (p *Pipeline) propagateRefine(left, right *imgproc.Image, fl, fr flow.Field) Result {
+// motion fields, and commits the frame; fixedRefine is ProcessNonKeyAs'. It
+// takes ownership of fl and fr.
+func (p *Pipeline) propagateRefine(left, right *imgproc.Image, fl, fr flow.Field, fixedRefine bool) Result {
 	// Steps 2+3: reconstruct pairs from the previous disparity map and move
 	// both endpoints by their motion vectors.
 	prop := propagate(p.prevDisp, fl, fr)
 
 	// Step 4: refine with the guided 1-D correspondence search.
-	disp := stereo.Refine(left, right, prop, p.cfg.RefineR, p.cfg.BM)
+	bm := p.cfg.BM
+	bm.Fixed = bm.Fixed || fixedRefine
+	disp := stereo.Refine(left, right, prop, p.cfg.RefineR, bm)
 	imgproc.PutImage(prop)
 	if p.cfg.Postprocess {
 		med := stereo.MedianFilter(disp, 1)

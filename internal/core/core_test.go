@@ -563,8 +563,7 @@ func TestKeyFrameAllocBudget(t *testing.T) {
 // The expansion each eye carries is a cache: a stream whose flow goes
 // through EstimateMotion gives the bits of one whose flow is the stateless
 // Estimate, whatever invalidates the cache between frames — a key frame, a
-// change of flow options, a restore through SetState, a frame committed
-// with external flows.
+// restore through SetState, a frame committed with external flows.
 func TestCarriedFlowMatchesStatelessEstimate(t *testing.T) {
 	scene := seqCfg(33)
 	scene.FrameCount = 9
@@ -573,12 +572,7 @@ func TestCarriedFlowMatchesStatelessEstimate(t *testing.T) {
 	cfg.PW = 5
 	carried, stateless := New(nil, cfg), New(nil, cfg)
 	for i, fr := range seq.Frames {
-		switch i {
-		case 2: // the frame after this one expands its pair under other options
-			cfg.Flow.PolySigma = 1.3
-			carried.SetConfig(cfg)
-			stateless.SetConfig(cfg)
-		case 3:
+		if i == 3 {
 			if err := carried.SetState(carried.State()); err != nil {
 				t.Fatal(err)
 			}

@@ -13,12 +13,11 @@ import (
 // with bit-identical results (the kernels are deterministic functions of
 // the previous frame pair, the previous disparity and the frame counters).
 type State struct {
-	// FrameIdx is the number of frames processed since the last Reset; the
-	// static PW schedule keys off it.
+	// FrameIdx is the number of frames processed since the last Reset.
 	FrameIdx int
 	// SinceKey counts frames since the last key frame (1 = the key frame
-	// itself was the previous frame); the adaptive controller's MaxWindow
-	// bound keys off it.
+	// itself was the previous frame; 0 before any); the key schedule
+	// (Pipeline.KeyDue), static or adaptive, keys off it.
 	SinceKey int
 	// NeedKey is the adaptive controller's pending re-key trigger.
 	NeedKey bool
@@ -62,6 +61,9 @@ func (p *Pipeline) SetState(st State) error {
 		if st.FrameIdx != 0 {
 			return fmt.Errorf("core: %d frames processed but no previous frame state", st.FrameIdx)
 		}
+		if st.SinceKey != 0 {
+			return fmt.Errorf("core: since-key %d but no previous frame state", st.SinceKey)
+		}
 	case 3:
 		if st.FrameIdx < 1 {
 			return fmt.Errorf("core: previous frame state present but frame index is %d", st.FrameIdx)
@@ -71,6 +73,9 @@ func (p *Pipeline) SetState(st State) error {
 			if im.W != w || im.H != h {
 				return fmt.Errorf("core: state image sizes disagree (%dx%d vs %dx%d)", w, h, im.W, im.H)
 			}
+		}
+		if st.SinceKey < 1 || st.SinceKey > st.FrameIdx {
+			return fmt.Errorf("core: since-key %d outside [1, frame index %d]", st.SinceKey, st.FrameIdx)
 		}
 	default:
 		return fmt.Errorf("core: partial previous-frame state (%d of 3 images)", n)

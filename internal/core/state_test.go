@@ -71,6 +71,9 @@ func TestSetStateRejectsInconsistency(t *testing.T) {
 		{"images without frames", State{PrevLeft: im, PrevRight: im, PrevDisp: im}, "frame index is 0"},
 		{"partial images", State{FrameIdx: 1, PrevLeft: im}, "partial"},
 		{"size mismatch", State{FrameIdx: 1, PrevLeft: im, PrevRight: im, PrevDisp: other}, "disagree"},
+		{"since-key without images", State{SinceKey: 1}, "no previous frame"},
+		{"images with since-key 0", State{FrameIdx: 2, PrevLeft: im, PrevRight: im, PrevDisp: im}, "since-key 0"},
+		{"since-key past frame index", State{FrameIdx: 2, SinceKey: 3, PrevLeft: im, PrevRight: im, PrevDisp: im}, "since-key 3"},
 	}
 	for _, tc := range cases {
 		p := New(stateTestMatcher(), DefaultConfig())

@@ -46,31 +46,28 @@ func StreamFrames(matcher core.KeyMatcher, cfg core.Config, frames []Frame, opt 
 	return out
 }
 
-// ProcessFrame runs one stereo pair through p as a key or non-key frame by
-// p's own schedule (p.NextIsKey, static or motion-adaptive), bit-identical
-// to p.Process; see ProcessFrameAs.
+// ProcessFrame runs one stereo pair through p at p's configured window,
+// bit-identical to p.Process: ProcessFrameAs at stretch 1 with the
+// configured refine kernel.
 func ProcessFrame(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgproc.Image, m *metrics.Registry) core.Result {
-	return ProcessFrameAs(p, matcher, left, right, p.NextIsKey(), m)
+	return ProcessFrameAs(p, matcher, left, right, 1, false, m)
 }
 
-// ProcessFrameAs runs one stereo pair through p with the key decision made
-// by the caller: key matching with matcher (which must not be nil on a key
-// frame), or both eyes' motion fields from p.EstimateMotion followed by
-// propagation and refinement. The quality ladder uses it to run stretched
-// propagation windows through exactly the same kernels and stage metrics
-// as the standard path. isKey is ignored — forced true — while p has no
-// committed disparity to propagate from (first frame, or after a Reset).
-// Stage latencies are recorded under "keymatch", "flow",
-// "propagate+refine" and "frame" when m is non-nil. Like every
-// core.Pipeline entry point it must be called from one goroutine at a time
-// per pipeline; the serving layer serializes calls per session.
-func ProcessFrameAs(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgproc.Image, isKey bool, m *metrics.Registry) core.Result {
-	if l, _ := p.PrevFrames(); l == nil {
-		isKey = true
-	}
+// ProcessFrameAs is the one frame executor: it runs one stereo pair through
+// p as the key frame or non-key frame p's schedule decides
+// (p.KeyDue(stretch), static or motion-adaptive) — key matching with matcher
+// (which must not be nil on a key frame), or both eyes' motion fields from
+// p.EstimateMotion followed by propagation and refinement with the
+// fixed-point refine kernel when fixedRefine is set (see
+// core.Pipeline.ProcessNonKeyAs). The quality ladder runs its rungs through
+// it with their stretch and kernel. Stage latencies are recorded under
+// "keymatch", "flow", "propagate+refine" and "frame" when m is non-nil.
+// Like every core.Pipeline entry point it must be called from one goroutine
+// at a time per pipeline; the serving layer serializes calls per session.
+func ProcessFrameAs(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgproc.Image, stretch int, fixedRefine bool, m *metrics.Registry) core.Result {
 	t0 := time.Now()
 	var res core.Result
-	if isKey {
+	if p.KeyDue(stretch) {
 		if matcher == nil {
 			panic("pipeline: key frame reached with nil KeyMatcher")
 		}
@@ -81,7 +78,7 @@ func ProcessFrameAs(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgp
 		fl, fr := p.EstimateMotion(left, right)
 		t1 := time.Now()
 		observe(m, "flow", t1.Sub(t0))
-		res = p.ProcessNonKeyWith(left, right, fl, fr)
+		res = p.ProcessNonKeyAs(left, right, fl, fr, fixedRefine)
 		observe(m, "propagate+refine", time.Since(t1))
 	}
 	observe(m, "frame", time.Since(t0))

@@ -9,16 +9,20 @@
 //   - matcher choice: the server's configured key matcher (typically the
 //     accelerator-backed one) versus the cheap classic BM/SGM kernels;
 //   - float versus the fixed-point kernels (ROADMAP item 2);
-//   - PW stretch: multiply the session's propagation window, amortizing the
-//     expensive key matcher over more motion-propagated frames;
+//   - PW stretch: multiply the session's propagation window (or, under the
+//     motion-adaptive schedule, its MaxWindow), amortizing the expensive key
+//     matcher over more motion-propagated frames;
 //   - pyramid level: match at 1/2^L resolution via the existing pyramid
 //     code and upsample the disparity back (values scale by 2^L).
 //
-// The top rung (index 0) is special: it applies no degradation at all, so a
-// session pinned there is bit-identical to the pre-ladder serving path. The
-// serving layer picks rungs at runtime (see Controller); the offline pricer
-// (see Price) scores every rung against the dataset oracle into the
-// committed quality_ladder.json.
+// Step is the one executor of a frame at a rung; the key schedule it runs is
+// core.Pipeline's (KeyDue), with the rung's stretch as input. The top rung
+// (index 0) applies no degradation at all, so Step at rung 0 is
+// pipeline.ProcessFrame, bit for bit, static or adaptive schedule alike.
+// The serving layer runs every frame through Step — gold sessions at rung
+// 0, best-effort sessions at the rung the Controller picks — and the
+// offline pricer (see Price) scores every rung through it against the
+// dataset oracle into the committed quality_ladder.json.
 //
 // See DESIGN.md §12 "Operating-point ladder".
 package quality
@@ -79,7 +83,8 @@ type OperatingPoint struct {
 	// samples and uint16 costs instead of float32.
 	Fixed bool `json:"fixed,omitempty"`
 	// PWStretch multiplies the session's propagation window (1 = no
-	// stretch): key frames every basePW*PWStretch frames.
+	// stretch): key frames every basePW*PWStretch frames, or at most
+	// MaxWindow*PWStretch apart under the motion-adaptive schedule.
 	PWStretch int `json:"pw_stretch"`
 	// PyrLevel matches at 1/2^PyrLevel resolution and upsamples the
 	// disparity back to full size (0 = full resolution).
@@ -172,63 +177,28 @@ func scaledMaxDisp(maxDisp, level int) int {
 	return d
 }
 
-// EffectivePW is the rung's stretched propagation window over a session's
-// base window.
-func (r Rung) EffectivePW(basePW int) int {
-	eff := basePW * r.OP.PWStretch
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
-}
-
-// NextIsKey decides the key schedule for a stream operating at rung r: a
-// key frame when the pipeline has no committed state yet (first frame, or
-// just after a pyramid-level Reset) or once the frames since the last key
-// reach the stretched window. For PWStretch 1 this is provably the same
-// schedule as core's static frameIdx%PW rule (a key commit sets sinceKey to
-// 1 and every frame increments it), but unlike the frame-index rule it
-// stays coherent when the stretch changes mid-stream.
-func NextIsKey(p *core.Pipeline, r Rung, basePW int) bool {
-	if left, _ := p.PrevFrames(); left == nil {
-		return true
-	}
-	return p.SinceKey() >= r.EffectivePW(basePW)
-}
-
 // Step advances one frame of a stream operating at rung r: downsample the
-// pair to the rung's pyramid level, run the key or propagated ISM step
-// through the shared pipeline entry point (same kernels, same stage
-// metrics), and upsample the disparity back to the input geometry with
-// values scaled by 2^level. matcher must be r.BuildMatcher's result for a
-// consistent stream.
+// pair to the rung's pyramid level, run it through the one frame executor,
+// pipeline.ProcessFrameAs, at the rung's window stretch and refine kernel
+// (the key schedule is p's, p.KeyDue), and upsample the disparity back to
+// the input geometry with values scaled by 2^level. At the undegraded top
+// rung the pair and the disparity pass through untouched, so Step is
+// pipeline.ProcessFrame. matcher must be r.BuildMatcher's result for a
+// consistent stream. basePW must be p's configured window, p.Config().PW;
+// Step panics otherwise.
 //
 // The caller owns level transitions: the flow kernels require consecutive
 // frames to agree in size, so the pipeline must be Reset when the rung's
 // pyramid level differs from the previous frame's (the next Step then
 // recovers with a key frame at the new resolution).
 func Step(p *core.Pipeline, r Rung, basePW int, matcher core.KeyMatcher, left, right *imgproc.Image, m *metrics.Registry) core.Result {
-	// A fixed-point rung flips the guided-refine kernels too, not just the
-	// key matcher; the pipeline's own configuration is restored before
-	// returning so state observed between frames (snapshots) stays at the
-	// session's configured fidelity.
-	if r.OP.Fixed {
-		if cfg := p.Config(); !cfg.BM.Fixed {
-			cfg.BM.Fixed = true
-			p.SetConfig(cfg)
-			defer func() {
-				cfg.BM.Fixed = false
-				p.SetConfig(cfg)
-			}()
-		}
+	if pw := p.Config().PW; basePW != pw {
+		panic(fmt.Sprintf("quality: Step with base window %d on a pipeline whose PW is %d", basePW, pw))
 	}
-	fullW, fullH := left.W, left.H
 	level := r.OP.PyrLevel
 	l, rt := DownsampleInput(left, level), DownsampleInput(right, level)
-	res := pipeline.ProcessFrameAs(p, matcher, l, rt, NextIsKey(p, r, basePW), m)
-	if level > 0 {
-		res.Disparity = UpsampleDisparity(res.Disparity, fullW, fullH, level)
-	}
+	res := pipeline.ProcessFrameAs(p, matcher, l, rt, r.OP.PWStretch, r.OP.Fixed, m)
+	res.Disparity = UpsampleDisparity(res.Disparity, left.W, left.H, level)
 	return res
 }
 

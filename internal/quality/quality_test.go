@@ -120,47 +120,90 @@ func TestUpsampleDisparity(t *testing.T) {
 
 // The top rung must be bit-identical to the undegraded serving path: Step at
 // rung 0 and pipeline.ProcessFrame must produce the same disparities frame
-// by frame, including the key schedule.
+// by frame, including the key schedule — the static one, and the
+// motion-adaptive one whose keys fall off the PW grid.
 func TestTopRungBitIdentical(t *testing.T) {
 	seq := dataset.Generate(dataset.SceneFlowLike(64, 48, 8, 5)[0])
 	matcher := core.BMMatcher{Opt: stereo.DefaultBMOptions()}
-	cfg := core.DefaultConfig()
-	cfg.PW = 3
-
-	ref := core.New(matcher, cfg)
-	got := core.New(matcher, cfg)
-	top := DefaultLadder()[0]
-	for i, fr := range seq.Frames {
-		rr := pipeline.ProcessFrame(ref, matcher, fr.Left, fr.Right, nil)
-		gr := Step(got, top, cfg.PW, matcher, fr.Left, fr.Right, nil)
-		if rr.IsKey != gr.IsKey {
-			t.Fatalf("frame %d: key schedule diverged (ref %v, ladder %v)", i, rr.IsKey, gr.IsKey)
-		}
-		if rr.MACs != gr.MACs {
-			t.Fatalf("frame %d: MACs diverged (%d vs %d)", i, rr.MACs, gr.MACs)
-		}
-		for p := range rr.Disparity.Pix {
-			if rr.Disparity.Pix[p] != gr.Disparity.Pix[p] {
-				t.Fatalf("frame %d: disparity diverged at pixel %d", i, p)
+	def := core.DefaultAdaptiveConfig()
+	low := def
+	low.MotionThresholdPx = 0.05 // re-keys every other frame on this clip
+	for _, tc := range []struct {
+		name     string
+		adaptive *core.AdaptiveConfig
+	}{
+		{"static", nil},
+		{"adaptive default", &def},
+		{"adaptive 0.05 px", &low},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.PW = 3
+			cfg.Adaptive = tc.adaptive
+			ref := core.New(matcher, cfg)
+			got := core.New(matcher, cfg)
+			top := DefaultLadder()[0]
+			for i, fr := range seq.Frames {
+				rr := pipeline.ProcessFrame(ref, matcher, fr.Left, fr.Right, nil)
+				gr := Step(got, top, cfg.PW, matcher, fr.Left, fr.Right, nil)
+				if rr.IsKey != gr.IsKey {
+					t.Fatalf("frame %d: key schedule diverged (ref %v, ladder %v)", i, rr.IsKey, gr.IsKey)
+				}
+				if rr.MACs != gr.MACs {
+					t.Fatalf("frame %d: MACs diverged (%d vs %d)", i, rr.MACs, gr.MACs)
+				}
+				for p := range rr.Disparity.Pix {
+					if rr.Disparity.Pix[p] != gr.Disparity.Pix[p] {
+						t.Fatalf("frame %d: disparity diverged at pixel %d", i, p)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
-// A stretched rung must run key frames exactly every basePW*stretch frames.
+// A stretched rung must run key frames exactly every window*stretch frames,
+// where the window is PW, or MaxWindow under the motion-adaptive schedule
+// (its threshold set out of reach, so only the bound re-keys).
 func TestStretchedKeySchedule(t *testing.T) {
 	seq := dataset.Generate(dataset.SceneFlowLike(48, 32, 9, 3)[0])
 	matcher := core.BMMatcher{Opt: stereo.DefaultBMOptions()}
-	cfg := core.DefaultConfig()
-	cfg.PW = 2
-	pipe := core.New(nil, cfg)
-	r := Rung{Name: "s2", OP: OperatingPoint{Matcher: "bm", PWStretch: 2}}
-	for i, fr := range seq.Frames {
-		res := Step(pipe, r, cfg.PW, matcher, fr.Left, fr.Right, nil)
-		if want := i%4 == 0; res.IsKey != want {
-			t.Fatalf("frame %d: IsKey=%v, want %v (PW 2, stretch 2)", i, res.IsKey, want)
-		}
+	for _, tc := range []struct {
+		name     string
+		adaptive *core.AdaptiveConfig
+		window   int
+	}{
+		{"static PW 2", nil, 4},
+		{"adaptive MaxWindow 3", &core.AdaptiveConfig{MaxWindow: 3, MotionThresholdPx: 1e9}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.PW = 2
+			cfg.Adaptive = tc.adaptive
+			pipe := core.New(nil, cfg)
+			r := Rung{Name: "s2", OP: OperatingPoint{Matcher: "bm", PWStretch: 2}}
+			for i, fr := range seq.Frames {
+				res := Step(pipe, r, cfg.PW, matcher, fr.Left, fr.Right, nil)
+				if want := i%tc.window == 0; res.IsKey != want {
+					t.Fatalf("frame %d: IsKey=%v, want %v (stretch 2)", i, res.IsKey, want)
+				}
+			}
+		})
 	}
+}
+
+// Step's base window is the pipeline's PW; any other is a caller bug.
+func TestStepRejectsForeignBaseWindow(t *testing.T) {
+	cfg := core.DefaultConfig()
+	pipe := core.New(nil, cfg)
+	fr := dataset.Generate(dataset.SceneFlowLike(32, 24, 1, 3)[0]).Frames[0]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Step with a base window other than the pipeline's PW did not panic")
+		}
+	}()
+	top := core.BMMatcher{Opt: stereo.DefaultBMOptions()}
+	Step(pipe, DefaultLadder()[0], cfg.PW+1, top, fr.Left, fr.Right, nil)
 }
 
 // A pyramid rung must return full-geometry disparities whose values are in

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -243,6 +244,40 @@ func TestBestEffortRefusesOnlyWhenLadderExhausted(t *testing.T) {
 	<-done
 }
 
+// Under a motion-adaptive pipeline template, an unloaded best-effort session
+// runs rung 0 and must be served exactly the gold session's frames: the
+// same key frames, where motion puts them, and the same disparity bits.
+func TestAdaptiveBestEffortRungZeroMatchesGold(t *testing.T) {
+	const frames = 16
+	cfg := DefaultConfig()
+	a := core.DefaultAdaptiveConfig()
+	cfg.Pipeline.Adaptive = &a
+	s, ts := testServer(t, cfg, 0)
+	req := CreateSessionRequest{Preset: "sceneflow", W: 64, H: 48, Frames: frames, Seed: 5}
+	gold := createPresetSession(t, ts.URL, req)
+	req.SLO, req.DeadlineMs = "besteffort", 1e6 // no deadline to miss: rung 0
+	be := createPresetSession(t, ts.URL, req)
+
+	offGrid := false
+	for i := 0; i < frames; i++ {
+		_, gKey, _, gDisp := submitPFM(t, ts.URL, gold.ID)
+		_, bKey, _, bDisp := submitPFM(t, ts.URL, be.ID)
+		if gKey != bKey {
+			t.Fatalf("frame %d: gold is_key=%v, best-effort rung 0 is_key=%v", i, gKey, bKey)
+		}
+		if !bytes.Equal(gDisp, bDisp) {
+			t.Fatalf("frame %d: best-effort rung-0 disparity differs from gold", i)
+		}
+		offGrid = offGrid || gKey != (i%cfg.PW == 0)
+	}
+	if n := s.degradedTotal.Load(); n != 0 {
+		t.Fatalf("%d unloaded best-effort frames were served below rung 0", n)
+	}
+	if !offGrid {
+		t.Fatal("the adaptive schedule keyed on the static grid; the clip does not test it")
+	}
+}
+
 // A session parked on a pyramid rung snapshots with empty temporal state
 // (its live state is at the wrong geometry) and still round-trips through
 // the codec into a servable session.
@@ -251,14 +286,13 @@ func TestDegradedSessionSnapshotDropsState(t *testing.T) {
 	_ = ts
 	sess := &session{
 		id:   "deg-snap",
-		pw:   2,
 		pipe: core.New(quickMatcher(0), func() core.Config { c := core.DefaultConfig(); c.PW = 2; return c }()),
 	}
 	sess.touch()
 	seq := presetSeq(t, 48, 32, 3)
 	rung := quality.Rung{Name: "half", OP: quality.OperatingPoint{Matcher: "bm", PWStretch: 1, PyrLevel: 1}}
 	for _, fr := range seq {
-		quality.Step(sess.pipe, rung, sess.pw, rung.BuildMatcher(quickMatcher(0)), fr.left, fr.right, nil)
+		quality.Step(sess.pipe, rung, 2, rung.BuildMatcher(quickMatcher(0)), fr.left, fr.right, nil)
 	}
 	sess.level = 1
 	sess.w, sess.h = 48, 32

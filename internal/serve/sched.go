@@ -7,7 +7,6 @@ import (
 
 	"asv/internal/core"
 	"asv/internal/imgproc"
-	"asv/internal/pipeline"
 	"asv/internal/quality"
 	"asv/internal/stereo"
 )
@@ -137,11 +136,11 @@ func (s *Server) drain(sess *session) {
 	}
 }
 
-// process runs one frame — the full ISM step for its session, key-frame
-// matching or concurrent L/R flow + propagation + refinement, via
-// pipeline.ProcessFrame, which pipeline.StreamFrames loops over too, so the
-// served frame and the batch stream are one frame path observing the same
-// metric stages — and replies.
+// process runs one frame — the ISM step for its session at its rung,
+// key-frame matching or concurrent L/R flow + propagation + refinement, via
+// quality.Step, whose rung-0 frame is pipeline.ProcessFrame, the frame
+// pipeline.StreamFrames loops over too, so the served frame and the batch
+// stream are one frame path observing the same metric stages — and replies.
 func (s *Server) process(it *workItem, queueWait time.Duration) {
 	rep := frameReply{queueWait: queueWait}
 	if s.cfg.Metrics != nil {
@@ -173,12 +172,12 @@ func (s *Server) process(it *workItem, queueWait time.Duration) {
 	}
 }
 
-// runFrame executes the ISM step under the session's run lock, which
-// serializes the state mutation against snapshot encoding. Workers never
-// contend on it (drain runs at most one frame per session), so in the steady
-// state it is uncontended. The deferred unlock also covers
-// kernel panics, which process turns into a 500. Returns the encoded
-// checkpoint when one is due.
+// runFrame picks the frame's rung and executes it with quality.Step under
+// the session's run lock, which serializes the state mutation against
+// snapshot encoding. Workers never contend on it (drain runs at most one
+// frame per session), so in the steady state it is uncontended. The
+// deferred unlock also covers kernel panics, which process turns into a
+// 500. Returns the encoded checkpoint when one is due.
 func (s *Server) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 	it.sess.runMu.Lock()
 	defer it.sess.runMu.Unlock()
@@ -207,12 +206,12 @@ func (s *Server) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 		rep.left = left
 	}
 
-	// Rung choice (DESIGN.md §12). Gold sessions run the unchanged rung-0
-	// path — pipeline.ProcessFrame with the server's matcher, bit-identical
-	// to the pre-ladder server. Best-effort sessions ask the controller for
-	// the cheapest rung predicted to meet their deadline at the current
-	// queue depth and run it through quality.Step (the same executor the
-	// offline pricer scores, so quality_ladder.json prices what is served).
+	// Rung choice (DESIGN.md §12). Gold sessions run rung 0, which is the
+	// undegraded ISM frame. Best-effort sessions ask the controller for the
+	// cheapest rung predicted to meet their deadline at the current queue
+	// depth. Either way the frame runs through quality.Step, the executor
+	// the offline pricer scores, so quality_ladder.json prices what is
+	// served.
 	rung := 0
 	if it.sess.slo == quality.BestEffort {
 		queued := int(s.inflight.Load()) - 1 // frames waiting behind this one
@@ -228,12 +227,8 @@ func (s *Server) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 	}
 
 	t0 := time.Now()
-	var res core.Result
-	if it.sess.slo == quality.Gold {
-		res = pipeline.ProcessFrame(it.sess.pipe, s.matcher, left, right, s.cfg.Metrics)
-	} else {
-		res = quality.Step(it.sess.pipe, r, it.sess.pw, s.rungMatchers[rung], left, right, s.cfg.Metrics)
-	}
+	pipe := it.sess.pipe
+	res := quality.Step(pipe, r, pipe.Config().PW, s.rungMatchers[rung], left, right, s.cfg.Metrics)
 	rep.compute = time.Since(t0)
 	rep.res = res
 	rep.rung = rung

@@ -714,7 +714,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	cfg.Postprocess = req.Postprocess
 	sess := &session{
 		id:         id,
-		pw:         pw,
 		pipe:       core.New(s.matcher, cfg),
 		created:    time.Now(),
 		calib:      calib,
@@ -775,7 +774,7 @@ func (s *Server) info(sess *session) SessionInfo {
 	w, h := sess.geometry()
 	inf := SessionInfo{
 		ID:        sess.id,
-		PW:        sess.pw,
+		PW:        sess.pipe.Config().PW,
 		Frames:    sess.frames.Load(),
 		KeyFrames: sess.keyFrames.Load(),
 		IdleMs:    sess.idle().Milliseconds(),

@@ -24,7 +24,6 @@ import (
 // only goroutine that runs them.
 type session struct {
 	id      string
-	pw      int // 0 when the schedule is adaptive
 	pipe    *core.Pipeline
 	created time.Time
 

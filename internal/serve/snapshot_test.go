@@ -203,6 +203,37 @@ func TestSnapshotHTTPErrors(t *testing.T) {
 	}
 }
 
+// A well-formed snapshot whose temporal state is inconsistent is refused on
+// restore with 422 and installs nothing: previous-frame images with no key
+// frame counted (since-key 0) get the outcome a partial state gets.
+func TestRestoreRefusesInconsistentState(t *testing.T) {
+	_, ts := testServer(t, DefaultConfig(), 0)
+	im := imgproc.NewImage(8, 6)
+	for name, st := range map[string]core.State{
+		"partial":     {FrameIdx: 2, SinceKey: 1, PrevLeft: im},
+		"since-key 0": {FrameIdx: 2, PrevLeft: im, PrevRight: im, PrevDisp: im},
+	} {
+		snap := EncodeSnapshot(&SessionSnapshot{
+			ID: "bad-state", PW: 3, FlowScale: 2, RefineR: 3,
+			BM:   DefaultConfig().Pipeline.BM,
+			Flow: DefaultConfig().Pipeline.Flow,
+			W:    8, H: 6, Frames: 2, KeyFrames: 1,
+			State: st,
+		})
+		if code, body := putSnapshot(t, ts.URL, "bad-state", snap); code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: PUT snapshot: %d: %s, want 422", name, code, body)
+		}
+		resp, err := http.Get(ts.URL + "/v1/sessions/bad-state")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: refused snapshot left a session behind (GET %d)", name, resp.StatusCode)
+		}
+	}
+}
+
 // TestSnapshotDecodeRejectsDamage feeds the decoder every truncation and
 // every single-byte corruption of a real snapshot. Each must fail with a
 // typed *SnapshotError — never a panic, never silent acceptance (the CRC

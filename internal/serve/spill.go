@@ -42,7 +42,7 @@ func (s *Server) snapshotLocked(sess *session) *SessionSnapshot {
 	w, h := sess.geometry()
 	snap := &SessionSnapshot{
 		ID:          sess.id,
-		PW:          sess.pw,
+		PW:          cfg.PW,
 		Postprocess: cfg.Postprocess,
 		FlowScale:   cfg.FlowScale,
 		RefineR:     cfg.RefineR,
@@ -106,7 +106,6 @@ func (s *Server) sessionFromSnapshot(snap *SessionSnapshot) (*session, error) {
 
 	sess := &session{
 		id:      snap.ID,
-		pw:      snap.PW,
 		pipe:    core.New(s.matcher, cfg),
 		created: time.Now(),
 	}
