@@ -27,7 +27,7 @@ FUZZ_TARGETS := \
 # Minimum total test coverage (percent) enforced by `make cover` and CI.
 COVER_THRESHOLD := 80
 
-.PHONY: build test race bench backends-json kernels-json kernels-gate eval-json ladder-json ladder-check serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
+.PHONY: build test race bench backends-json kernels-json kernels-gate eval-json eval-check ladder-json ladder-check serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
 
 build:
 	go build ./...
@@ -52,7 +52,7 @@ backends-json:
 	go run ./cmd/asvbench -exp backends -json BENCH_backends.json
 
 # Regenerate BENCH_kernels.json, the committed ns/pixel baseline for the
-# matching kernels (one row per kernel and numeric type).
+# matching and flow kernels (one row per kernel and size).
 kernels-json:
 	go run ./cmd/asvbench -exp kernels -json BENCH_kernels.json
 
@@ -67,6 +67,14 @@ kernels-gate:
 # rates + depth RMSE per preset x matcher x PW) from the batch evaluator.
 eval-json:
 	go run ./cmd/asveval -json BENCH_eval.json
+
+# Regenerate the accuracy sweep into BENCH_eval.fresh.json and fail unless
+# it is byte-identical to the committed BENCH_eval.json: the scores are
+# deterministic, so any drift means the matching, flow or rectification path
+# changed. The fresh file is left for CI to upload.
+eval-check:
+	go run ./cmd/asveval -json BENCH_eval.fresh.json
+	cmp BENCH_eval.fresh.json BENCH_eval.json
 
 # Regenerate quality_ladder.json, the committed per-rung accuracy/cost
 # pricing of the operating-point ladder the server degrades along.
@@ -165,4 +173,4 @@ cover:
 	if [ "$$ok" != 1 ]; then \
 		echo "coverage $$total% is below the $(COVER_THRESHOLD)% floor" >&2; exit 1; fi
 
-check: build vet lint perf-gate fmt-check test race bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke ladder-check benchmark-smoke cover kernels-gate
+check: build vet lint perf-gate fmt-check test race bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke ladder-check eval-check benchmark-smoke cover kernels-gate

@@ -9,8 +9,8 @@ import (
 	"asv"
 )
 
-// Kernel ns/pixel benchmarks (`asvbench -exp kernels`): the matching kernels
-// in each numeric type they have, written to -json and optionally gated
+// Kernel ns/pixel benchmarks (`asvbench -exp kernels`): the matching and
+// flow kernels, written to -json and optionally gated
 // against a committed baseline with -gate. CI runs
 //
 //	asvbench -exp kernels -json BENCH_kernels.fresh.json -gate BENCH_kernels.json
@@ -35,16 +35,12 @@ func kernelsExp() {
 
 	var rows [][]string
 	for _, p := range doc.Points {
-		speedup := ""
-		if p.SpeedupX > 0 {
-			speedup = fmt.Sprintf("%.2f", p.SpeedupX)
-		}
 		rows = append(rows, []string{p.Kernel, p.Variant,
 			fmt.Sprintf("%dx%d", p.W, p.H), fmt.Sprintf("%d", p.MaxDisp),
-			fmt.Sprintf("%.1f", p.NsPerPixel), speedup})
+			fmt.Sprintf("%.1f", p.NsPerPixel)})
 	}
-	table(fmt.Sprintf("Matching-kernel ns/pixel per numeric type (maxdisp %d, min of %d)", maxDisp, rounds),
-		[]string{"kernel", "variant", "size", "maxdisp", "ns/px", "speedup-x"}, rows)
+	table(fmt.Sprintf("Kernel ns/pixel (maxdisp %d, min of %d)", maxDisp, rounds),
+		[]string{"kernel", "variant", "size", "maxdisp", "ns/px"}, rows)
 
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(doc, "", "  ")
@@ -76,11 +72,6 @@ func runKernelsGate(fresh asv.KernelsBenchDoc, path string) error {
 	return gateKernels(fresh.Points, committed.Points)
 }
 
-// retiredRows are the float rows of kernels that have a single, integer
-// implementation now: a baseline taken before that still lists them, and
-// there is nothing left to measure them against.
-var retiredRows = map[string]bool{"census|float": true, "sgm-aggregate|float": true, "wta|float": true}
-
 // gateKernels fails when a committed (kernel, variant, size) row is missing
 // from the fresh run, or when a row's fresh/committed ns-per-pixel ratio
 // exceeds gateFactor times the median of that ratio over the rows both runs
@@ -103,9 +94,7 @@ func gateKernels(fresh, committed []asv.KernelPoint) error {
 	for _, c := range committed {
 		f, ok := freshBy[key(c)]
 		if !ok {
-			if !retiredRows[c.Kernel+"|"+c.Variant] {
-				failures = append(failures, fmt.Sprintf("%s: missing from fresh run", key(c)))
-			}
+			failures = append(failures, fmt.Sprintf("%s: missing from fresh run", key(c)))
 			continue
 		}
 		if c.NsPerPixel > 0 {

@@ -16,9 +16,9 @@ func point(kernel, variant string, w, h int, ns float64) asv.KernelPoint {
 
 func TestGateKernels(t *testing.T) {
 	committed := []asv.KernelPoint{
-		point("sad", "float", 128, 80, 100),
+		point("cvf", "fixed", 128, 80, 100),
 		point("sad", "fixed", 128, 80, 40),
-		point("refine", "float", 128, 80, 130),
+		point("census", "fixed", 128, 80, 130),
 		point("refine", "fixed", 128, 80, 90),
 	}
 	// scaled is committed measured on a host slower by factor, with row i
@@ -58,26 +58,15 @@ func TestGateKernels(t *testing.T) {
 	})
 
 	t.Run("one row 3x slower than the rest fails", func(t *testing.T) {
-		fresh := scaled(2, map[int]float64{2: 3}) // a 2x slower host, refine float 3x on top
+		fresh := scaled(2, map[int]float64{2: 3}) // a 2x slower host, census 3x on top
 		err := gateKernels(fresh, committed)
-		if err == nil || !strings.Contains(err.Error(), "refine|float|128x80") || strings.Contains(err.Error(), "sad|") {
-			t.Fatalf("want exactly the refine|float failure, got %v", err)
-		}
-	})
-
-	t.Run("retired float rows of a pre-merge baseline pass", func(t *testing.T) {
-		old := append([]asv.KernelPoint{
-			point("census", "float", 128, 80, 5000),
-			point("sgm-aggregate", "float", 128, 80, 5000),
-			point("wta", "float", 128, 80, 90),
-		}, committed...)
-		if err := gateKernels(scaled(1, nil), old); err != nil {
-			t.Fatalf("unexpected gate failure: %v", err)
+		if err == nil || !strings.Contains(err.Error(), "census|fixed|128x80") || strings.Contains(err.Error(), "sad|") {
+			t.Fatalf("want exactly the census|fixed failure, got %v", err)
 		}
 	})
 
 	t.Run("fail on missing row", func(t *testing.T) {
-		fresh := []asv.KernelPoint{point("sad", "float", 128, 80, 100)}
+		fresh := []asv.KernelPoint{point("cvf", "fixed", 128, 80, 100)}
 		err := gateKernels(fresh, committed)
 		if err == nil || !strings.Contains(err.Error(), "missing from fresh run") {
 			t.Fatalf("want missing-row failure, got %v", err)

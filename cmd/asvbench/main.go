@@ -42,7 +42,7 @@ func main() {
 		for _, l := range asv.ExperimentIndex() {
 			fmt.Println(l)
 		}
-		fmt.Println("kernels    matching-kernel ns/pixel per numeric type (-json writes BENCH_kernels.json, -gate checks a baseline)")
+		fmt.Println("kernels    matching- and flow-kernel ns/pixel (-json writes BENCH_kernels.json, -gate checks a baseline)")
 		return
 	}
 

@@ -36,7 +36,6 @@ func run(args []string, out io.Writer) error {
 	height := fs.Int("h", 120, "frame height")
 	seed := fs.Int64("seed", 7, "scene seed")
 	showMetrics := fs.Bool("metrics", false, "print per-stage latency metrics after the run")
-	fixed := fs.Bool("fixed", false, "run the SAD kernels on uint8 samples and uint16 costs instead of float32 (guided refine; the SGM key matcher is integer either way)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -52,15 +51,10 @@ func run(args []string, out io.Writer) error {
 	sgmOpt.MaxDisp = 28
 	cfg := asv.DefaultPipelineConfig()
 	cfg.PW = *pw
-	cfg.BM.Fixed = *fixed
 	matcher := asv.SGMKeyMatcher{Opt: sgmOpt}
 
-	kernels := "float"
-	if *fixed {
-		kernels = "fixed-point"
-	}
-	fmt.Fprintf(out, "ISM over %d frames at %dx%d, PW-%d, key matcher: SGM (%s kernels)\n\n",
-		*frames, *width, *height, *pw, kernels)
+	fmt.Fprintf(out, "ISM over %d frames at %dx%d, PW-%d, key matcher: SGM\n\n",
+		*frames, *width, *height, *pw)
 	fmt.Fprintln(out, "frame  kind     error-%   MOps")
 
 	var reg *asv.Metrics

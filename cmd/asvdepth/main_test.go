@@ -19,19 +19,6 @@ func TestRunSerialSmoke(t *testing.T) {
 	}
 }
 
-func TestRunFixedFlag(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-frames", "4", "-w", "64", "-h", "48", "-pw", "2", "-fixed"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"fixed-point kernels", "mean three-pixel error"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // -metrics must fill the stage table: the frame loop once handed its
 // registry to nothing and printed the header alone. The frame stage spans a
 // frame's key match or flow as well as its refine: a cross-frame runtime

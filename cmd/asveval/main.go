@@ -176,14 +176,14 @@ func priceLadder(fs *flag.FlagSet, out io.Writer, path string, w, h, frames int,
 	fmt.Fprintf(out, "ladder pricing: %dx%d, %d frames, PW %d, seed %d, preset %s, top matcher %s\n",
 		doc.W, doc.H, doc.Frames, doc.PW, doc.Seed, doc.Preset, matcher)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "rung\tmatcher\tfixed\tPW×\tpyr\tkey rate\tbad-1 %\tbad-3 %\tMMACs/frame")
+	fmt.Fprintln(tw, "rung\tmatcher\tPW×\tpyr\tkey rate\tbad-1 %\tbad-3 %\tMMACs/frame")
 	for _, r := range doc.Rungs {
 		m := r.OP.Matcher
 		if m == "" {
 			m = matcher
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%v\t%d\t%d\t%.2f\t%.4f\t%.4f\t%.1f\n",
-			r.Name, m, r.OP.Fixed, r.OP.PWStretch, r.OP.PyrLevel, r.KeyRate, r.Bad1, r.Bad3, r.MMACs)
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.2f\t%.4f\t%.4f\t%.1f\n",
+			r.Name, m, r.OP.PWStretch, r.OP.PyrLevel, r.KeyRate, r.Bad1, r.Bad3, r.MMACs)
 	}
 	//asvlint:ignore droppederr -- tabwriter to an in-memory/stdout writer
 	tw.Flush()

@@ -56,7 +56,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint each session to -spill-dir every N frames (0 = only on eviction)")
 	matcherName := fs.String("matcher", "bm", "key-frame matcher (bm|sgm)")
 	maxDisp := fs.Int("maxdisp", 24, "matcher disparity search range")
-	fixed := fs.Bool("fixed", false, "run the SAD kernels on uint8 samples and uint16 costs instead of float32 (guided refine and the bm key matcher; sgm is integer either way)")
 	deadline := fs.Duration("deadline", 0, "default per-frame latency target for best-effort sessions (0 = server default)")
 	overcommit := fs.Int("overcommit", 0, "best-effort admission bound as a multiple of -queue (0 = default)")
 	pacedFrameMs := fs.Int("paced-frame-ms", 0, "pace the key matcher to a fixed per-Match budget in ms (0 = off; for reproducible overload/degrade demos)")
@@ -70,7 +69,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	case "bm":
 		opt := asv.DefaultBMOptions()
 		opt.MaxDisp = *maxDisp
-		opt.Fixed = *fixed
 		matcher = asv.BMKeyMatcher{Opt: opt}
 	case "sgm":
 		opt := asv.DefaultSGMOptions()
@@ -84,7 +82,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	cfg := asv.DefaultServeConfig()
-	cfg.Pipeline.BM.Fixed = *fixed
 	if *deadline > 0 {
 		cfg.DefaultDeadline = *deadline
 	}

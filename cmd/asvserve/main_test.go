@@ -24,7 +24,7 @@ func TestRunServeAndDrain(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0", "-portfile", portfile,
-			"-workers", "2", "-queue", "8", "-pw", "3", "-fixed",
+			"-workers", "2", "-queue", "8", "-pw", "3",
 		}, &out)
 	}()
 

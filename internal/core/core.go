@@ -224,23 +224,15 @@ func (p *Pipeline) ProcessNonKey(left, right *imgproc.Image) Result {
 // flow from the previous left frame to left, and fr likewise for the right
 // stream — computed by EstimateMotion, or by the estimator's stateless
 // Estimate. The result is bit-identical to Process because the same
-// estimator ran on the same inputs. It panics if no key frame has been
+// estimator ran on the same inputs. internal/pipeline runs every non-key
+// frame as EstimateMotion then ProcessNonKeyWith, so it can time the flow
+// and the propagate+refine apart. It panics if no key frame has been
 // processed yet.
 func (p *Pipeline) ProcessNonKeyWith(left, right *imgproc.Image, fl, fr flow.Field) Result {
-	return p.ProcessNonKeyAs(left, right, fl, fr, false)
-}
-
-// ProcessNonKeyAs is ProcessNonKeyWith with the guided refine's kernel
-// chosen for this frame: the fixed-point (uint8) kernel when fixedRefine or
-// the configured BM.Fixed is set, the float kernel otherwise. The quality
-// ladder's fixed-point rungs pass true; the Config does not change.
-// internal/pipeline runs every non-key frame as EstimateMotion then
-// ProcessNonKeyAs, so it can time the flow and the refine apart.
-func (p *Pipeline) ProcessNonKeyAs(left, right *imgproc.Image, fl, fr flow.Field, fixedRefine bool) Result {
 	if p.prevDisp == nil {
 		panic("core: non-key frame before any key frame")
 	}
-	return p.propagateRefine(left, right, fl, fr, fixedRefine)
+	return p.propagateRefine(left, right, fl, fr)
 }
 
 func (p *Pipeline) commitKey(left, right, disp *imgproc.Image, macs int64) Result {
@@ -257,7 +249,7 @@ func (p *Pipeline) commitKey(left, right, disp *imgproc.Image, macs int64) Resul
 func (p *Pipeline) processNonKey(left, right *imgproc.Image) Result {
 	// Step 3: propagate correspondences with per-view motion estimation.
 	fl, fr := p.EstimateMotion(left, right)
-	return p.propagateRefine(left, right, fl, fr, false)
+	return p.propagateRefine(left, right, fl, fr)
 }
 
 // EstimateMotion returns the configured estimator's motion fields from the
@@ -327,17 +319,14 @@ func (p *Pipeline) dropCarry() {
 }
 
 // propagateRefine runs ISM steps 2–4 on a non-key frame given the two
-// motion fields, and commits the frame; fixedRefine is ProcessNonKeyAs'. It
-// takes ownership of fl and fr.
-func (p *Pipeline) propagateRefine(left, right *imgproc.Image, fl, fr flow.Field, fixedRefine bool) Result {
+// motion fields, and commits the frame. It takes ownership of fl and fr.
+func (p *Pipeline) propagateRefine(left, right *imgproc.Image, fl, fr flow.Field) Result {
 	// Steps 2+3: reconstruct pairs from the previous disparity map and move
 	// both endpoints by their motion vectors.
 	prop := propagate(p.prevDisp, fl, fr)
 
 	// Step 4: refine with the guided 1-D correspondence search.
-	bm := p.cfg.BM
-	bm.Fixed = bm.Fixed || fixedRefine
-	disp := stereo.Refine(left, right, prop, p.cfg.RefineR, bm)
+	disp := stereo.Refine(left, right, prop, p.cfg.RefineR, p.cfg.BM)
 	imgproc.PutImage(prop)
 	if p.cfg.Postprocess {
 		med := stereo.MedianFilter(disp, 1)

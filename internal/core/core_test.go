@@ -442,8 +442,8 @@ func TestPoolTrafficPerFrame(t *testing.T) {
 // TestNonKeyDegenerateGeometry walks a key frame and two non-key frames
 // through streams a pixel wide, tall, or both, where halving the frame for
 // the flow would leave an axis empty: every frame must come back at the
-// stream's geometry with finite disparities, whatever the numeric type and
-// with or without the post-filter.
+// stream's geometry with finite disparities, with or without the
+// post-filter.
 func TestNonKeyDegenerateGeometry(t *testing.T) {
 	for _, g := range [][2]int{{1, 1}, {1, 5}, {5, 1}, {2, 2}, {3, 3}} {
 		w, h := g[0], g[1]
@@ -457,24 +457,21 @@ func TestNonKeyDegenerateGeometry(t *testing.T) {
 				frames[i][e] = im
 			}
 		}
-		for _, fixed := range []bool{false, true} {
-			for _, post := range []bool{false, true} {
-				cfg := DefaultConfig()
-				cfg.BM.Fixed = fixed
-				cfg.Postprocess = post
-				p := New(SGMMatcher{Opt: stereo.SGMOptions{MaxDisp: 4, CensusR: 1, P1: 1, P2: 8, Paths: 4}}, cfg)
-				for i, fr := range frames {
-					res := p.Process(fr[0], fr[1])
-					if res.IsKey != (i == 0) {
-						t.Fatalf("%dx%d fixed=%v post=%v frame %d: IsKey = %v", w, h, fixed, post, i, res.IsKey)
-					}
-					if res.Disparity.W != w || res.Disparity.H != h {
-						t.Fatalf("%dx%d fixed=%v post=%v frame %d: disparity is %dx%d", w, h, fixed, post, i, res.Disparity.W, res.Disparity.H)
-					}
-					for _, d := range res.Disparity.Pix {
-						if math.IsNaN(float64(d)) || math.IsInf(float64(d), 0) {
-							t.Fatalf("%dx%d fixed=%v post=%v frame %d: disparity %v", w, h, fixed, post, i, d)
-						}
+		for _, post := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Postprocess = post
+			p := New(SGMMatcher{Opt: stereo.SGMOptions{MaxDisp: 4, CensusR: 1, P1: 1, P2: 8, Paths: 4}}, cfg)
+			for i, fr := range frames {
+				res := p.Process(fr[0], fr[1])
+				if res.IsKey != (i == 0) {
+					t.Fatalf("%dx%d post=%v frame %d: IsKey = %v", w, h, post, i, res.IsKey)
+				}
+				if res.Disparity.W != w || res.Disparity.H != h {
+					t.Fatalf("%dx%d post=%v frame %d: disparity is %dx%d", w, h, post, i, res.Disparity.W, res.Disparity.H)
+				}
+				for _, d := range res.Disparity.Pix {
+					if math.IsNaN(float64(d)) || math.IsInf(float64(d), 0) {
+						t.Fatalf("%dx%d post=%v frame %d: disparity %v", w, h, post, i, d)
 					}
 				}
 			}
@@ -488,14 +485,15 @@ func TestNonKeyDegenerateGeometry(t *testing.T) {
 // the image pool nor the refine's scratch is released mid-measurement, and
 // each frame of a PW-4 window is measured over four passes of the window,
 // keeping its least: a sync.Pool slot that misses (it is per-P) adds a
-// buffer to one pass but not to all four. The budget is the least every
-// non-key frame took before the refine recycled its scratch and each eye
-// kept its flow expansion, 324,232 bytes (ASV_WORKERS=2); now the cold
-// first frame takes ~319 kB and the warm ones ~283 kB. A change that
-// allocates more per frame raises the budget in the same commit, with its
-// reason.
+// buffer to one pass but not to all four. With the refine's scratch and
+// its quantized planes off free lists and each eye keeping its flow
+// expansion, the cold first frame takes 114,088 bytes and the warm ones
+// 98,264 (ASV_WORKERS=2); the budget is 1.1× the first. Quantizing into
+// fresh planes per call instead adds 2·W·H bytes a frame and fails it. A
+// change that allocates more per frame raises the budget in the same
+// commit, with its reason.
 func TestNonKeyFrameAllocBudget(t *testing.T) {
-	const budget = 324_232
+	const budget = 125_000
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
@@ -515,6 +513,7 @@ func TestNonKeyFrameAllocBudget(t *testing.T) {
 		}
 	}
 	for f := 1; f <= 3; f++ {
+		t.Logf("non-key frame %d: %d bytes", f, least[f])
 		if least[f] > budget {
 			t.Errorf("non-key frame %d of the window allocated at least %d bytes, budget %d", f, least[f], budget)
 		}

@@ -47,24 +47,22 @@ func StreamFrames(matcher core.KeyMatcher, cfg core.Config, frames []Frame, opt 
 }
 
 // ProcessFrame runs one stereo pair through p at p's configured window,
-// bit-identical to p.Process: ProcessFrameAs at stretch 1 with the
-// configured refine kernel.
+// bit-identical to p.Process: ProcessFrameAs at stretch 1.
 func ProcessFrame(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgproc.Image, m *metrics.Registry) core.Result {
-	return ProcessFrameAs(p, matcher, left, right, 1, false, m)
+	return ProcessFrameAs(p, matcher, left, right, 1, m)
 }
 
 // ProcessFrameAs is the one frame executor: it runs one stereo pair through
 // p as the key frame or non-key frame p's schedule decides
 // (p.KeyDue(stretch), static or motion-adaptive) — key matching with matcher
 // (which must not be nil on a key frame), or both eyes' motion fields from
-// p.EstimateMotion followed by propagation and refinement with the
-// fixed-point refine kernel when fixedRefine is set (see
-// core.Pipeline.ProcessNonKeyAs). The quality ladder runs its rungs through
-// it with their stretch and kernel. Stage latencies are recorded under
+// p.EstimateMotion followed by propagation and refinement
+// (core.Pipeline.ProcessNonKeyWith). The quality ladder runs its rungs
+// through it with their stretch. Stage latencies are recorded under
 // "keymatch", "flow", "propagate+refine" and "frame" when m is non-nil.
 // Like every core.Pipeline entry point it must be called from one goroutine
 // at a time per pipeline; the serving layer serializes calls per session.
-func ProcessFrameAs(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgproc.Image, stretch int, fixedRefine bool, m *metrics.Registry) core.Result {
+func ProcessFrameAs(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgproc.Image, stretch int, m *metrics.Registry) core.Result {
 	t0 := time.Now()
 	var res core.Result
 	if p.KeyDue(stretch) {
@@ -78,7 +76,7 @@ func ProcessFrameAs(p *core.Pipeline, matcher core.KeyMatcher, left, right *imgp
 		fl, fr := p.EstimateMotion(left, right)
 		t1 := time.Now()
 		observe(m, "flow", t1.Sub(t0))
-		res = p.ProcessNonKeyAs(left, right, fl, fr, fixedRefine)
+		res = p.ProcessNonKeyWith(left, right, fl, fr)
 		observe(m, "propagate+refine", time.Since(t1))
 	}
 	observe(m, "frame", time.Since(t0))

@@ -1,14 +1,13 @@
 // Package quality unifies the accuracy/compute knobs that were previously
-// scattered across layers — matcher kind and Fixed flag in internal/stereo,
+// scattered across layers — matcher kind in internal/stereo,
 // the propagation window in internal/core, per-session configuration in
 // internal/serve — into one operating-point abstraction: an ordered Ladder
 // of rungs, each trading disparity accuracy for compute.
 //
-// A rung composes four orthogonal degradations of the ISM pipeline:
+// A rung composes three orthogonal degradations of the ISM pipeline:
 //
 //   - matcher choice: the server's configured key matcher (typically the
 //     accelerator-backed one) versus the cheap classic BM/SGM kernels;
-//   - float versus the fixed-point kernels (ROADMAP item 2);
 //   - PW stretch: multiply the session's propagation window (or, under the
 //     motion-adaptive schedule, its MaxWindow), amortizing the expensive key
 //     matcher over more motion-propagated frames;
@@ -79,9 +78,6 @@ type OperatingPoint struct {
 	// configured matcher (required on the top rung so it stays bit-identical
 	// to the undegraded path), "bm" and "sgm" build the classic kernels.
 	Matcher string `json:"matcher,omitempty"`
-	// Fixed runs the SAD kernels (bm key matcher, guided refine) on uint8
-	// samples and uint16 costs instead of float32.
-	Fixed bool `json:"fixed,omitempty"`
 	// PWStretch multiplies the session's propagation window (1 = no
 	// stretch): key frames every basePW*PWStretch frames, or at most
 	// MaxWindow*PWStretch apart under the motion-adaptive schedule.
@@ -103,15 +99,16 @@ type Rung struct {
 type Ladder []Rung
 
 // DefaultLadder returns the committed five-rung ladder: full fidelity, then
-// fixed-point kernels, then progressively stretched windows and halved
+// the classic bm key matcher ("fixed", named for the fixed-point kernels it
+// once switched to), then progressively stretched windows and halved
 // resolutions. Accuracy prices for these rungs live in quality_ladder.json.
 func DefaultLadder() Ladder {
 	return Ladder{
 		{Name: "full", OP: OperatingPoint{PWStretch: 1, PyrLevel: 0}},
-		{Name: "fixed", OP: OperatingPoint{Matcher: "bm", Fixed: true, PWStretch: 1, PyrLevel: 0}},
-		{Name: "stretch2", OP: OperatingPoint{Matcher: "bm", Fixed: true, PWStretch: 2, PyrLevel: 0}},
-		{Name: "half-res", OP: OperatingPoint{Matcher: "bm", Fixed: true, PWStretch: 2, PyrLevel: 1}},
-		{Name: "quarter-res", OP: OperatingPoint{Matcher: "bm", Fixed: true, PWStretch: 4, PyrLevel: 2}},
+		{Name: "fixed", OP: OperatingPoint{Matcher: "bm", PWStretch: 1, PyrLevel: 0}},
+		{Name: "stretch2", OP: OperatingPoint{Matcher: "bm", PWStretch: 2, PyrLevel: 0}},
+		{Name: "half-res", OP: OperatingPoint{Matcher: "bm", PWStretch: 2, PyrLevel: 1}},
+		{Name: "quarter-res", OP: OperatingPoint{Matcher: "bm", PWStretch: 4, PyrLevel: 2}},
 	}
 }
 
@@ -121,7 +118,7 @@ func (l Ladder) Validate() error {
 	if len(l) == 0 {
 		return fmt.Errorf("quality: empty ladder")
 	}
-	if top := l[0].OP; top.Matcher != "" || top.Fixed || top.PWStretch != 1 || top.PyrLevel != 0 {
+	if top := l[0].OP; top.Matcher != "" || top.PWStretch != 1 || top.PyrLevel != 0 {
 		return fmt.Errorf("quality: top rung %q must be the undegraded operating point", l[0].Name)
 	}
 	seen := make(map[string]bool, len(l))
@@ -157,7 +154,6 @@ func (r Rung) BuildMatcher(top core.KeyMatcher) core.KeyMatcher {
 	case "bm":
 		opt := stereo.DefaultBMOptions()
 		opt.MaxDisp = scaledMaxDisp(opt.MaxDisp, r.OP.PyrLevel)
-		opt.Fixed = r.OP.Fixed
 		return core.BMMatcher{Opt: opt}
 	case "sgm":
 		opt := stereo.DefaultSGMOptions()
@@ -179,9 +175,9 @@ func scaledMaxDisp(maxDisp, level int) int {
 
 // Step advances one frame of a stream operating at rung r: downsample the
 // pair to the rung's pyramid level, run it through the one frame executor,
-// pipeline.ProcessFrameAs, at the rung's window stretch and refine kernel
-// (the key schedule is p's, p.KeyDue), and upsample the disparity back to
-// the input geometry with values scaled by 2^level. At the undegraded top
+// pipeline.ProcessFrameAs, at the rung's window stretch (the key schedule is
+// p's, p.KeyDue), and upsample the disparity back to the input geometry
+// with values scaled by 2^level. At the undegraded top
 // rung the pair and the disparity pass through untouched, so Step is
 // pipeline.ProcessFrame. matcher must be r.BuildMatcher's result for a
 // consistent stream. basePW must be p's configured window, p.Config().PW;
@@ -197,7 +193,7 @@ func Step(p *core.Pipeline, r Rung, basePW int, matcher core.KeyMatcher, left, r
 	}
 	level := r.OP.PyrLevel
 	l, rt := DownsampleInput(left, level), DownsampleInput(right, level)
-	res := pipeline.ProcessFrameAs(p, matcher, l, rt, r.OP.PWStretch, r.OP.Fixed, m)
+	res := pipeline.ProcessFrameAs(p, matcher, l, rt, r.OP.PWStretch, m)
 	res.Disparity = UpsampleDisparity(res.Disparity, left.W, left.H, level)
 	return res
 }

@@ -20,7 +20,7 @@ func TestDefaultLadderValid(t *testing.T) {
 	}
 	for i := 1; i < len(l); i++ {
 		op := l[i].OP
-		if op.Matcher == "" && !op.Fixed && op.PWStretch == 1 && op.PyrLevel == 0 {
+		if op.Matcher == "" && op.PWStretch == 1 && op.PyrLevel == 0 {
 			t.Fatalf("rung %q applies no degradation but is not the top rung", l[i].Name)
 		}
 	}
@@ -32,7 +32,7 @@ func TestLadderValidateRejects(t *testing.T) {
 		l    Ladder
 	}{
 		{"empty", Ladder{}},
-		{"degraded top", Ladder{{Name: "x", OP: OperatingPoint{Fixed: true, PWStretch: 1}}}},
+		{"degraded top", Ladder{{Name: "x", OP: OperatingPoint{Matcher: "bm", PWStretch: 1}}}},
 		{"stretched top", Ladder{{Name: "x", OP: OperatingPoint{PWStretch: 2}}}},
 		{"unnamed", Ladder{{OP: OperatingPoint{PWStretch: 1}}}},
 		{"duplicate", Ladder{
@@ -80,13 +80,10 @@ func TestBuildMatcher(t *testing.T) {
 	if got := inherit.BuildMatcher(top); got != core.KeyMatcher(top) {
 		t.Fatalf("inheriting rung built %v instead of the top matcher", got.Name())
 	}
-	bm := Rung{Name: "cheap", OP: OperatingPoint{Matcher: "bm", Fixed: true, PWStretch: 2, PyrLevel: 2}}
+	bm := Rung{Name: "cheap", OP: OperatingPoint{Matcher: "bm", PWStretch: 2, PyrLevel: 2}}
 	m, ok := bm.BuildMatcher(top).(core.BMMatcher)
 	if !ok {
 		t.Fatal("bm rung did not build a BMMatcher")
-	}
-	if !m.Opt.Fixed {
-		t.Error("bm rung lost the Fixed flag")
 	}
 	base := stereo.DefaultBMOptions().MaxDisp
 	if want := scaledMaxDisp(base, 2); m.Opt.MaxDisp != want {
@@ -215,16 +212,13 @@ func TestPyramidRungGeometry(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.PW = 4
 	pipe := core.New(nil, cfg)
-	r := Rung{Name: "q", OP: OperatingPoint{Matcher: "bm", Fixed: true, PWStretch: 1, PyrLevel: 1}}
+	r := Rung{Name: "q", OP: OperatingPoint{Matcher: "bm", PWStretch: 1, PyrLevel: 1}}
 	matcher := r.BuildMatcher(top)
 	for i, fr := range seq.Frames {
 		res := Step(pipe, r, cfg.PW, matcher, fr.Left, fr.Right, nil)
 		if res.Disparity.W != 64 || res.Disparity.H != 48 {
 			t.Fatalf("frame %d: disparity %dx%d, want full 64x48", i, res.Disparity.W, res.Disparity.H)
 		}
-	}
-	if gotCfg := pipe.Config(); gotCfg.BM.Fixed {
-		t.Error("Step leaked the fixed-point refine config into the pipeline")
 	}
 	// Level transition: the caller resets, the next Step must key-frame.
 	pipe.Reset()

@@ -17,7 +17,8 @@ import (
 // Session snapshot wire format (version 2).
 //
 // A snapshot is the complete, self-contained description of one serving
-// session: its ISM pipeline options (including the fixed-point switch), its
+// session: its ISM pipeline options (including BM.Fixed, which selects
+// nothing now but keeps its byte so the format does not change), its
 // counters, its pinned geometry, the core.State images, the optional camera
 // calibration and — for preset sessions — the scene recipe plus replay
 // cursor (the synthetic frames are regenerated on restore, not shipped).

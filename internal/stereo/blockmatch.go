@@ -22,11 +22,9 @@ type BMOptions struct {
 	// the given window radius (0 disables). Census costs are invariant to
 	// per-camera gain/offset, at a small cost in clean-image accuracy.
 	Census int
-	// Fixed selects the numeric type of the SAD kernels: uint8-quantized
-	// samples and uint16 cost cells instead of float32 ones, one algorithm
-	// either way, within the drift bound pinned by the quantized-oracle
-	// suite (DESIGN.md §9). Census costs are integers regardless, so with
-	// Census > 0 the flag changes nothing.
+	// Fixed selects nothing: the SAD kernels have one numeric type, uint8
+	// samples and uint16 cost cells (DESIGN.md §9). The field stays only
+	// because the repository benchmark's workload table assigns it.
 	Fixed bool
 }
 
@@ -61,61 +59,56 @@ func mustSameSize(left, right *imgproc.Image) {
 
 // Match performs full-search block matching: for every left pixel it scans
 // disparities 0..MaxDisp and keeps the winner-take-all disparity. The cost
-// is SAD over float32 samples, SAD over uint8-quantized samples when
-// opt.Fixed is set, or census-Hamming (integer either way) when opt.Census
-// is positive.
+// is SAD over uint8-quantized samples, or census-Hamming when opt.Census is
+// positive.
 func Match(left, right *imgproc.Image, opt BMOptions) *imgproc.Image {
 	mustSameSize(left, right)
 	if opt.Census > 0 {
 		cl, cr := census(left, opt.Census), census(right, opt.Census)
-		return matchStrips(left.W, left.H, opt, censusRowCost(cl, cr, left.W), limU16)
+		return matchStrips(left.W, left.H, opt, censusRowCost(cl, cr, left.W))
 	}
 	return matchAD(left, right, opt, float32(math.Inf(1)))
 }
 
-// matchAD is the full search over the absolute-difference cost capped at
-// truncate, in the numeric type opt.Fixed selects: plain SAD block matching
-// with the cap at +Inf, cost-volume filtering with a finite one.
+// matchAD is the full search over the uint8 absolute-difference cost capped
+// at quant8(truncate): plain SAD block matching with the cap at +Inf,
+// cost-volume filtering with a finite one.
 func matchAD(left, right *imgproc.Image, opt BMOptions, truncate float32) *imgproc.Image {
-	w, h := left.W, left.H
-	if opt.Fixed {
-		return matchStrips(w, h, opt, adRowCost(quantize8(left), quantize8(right), w, uint16(quant8(truncate))), limU16)
-	}
-	return matchStrips(w, h, opt, adRowCost(left.Pix, right.Pix, w, truncate), limF32)
+	l8, r8 := quantize8(left), quantize8(right)
+	defer putFree(&planeFree, l8, r8)
+	return matchStrips(left.W, left.H, opt, adRowCost(*l8, *r8, left.W, uint16(quant8(truncate))))
 }
 
 // Refine performs ISM's guided correspondence search (paper step 4): for
 // every pixel, it searches a 1-D window of ±searchR pixels centred on the
 // initial disparity estimate init, and returns the refined disparity map.
 // This is dramatically cheaper than Match because searchR << MaxDisp. The
-// cost and its numeric type are chosen as in Match.
+// cost is chosen as in Match.
 func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgproc.Image {
 	mustSameSize(left, right)
 	if init.W != left.W || init.H != left.H {
 		panic("stereo: initial disparity size mismatch")
 	}
 	w, br := left.W, opt.BlockR
-	switch {
-	case opt.Census > 0:
+	if opt.Census > 0 {
 		cl, cr := census(left, opt.Census), census(right, opt.Census)
 		return refine(init, searchR, br, opt.Subpixel, censusRowSums(cl, cr, w, br))
-	case opt.Fixed:
-		return refine(init, searchR, br, opt.Subpixel, adRowSums[uint8, uint16, uint32](quantize8(left), quantize8(right), w, br))
-	default:
-		return refine(init, searchR, br, opt.Subpixel, adRowSums[float32, float32, float64](left.Pix, right.Pix, w, br))
 	}
+	l8, r8 := quantize8(left), quantize8(right)
+	defer putFree(&planeFree, l8, r8)
+	return refine(init, searchR, br, opt.Subpixel, adRowSums(*l8, *r8, w, br))
 }
 
 // refine is the guided-search loop behind Refine: one row range per worker,
 // each refineStrip over the cost whose row sums rowSums computes, on
 // scratch recycled through refineFree. Every output row depends only on
 // init and the images, so the partition does not change the bits.
-func refine[A acc](init *imgproc.Image, searchR, br int, subpixel bool, rowSums rowSummer[A]) *imgproc.Image {
+func refine(init *imgproc.Image, searchR, br int, subpixel bool, rowSums rowSummer) *imgproc.Image {
 	out := imgproc.NewImage(init.W, init.H)
 	par.ForChunked(init.H, func(y0, y1 int) {
-		sc := getRefineScratch[A]()
+		sc := getFree(&refineFree)
 		refineStrip(init, out, y0, y1, searchR, br, subpixel, rowSums, sc)
-		putRefineScratch(sc)
+		putFree(&refineFree, sc)
 	})
 	return out
 }

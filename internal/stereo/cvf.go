@@ -16,10 +16,6 @@ type CVFOptions struct {
 	AggR     int     // box-aggregation radius per disparity plane
 	Truncate float32 // absolute-difference cost cap
 	Subpixel bool
-	// Fixed selects the numeric type, as BMOptions.Fixed does: uint8-quantized
-	// truncated differences and uint16 box sums instead of float32 ones.
-	// Drift between the two is bounded by the quantized-oracle suite.
-	Fixed bool
 }
 
 // DefaultCVFOptions returns the configuration used for the ELAS-class
@@ -32,13 +28,13 @@ func DefaultCVFOptions() CVFOptions {
 // winner-take-all. Box aggregation of a per-pixel cost is what the
 // sliding-window family (kernels.go) does for block matching, so this is
 // Match's search over the truncated-AD cost with AggR as the block radius.
-// Planes hold box sums, not means: winner-take-all and the parabola fit are
-// invariant to the constant (2·AggR+1)² scale.
+// Planes hold uint16 box sums of uint8 differences, not means: winner-take-all
+// and the parabola fit are invariant to the constant (2·AggR+1)² scale.
 func CostVolumeFilter(left, right *imgproc.Image, opt CVFOptions) *imgproc.Image {
 	if left.W != right.W || left.H != right.H {
 		panic("stereo: image sizes differ")
 	}
-	bm := BMOptions{BlockR: opt.AggR, MaxDisp: opt.MaxDisp, Subpixel: opt.Subpixel, Fixed: opt.Fixed}
+	bm := BMOptions{BlockR: opt.AggR, MaxDisp: opt.MaxDisp, Subpixel: opt.Subpixel}
 	return matchAD(left, right, bm, opt.Truncate)
 }
 

@@ -21,13 +21,20 @@ func quant8(v float32) uint8 {
 	return 0
 }
 
-// quantize8 quantizes every sample of im.
-func quantize8(im *imgproc.Image) []uint8 {
-	out := make([]uint8, len(im.Pix))
+// planeFree holds the quantized planes of finished SAD kernel calls for the
+// next ones, as refineFree does the refine's scratch.
+var planeFree freeList[[]uint8]
+
+// quantize8 quantizes every sample of im into a plane off planeFree; the
+// caller puts it back once the kernel is done with it.
+func quantize8(im *imgproc.Image) *[]uint8 {
+	p := getFree(&planeFree)
+	*p = grow(*p, len(im.Pix))
+	q := (*p)[:len(im.Pix)]
 	for i, v := range im.Pix {
-		out[i] = quant8(v)
+		q[i] = quant8(v)
 	}
-	return out
+	return p
 }
 
 // roundPenalty converts a float smoothness penalty to uint16 cost units.

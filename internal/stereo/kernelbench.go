@@ -8,8 +8,8 @@ import (
 	"asv/internal/imgproc"
 )
 
-// Kernel-level ns/pixel benchmarking. Each matching kernel is timed in every
-// numeric type it has on the same synthetic pair, reporting nanoseconds per
+// Kernel-level ns/pixel benchmarking. Each matching kernel is timed on the
+// same synthetic pair, reporting nanoseconds per
 // output pixel — the per-kernel efficiency metric the CI gate tracks in
 // BENCH_kernels.json. Pipeline-level wall-clock lives in asvbench -exp
 // pipeline; this file isolates the kernels so a regression points at the
@@ -18,14 +18,11 @@ import (
 // KernelPoint is one (kernel, variant, size) benchmark measurement.
 type KernelPoint struct {
 	Kernel     string  `json:"kernel"`  // sad | census | cvf | refine | census-transform | sgm-aggregate | wta here; separable-filter | farneback from the root package
-	Variant    string  `json:"variant"` // numeric type: float (float32 cells) | fixed (integer cells)
+	Variant    string  `json:"variant"` // numeric type: fixed (integer cells) here; float (float32) for the root package's flow kernels
 	W          int     `json:"w"`
 	H          int     `json:"h"`
 	MaxDisp    int     `json:"max_disp"`
 	NsPerPixel float64 `json:"ns_per_pixel"`
-	// SpeedupX is NsPerPixel(float) / NsPerPixel(fixed) at the same size,
-	// recorded on the fixed row of a kernel that has both.
-	SpeedupX float64 `json:"speedup_x,omitempty"`
 }
 
 // benchPair synthesizes a deterministic stereo pair: banded sine texture
@@ -64,19 +61,10 @@ func TimeKernel(w, h, rounds int, f func()) float64 {
 	return best
 }
 
-// kernelRuns names one kernel's runners, closed over the same inputs. float
-// is nil for a kernel with a single, integer implementation.
-type kernelRuns struct {
-	name         string
-	float, fixed func()
-}
-
 // MeasureKernels benchmarks every matching kernel at the given frame sizes
-// and disparity range, timing each run rounds times and keeping the fastest.
-// Kernels whose numeric type BMOptions.Fixed / CVFOptions.Fixed selects (sad,
-// cvf, refine) get a float row directly before their fixed row; kernels that
-// are integer by construction (census, sgm-aggregate, wta; census-transform,
-// SGM's descriptor stage alone for both eyes) get one fixed row.
+// and disparity range, timing each run rounds times and keeping the fastest:
+// one fixed row per kernel (sad, census, cvf, refine, census-transform —
+// SGM's descriptor stage alone for both eyes — sgm-aggregate, wta).
 func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 	var points []KernelPoint
 	for _, sz := range sizes {
@@ -85,8 +73,6 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 		nd := maxDisp + 1
 
 		bmOpt := BMOptions{BlockR: 3, MaxDisp: maxDisp, Subpixel: true}
-		bmFixed := bmOpt
-		bmFixed.Fixed = true
 		censusOpt := bmOpt
 		censusOpt.Census = 2
 		// The guide is benchPair's true shift off by up to ±1 px, drawn per
@@ -100,8 +86,6 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 
 		cvfOpt := DefaultCVFOptions()
 		cvfOpt.MaxDisp = maxDisp
-		cvfFixed := cvfOpt
-		cvfFixed.Fixed = true
 
 		sgmOpt := DefaultSGMOptions()
 		sgm := &sgmScratch{cl: census(left, sgmOpt.CensusR), cr: census(right, sgmOpt.CensusR),
@@ -110,36 +94,20 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 		p1, p2 := roundPenalty(sgmOpt.P1), roundPenalty(sgmOpt.P2)
 		sgm.aggregate(w, h, nd, sgmOpt.Paths, p1, p2)
 
-		for _, k := range []kernelRuns{
-			{"sad",
-				func() { Match(left, right, bmOpt) },
-				func() { Match(left, right, bmFixed) }},
-			{"census", nil,
-				func() { Match(left, right, censusOpt) }},
-			{"cvf",
-				func() { CostVolumeFilter(left, right, cvfOpt) },
-				func() { CostVolumeFilter(left, right, cvfFixed) }},
-			{"refine",
-				func() { Refine(left, right, init, 3, bmOpt) },
-				func() { Refine(left, right, init, 3, bmFixed) }},
-			{"census-transform", nil,
-				func() { census(left, sgmOpt.CensusR); census(right, sgmOpt.CensusR) }},
-			{"sgm-aggregate", nil,
-				func() { sgm.aggregate(w, h, nd, sgmOpt.Paths, p1, p2) }},
-			{"wta", nil,
-				func() { wtaVolume(sgm.sum, w, h, nd, true) }},
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"sad", func() { Match(left, right, bmOpt) }},
+			{"census", func() { Match(left, right, censusOpt) }},
+			{"cvf", func() { CostVolumeFilter(left, right, cvfOpt) }},
+			{"refine", func() { Refine(left, right, init, 3, bmOpt) }},
+			{"census-transform", func() { census(left, sgmOpt.CensusR); census(right, sgmOpt.CensusR) }},
+			{"sgm-aggregate", func() { sgm.aggregate(w, h, nd, sgmOpt.Paths, p1, p2) }},
+			{"wta", func() { wtaVolume(sgm.sum, w, h, nd, true) }},
 		} {
-			point := func(variant string, run func()) KernelPoint {
-				return KernelPoint{Kernel: k.name, Variant: variant, W: w, H: h, MaxDisp: maxDisp,
-					NsPerPixel: TimeKernel(w, h, rounds, run)}
-			}
-			if k.float == nil {
-				points = append(points, point("fixed", k.fixed))
-				continue
-			}
-			fl, fx := point("float", k.float), point("fixed", k.fixed)
-			fx.SpeedupX = fl.NsPerPixel / fx.NsPerPixel
-			points = append(points, fl, fx)
+			points = append(points, KernelPoint{Kernel: k.name, Variant: "fixed", W: w, H: h, MaxDisp: maxDisp,
+				NsPerPixel: TimeKernel(w, h, rounds, k.run)})
 		}
 	}
 	return points

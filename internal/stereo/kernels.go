@@ -14,38 +14,25 @@ import (
 // matching, cost-volume filtering — is one algorithm: one cost row per
 // (row, disparity), slid horizontally in O(1) per pixel, then slid
 // vertically down a strip of rows into a struct-of-arrays cost volume laid
-// out [row][disparity][x], read out by one winner-take-all pass. The kernels
-// are generic over the numeric type only: uint8 samples give uint16 cost
-// cells summed exactly in uint32 (BMOptions.Fixed, and census always);
-// float32 samples give float32 cells summed in float64. Stores saturate at
-// lim, the cell type's largest value, so no kernel switches on its type.
+// out [row][disparity][x], read out by one winner-take-all pass. It has one
+// numeric type: uint8 samples (quantize8 for SAD, census descriptors
+// otherwise) give uint16 cost cells summed exactly in uint32. Stores
+// saturate at limU16.
 
-type (
-	// sample is a pixel as the cost rows read it.
-	sample interface{ uint8 | float32 }
-	// cell is a stored matching cost.
-	cell interface{ uint16 | float32 }
-	// acc is the wide running-sum type of a cell, exact over any window.
-	acc interface{ uint32 | float64 }
-)
-
-// limU16 and limF32 are the largest cell values, as their accumulator type:
-// the lim a kernel instantiation saturates its stores at.
-const (
-	limU16 uint32  = math.MaxUint16
-	limF32 float64 = math.MaxFloat32
-)
+// limU16 is the largest cost cell, as its uint32 accumulator: the value
+// every store saturates at.
+const limU16 uint32 = math.MaxUint16
 
 // rowCoster fills dst[x] with the per-pixel matching cost at (x, yy) for
 // disparity d. Implementations clamp the right-view column to the image
 // before shifting (clamp-then-shift), the one border rule of the family.
-type rowCoster[C cell] func(yy, d int, dst []C)
+type rowCoster func(yy, d int, dst []uint16)
 
 // adRowCost matches intensities by absolute difference capped at limit: the
 // SAD cost (limit at the sample range) and the truncated-AD cost of
 // cost-volume filtering.
-func adRowCost[S sample, C cell](l, r []S, w int, limit C) rowCoster[C] {
-	return func(yy, d int, dst []C) {
+func adRowCost(l, r []uint8, w int, limit uint16) rowCoster {
+	return func(yy, d int, dst []uint16) {
 		// Hoisting the row windows pins every slice length to w, so the
 		// prove pass drops all per-pixel bounds checks (perf_contract.json
 		// holds this function to zero).
@@ -67,24 +54,24 @@ func adRowCost[S sample, C cell](l, r []S, w int, limit C) rowCoster[C] {
 		}
 		// |l-r| is taken in the cell type: min/max of uint8 operands would
 		// compile to branches (amd64 has no byte-sized conditional move).
-		border := C(rr[0])
+		border := uint16(rr[0])
 		db := dst[:d]
 		for x, lv := range lr[:d] {
-			db[x] = min(max(C(lv), border)-min(C(lv), border), limit)
+			db[x] = min(max(uint16(lv), border)-min(uint16(lv), border), limit)
 		}
 		n := w - d
 		lo := lr[d:][:n]
 		ro := rr[:n]
 		do := dst[d:][:n]
 		for i, rv := range ro {
-			do[i] = min(max(C(lo[i]), C(rv))-min(C(lo[i]), C(rv)), limit)
+			do[i] = min(max(uint16(lo[i]), uint16(rv))-min(uint16(lo[i]), uint16(rv)), limit)
 		}
 	}
 }
 
 // censusRowCost matches precomputed census descriptor planes by Hamming
 // distance; the costs are small integers whatever the image type.
-func censusRowCost(cl, cr []uint64, w int) rowCoster[uint16] {
+func censusRowCost(cl, cr []uint64, w int) rowCoster {
 	return func(yy, d int, dst []uint16) {
 		if w <= 0 {
 			return
@@ -125,7 +112,7 @@ const stripRows = 32
 // matchStrips is the full-search matcher behind Match and CostVolumeFilter:
 // per strip of rows, the block-cost volume of cost over a (2·BlockR+1)²
 // window, then the winner-take-all readout.
-func matchStrips[C cell, A acc](w, h int, opt BMOptions, cost rowCoster[C], lim A) *imgproc.Image {
+func matchStrips(w, h int, opt BMOptions, cost rowCoster) *imgproc.Image {
 	nd := opt.MaxDisp + 1
 	r := opt.BlockR
 	out := imgproc.NewImage(w, h)
@@ -133,11 +120,11 @@ func matchStrips[C cell, A acc](w, h int, opt BMOptions, cost rowCoster[C], lim 
 		y0 := s * stripRows
 		y1 := min(y0+stripRows, h)
 		rows := y1 - y0
-		adBuf := make([]C, w)
-		rowSum := make([]C, (rows+2*r)*w)
-		colSum := make([]A, w)
-		vol := make([]C, rows*nd*w)
-		blockCostStrip(cost, w, h, y0, y1, r, nd, lim, adBuf, rowSum, colSum, vol)
+		adBuf := make([]uint16, w)
+		rowSum := make([]uint16, (rows+2*r)*w)
+		colSum := make([]uint32, w)
+		vol := make([]uint16, rows*nd*w)
+		blockCostStrip(cost, w, h, y0, y1, r, nd, adBuf, rowSum, colSum, vol)
 		wtaStrip(vol, out, w, y0, y1, nd, opt)
 	})
 	return out
@@ -155,14 +142,14 @@ func matchStrips[C cell, A acc](w, h int, opt BMOptions, cost rowCoster[C], lim 
 // inner loop streams four equal-length row windows — the layout the prove
 // pass needs to drop all per-pixel bounds checks, and the one the prefetcher
 // likes.
-func blockCostStrip[C cell, A acc](cost rowCoster[C], w, h, y0, y1, r, nd int, lim A, adBuf, rowSum []C, colSum []A, vol []C) {
+func blockCostStrip(cost rowCoster, w, h, y0, y1, r, nd int, adBuf, rowSum []uint16, colSum []uint32, vol []uint16) {
 	rows := y1 - y0
 	for d := 0; d < nd; d++ {
 		// Row block sums for every image row the vertical window touches,
 		// with replicate clamping at the top and bottom borders.
 		for yy := y0 - r; yy < y1+r; yy++ {
 			cost(clampInt(yy, 0, h-1), d, adBuf)
-			slideRow(adBuf, w, r, lim, rowSum[(yy-(y0-r))*w:])
+			slideRow(adBuf, w, r, rowSum[(yy-(y0-r))*w:])
 		}
 		// Vertical sliding window down the strip, exact wide running sums.
 		cs := colSum[:w]
@@ -172,21 +159,21 @@ func blockCostStrip[C cell, A acc](cost rowCoster[C], w, h, y0, y1, r, nd int, l
 		for dy := 0; dy <= 2*r; dy++ {
 			rs := rowSum[dy*w:][:w]
 			for x, v := range rs {
-				cs[x] += A(v)
+				cs[x] += uint32(v)
 			}
 		}
 		out := vol[d*w:][:w]
 		for x, s := range cs {
-			out[x] = C(min(s, lim))
+			out[x] = uint16(min(s, limU16))
 		}
 		for i := 1; i < rows; i++ {
 			add := rowSum[(i+2*r)*w:][:w]
 			sub := rowSum[(i-1)*w:][:w]
 			out := vol[(i*nd+d)*w:][:w]
 			for x, s := range cs {
-				s += A(add[x]) - A(sub[x])
+				s += uint32(add[x]) - uint32(sub[x])
 				cs[x] = s
-				out[x] = C(min(s, lim))
+				out[x] = uint16(min(s, limU16))
 			}
 		}
 	}
@@ -194,11 +181,11 @@ func blockCostStrip[C cell, A acc](cost rowCoster[C], w, h, y0, y1, r, nd int, l
 
 // slideRow fills dst[x] with the horizontally clamped window sum
 // Σ_{|dx|<=r} src[clamp(x+dx)] via an exact wide running sum, saturated at
-// lim on store. When the window fits the row it is split into clamped
+// limU16 on store. When the window fits the row it is split into clamped
 // borders and a branch-free interior whose three windows are equal-length
 // subslices of src and dst — zero bounds checks per pixel (pinned by
 // perf_contract.json).
-func slideRow[C cell, A acc](src []C, w, r int, lim A, dst []C) {
+func slideRow(src []uint16, w, r int, dst []uint16) {
 	if w <= 0 {
 		return
 	}
@@ -207,32 +194,32 @@ func slideRow[C cell, A acc](src []C, w, r int, lim A, dst []C) {
 	if r <= 0 || w <= 2*r {
 		// Degenerate row (or r == 0): every window touches a border, or no
 		// window slides at all; fall back to clamped indexing.
-		var s A
+		var s uint32
 		for dx := -r; dx <= r; dx++ {
-			s += A(src[clampInt(dx, 0, w-1)])
+			s += uint32(src[clampInt(dx, 0, w-1)])
 		}
-		dst[0] = C(min(s, lim))
+		dst[0] = uint16(min(s, limU16))
 		for x := 1; x < w; x++ {
-			s += A(src[clampInt(x+r, 0, w-1)]) - A(src[clampInt(x-1-r, 0, w-1)])
-			dst[x] = C(min(s, lim))
+			s += uint32(src[clampInt(x+r, 0, w-1)]) - uint32(src[clampInt(x-1-r, 0, w-1)])
+			dst[x] = uint16(min(s, limU16))
 		}
 		return
 	}
 	// x = 0: dx in [-r, 0] all clamp to src[0].
-	left := A(src[0])
-	s := left * A(r+1)
+	left := uint32(src[0])
+	s := left * uint32(r+1)
 	for _, v := range src[1 : r+1] {
-		s += A(v)
+		s += uint32(v)
 	}
-	dst[0] = C(min(s, lim))
+	dst[0] = uint16(min(s, limU16))
 	// Left border, x in [1, r]: the outgoing sample clamps to src[0]. The
 	// incoming window and the output share one length, so prove elides the
 	// per-pixel checks.
 	win := src[r+1:][:r]
 	outl := dst[1:][:r]
 	for i, v := range win {
-		s += A(v) - left
-		outl[i] = C(min(s, lim))
+		s += uint32(v) - left
+		outl[i] = uint16(min(s, limU16))
 	}
 	// Interior, x in [r+1, w-r-1]: no clamping; adds, subs and the output
 	// are three subslices sharing one length, so prove elides every check.
@@ -241,17 +228,17 @@ func slideRow[C cell, A acc](src []C, w, r int, lim A, dst []C) {
 	subs := src[:n]
 	outi := dst[r+1:][:n]
 	for i, a := range adds {
-		s += A(a) - A(subs[i])
-		outi[i] = C(min(s, lim))
+		s += uint32(a) - uint32(subs[i])
+		outi[i] = uint16(min(s, limU16))
 	}
 	// Right border, x in [w-r, w-1]: the incoming sample clamps to src[w-1],
 	// the outgoing samples are src[w-2r-1 : w-r-1].
-	right := A(src[w-1])
+	right := uint32(src[w-1])
 	tail := src[w-2*r-1:][:r]
 	outr := dst[w-r:][:r]
 	for i, v := range tail {
-		s += right - A(v)
-		outr[i] = C(min(s, lim))
+		s += right - uint32(v)
+		outr[i] = uint16(min(s, limU16))
 	}
 }
 
@@ -259,8 +246,8 @@ func slideRow[C cell, A acc](src []C, w, r int, lim A, dst []C) {
 // winner-take-all restricted to d <= x (a disparity cannot look past the
 // left border), the uniqueness test, and subpixel refinement. Ties keep the
 // smallest disparity.
-func wtaStrip[C cell](vol []C, out *imgproc.Image, w, y0, y1, nd int, opt BMOptions) {
-	bestC := make([]C, w)
+func wtaStrip(vol []uint16, out *imgproc.Image, w, y0, y1, nd int, opt BMOptions) {
+	bestC := make([]uint16, w)
 	bestD := make([]int32, w)
 	for y := y0; y < y1; y++ {
 		rowBase := (y - y0) * nd * w
@@ -324,23 +311,21 @@ func wtaStrip[C cell](vol []C, out *imgproc.Image, w, y0, y1, nd int, opt BMOpti
 // and H(x, yy, d) is shared by every pixel of column x within br rows of yy
 // whose window holds d. refineStrip computes each such H once, over the
 // union of those windows (the band), and sums 2·br+1 of them per
-// candidate. Integer sums are exact in any order; the float cost is
-// defined in this bracketing — taps summed into a row, rows into the
-// block, both in float64 — which the per-candidate reference in
-// kernels_test.go follows.
+// candidate. The sums are integers, exact in any order, so the costs are
+// the per-candidate reference's in kernels_test.go.
 
 // rowSummer fills the row sums H(x, yy, d) of image row yy for every
 // column x and every d in [lo[x], hi[x]] (none when lo[x] > hi[x]), packed
 // into dst column after column in increasing d.
-type rowSummer[A acc] func(yy int, lo, hi []int32, dst []A)
+type rowSummer func(yy int, lo, hi []int32, dst []uint32)
 
 // adRowSums is the rowSummer of the absolute-difference cost, |l−r| taken
 // in the cell type as in adRowCost. A sum whose taps and partners all lie
 // inside the row — x−br ≥ 0, x+br < w and x−br−d ≥ 0 — reads a left and a
 // right window of 2·br+1 samples with no clamp and no index check; the
 // rest go through adSumClamped.
-func adRowSums[S sample, C cell, A acc](l, r []S, w, br int) rowSummer[A] {
-	return func(yy int, lo, hi []int32, dst []A) {
+func adRowSums(l, r []uint8, w, br int) rowSummer {
+	return func(yy int, lo, hi []int32, dst []uint32) {
 		if w <= 0 {
 			return
 		}
@@ -368,29 +353,29 @@ func adRowSums[S sample, C cell, A acc](l, r []S, w, br int) rowSummer[A] {
 				p := x - br - int(b0)
 				for ; len(o) >= 4; o, p = o[4:], p-4 {
 					r0, r1, r2, r3 := rr[p:][:len(lw)], rr[p-1:][:len(lw)], rr[p-2:][:len(lw)], rr[p-3:][:len(lw)]
-					var s0, s1, s2, s3 A
+					var s0, s1, s2, s3 uint32
 					for j, v := range lw {
-						a, q0, q1, q2, q3 := C(v), C(r0[j]), C(r1[j]), C(r2[j]), C(r3[j])
-						s0 += A(max(a, q0) - min(a, q0))
-						s1 += A(max(a, q1) - min(a, q1))
-						s2 += A(max(a, q2) - min(a, q2))
-						s3 += A(max(a, q3) - min(a, q3))
+						a, q0, q1, q2, q3 := uint16(v), uint16(r0[j]), uint16(r1[j]), uint16(r2[j]), uint16(r3[j])
+						s0 += uint32(max(a, q0) - min(a, q0))
+						s1 += uint32(max(a, q1) - min(a, q1))
+						s2 += uint32(max(a, q2) - min(a, q2))
+						s3 += uint32(max(a, q3) - min(a, q3))
 					}
 					o[0], o[1], o[2], o[3] = s0, s1, s2, s3
 				}
 				for k := range o {
 					rw := rr[p-k:][:len(lw)]
-					var s A
+					var s uint32
 					for j, v := range lw {
-						a, b := C(v), C(rw[j])
-						s += A(max(a, b) - min(a, b))
+						a, b := uint16(v), uint16(rw[j])
+						s += uint32(max(a, b) - min(a, b))
 					}
 					o[k] = s
 				}
 			}
 			border := out[in:]
 			for k := range border {
-				border[k] = adSumClamped[S, C, A](lr, rr, x, int(b0)+in+k, br)
+				border[k] = adSumClamped(lr, rr, x, int(b0)+in+k, br)
 			}
 		}
 	}
@@ -398,20 +383,20 @@ func adRowSums[S sample, C cell, A acc](l, r []S, w, br int) rowSummer[A] {
 
 // adSumClamped is H(x, ·, d) of one row pair through the border rule, the
 // form for sums that touch the border.
-func adSumClamped[S sample, C cell, A acc](lr, rr []S, x, d, br int) A {
+func adSumClamped(lr, rr []uint8, x, d, br int) uint32 {
 	w := len(lr)
-	var s A
+	var s uint32
 	for dx := -br; dx <= br; dx++ {
 		xx := clampInt(x+dx, 0, w-1)
-		a, b := C(lr[xx]), C(rr[clampInt(xx-d, 0, w-1)])
-		s += A(max(a, b) - min(a, b))
+		a, b := uint16(lr[xx]), uint16(rr[clampInt(xx-d, 0, w-1)])
+		s += uint32(max(a, b) - min(a, b))
 	}
 	return s
 }
 
 // censusRowSums is adRowSums over census descriptor planes, the cost the
 // Hamming distance.
-func censusRowSums(cl, cr []uint64, w, br int) rowSummer[uint32] {
+func censusRowSums(cl, cr []uint64, w, br int) rowSummer {
 	return func(yy int, lo, hi []int32, dst []uint32) {
 		if w <= 0 {
 			return
@@ -497,59 +482,50 @@ func searchWindow(g float32, x, searchR int) (lo, hi int32) {
 
 // refineScratch is one strip's working memory, sized to the strip's bands
 // and recycled across strips and calls through refineFree.
-type refineScratch[A acc] struct {
+type refineScratch struct {
 	lo, hi     []int32 // per strip pixel: its search window
 	bLo, bHi   []int32 // per column: the band of the row being summed
-	ring       []sumRow[A]
-	rows       []*sumRow[A] // the ring rows one output row reads, in dy order
-	candidates []A          // one pixel's candidate costs
+	ring       []sumRow
+	rows       []*sumRow // the ring rows one output row reads, in dy order
+	candidates []uint32  // one pixel's candidate costs
 }
 
 // sumRow is the packed row sums of one image row: H(x, ·, d) is
 // sums[off[x]+d] for every d in column x's band.
-type sumRow[A acc] struct {
+type sumRow struct {
 	off  []int
-	sums []A
+	sums []uint32
 }
 
-// refineFree holds the scratch of finished strips for the next ones, one
-// list per accumulator type. It is a plain free list, not a sync.Pool: a
-// pool's per-P slot misses whenever a strip runs on another P than the one
-// that put the last scratch back, and the miss reallocates a scratch. The
-// lists hold as many scratches as strips ever ran at once.
-var refineFree [2]struct {
+// refineFree holds the scratch of finished strips for the next ones.
+var refineFree freeList[refineScratch]
+
+// freeList holds buffers a kernel finished with for its next calls. It is a
+// plain free list, not a sync.Pool: a pool's per-P slot misses whenever a
+// worker runs on another P than the one that put the last buffer back, and
+// the miss reallocates. A list holds as many buffers as ever ran at once.
+type freeList[T any] struct {
 	sync.Mutex
-	list []any
+	list []*T
 }
 
-// getRefineScratch takes a scratch of the A instantiation off its free
-// list, or makes one.
-func getRefineScratch[A acc]() *refineScratch[A] {
-	l := &refineFree[refineFreeIndex[A]()]
+// getFree takes a buffer off l, or makes one.
+func getFree[T any](l *freeList[T]) *T {
 	l.Lock()
 	defer l.Unlock()
 	if n := len(l.list); n > 0 {
-		sc := l.list[n-1].(*refineScratch[A])
+		v := l.list[n-1]
 		l.list = l.list[:n-1]
-		return sc
+		return v
 	}
-	return new(refineScratch[A])
+	return new(T)
 }
 
-// putRefineScratch returns a scratch to its free list.
-func putRefineScratch[A acc](sc *refineScratch[A]) {
-	l := &refineFree[refineFreeIndex[A]()]
+// putFree returns buffers to l.
+func putFree[T any](l *freeList[T], vs ...*T) {
 	l.Lock()
-	l.list = append(l.list, sc)
+	l.list = append(l.list, vs...)
 	l.Unlock()
-}
-
-// refineFreeIndex is the index of A's list in refineFree.
-func refineFreeIndex[A acc]() int {
-	if _, float := any(A(0)).(float64); float {
-		return 1
-	}
-	return 0
 }
 
 // grow returns s resliced to n entries. When s is too short it reallocates
@@ -569,7 +545,7 @@ func grow[T any](s []T, n int) []T {
 // of image row r are computed once, when output row r−br is reached, into
 // a ring of 2·br+1 rows: output row y reads rows clamp(y±br), the ring's
 // whole content.
-func refineStrip[A acc](init, out *imgproc.Image, y0, y1, searchR, br int, subpixel bool, rowSums rowSummer[A], sc *refineScratch[A]) {
+func refineStrip(init, out *imgproc.Image, y0, y1, searchR, br int, subpixel bool, rowSums rowSummer, sc *refineScratch) {
 	w, h := init.W, init.H
 	sc.lo, sc.hi = grow(sc.lo, (y1-y0)*w), grow(sc.hi, (y1-y0)*w)
 	for y := y0; y < y1; y++ {
@@ -623,7 +599,7 @@ func refineStrip[A acc](init, out *imgproc.Image, y0, y1, searchR, br int, subpi
 // at column x, the union of the windows of the strip pixels in column x
 // within br rows of r — every pixel that reads H(x, r, ·) reads it inside
 // its own window.
-func sumRowBand[A acc](sc *refineScratch[A], dst *sumRow[A], r, y0, y1, br int, rowSums rowSummer[A]) {
+func sumRowBand(sc *refineScratch, dst *sumRow, r, y0, y1, br int, rowSums rowSummer) {
 	w := len(sc.bLo)
 	bLo, bHi := sc.bLo, sc.bHi[:w]
 	for x := range bLo {
@@ -649,7 +625,7 @@ func sumRowBand[A acc](sc *refineScratch[A], dst *sumRow[A], r, y0, y1, br int, 
 }
 
 // addRowSums adds src's leading row sums onto the candidate costs c.
-func addRowSums[A acc](c, src []A) {
+func addRowSums(c, src []uint32) {
 	src = src[:len(c)]
 	for i, v := range src {
 		c[i] += v

@@ -13,11 +13,9 @@ import (
 // The matchers are validated against one naive reference (this file):
 // per-candidate O(block²) costs summed in float64, one full path-cost volume
 // per SGM direction, and one readout. Integer costs are exact in float64, so
-// the integer instantiations must match it bit for bit; so must the float32
-// one on dyadic images (samples k/256), where every float32 sum is exact. On
-// arbitrary float images it is held to the drift bound instead. At the repo
-// root the quantized-oracle suite bounds the drift between the two numeric
-// types on the golden-corpus presets.
+// the kernels must match it bit for bit on their uint8 cost. The
+// quantized-oracle suite holds them to the drift bound against the same
+// reference over the float samples' cost, on the golden-corpus scenes.
 
 // randImage draws dyadic samples k/256 when dyadic is set, arbitrary
 // float32 ones otherwise.
@@ -69,16 +67,18 @@ func sameImage(t *testing.T, name string, got, want *imgproc.Image) {
 // and right column xr of row y, both already inside the image.
 type refCost func(x, xr, y int) float64
 
-// refPixelCost builds the per-pixel cost BMOptions{Census: cen, Fixed: fixed}
-// selects, capped at limit (in the units of that numeric type).
-func refPixelCost(left, right *imgproc.Image, fixed bool, cen int, limit float64) refCost {
+// refPixelCost builds the per-pixel cost: census-Hamming when cen is
+// positive, else the absolute difference of the uint8-quantized samples
+// when quantized is set (the kernels' SAD cost) or of the float samples
+// (the quantized-oracle suite's), capped at limit in those units.
+func refPixelCost(left, right *imgproc.Image, quantized bool, cen int, limit float64) refCost {
 	w := left.W
 	switch {
 	case cen > 0:
 		cl, cr := naiveCensus(left, cen), naiveCensus(right, cen)
 		return func(x, xr, y int) float64 { return float64(bits.OnesCount64(cl[y*w+x] ^ cr[y*w+xr])) }
-	case fixed:
-		l8, r8 := quantize8(left), quantize8(right)
+	case quantized:
+		l8, r8 := *quantize8(left), *quantize8(right)
 		return func(x, xr, y int) float64 {
 			return min(math.Abs(float64(l8[y*w+x])-float64(r8[y*w+xr])), limit)
 		}
@@ -119,23 +119,6 @@ func refBlock(c refCost, w, h, x, y, d, r int) float64 {
 			xx := clampInt(x+dx, 0, w-1)
 			s += c(xx, clampInt(xx-d, 0, w-1), clampInt(y+dy, 0, h-1))
 		}
-	}
-	return s
-}
-
-// refBlockRows is refBlock in the guided refine's bracketing: each block
-// row's taps summed on their own, then the rows in dy order. Integer costs
-// are exact either way; float ones can differ from refBlock's in the last
-// bit of the float64 sum.
-func refBlockRows(c refCost, w, h, x, y, d, r int) float64 {
-	var s float64
-	for dy := -r; dy <= r; dy++ {
-		var row float64
-		for dx := -r; dx <= r; dx++ {
-			xx := clampInt(x+dx, 0, w-1)
-			row += c(xx, clampInt(xx-d, 0, w-1), clampInt(y+dy, 0, h-1))
-		}
-		s += row
 	}
 	return s
 }
@@ -183,21 +166,20 @@ func naiveMatch(c refCost, w, h int, opt BMOptions) *imgproc.Image {
 }
 
 // naiveCVF is the reference for CostVolumeFilter: naiveMatch over the
-// absolute difference capped at Truncate, in the numeric type's units.
-func naiveCVF(left, right *imgproc.Image, opt CVFOptions) *imgproc.Image {
+// absolute difference capped at Truncate, in uint8 units when quantized.
+func naiveCVF(left, right *imgproc.Image, opt CVFOptions, quantized bool) *imgproc.Image {
 	limit := float64(opt.Truncate)
-	if opt.Fixed {
+	if quantized {
 		limit = float64(quant8(opt.Truncate))
 	}
-	return naiveMatch(refPixelCost(left, right, opt.Fixed, 0, limit), left.W, left.H,
+	return naiveMatch(refPixelCost(left, right, quantized, 0, limit), left.W, left.H,
 		BMOptions{BlockR: opt.AggR, MaxDisp: opt.MaxDisp, Subpixel: opt.Subpixel})
 }
 
 // naiveRefine is the reference for Refine: per pixel, every candidate's
-// block cost from scratch, in block's bracketing (refBlockRows for Refine's
-// own). A NaN guide has no window and leaves the pixel 0; an infinite or
-// huge one is a window far outside the row, empty too.
-func naiveRefine(c refCost, init *imgproc.Image, searchR int, opt BMOptions, block func(c refCost, w, h, x, y, d, r int) float64) *imgproc.Image {
+// block cost from scratch. A NaN guide has no window and leaves the pixel 0;
+// an infinite or huge one is a window far outside the row, empty too.
+func naiveRefine(c refCost, init *imgproc.Image, searchR int, opt BMOptions) *imgproc.Image {
 	w, h := init.W, init.H
 	out := imgproc.NewImage(w, h)
 	for y := 0; y < h; y++ {
@@ -213,7 +195,7 @@ func naiveRefine(c refCost, init *imgproc.Image, searchR int, opt BMOptions, blo
 			}
 			costs := make([]float64, hi-lo+1)
 			for i := range costs {
-				costs[i] = block(c, w, h, x, y, lo+i, opt.BlockR)
+				costs[i] = refBlock(c, w, h, x, y, lo+i, opt.BlockR)
 			}
 			out.Set(x, y, refReadout(costs, lo, 0, opt.Subpixel))
 		}
@@ -224,7 +206,7 @@ func naiveRefine(c refCost, init *imgproc.Image, searchR int, opt BMOptions, blo
 // naiveAggregate computes the SGM recurrence with one full path-cost volume
 // per direction, in C arithmetic without saturation: uint16 is what
 // aggregate computes, float32 what a float SGM would.
-func naiveAggregate[C cell](cost []uint8, w, h, nd, paths int, p1, p2 C) []C {
+func naiveAggregate[C uint16 | float32](cost []uint8, w, h, nd, paths int, p1, p2 C) []C {
 	sum := make([]C, w*h*nd)
 	for _, dir := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {-1, 1}, {1, -1}, {-1, -1}}[:paths] {
 		dx, dy := dir[0], dir[1]
@@ -324,21 +306,9 @@ func TestMatchFixedAgainstNaiveReference(t *testing.T) {
 		{29, 31, 0, 8, 0, 0},    // single-pixel blocks
 	} {
 		left, right := randPair(rng, tc.w, tc.h, true)
-		for _, fixed := range []bool{true, false} {
-			opt := BMOptions{BlockR: tc.r, MaxDisp: tc.maxD, Subpixel: true,
-				UniqRatio: tc.uniq, Census: tc.census, Fixed: fixed}
-			want := naiveMatch(refPixelCost(left, right, fixed, tc.census, math.Inf(1)), tc.w, tc.h, opt)
-			sameImage(t, fmt.Sprintf("case %d fixed=%v", i, fixed), Match(left, right, opt), want)
-		}
-	}
-	// Arbitrary float32 samples: row and block sums round when stored, so
-	// the float instantiation is held to the drift bound, winners compared
-	// without the subpixel fit.
-	left, right := randPair(rng, 64, 48, false)
-	opt := BMOptions{BlockR: 3, MaxDisp: 24}
-	want := naiveMatch(refPixelCost(left, right, false, 0, math.Inf(1)), 64, 48, opt)
-	if off1, winner := driftFracs(Match(left, right, opt), want); off1 > 0.01 || winner > 0.001 {
-		t.Fatalf("float match: %.3f%% off by >1, %.3f%% other winner", 100*off1, 100*winner)
+		opt := BMOptions{BlockR: tc.r, MaxDisp: tc.maxD, Subpixel: true, UniqRatio: tc.uniq, Census: tc.census}
+		want := naiveMatch(refPixelCost(left, right, true, tc.census, math.Inf(1)), tc.w, tc.h, opt)
+		sameImage(t, fmt.Sprintf("case %d", i), Match(left, right, opt), want)
 	}
 }
 
@@ -353,7 +323,7 @@ func TestCensusFixedMatchesFloatBitExactly(t *testing.T) {
 	}
 	opt := BMOptions{BlockR: 3, MaxDisp: 24, Subpixel: true, Census: 2}
 	c := refPixelCost(left, right, false, opt.Census, math.Inf(1))
-	wantMatch, wantRefine := naiveMatch(c, 45, 38, opt), naiveRefine(c, init, 3, opt, refBlockRows)
+	wantMatch, wantRefine := naiveMatch(c, 45, 38, opt), naiveRefine(c, init, 3, opt)
 	for _, fixed := range []bool{false, true} {
 		opt.Fixed = fixed
 		sameImage(t, "census match", Match(left, right, opt), wantMatch)
@@ -387,51 +357,37 @@ func TestRefineAgainstNaiveReference(t *testing.T) {
 			init.Pix[i] = float32(g.initLo+rng.Intn(g.initSpan)) - 0.5
 		}
 		for _, cen := range []int{0, 2} {
-			for _, fixed := range []bool{true, false} {
-				opt := BMOptions{BlockR: g.br, Subpixel: true, Fixed: fixed, Census: cen}
-				c := refPixelCost(left, right, fixed, cen, math.Inf(1))
-				got := Refine(left, right, init, 3, opt)
-				name := fmt.Sprintf("%s: refine fixed=%v census=%d", g.name, fixed, cen)
-				sameImage(t, name, got, naiveRefine(c, init, 3, opt, refBlockRows))
-				// The bracketing is invisible in the output here: the
-				// tap-by-tap float64 sum picks the same disparities, parabola
-				// fits included.
-				sameImage(t, name+" (tap-order sum)", got, naiveRefine(c, init, 3, opt, refBlock))
-			}
+			opt := BMOptions{BlockR: g.br, Subpixel: true, Census: cen}
+			c := refPixelCost(left, right, true, cen, math.Inf(1))
+			sameImage(t, fmt.Sprintf("%s: refine census=%d", g.name, cen),
+				Refine(left, right, init, 3, opt), naiveRefine(c, init, 3, opt))
 		}
 	}
 }
 
 // The row-sum kernels against the per-candidate reference they replace, on
 // every (x, y, d ≤ x) of a frame — sums that read inside the row and sums
-// that clamp — compared as cost bits, the candidate's row sums added in dy
-// order as refineStrip adds them. The samples span forty binades so that
-// the float64 sums round and a reordered tap or row shows.
+// that clamp — the candidate's row sums added in dy order as refineStrip
+// adds them.
 func TestInteriorBlockCostsMatchClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	w, h := 23, 17
-	left, right := imgproc.NewImage(w, h), imgproc.NewImage(w, h)
-	for i := range left.Pix {
-		left.Pix[i] = float32(math.Ldexp(rng.Float64(), -rng.Intn(40)))
-		right.Pix[i] = float32(math.Ldexp(rng.Float64(), -rng.Intn(40)))
-	}
+	left, right := randImage(rng, w, h, false), randImage(rng, w, h, false)
 	for _, br := range []int{0, 1, 2, 3} {
-		float := blockCosts(adRowSums[float32, float32, float64](left.Pix, right.Pix, w, br), w, h, br)
-		fixed := blockCosts(adRowSums[uint8, uint16, uint32](quantize8(left), quantize8(right), w, br), w, h, br)
+		sad := blockCosts(adRowSums(*quantize8(left), *quantize8(right), w, br), w, h, br)
 		cen := blockCosts(censusRowSums(census(left, 2), census(right, 2), w, br), w, h, br)
 		for _, k := range []struct {
 			name string
 			got  func(x, y, d int) float64
 			c    refCost
 		}{
-			{"float", float, refPixelCost(left, right, false, 0, math.Inf(1))},
-			{"fixed", fixed, refPixelCost(left, right, true, 0, math.Inf(1))},
-			{"census", cen, refPixelCost(left, right, false, 2, math.Inf(1))},
+			{"sad", sad, refPixelCost(left, right, true, 0, math.Inf(1))},
+			{"census", cen, refPixelCost(left, right, true, 2, math.Inf(1))},
 		} {
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					for d := 0; d <= x; d++ {
-						got, want := k.got(x, y, d), refBlockRows(k.c, w, h, x, y, d, br)
+						got, want := k.got(x, y, d), refBlock(k.c, w, h, x, y, d, br)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s br=%d (%d,%d) d=%d: %x, want %x", k.name, br, x, y, d, math.Float64bits(got), math.Float64bits(want))
 						}
@@ -445,18 +401,18 @@ func TestInteriorBlockCostsMatchClamped(t *testing.T) {
 // blockCosts runs rowSums over every row of a w×h frame with each column's
 // band the whole [0, x], and returns the block cost of (x, y, d) summed from
 // those row sums as refineStrip sums them.
-func blockCosts[A acc](rowSums rowSummer[A], w, h, br int) func(x, y, d int) float64 {
+func blockCosts(rowSums rowSummer, w, h, br int) func(x, y, d int) float64 {
 	lo, hi := make([]int32, w), make([]int32, w)
 	for x := range hi {
 		hi[x] = int32(x)
 	}
 	n := w * (w + 1) / 2
-	sums := make([]A, h*n)
+	sums := make([]uint32, h*n)
 	for yy := 0; yy < h; yy++ {
 		rowSums(yy, lo, hi, sums[yy*n:][:n])
 	}
 	return func(x, y, d int) float64 {
-		c := make([]A, 1)
+		c := make([]uint32, 1)
 		for dy := -br; dy <= br; dy++ {
 			addRowSums(c, sums[clampInt(y+dy, 0, h-1)*n+x*(x+1)/2+d:])
 		}
@@ -466,7 +422,7 @@ func blockCosts[A acc](rowSums rowSummer[A], w, h, br int) func(x, y, d int) flo
 
 // A guide that Go cannot convert to int portably — NaN, ±Inf, or a
 // magnitude past the int range — leaves its pixel 0 before it can reach a
-// window or a band, in every cost type, and the strip's other pixels match
+// window or a band, for either cost, and the strip's other pixels match
 // the reference.
 func TestRefineNonFiniteGuides(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
@@ -481,15 +437,13 @@ func TestRefineNonFiniteGuides(t *testing.T) {
 		}
 	}
 	for _, cen := range []int{0, 2} {
-		for _, fixed := range []bool{false, true} {
-			opt := BMOptions{BlockR: 2, Subpixel: true, Fixed: fixed, Census: cen}
-			got := Refine(left, right, init, 3, opt)
-			name := fmt.Sprintf("fixed=%v census=%d", fixed, cen)
-			sameImage(t, name, got, naiveRefine(refPixelCost(left, right, fixed, cen, math.Inf(1)), init, 3, opt, refBlockRows))
-			for i := 3; i < len(got.Pix); i += 7 {
-				if got.Pix[i] != 0 {
-					t.Fatalf("%s: pixel %d with guide %v refined to %v, want 0", name, i, init.Pix[i], got.Pix[i])
-				}
+		opt := BMOptions{BlockR: 2, Subpixel: true, Census: cen}
+		got := Refine(left, right, init, 3, opt)
+		name := fmt.Sprintf("census=%d", cen)
+		sameImage(t, name, got, naiveRefine(refPixelCost(left, right, true, cen, math.Inf(1)), init, 3, opt))
+		for i := 3; i < len(got.Pix); i += 7 {
+			if got.Pix[i] != 0 {
+				t.Fatalf("%s: pixel %d with guide %v refined to %v, want 0", name, i, init.Pix[i], got.Pix[i])
 			}
 		}
 	}
@@ -500,7 +454,7 @@ func TestRefineNonFiniteGuides(t *testing.T) {
 func TestRefineRejectsMismatchedRight(t *testing.T) {
 	left, init := imgproc.NewImage(8, 6), imgproc.NewImage(8, 6)
 	for _, right := range []*imgproc.Image{imgproc.NewImage(6, 8), imgproc.NewImage(8, 5), imgproc.NewImage(9, 6)} {
-		for _, opt := range []BMOptions{{BlockR: 1}, {BlockR: 1, Fixed: true}, {BlockR: 1, Census: 1}} {
+		for _, opt := range []BMOptions{{BlockR: 1}, {BlockR: 1, Census: 1}} {
 			func() {
 				defer func() {
 					want := fmt.Sprintf("stereo: image sizes differ 8x6 vs %dx%d", right.W, right.H)
@@ -569,44 +523,34 @@ func TestSGMFractionalPenaltiesRound(t *testing.T) {
 }
 
 // Cost-volume filtering is the family's block cost over the truncated-AD
-// row: the plane kernels and the matcher must equal the reference in both
-// numeric types.
+// row: the plane kernels and the matcher must equal the reference.
 func TestCVFPlaneKernelsAgainstNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	w, h := 31, 22
 	left, right := randPair(rng, w, h, true)
 	const d, nd, trunc = 5, 6, 0.125
 	cu := refPixelCost(left, right, true, 0, float64(quant8(trunc)))
-	cf := refPixelCost(left, right, false, 0, trunc)
 	for _, r := range []int{0, 2, 3} {
 		u16 := make([]uint16, h*nd*w)
-		blockCostStrip(adRowCost(quantize8(left), quantize8(right), w, uint16(quant8(trunc))),
-			w, h, 0, h, r, nd, limU16, make([]uint16, w), make([]uint16, (h+2*r)*w), make([]uint32, w), u16)
-		f32 := make([]float32, h*nd*w)
-		blockCostStrip(adRowCost(left.Pix, right.Pix, w, float32(trunc)),
-			w, h, 0, h, r, nd, limF32, make([]float32, w), make([]float32, (h+2*r)*w), make([]float64, w), f32)
+		blockCostStrip(adRowCost(*quantize8(left), *quantize8(right), w, uint16(quant8(trunc))),
+			w, h, 0, h, r, nd, make([]uint16, w), make([]uint16, (h+2*r)*w), make([]uint32, w), u16)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				i := (y*nd+d)*w + x
 				if got, want := float64(u16[i]), refBlock(cu, w, h, x, y, d, r); got != want {
-					t.Fatalf("uint16 plane r=%d (%d,%d): got %v want %v", r, x, y, got, want)
-				}
-				if got, want := float64(f32[i]), refBlock(cf, w, h, x, y, d, r); got != want {
-					t.Fatalf("float32 plane r=%d (%d,%d): got %v want %v", r, x, y, got, want)
+					t.Fatalf("plane r=%d (%d,%d): got %v want %v", r, x, y, got, want)
 				}
 			}
 		}
 	}
-	for _, fixed := range []bool{true, false} {
-		opt := CVFOptions{MaxDisp: 12, AggR: 2, Truncate: trunc, Subpixel: true, Fixed: fixed}
-		sameImage(t, fmt.Sprintf("cvf fixed=%v", fixed), CostVolumeFilter(left, right, opt), naiveCVF(left, right, opt))
-	}
+	opt := CVFOptions{MaxDisp: 12, AggR: 2, Truncate: trunc, Subpixel: true}
+	sameImage(t, "cvf", CostVolumeFilter(left, right, opt), naiveCVF(left, right, opt, true))
 }
 
 func TestQuantize8(t *testing.T) {
 	im := imgproc.NewImage(7, 1)
 	copy(im.Pix, []float32{-0.5, 0, 0.5, 1, 1.5, 1 / 255.0, 0.0009})
-	got := quantize8(im)
+	got := *quantize8(im)
 	want := []uint8{0, 0, 128, 255, 255, 1, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -620,7 +564,7 @@ func TestSatMath(t *testing.T) {
 	// (a wrapped cost would win winner-take-all).
 	src := []uint16{40000, 30000, 5, 20000, 50000}
 	dst := make([]uint16, len(src))
-	slideRow(src, len(src), 1, limU16, dst)
+	slideRow(src, len(src), 1, dst)
 	for x, want := range []uint16{65535, 65535, 50005, 65535, 65535} {
 		if dst[x] != want {
 			t.Fatalf("slideRow[%d] = %d, want %d", x, dst[x], want)
@@ -640,20 +584,18 @@ func TestMatchFixedDisparityQualityOnShiftedPair(t *testing.T) {
 			right.Pix[y*w+x] = left.At(x+shift, y)
 		}
 	}
-	for _, fixed := range []bool{true, false} {
-		opt := BMOptions{BlockR: 3, MaxDisp: 16, Fixed: fixed}
-		disp := Match(left, right, opt)
-		bad := 0
-		for y := 4; y < h-4; y++ {
-			for x := shift + opt.BlockR + 1; x < w-4; x++ {
-				if math.Abs(float64(disp.At(x, y))-shift) > 1 {
-					bad++
-				}
+	opt := BMOptions{BlockR: 3, MaxDisp: 16}
+	disp := Match(left, right, opt)
+	bad := 0
+	for y := 4; y < h-4; y++ {
+		for x := shift + opt.BlockR + 1; x < w-4; x++ {
+			if math.Abs(float64(disp.At(x, y))-shift) > 1 {
+				bad++
 			}
 		}
-		if frac := float64(bad) / float64(w*h); frac > 0.05 {
-			t.Fatalf("fixed=%v: match missed the shift on %.1f%% of pixels", fixed, 100*frac)
-		}
+	}
+	if frac := float64(bad) / float64(w*h); frac > 0.05 {
+		t.Fatalf("match missed the shift on %.1f%% of pixels", 100*frac)
 	}
 }
 
@@ -684,36 +626,31 @@ func TestDegenerateGeometry(t *testing.T) {
 				init.Pix[i] = float32(rng.Intn(g.maxD + 1))
 			}
 		}
-		for _, fixed := range []bool{false, true} {
-			name := fmt.Sprintf("%s fixed=%v", g.name, fixed)
-			for _, cen := range []int{0, 2} {
-				opt := BMOptions{BlockR: g.r, MaxDisp: g.maxD, Subpixel: true, Census: cen, Fixed: fixed}
-				c := refPixelCost(left, right, fixed, cen, math.Inf(1))
-				sameImage(t, fmt.Sprintf("%s census=%d match", name, cen), Match(left, right, opt), naiveMatch(c, g.w, g.h, opt))
-				sameImage(t, fmt.Sprintf("%s census=%d refine", name, cen),
-					Refine(left, right, init, g.searchR, opt), naiveRefine(c, init, g.searchR, opt, refBlockRows))
-			}
-			cvf := CVFOptions{MaxDisp: g.maxD, AggR: g.r, Truncate: 0.125, Subpixel: true, Fixed: fixed}
-			sameImage(t, name+" cvf", CostVolumeFilter(left, right, cvf), naiveCVF(left, right, cvf))
-			sgm := SGMOptions{MaxDisp: g.maxD, CensusR: 2, P1: 1, P2: 8, Paths: 8, Subpixel: true, Fixed: fixed}
-			sameImage(t, name+" sgm", SGM(left, right, sgm), naiveSGM(left, right, sgm))
+		for _, cen := range []int{0, 2} {
+			opt := BMOptions{BlockR: g.r, MaxDisp: g.maxD, Subpixel: true, Census: cen}
+			c := refPixelCost(left, right, true, cen, math.Inf(1))
+			sameImage(t, fmt.Sprintf("%s census=%d match", g.name, cen), Match(left, right, opt), naiveMatch(c, g.w, g.h, opt))
+			sameImage(t, fmt.Sprintf("%s census=%d refine", g.name, cen),
+				Refine(left, right, init, g.searchR, opt), naiveRefine(c, init, g.searchR, opt))
 		}
+		cvf := CVFOptions{MaxDisp: g.maxD, AggR: g.r, Truncate: 0.125, Subpixel: true}
+		sameImage(t, g.name+" cvf", CostVolumeFilter(left, right, cvf), naiveCVF(left, right, cvf, true))
+		sgm := SGMOptions{MaxDisp: g.maxD, CensusR: 2, P1: 1, P2: 8, Paths: 8, Subpixel: true}
+		sameImage(t, g.name+" sgm", SGM(left, right, sgm), naiveSGM(left, right, sgm))
 	}
 }
 
 // Strips, rows and planes are split across par workers; the split must not
-// show in the output of either numeric type.
+// show in the output.
 func TestWorkerCountDoesNotChangeBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	left, right := randPair(rng, 45, 70, false)
-	run := func() (out []*imgproc.Image) {
-		for _, fixed := range []bool{false, true} {
-			out = append(out,
-				Match(left, right, BMOptions{BlockR: 2, MaxDisp: 20, Subpixel: true, UniqRatio: 0.1, Fixed: fixed}),
-				CostVolumeFilter(left, right, CVFOptions{MaxDisp: 20, AggR: 2, Truncate: 0.12, Subpixel: true, Fixed: fixed}),
-				SGM(left, right, SGMOptions{MaxDisp: 20, CensusR: 2, P1: 1, P2: 8, Paths: 8, Subpixel: true, Fixed: fixed}))
+	run := func() []*imgproc.Image {
+		return []*imgproc.Image{
+			Match(left, right, BMOptions{BlockR: 2, MaxDisp: 20, Subpixel: true, UniqRatio: 0.1}),
+			CostVolumeFilter(left, right, CVFOptions{MaxDisp: 20, AggR: 2, Truncate: 0.12, Subpixel: true}),
+			SGM(left, right, SGMOptions{MaxDisp: 20, CensusR: 2, P1: 1, P2: 8, Paths: 8, Subpixel: true}),
 		}
-		return out
 	}
 	t.Setenv("ASV_WORKERS", "1")
 	want := run()

@@ -327,27 +327,7 @@ type sgmScratch struct {
 
 // sgmFree holds the scratch of finished frames, as refineFree does the
 // refine's: as many as SGM calls ever ran at once.
-var sgmFree struct {
-	sync.Mutex
-	list []*sgmScratch
-}
-
-func getSGMScratch() *sgmScratch {
-	sgmFree.Lock()
-	defer sgmFree.Unlock()
-	if n := len(sgmFree.list); n > 0 {
-		sc := sgmFree.list[n-1]
-		sgmFree.list = sgmFree.list[:n-1]
-		return sc
-	}
-	return new(sgmScratch)
-}
-
-func putSGMScratch(sc *sgmScratch) {
-	sgmFree.Lock()
-	sgmFree.list = append(sgmFree.list, sc)
-	sgmFree.Unlock()
-}
+var sgmFree freeList[sgmScratch]
 
 // aggregate sums the path costs of sc.cost over 4 or 8 directions into
 // sc.sum. With a second worker the two sweeps run at once over the one
@@ -461,8 +441,8 @@ func SGM(left, right *imgproc.Image, opt SGMOptions) *imgproc.Image {
 		panic(fmt.Sprintf("stereo: SGM census cost %d + P1 %d + P2 %d exceeds the lane bound %d", worst, p1, p2, laneMax))
 	}
 	w, h, nd := left.W, left.H, opt.MaxDisp+1
-	sc := getSGMScratch()
-	defer putSGMScratch(sc)
+	sc := getFree(&sgmFree)
+	defer putFree(&sgmFree, sc)
 	sc.cl = censusInto(grow(sc.cl, w*h), left, opt.CensusR)
 	sc.cr = censusInto(grow(sc.cr, w*h), right, opt.CensusR)
 	sc.cost = grow(sc.cost, w*h*laneWords(nd))
