@@ -33,11 +33,12 @@ func TestPerfGateRepoContractClean(t *testing.T) {
 	}
 	// The central guarantee: the sliding-window and SGM kernels, the guided
 	// refine's row sums and the vertical sums of its candidates, the
-	// interior passes of the separable filter and Farneback's two per-pixel
-	// solves carry zero per-element bounds checks in every instantiation (a
-	// check in either numeric type's copy of a generic kernel is reported at
-	// the shared source line). If a contract ever relaxes these to nonzero,
-	// this test — not just the JSON — has to change.
+	// interior passes of the separable filter, Farneback's polynomial solve
+	// and the row pass of its iteration carry zero per-element bounds
+	// checks in every instantiation (a check in either numeric type's copy
+	// of a generic kernel is reported at the shared source line). If a
+	// contract ever relaxes these to nonzero, this test — not just the
+	// JSON — has to change.
 	for pkg, zero := range map[string]map[string][]string{
 		"stereo": {
 			"kernels.go": {"blockCostStrip", "adRowCost", "censusRowCost", "adRowSums", "censusRowSums", "addRowSums"},
@@ -47,7 +48,7 @@ func TestPerfGateRepoContractClean(t *testing.T) {
 			"filter.go": {"rowInterior", "filterCols"},
 		},
 		"flow": {
-			"farneback.go": {"polySolve", "solveFlow"},
+			"farneback.go": {"polySolve", "blurRow"},
 		},
 	} {
 		root, c := repoContract(t, pkg)

@@ -405,22 +405,25 @@ func TestOracleMatcherConsecutiveCallsDiffer(t *testing.T) {
 // built their result with NewImage, each warm frame put 12 buffers more than
 // it got, and the pool grew between collections.)
 //
-// A frame that expands both of its flow pairs from scratch takes 341 gets
-// and gives 341 puts. This clip's half-resolution flow runs L = 2 levels,
+// A frame that expands both of its flow pairs from scratch takes 161 gets
+// and gives 161 puts. This clip's half-resolution flow runs L = 2 levels,
 // and one Farneback expansion takes 31 gets (the half-resolution frame, 2L
 // polyExpand calls of 14, one pyramid level and its temporary) and gives 21
 // puts (the half-resolution frame, 9 per polyExpand, the pyramid level and
 // its temporary) while building, plus 10 (five coefficient planes per
-// level) when dropped. Now each eye keeps the expansion of its new frame:
+// level) when dropped. Each of an eye's 3L iterations takes 2 gets (its
+// output field) and gives 2 puts (its input field); its intermediate
+// planes come off a free list, not the pool. Now each eye keeps the
+// expansion of its new frame:
 //   - the first non-key frame is cold: it builds both expansions, but keeps
-//     the new one, so 341 gets and 341 − 2·10 = 321 puts;
+//     the new one, so 161 gets and 161 − 2·10 = 141 puts;
 //   - the next ones are warm: the previous frame's expansion is the kept
-//     one, so each eye builds one fewer — 341 − 2·31 = 279 gets — and drops
-//     the kept one instead, 321 − 2·21 = 279 puts;
+//     one, so each eye builds one fewer — 161 − 2·31 = 99 gets — and drops
+//     the kept one instead, 141 − 2·21 = 99 puts;
 //   - the key frame drops both kept expansions: 0 gets, 2·10 = 20 puts,
 //     where the first key frame, with nothing kept, has none.
 func TestPoolTrafficPerFrame(t *testing.T) {
-	want := [][2]int64{{0, 0}, {341, 321}, {279, 279}, {279, 279}, {0, 20}}
+	want := [][2]int64{{0, 0}, {161, 141}, {99, 99}, {99, 99}, {0, 20}}
 	opt := stereo.DefaultSGMOptions()
 	opt.MaxDisp = 16
 	seq := dataset.Generate(seqCfg(21))
@@ -485,15 +488,16 @@ func TestNonKeyDegenerateGeometry(t *testing.T) {
 // the image pool nor the refine's scratch is released mid-measurement, and
 // each frame of a PW-4 window is measured over four passes of the window,
 // keeping its least: a sync.Pool slot that misses (it is per-P) adds a
-// buffer to one pass but not to all four. With the refine's scratch and
-// its quantized planes off free lists and each eye keeping its flow
-// expansion, the cold first frame takes 114,088 bytes and the warm ones
-// 98,264 (ASV_WORKERS=2); the budget is 1.1× the first. Quantizing into
+// buffer to one pass but not to all four. With the refine's scratch, its
+// quantized planes and the flow iteration's planes off free lists, each eye
+// keeping its flow expansion and each flow iteration making two fork-joins,
+// the cold first frame takes 78,280 bytes and the warm ones 59,768
+// (ASV_WORKERS=2); the budget is 1.1× the first. Quantizing into
 // fresh planes per call instead adds 2·W·H bytes a frame and fails it. A
 // change that allocates more per frame raises the budget in the same
 // commit, with its reason.
 func TestNonKeyFrameAllocBudget(t *testing.T) {
-	const budget = 125_000
+	const budget = 86_000
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}

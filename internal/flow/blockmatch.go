@@ -67,7 +67,7 @@ func EndpointError(est, gt Field) float64 {
 	for i := 0; i < n; i++ {
 		du := float64(est.U.Pix[i] - gt.U.Pix[i])
 		dv := float64(est.V.Pix[i] - gt.V.Pix[i])
-		s += math.Sqrt(du*du + dv*dv)
+		s += math.Sqrt(float64(du*du) + float64(dv*dv))
 	}
 	return s / float64(n)
 }

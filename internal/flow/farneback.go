@@ -118,11 +118,11 @@ func polyBasis(r int, sigma float64) (k0, k1, k2 []float32, ginv [6][6]float64) 
 	var s0, s2, s4, s22 float64
 	for i := -r; i <= r; i++ {
 		for j := -r; j <= r; j++ {
-			w := a[i+r] * a[j+r]
+			w := float64(a[i+r] * a[j+r])
 			s0 += w
-			s2 += w * float64(j*j)
-			s4 += w * float64(j*j*j*j)
-			s22 += w * float64(i*i*j*j)
+			s2 += float64(w * float64(j*j))
+			s4 += float64(w * float64(j*j*j*j))
+			s22 += float64(w * float64(i*i*j*j))
 		}
 	}
 	g := [6][6]float64{
@@ -155,15 +155,15 @@ func polySolve(mom [6]*imgproc.Image, ginv *[6][6]float64, p polyCoeffs, lo, hi 
 	for i, v0 := range m0 {
 		c0, c3, c4 := float64(v0), float64(m3[i]), float64(m4[i])
 		var r1, r2, r3, r4, r5 float64
-		r1 += g11 * float64(m1[i])
-		r2 += g22 * float64(m2[i])
-		r3 += g30 * c0
-		r3 += g33 * c3
-		r3 += g34 * c4
-		r4 += g40 * c0
-		r4 += g43 * c3
-		r4 += g44 * c4
-		r5 += g55 * float64(m5[i])
+		r1 += float64(g11 * float64(m1[i]))
+		r2 += float64(g22 * float64(m2[i]))
+		r3 += float64(g30 * c0)
+		r3 += float64(g33 * c3)
+		r3 += float64(g34 * c4)
+		r4 += float64(g40 * c0)
+		r4 += float64(g43 * c3)
+		r4 += float64(g44 * c4)
+		r5 += float64(g55 * float64(m5[i]))
 		bx[i] = float32(r1)
 		by[i] = float32(r2)
 		axx[i] = float32(r3)
@@ -235,7 +235,7 @@ func invert6(m [6][6]float64) [6][6]float64 {
 			}
 			f := aug[row][col]
 			for j := 0; j < 12; j++ {
-				aug[row][j] -= f * aug[col][j]
+				aug[row][j] -= float64(f * aug[col][j])
 			}
 		}
 	}
@@ -322,122 +322,202 @@ func FarnebackExpanded(prev, next *Expansion, opt Options) Field {
 	for l := len(prev.levels) - 1; l >= 0; l-- {
 		c1, c2 := prev.levels[l], next.levels[l]
 		w, h := c1.bx.W, c1.bx.H
+		scale := float32(1)
 		if fld.U == nil {
 			fld = NewField(w, h)
 		} else {
+			// The coarser level's field, upsampled, is in that level's
+			// pixels: the level's first iteration doubles it as it reads it.
 			u := imgproc.Upsample2(fld.U, w, h)
 			v := imgproc.Upsample2(fld.V, w, h)
-			for i := range u.Pix {
-				u.Pix[i] *= 2
-				v.Pix[i] *= 2
-			}
 			PutField(fld)
 			fld = Field{U: u, V: v}
+			scale = 2
 		}
 		for it := 0; it < iters; it++ {
-			next := flowIteration(c1, c2, fld, win)
+			next := flowIteration(c1, c2, fld, scale, win)
 			PutField(fld)
 			fld = next
+			scale = 1
 		}
 	}
 	return fld
 }
 
+// system is one pixel's 2×2 system of a Farneback update: the symmetric
+// matrix AᵀA (g11, g12, g22) and the vector AᵀΔb (h1, h2).
+type system struct {
+	g11, g12, g22, h1, h2 float32
+}
+
+// bandScratch is one worker's memory for a row band of an iteration: the
+// systems of the row being filtered, padded at both ends, and the tap rows
+// of the row being solved.
+type bandScratch struct {
+	row  []system
+	taps [][]system
+}
+
+// sysFree holds the row-filtered systems of finished iterations, and
+// bandFree the workers' scratch, for the next iterations. Neither is ever
+// cleared: every system is written before it is read.
+var (
+	sysFree  imgproc.FreeList[[]system]
+	bandFree imgproc.FreeList[bandScratch]
+)
+
 // flowIteration performs one Farneback update: form the per-pixel linear
 // system from the two polynomial expansions and the current displacement
 // ("Matrix Update"), aggregate it over a Gaussian window (a blur), and solve
 // the 2×2 system per pixel ("Compute Flow"). win is the aggregation window's
-// 1-D kernel.
-func flowIteration(c1, c2 polyCoeffs, cur Field, win []float32) Field {
+// 1-D kernel. cur is read multiplied by scale, a power of two, so the
+// product is exact.
+//
+// It makes one pass over row bands per direction of the blur. The first
+// forms each row's systems and filters them along the row, all five
+// channels at once, into the row-filtered systems; the second sums each
+// output row's column of taps and solves each pixel as soon as its sums
+// are final. The bits are those of the five channels each put through
+// imgproc.SeparableFilter and then solved: every sample starts at +0 and
+// adds its products in tap order, each product rounded to float32.
+func flowIteration(c1, c2 polyCoeffs, cur Field, scale float32, win []float32) Field {
 	w, h := cur.U.W, cur.U.H
-	// Accumulator images for G = AᵀA (symmetric 2×2: g11,g12,g22) and
-	// hvec = AᵀΔb (h1,h2).
-	sys := flowSystem{
-		g11: imgproc.GetImage(w, h),
-		g12: imgproc.GetImage(w, h),
-		g22: imgproc.GetImage(w, h),
-		h1:  imgproc.GetImage(w, h),
-		h2:  imgproc.GetImage(w, h),
-	}
-	par.ForChunked(h, func(ylo, yhi int) { matrixUpdate(c1, c2, cur, sys, ylo, yhi) })
-
-	// Aggregate the normal equations over the neighbourhood, releasing the
-	// pre-blur accumulators as they are consumed.
-	for _, im := range []**imgproc.Image{&sys.g11, &sys.g12, &sys.g22, &sys.h1, &sys.h2} {
-		b := imgproc.SeparableFilter(*im, win, win)
-		imgproc.PutImage(*im)
-		*im = b
-	}
-
+	r := len(win) / 2
+	rows := sysFree.Get()
+	*rows = imgproc.Grow(*rows, w*h)
+	par.ForChunked(h, func(lo, hi int) {
+		sc := bandFree.Get()
+		sc.row = imgproc.Grow(sc.row, w+2*r)
+		for y := lo; y < hi; y++ {
+			matrixUpdate(c1, c2, cur, scale, y, sc.row[r:][:w])
+			padRow(sc.row, r)
+			blurRow((*rows)[w*y:][:w], sc.row, win)
+		}
+		bandFree.Put(sc)
+	})
 	out := NewField(w, h)
-	par.ForChunked(w*h, func(lo, hi int) { solveFlow(sys, cur, out, lo, hi) })
-	for _, im := range []*imgproc.Image{sys.g11, sys.g12, sys.g22, sys.h1, sys.h2} {
-		imgproc.PutImage(im)
-	}
+	par.ForChunked(h, func(lo, hi int) {
+		sc := bandFree.Get()
+		sc.taps = imgproc.Grow(sc.taps, len(win))
+		for y := lo; y < hi; y++ {
+			blurSolveRow(*rows, sc.taps, cur, scale, out, y, win)
+		}
+		bandFree.Put(sc)
+	})
+	sysFree.Put(rows)
 	return out
 }
 
-// flowSystem is the per-pixel 2×2 system of one Farneback update: the
-// symmetric matrix AᵀA (g11, g12, g22) and the vector AᵀΔb (h1, h2).
-type flowSystem struct {
-	g11, g12, g22, h1, h2 *imgproc.Image
-}
+// matrixUpdate writes row y's systems into sys, from the two expansions and
+// the current displacement. Frame 2's coefficients are looked up at the
+// displaced position, rounded to the nearest pixel: directly where it is
+// inside the frame, clamped to the border where it is not. (Inside the
+// frame i < n already; testing it lets the prove pass drop the five index
+// checks.)
+func matrixUpdate(c1, c2 polyCoeffs, cur Field, scale float32, y int, sys []system) {
+	w, h := cur.U.W, cur.U.H
+	row := y * w
+	u, v := cur.U.Pix[row:][:w], cur.V.Pix[row:][:w]
+	axx1, ayy1, axy1 := c1.axx.Pix[row:][:w], c1.ayy.Pix[row:][:w], c1.axy.Pix[row:][:w]
+	bx1, by1 := c1.bx.Pix[row:][:w], c1.by.Pix[row:][:w]
+	n := w * h
+	axx2, ayy2, axy2 := c2.axx.Pix[:n], c2.ayy.Pix[:n], c2.axy.Pix[:n]
+	bx2, by2 := c2.bx.Pix[:n], c2.by.Pix[:n]
+	sys = sys[:w]
+	for x, uu := range u {
+		du, dv := float64(scale*uu), float64(scale*v[x])
+		x2 := int(math.Round(float64(x) + du))
+		y2 := int(math.Round(float64(y) + dv))
+		var cxx, cyy, cxy, cx, cy float32
+		if i := y2*w + x2; uint(x2) < uint(w) && uint(y2) < uint(h) && uint(i) < uint(n) {
+			cxx, cyy, cxy, cx, cy = axx2[i], ayy2[i], axy2[i], bx2[i], by2[i]
+		} else {
+			cxx, cyy, cxy = c2.axx.At(x2, y2), c2.ayy.At(x2, y2), c2.axy.At(x2, y2)
+			cx, cy = c2.bx.At(x2, y2), c2.by.At(x2, y2)
+		}
 
-// matrixUpdate fills rows [ylo, yhi) of sys from the two expansions and the
-// current displacement. Frame 2's coefficients are looked up at the
-// displaced position, rounded to the nearest pixel and clamped to the
-// border.
-func matrixUpdate(c1, c2 polyCoeffs, cur Field, sys flowSystem, ylo, yhi int) {
-	w := cur.U.W
-	for y := ylo; y < yhi; y++ {
-		row := y * w
-		u, v := cur.U.Pix[row:][:w], cur.V.Pix[row:][:w]
-		axx1, ayy1, axy1 := c1.axx.Pix[row:][:w], c1.ayy.Pix[row:][:w], c1.axy.Pix[row:][:w]
-		bx1, by1 := c1.bx.Pix[row:][:w], c1.by.Pix[row:][:w]
-		g11, g12, g22 := sys.g11.Pix[row:][:w], sys.g12.Pix[row:][:w], sys.g22.Pix[row:][:w]
-		h1, h2 := sys.h1.Pix[row:][:w], sys.h2.Pix[row:][:w]
-		for x, uu := range u {
-			du, dv := float64(uu), float64(v[x])
-			x2 := int(math.Round(float64(x) + du))
-			y2 := int(math.Round(float64(y) + dv))
+		// Each product is rounded before it is added, so that no target
+		// fuses a multiply-add; the halving and quartering below compile
+		// to products too.
+		a11 := float64((float64(axx1[x]) + float64(cxx)) / 2)
+		a22 := float64((float64(ayy1[x]) + float64(cyy)) / 2)
+		a12 := float64((float64(axy1[x]) + float64(cxy)) / 4) // A off-diag = axy/2, averaged
 
-			a11 := (float64(axx1[x]) + float64(c2.axx.At(x2, y2))) / 2
-			a22 := (float64(ayy1[x]) + float64(c2.ayy.At(x2, y2))) / 2
-			a12 := (float64(axy1[x]) + float64(c2.axy.At(x2, y2))) / 4 // A off-diag = axy/2, averaged
+		db1 := float64(-0.5*(float64(cx)-float64(bx1[x]))) + float64(a11*du) + float64(a12*dv)
+		db2 := float64(-0.5*(float64(cy)-float64(by1[x]))) + float64(a12*du) + float64(a22*dv)
 
-			db1 := -0.5*(float64(c2.bx.At(x2, y2))-float64(bx1[x])) + a11*du + a12*dv
-			db2 := -0.5*(float64(c2.by.At(x2, y2))-float64(by1[x])) + a12*du + a22*dv
-
-			g11[x] = float32(a11*a11 + a12*a12)
-			g12[x] = float32(a12 * (a11 + a22))
-			g22[x] = float32(a22*a22 + a12*a12)
-			h1[x] = float32(a11*db1 + a12*db2)
-			h2[x] = float32(a12*db1 + a22*db2)
+		sys[x] = system{
+			g11: float32(float64(a11*a11) + float64(a12*a12)),
+			g12: float32(a12 * (a11 + a22)),
+			g22: float32(float64(a22*a22) + float64(a12*a12)),
+			h1:  float32(float64(a11*db1) + float64(a12*db2)),
+			h2:  float32(float64(a12*db1) + float64(a22*db2)),
 		}
 	}
 }
 
-// solveFlow solves the aggregated 2×2 systems of pixels [lo, hi) into out,
-// keeping the current displacement where the system is singular.
-func solveFlow(sys flowSystem, cur, out Field, lo, hi int) {
-	n := hi - lo
-	g11, g12, g22 := sys.g11.Pix[lo:][:n], sys.g12.Pix[lo:][:n], sys.g22.Pix[lo:][:n]
-	h1, h2 := sys.h1.Pix[lo:][:n], sys.h2.Pix[lo:][:n]
-	cu, cv := cur.U.Pix[lo:][:n], cur.V.Pix[lo:][:n]
-	ou, ov := out.U.Pix[lo:][:n], out.V.Pix[lo:][:n]
-	for i, gv := range g11 {
-		a := float64(gv)
-		b := float64(g12[i])
-		c := float64(g22[i])
-		det := a*c - b*b
+// padRow copies the first and last system of the row held in row into the
+// r systems of padding at each end, so that the row pass reads every tap
+// in range and reads what a clamped tap would.
+func padRow(row []system, r int) {
+	n := len(row) - 2*r
+	first, last := row[r], row[r+n-1]
+	for i := 0; i < r; i++ {
+		row[i], row[r+n+i] = first, last
+	}
+}
+
+// blurRow writes to dst the row pass of the padded row src,
+// imgproc.FilterRows' sum for each channel: dst(x) = Σ_j k[j]·src(x+j).
+func blurRow(dst, src []system, k []float32) {
+	for x := range dst {
+		s := src[x:][:len(k)]
+		var g11, g12, g22, h1, h2 float32
+		for j, kv := range k {
+			p := &s[j]
+			g11 += float32(kv * p.g11)
+			g12 += float32(kv * p.g12)
+			g22 += float32(kv * p.g22)
+			h1 += float32(kv * p.h1)
+			h2 += float32(kv * p.h2)
+		}
+		dst[x] = system{g11, g12, g22, h1, h2}
+	}
+}
+
+// blurSolveRow sums the column of taps of output row y over the
+// row-filtered systems, imgproc.FilterCols' sum with tap rows clamped to
+// the frame, and solves each pixel's 2×2 system into out as soon as its
+// sums are final, keeping the current displacement (times scale) where the
+// system is singular. taps holds a row per tap.
+func blurSolveRow(rows []system, taps [][]system, cur Field, scale float32, out Field, y int, k []float32) {
+	w, h := cur.U.W, cur.U.H
+	r := len(k) / 2
+	taps = taps[:len(k)]
+	for j := range taps {
+		taps[j] = rows[w*min(max(y+j-r, 0), h-1):][:w]
+	}
+	row := y * w
+	cu, cv := cur.U.Pix[row:][:w], cur.V.Pix[row:][:w]
+	ou, ov := out.U.Pix[row:][:w], out.V.Pix[row:][:w]
+	for x := range ou {
+		var g11, g12, g22, h1, h2 float32
+		for j, kv := range k {
+			p := &taps[j][x]
+			g11 += float32(kv * p.g11)
+			g12 += float32(kv * p.g12)
+			g22 += float32(kv * p.g22)
+			h1 += float32(kv * p.h1)
+			h2 += float32(kv * p.h2)
+		}
+		a, b, c := float64(g11), float64(g12), float64(g22)
+		det := float64(a*c) - float64(b*b)
 		if math.Abs(det) < 1e-9 {
-			ou[i] = cu[i]
-			ov[i] = cv[i]
+			ou[x], ov[x] = scale*cu[x], scale*cv[x]
 			continue
 		}
-		hh1 := float64(h1[i])
-		hh2 := float64(h2[i])
-		ou[i] = float32((c*hh1 - b*hh2) / det)
-		ov[i] = float32((a*hh2 - b*hh1) / det)
+		hh1, hh2 := float64(h1), float64(h2)
+		ou[x] = float32((float64(c*hh1) - float64(b*hh2)) / det)
+		ov[x] = float32((float64(a*hh2) - float64(b*hh1)) / det)
 	}
 }

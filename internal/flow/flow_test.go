@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -343,5 +344,166 @@ func TestExpansionReuseMatchesFarneback(t *testing.T) {
 	}
 	for _, e := range []*Expansion{ea, eb, ec} {
 		e.Put()
+	}
+}
+
+// naiveFlowIteration is the definition flowIteration computes, one full
+// plane per step: the per-pixel system (matrix update) into five planes,
+// each plane through imgproc.SeparableFilter, then the 2×2 solve. cur is
+// read as it is, so a scaled read is compared against a scaled copy.
+func naiveFlowIteration(c1, c2 polyCoeffs, cur Field, win []float32) Field {
+	w, h := cur.U.W, cur.U.H
+	var sys [5]*imgproc.Image
+	for c := range sys {
+		sys[c] = imgproc.NewImage(w, h)
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := y*w + x
+			du, dv := float64(cur.U.Pix[i]), float64(cur.V.Pix[i])
+			x2 := int(math.Round(float64(x) + du))
+			y2 := int(math.Round(float64(y) + dv))
+			a11 := float64((float64(c1.axx.Pix[i]) + float64(c2.axx.At(x2, y2))) / 2)
+			a22 := float64((float64(c1.ayy.Pix[i]) + float64(c2.ayy.At(x2, y2))) / 2)
+			a12 := float64((float64(c1.axy.Pix[i]) + float64(c2.axy.At(x2, y2))) / 4)
+			db1 := float64(-0.5*(float64(c2.bx.At(x2, y2))-float64(c1.bx.Pix[i]))) + float64(a11*du) + float64(a12*dv)
+			db2 := float64(-0.5*(float64(c2.by.At(x2, y2))-float64(c1.by.Pix[i]))) + float64(a12*du) + float64(a22*dv)
+			sys[0].Pix[i] = float32(float64(a11*a11) + float64(a12*a12))
+			sys[1].Pix[i] = float32(a12 * (a11 + a22))
+			sys[2].Pix[i] = float32(float64(a22*a22) + float64(a12*a12))
+			sys[3].Pix[i] = float32(float64(a11*db1) + float64(a12*db2))
+			sys[4].Pix[i] = float32(float64(a12*db1) + float64(a22*db2))
+		}
+	}
+	for c := range sys {
+		sys[c] = imgproc.SeparableFilter(sys[c], win, win)
+	}
+	out := Field{U: imgproc.NewImage(w, h), V: imgproc.NewImage(w, h)}
+	for i := range out.U.Pix {
+		a, b, c := float64(sys[0].Pix[i]), float64(sys[1].Pix[i]), float64(sys[2].Pix[i])
+		det := float64(a*c) - float64(b*b)
+		if math.Abs(det) < 1e-9 {
+			out.U.Pix[i], out.V.Pix[i] = cur.U.Pix[i], cur.V.Pix[i]
+			continue
+		}
+		h1, h2 := float64(sys[3].Pix[i]), float64(sys[4].Pix[i])
+		out.U.Pix[i] = float32((float64(c*h1) - float64(b*h2)) / det)
+		out.V.Pix[i] = float32((float64(a*h2) - float64(b*h1)) / det)
+	}
+	return out
+}
+
+// checkFlowIteration runs flowIteration on one w×h pair of frames and a
+// displacement field drawn from seed, with the given read scale and
+// amplitude, and compares it bit for bit against naiveFlowIteration.
+// Amplitudes of a few pixels and more send displaced lookups outside the
+// frame; a flat frame makes every system singular.
+func checkFlowIteration(t *testing.T, w, h int, seed int64, scale, amp float32, flat bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	a, b := texture(w, h, float64(seed%5)), texture(w, h, float64(seed%5)+0.4)
+	if flat {
+		a, b = imgproc.NewImage(w, h), imgproc.NewImage(w, h)
+		for i := range a.Pix {
+			a.Pix[i], b.Pix[i] = 0.5, 0.5
+		}
+	}
+	opt := DefaultOptions()
+	c1, c2 := polyExpand(a, opt.PolyR, opt.PolySigma), polyExpand(b, opt.PolyR, opt.PolySigma)
+	cur, scaled := NewField(w, h), NewField(w, h)
+	for i := range cur.U.Pix {
+		cur.U.Pix[i] = amp * float32(rng.NormFloat64())
+		cur.V.Pix[i] = amp * float32(rng.NormFloat64())
+		scaled.U.Pix[i], scaled.V.Pix[i] = scale*cur.U.Pix[i], scale*cur.V.Pix[i]
+	}
+	win := imgproc.GaussianKernel1D(opt.WinSigma)
+	got := flowIteration(c1, c2, cur, scale, win)
+	want := naiveFlowIteration(c1, c2, scaled, win)
+	for p := range want.U.Pix {
+		if math.Float32bits(got.U.Pix[p]) != math.Float32bits(want.U.Pix[p]) ||
+			math.Float32bits(got.V.Pix[p]) != math.Float32bits(want.V.Pix[p]) {
+			t.Fatalf("%dx%d seed %d scale %v amp %v flat %v: pixel (%d, %d) = (%v, %v), want (%v, %v)",
+				w, h, seed, scale, amp, flat, p%w, p/w, got.U.Pix[p], got.V.Pix[p], want.U.Pix[p], want.V.Pix[p])
+		}
+	}
+	c1.put()
+	c2.put()
+	PutField(cur)
+	PutField(scaled)
+	PutField(got)
+}
+
+// TestFlowIterationMatchesReference checks the banded iteration against
+// the seven-pass definition bit for bit: frames a pixel wide or tall,
+// frames narrower or shorter than the 13-tap window (every sample is
+// border), odd sizes and the offline flow size, across worker counts that
+// split the rows unevenly, with displacements that leave the frame and
+// frames that leave every system singular.
+func TestFlowIterationMatchesReference(t *testing.T) {
+	sizes := [][2]int{{1, 1}, {1, 9}, {9, 1}, {17, 1}, {1, 17}, {5, 12}, {12, 5}, {13, 13}, {14, 14}, {23, 37}, {96, 60}}
+	for _, workers := range []string{"1", "2", "3", "7"} {
+		t.Setenv("ASV_WORKERS", workers)
+		for i, sz := range sizes {
+			seed := int64(i)
+			checkFlowIteration(t, sz[0], sz[1], seed, 1, 0.7, false)
+			checkFlowIteration(t, sz[0], sz[1], seed, 2, 0.7, false)
+			checkFlowIteration(t, sz[0], sz[1], seed, 1, 9, false)
+			checkFlowIteration(t, sz[0], sz[1], seed, 1, 0.7, true)
+			checkFlowIteration(t, sz[0], sz[1], seed, 2, 0.7, true)
+		}
+	}
+}
+
+func FuzzFlowIterationMatchesReference(f *testing.F) {
+	f.Add(uint8(1), uint8(1), int64(0), false, float32(0.5), false)
+	f.Add(uint8(13), uint8(7), int64(3), true, float32(6), false)
+	f.Add(uint8(40), uint8(31), int64(9), false, float32(2), true)
+	f.Fuzz(func(t *testing.T, w, h uint8, seed int64, double bool, amp float32, flat bool) {
+		if w == 0 || h == 0 || w > 64 || h > 64 || !(amp >= 0 && amp <= 64) {
+			t.Skip()
+		}
+		scale := float32(1)
+		if double {
+			scale = 2
+		}
+		checkFlowIteration(t, int(w), int(h), seed, scale, amp, flat)
+	})
+}
+
+// The row pass is imgproc.FilterRows per channel, bit for bit, on a row
+// with runs of −0 longer than the window: a sample that started at its
+// first product instead of at +0 would keep the −0, which no 2×2 solve of
+// a whole iteration is sure to show.
+func TestBlurRowMatchesFilterRows(t *testing.T) {
+	win := imgproc.GaussianKernel1D(DefaultOptions().WinSigma)
+	r := len(win) / 2
+	negZero := float32(math.Copysign(0, -1))
+	for _, w := range []int{1, 5, 40} {
+		var planes [5]*imgproc.Image
+		for c := range planes {
+			planes[c] = imgproc.NewImage(w, 1)
+			for x := range planes[c].Pix {
+				planes[c].Pix[x] = negZero
+				if (x/16+c)%2 == 1 {
+					planes[c].Pix[x] = float32(math.Sin(float64(3*x + c)))
+				}
+			}
+		}
+		row := make([]system, w+2*r)
+		for x := 0; x < w; x++ {
+			row[r+x] = system{planes[0].Pix[x], planes[1].Pix[x], planes[2].Pix[x], planes[3].Pix[x], planes[4].Pix[x]}
+		}
+		padRow(row, r)
+		got := make([]system, w)
+		blurRow(got, row, win)
+		for c, plane := range planes {
+			want := imgproc.FilterRows(plane, win)
+			for x, s := range got {
+				g := [5]float32{s.g11, s.g12, s.g22, s.h1, s.h2}[c]
+				if math.Float32bits(g) != math.Float32bits(want.Pix[x]) {
+					t.Fatalf("w=%d channel %d x=%d: %v, want %v", w, c, x, g, want.Pix[x])
+				}
+			}
+		}
 	}
 }

@@ -69,8 +69,8 @@ func HornSchunck(prev, next *imgproc.Image, opt HSOptions) Field {
 					vb := avg(cur.V, x, y)
 					i := y*w + x
 					gxv, gyv, gtv := ix.Pix[i], iy.Pix[i], it.Pix[i]
-					num := gxv*ub + gyv*vb + gtv
-					den := alpha2 + gxv*gxv + gyv*gyv
+					num := float32(gxv*ub) + float32(gyv*vb) + gtv
+					den := alpha2 + float32(gxv*gxv) + float32(gyv*gyv)
 					nxt.U.Pix[i] = ub - gxv*num/den
 					nxt.V.Pix[i] = vb - gyv*num/den
 				}

@@ -27,7 +27,7 @@ func FarnebackOpsSplit(w, h int, opt Options) (convMACs, pointOps int64) {
 		opt.Iters = 1
 	}
 	gaussTaps := func(sigma float64) int64 {
-		r := int64(3*sigma + 0.999)
+		r := int64(float64(3*sigma) + 0.999)
 		return 2*r + 1
 	}
 	polyTaps := int64(2*opt.PolyR + 1)

@@ -64,3 +64,42 @@ func PutImage(im *Image) {
 	im.Pix = nil // poison the handle so a use-after-Put fails loudly
 	p.(*sync.Pool).Put(pix)
 }
+
+// FreeList holds buffers a kernel finished with for its next calls. It is a
+// plain free list, not a sync.Pool: a pool's per-P slot misses whenever a
+// worker runs on another P than the one that put the last buffer back, and
+// the miss reallocates. A list holds as many buffers as ever ran at once.
+// Buffers come back as they were put, not cleared.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	list []*T
+}
+
+// Get takes a buffer off l, or makes one.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.list); n > 0 {
+		v := l.list[n-1]
+		l.list = l.list[:n-1]
+		return v
+	}
+	return new(T)
+}
+
+// Put returns buffers to l.
+func (l *FreeList[T]) Put(vs ...*T) {
+	l.mu.Lock()
+	l.list = append(l.list, vs...)
+	l.mu.Unlock()
+}
+
+// Grow returns s resliced to n entries. When s is too short it reallocates
+// with a quarter more room, so that a buffer a little larger than any before
+// it does not reallocate again.
+func Grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	return s[:n]
+}

@@ -75,7 +75,7 @@ func Match(left, right *imgproc.Image, opt BMOptions) *imgproc.Image {
 // cost-volume filtering with a finite one.
 func matchAD(left, right *imgproc.Image, opt BMOptions, truncate float32) *imgproc.Image {
 	l8, r8 := quantize8(left), quantize8(right)
-	defer putFree(&planeFree, l8, r8)
+	defer planeFree.Put(l8, r8)
 	return matchStrips(left.W, left.H, opt, adRowCost(*l8, *r8, left.W, uint16(quant8(truncate))))
 }
 
@@ -95,7 +95,7 @@ func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgpr
 		return refine(init, searchR, br, opt.Subpixel, censusRowSums(cl, cr, w, br))
 	}
 	l8, r8 := quantize8(left), quantize8(right)
-	defer putFree(&planeFree, l8, r8)
+	defer planeFree.Put(l8, r8)
 	return refine(init, searchR, br, opt.Subpixel, adRowSums(*l8, *r8, w, br))
 }
 
@@ -106,9 +106,9 @@ func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgpr
 func refine(init *imgproc.Image, searchR, br int, subpixel bool, rowSums rowSummer) *imgproc.Image {
 	out := imgproc.NewImage(init.W, init.H)
 	par.ForChunked(init.H, func(y0, y1 int) {
-		sc := getFree(&refineFree)
+		sc := refineFree.Get()
 		refineStrip(init, out, y0, y1, searchR, br, subpixel, rowSums, sc)
-		putFree(&refineFree, sc)
+		refineFree.Put(sc)
 	})
 	return out
 }

@@ -23,13 +23,13 @@ func quant8(v float32) uint8 {
 
 // planeFree holds the quantized planes of finished SAD kernel calls for the
 // next ones, as refineFree does the refine's scratch.
-var planeFree freeList[[]uint8]
+var planeFree imgproc.FreeList[[]uint8]
 
 // quantize8 quantizes every sample of im into a plane off planeFree; the
 // caller puts it back once the kernel is done with it.
 func quantize8(im *imgproc.Image) *[]uint8 {
-	p := getFree(&planeFree)
-	*p = grow(*p, len(im.Pix))
+	p := planeFree.Get()
+	*p = imgproc.Grow(*p, len(im.Pix))
 	q := (*p)[:len(im.Pix)]
 	for i, v := range im.Pix {
 		q[i] = quant8(v)

@@ -3,7 +3,6 @@ package stereo
 import (
 	"math"
 	"math/bits"
-	"sync"
 
 	"asv/internal/imgproc"
 	"asv/internal/par"
@@ -498,45 +497,7 @@ type sumRow struct {
 }
 
 // refineFree holds the scratch of finished strips for the next ones.
-var refineFree freeList[refineScratch]
-
-// freeList holds buffers a kernel finished with for its next calls. It is a
-// plain free list, not a sync.Pool: a pool's per-P slot misses whenever a
-// worker runs on another P than the one that put the last buffer back, and
-// the miss reallocates. A list holds as many buffers as ever ran at once.
-type freeList[T any] struct {
-	sync.Mutex
-	list []*T
-}
-
-// getFree takes a buffer off l, or makes one.
-func getFree[T any](l *freeList[T]) *T {
-	l.Lock()
-	defer l.Unlock()
-	if n := len(l.list); n > 0 {
-		v := l.list[n-1]
-		l.list = l.list[:n-1]
-		return v
-	}
-	return new(T)
-}
-
-// putFree returns buffers to l.
-func putFree[T any](l *freeList[T], vs ...*T) {
-	l.Lock()
-	l.list = append(l.list, vs...)
-	l.Unlock()
-}
-
-// grow returns s resliced to n entries. When s is too short it reallocates
-// with a quarter more room, so that a band a little wider than any before
-// it does not reallocate again.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n, n+n/4)
-	}
-	return s[:n]
-}
+var refineFree imgproc.FreeList[refineScratch]
 
 // refineStrip runs the guided search for rows [y0, y1) of init, writing the
 // refined disparities into out (pixels with an empty window keep out's 0).
@@ -547,7 +508,7 @@ func grow[T any](s []T, n int) []T {
 // whole content.
 func refineStrip(init, out *imgproc.Image, y0, y1, searchR, br int, subpixel bool, rowSums rowSummer, sc *refineScratch) {
 	w, h := init.W, init.H
-	sc.lo, sc.hi = grow(sc.lo, (y1-y0)*w), grow(sc.hi, (y1-y0)*w)
+	sc.lo, sc.hi = imgproc.Grow(sc.lo, (y1-y0)*w), imgproc.Grow(sc.hi, (y1-y0)*w)
 	for y := y0; y < y1; y++ {
 		g := init.Pix[y*w:][:w]
 		lo, hi := sc.lo[(y-y0)*w:][:w], sc.hi[(y-y0)*w:][:w]
@@ -556,9 +517,9 @@ func refineStrip(init, out *imgproc.Image, y0, y1, searchR, br int, subpixel boo
 		}
 	}
 	n := 2*br + 1
-	sc.bLo, sc.bHi = grow(sc.bLo, w), grow(sc.bHi, w)
-	sc.ring, sc.rows = grow(sc.ring, n), grow(sc.rows, n)
-	sc.candidates = grow(sc.candidates, 2*searchR+1)
+	sc.bLo, sc.bHi = imgproc.Grow(sc.bLo, w), imgproc.Grow(sc.bHi, w)
+	sc.ring, sc.rows = imgproc.Grow(sc.ring, n), imgproc.Grow(sc.rows, n)
+	sc.candidates = imgproc.Grow(sc.candidates, 2*searchR+1)
 	next := max(y0-br, 0) // the next image row to sum
 	for y := y0; y < y1; y++ {
 		for ; next <= min(y+br, h-1); next++ {
@@ -611,7 +572,7 @@ func sumRowBand(sc *refineScratch, dst *sumRow, r, y0, y1, br int, rowSums rowSu
 			bLo[x], bHi[x] = min(bLo[x], l), max(bHi[x], hi[x])
 		}
 	}
-	dst.off = grow(dst.off, w)
+	dst.off = imgproc.Grow(dst.off, w)
 	off := dst.off[:w]
 	total := 0
 	for x, b0 := range bLo {
@@ -620,7 +581,7 @@ func sumRowBand(sc *refineScratch, dst *sumRow, r, y0, y1, br int, rowSums rowSu
 			total += int(b1-b0) + 1
 		}
 	}
-	dst.sums = grow(dst.sums, total)
+	dst.sums = imgproc.Grow(dst.sums, total)
 	rowSums(r, bLo, bHi, dst.sums)
 }
 

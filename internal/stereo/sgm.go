@@ -191,7 +191,7 @@ func (k *sgmLanes) reset(nd int, p1, p2 uint16) {
 	far := uint64(laneMax - p1)
 	k.p1, k.p2 = uint64(p1)*laneOnes, uint64(p2)*laneOnes
 	k.lo, k.hi = far, far<<56
-	k.pad, k.fill, k.zero = grow(k.pad, n), grow(k.fill, n), grow(k.zero, n+1)
+	k.pad, k.fill, k.zero = imgproc.Grow(k.pad, n), imgproc.Grow(k.fill, n), imgproc.Grow(k.zero, n+1)
 	clear(k.zero)
 	fills := k.fill[:n]
 	for w := range k.pad {
@@ -304,7 +304,7 @@ type sgmDir struct {
 }
 
 func (s *sgmDir) grow(n int) {
-	s.prev, s.cur = grow(s.prev, n), grow(s.cur, n)
+	s.prev, s.cur = imgproc.Grow(s.prev, n), imgproc.Grow(s.cur, n)
 }
 
 func (s *sgmDir) swap() { s.prev, s.cur = s.cur, s.prev }
@@ -327,7 +327,7 @@ type sgmScratch struct {
 
 // sgmFree holds the scratch of finished frames, as refineFree does the
 // refine's: as many as SGM calls ever ran at once.
-var sgmFree freeList[sgmScratch]
+var sgmFree imgproc.FreeList[sgmScratch]
 
 // aggregate sums the path costs of sc.cost over 4 or 8 directions into
 // sc.sum. With a second worker the two sweeps run at once over the one
@@ -339,11 +339,11 @@ var sgmFree freeList[sgmScratch]
 func (sc *sgmScratch) aggregate(w, h, nd, paths int, p1, p2 uint16) {
 	n := laneWords(nd)
 	sc.lanes.reset(nd, p1, p2)
-	sc.sum = grow(sc.sum, 2*w*h*n)
+	sc.sum = imgproc.Grow(sc.sum, 2*w*h*n)
 	diag := paths == 8
 	for i := range sc.rows {
 		r := &sc.rows[i]
-		r.hor = grow(r.hor, 2*(n+1))
+		r.hor = imgproc.Grow(r.hor, 2*(n+1))
 		r.ver.grow(w * (n + 1))
 		if diag {
 			r.dl.grow(w * (n + 1))
@@ -441,11 +441,11 @@ func SGM(left, right *imgproc.Image, opt SGMOptions) *imgproc.Image {
 		panic(fmt.Sprintf("stereo: SGM census cost %d + P1 %d + P2 %d exceeds the lane bound %d", worst, p1, p2, laneMax))
 	}
 	w, h, nd := left.W, left.H, opt.MaxDisp+1
-	sc := getFree(&sgmFree)
-	defer putFree(&sgmFree, sc)
-	sc.cl = censusInto(grow(sc.cl, w*h), left, opt.CensusR)
-	sc.cr = censusInto(grow(sc.cr, w*h), right, opt.CensusR)
-	sc.cost = grow(sc.cost, w*h*laneWords(nd))
+	sc := sgmFree.Get()
+	defer sgmFree.Put(sc)
+	sc.cl = censusInto(imgproc.Grow(sc.cl, w*h), left, opt.CensusR)
+	sc.cr = censusInto(imgproc.Grow(sc.cr, w*h), right, opt.CensusR)
+	sc.cost = imgproc.Grow(sc.cost, w*h*laneWords(nd))
 	costVolume(sc.cost, sc.cl, sc.cr, w, h, nd, opt.CensusR)
 	sc.aggregate(w, h, nd, opt.Paths, p1, p2)
 	return wtaVolume(sc.sum, w, h, nd, opt.Subpixel)
