@@ -152,26 +152,27 @@ lint-fix:
 # contract with `go run ./cmd/asvlint -perf -perf-update` (stereo) or the
 # same with `-perf-contract internal/<pkg>/perf_contract.json`.
 #
-# The last step cross-compiles internal/flow for every GOARCH whose compiler
+# The last step cross-compiles FMA_PKGS for every GOARCH whose compiler
 # fuses x*y + z into one rounding (DESIGN.md §7) and fails on any fused
-# multiply-add in its assembly: an explicit float32(...)/float64(...) round
-# of each product keeps the flow's bits those of amd64. The build cache
+# multiply-add in their assembly: an explicit float32(...)/float64(...)
+# round of each product keeps their bits those of amd64. The build cache
 # replays the listing, so an empty one is an error, not a pass.
 FMA_ARCHS := arm64 ppc64le s390x riscv64
+FMA_PKGS := ./internal/flow ./internal/core ./internal/quality
 
 perf-gate:
 	go run ./cmd/asvlint -perf -perf-json PERF_stereo.fresh.json
 	go run ./cmd/asvlint -perf -perf-contract internal/imgproc/perf_contract.json -perf-json PERF_imgproc.fresh.json
 	go run ./cmd/asvlint -perf -perf-contract internal/flow/perf_contract.json -perf-json PERF_flow.fresh.json
-	@set -e; for a in $(FMA_ARCHS); do \
-		asm=$$(GOARCH=$$a go build -gcflags=-S ./internal/flow 2>&1); \
+	@set -e; for a in $(FMA_ARCHS); do for p in $(FMA_PKGS); do \
+		asm=$$(GOARCH=$$a go build -gcflags=-S $$p 2>&1); \
 		if ! echo "$$asm" | grep -q 'STEXT'; then \
-			echo "perf-gate: no assembly listing for internal/flow on $$a:"; echo "$$asm"; exit 1; fi; \
+			echo "perf-gate: no assembly listing for $$p on $$a:"; echo "$$asm"; exit 1; fi; \
 		fused=$$(echo "$$asm" | grep -E '[[:space:]]F(N)?M(ADD|SUB)[A-Z]*[[:space:]]' || true); \
 		if [ -n "$$fused" ]; then \
-			echo "perf-gate: fused multiply-adds in internal/flow on $$a:"; echo "$$fused"; exit 1; fi; \
-		echo "perf-gate: internal/flow on $$a has no fused multiply-add"; \
-	done
+			echo "perf-gate: fused multiply-adds in $$p on $$a:"; echo "$$fused"; exit 1; fi; \
+		echo "perf-gate: $$p on $$a has no fused multiply-add"; \
+	done; done
 
 # Run every native fuzz target briefly (seed corpus + ~10s of new inputs
 # each); any crasher fails the build.

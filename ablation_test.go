@@ -118,7 +118,9 @@ func TestPublicMotionEstimatorsUsable(t *testing.T) {
 	seq := GenerateSequence(SceneConfig{W: 96, H: 64, FrameCount: 2, Layers: 1,
 		MinDisp: 2, MaxDisp: 10, Seed: 13})
 	pipe.ProcessKey(seq.Frames[0].Left, seq.Frames[0].Right, seq.Frames[0].GT, 0)
-	res := pipe.ProcessNonKey(seq.Frames[1].Left, seq.Frames[1].Right)
+	left, right := seq.Frames[1].Left, seq.Frames[1].Right
+	fl, fr := pipe.EstimateMotion(left, right)
+	res := pipe.ProcessNonKeyWith(left, right, fl, fr)
 	if res.Disparity == nil {
 		t.Fatal("pipeline with block motion produced no disparity")
 	}

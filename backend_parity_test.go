@@ -95,7 +95,10 @@ func TestBackendReportInvariants(t *testing.T) {
 		d := be.Describe()
 		for _, n := range nets {
 			naive := n.TotalMACs()
-			eff := deconv.NetworkEffectiveMACs(n)
+			var eff int64
+			for _, l := range n.Layers {
+				eff += deconv.EffectiveMACs(l)
+			}
 			for _, pol := range d.Caps.Policies {
 				rep, err := RunOnBackend(be, n, RunOptions{Policy: pol})
 				if err != nil {

@@ -229,9 +229,10 @@ func BenchmarkKernelFarneback(b *testing.B) {
 
 func BenchmarkKernelGaussianBlur(b *testing.B) {
 	im := imgproc.NewImage(320, 180)
+	k := imgproc.GaussianKernel1D(1.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		imgproc.GaussianBlur(im, 1.5)
+		imgproc.SeparableFilter(im, k, k)
 	}
 }
 
@@ -268,7 +269,8 @@ func BenchmarkKernelISMNonKeyFrame(b *testing.B) {
 		pipe.ProcessKey(seq.Frames[0].Left, seq.Frames[0].Right, seq.Frames[0].GT, 0)
 		b.StartTimer()
 		for _, fr := range seq.Frames[1:] {
-			pipe.ProcessNonKey(fr.Left, fr.Right)
+			fl, fr2 := pipe.EstimateMotion(fr.Left, fr.Right)
+			pipe.ProcessNonKeyWith(fr.Left, fr.Right, fl, fr2)
 		}
 	}
 }

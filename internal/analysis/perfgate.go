@@ -26,6 +26,7 @@ import (
 	"go/token"
 	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -53,16 +54,19 @@ type PerfContract struct {
 	// reporting "can inline <name>" (a rename or removal would otherwise
 	// silently drop the guarantee).
 	MustInline []string `json:"must_inline"`
-	// Files maps base file names to their per-function budgets. Only
-	// diagnostics in these files are gated; a function that appears in a
-	// gated file but not in its budget map is a violation, so new kernels
-	// must declare their counts explicitly.
+	// Files maps file paths, relative to the package directory, to their
+	// per-function budgets. Only diagnostics in these files are gated; a
+	// function that appears in a gated file but not in its budget map is a
+	// violation, so new kernels must declare their counts explicitly. A
+	// path may leave the package ("../imgproc/pool.go"): a generic helper's
+	// diagnostics are reported at its own source line but belong to the
+	// package whose build instantiates it.
 	Files map[string]map[string]PerfCounts `json:"files"`
 }
 
 // PerfDiag is one parsed compiler diagnostic attributed to a function.
 type PerfDiag struct {
-	File string `json:"file"` // base name, e.g. "kernels.go"
+	File string `json:"file"` // contract path, e.g. "kernels.go"
 	Line int    `json:"line"`
 	Col  int    `json:"col"`
 	Func string `json:"func"` // enclosing function, or "(top-level)"
@@ -138,6 +142,13 @@ func fileFuncSpans(path string) ([]funcSpan, error) {
 			if star, ok := t.(*ast.StarExpr); ok {
 				t = star.X
 			}
+			// A generic receiver: T[P] or T[P, Q].
+			switch x := t.(type) {
+			case *ast.IndexExpr:
+				t = x.X
+			case *ast.IndexListExpr:
+				t = x.X
+			}
 			if id, ok := t.(*ast.Ident); ok {
 				name = id.Name + "." + name
 			}
@@ -149,6 +160,23 @@ func fileFuncSpans(path string) ([]funcSpan, error) {
 
 func (s funcSpan) contains(line int) bool { return line >= s.start && line <= s.end }
 
+// contractFile is the module-relative slash path of a contract file entry.
+func contractFile(pkg, file string) string {
+	return path.Join(strings.TrimPrefix(pkg, "./"), file)
+}
+
+// moduleRel is the module-relative slash path of a file the compiler names,
+// which it prints relative to the build directory (the module root) or
+// absolute.
+func moduleRel(root, file string) string {
+	if filepath.IsAbs(file) {
+		if rel, err := filepath.Rel(root, file); err == nil {
+			file = rel
+		}
+	}
+	return path.Clean(filepath.ToSlash(file))
+}
+
 // RunPerfGate executes the gate: build with diagnostics, attribute, compare
 // against the contract. The returned report always carries the measured
 // counts; a non-empty Violations list means the gate failed.
@@ -157,14 +185,16 @@ func RunPerfGate(root string, c *PerfContract) (*PerfReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgDir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(c.Package, "./")))
 	spans := map[string][]funcSpan{}
-	for base := range c.Files {
-		sp, err := fileFuncSpans(filepath.Join(pkgDir, base))
+	gated := map[string]string{} // module-relative path -> contract path
+	for file := range c.Files {
+		rel := contractFile(c.Package, file)
+		sp, err := fileFuncSpans(filepath.Join(root, filepath.FromSlash(rel)))
 		if err != nil {
 			return nil, fmt.Errorf("contract file: %v", err)
 		}
-		spans[base] = sp
+		spans[file] = sp
+		gated[rel] = file
 	}
 
 	rep := &PerfReport{
@@ -209,11 +239,11 @@ func RunPerfGate(root string, c *PerfContract) (*PerfReport, error) {
 		default:
 			continue
 		}
-		base := filepath.Base(m[1])
-		sp, gated := spans[base]
-		if !gated {
+		base, ok := gated[moduleRel(root, m[1])]
+		if !ok {
 			continue
 		}
+		sp := spans[base]
 		//asvlint:ignore droppederr the diagLine regexp only captures digit runs
 		lineNo, _ := strconv.Atoi(m[2])
 		//asvlint:ignore droppederr the diagLine regexp only captures digit runs
@@ -325,9 +355,8 @@ func RunPerfGate(root string, c *PerfContract) (*PerfReport, error) {
 // the guarantee, not just the exceptions.
 func ContractFromReport(old *PerfContract, rep *PerfReport, root string) (*PerfContract, error) {
 	c := &PerfContract{Package: old.Package, MustInline: old.MustInline, Files: map[string]map[string]PerfCounts{}}
-	pkgDir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(old.Package, "./")))
 	for base := range old.Files {
-		sp, err := fileFuncSpans(filepath.Join(pkgDir, base))
+		sp, err := fileFuncSpans(filepath.Join(root, filepath.FromSlash(contractFile(old.Package, base))))
 		if err != nil {
 			return nil, err
 		}

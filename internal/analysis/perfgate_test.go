@@ -120,6 +120,10 @@ type s struct{}
 
 func (p *s) m() {
 }
+
+type g[T any] struct{}
+
+func (g[T]) n() {}
 `
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -128,10 +132,78 @@ func (p *s) m() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 2 || spans[0].name != "a" || spans[1].name != "s.m" {
+	if len(spans) != 3 || spans[0].name != "a" || spans[1].name != "s.m" || spans[2].name != "g.n" {
 		t.Fatalf("spans = %+v", spans)
 	}
 	if !spans[0].contains(4) || spans[0].contains(6) {
 		t.Fatalf("span lines wrong: %+v", spans[0])
+	}
+}
+
+// A generic helper's diagnostics are reported at the helper's own source
+// line but come from the build of the package that instantiates it, so the
+// instantiating package's contract gates them through a path that leaves
+// its directory. A new escape in the helper must fail that gate.
+func TestPerfGateGatesGenericHelperInInstantiatingPackage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiler-diagnostics build skipped in -short mode")
+	}
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		p := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module m\n\ngo 1.21\n")
+	write("pool/pool.go", `package pool
+
+type List[T any] struct{ free []*T }
+
+func (l *List[T]) Get() *T {
+	if n := len(l.free); n > 0 {
+		v := l.free[n-1]
+		l.free = l.free[:n-1]
+		return v
+	}
+	return new(T)
+}
+`)
+	write("kern/kern.go", `package kern
+
+import "m/pool"
+
+var scratch pool.List[[64]int]
+
+func Sum() int {
+	s := 0
+	for _, v := range scratch.Get() {
+		s += v
+	}
+	return s
+}
+`)
+	c := &PerfContract{Package: "./kern", Files: map[string]map[string]PerfCounts{
+		"kern.go":         {"Sum": {}},
+		"../pool/pool.go": {"List.Get": {}},
+	}}
+	rep, err := RunPerfGate(root, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Measured["../pool/pool.go"]["List.Get"].Escapes; got == 0 {
+		t.Fatalf("no escape attributed to the instantiated helper; diags %+v", rep.Diags)
+	}
+	if joined := strings.Join(rep.Violations, "\n"); !strings.Contains(joined, "../pool/pool.go: List.Get gained heap escapes") {
+		t.Fatalf("helper escape not gated in the instantiating package:\n%s", joined)
+	}
+	// Pinned at the measured count, the same build passes.
+	c.Files["../pool/pool.go"]["List.Get"] = rep.Measured["../pool/pool.go"]["List.Get"]
+	if rep, err = RunPerfGate(root, c); err != nil || len(rep.Violations) != 0 {
+		t.Fatalf("pinned helper still fails: %v %v", err, rep.Violations)
 	}
 }

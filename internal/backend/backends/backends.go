@@ -2,8 +2,8 @@
 // neutral backend registry. It is the only non-test package allowed to
 // import the model packages (asvlint's archlayer rule enforces this):
 // everything else — experiments, CLIs, the serving layer — selects a
-// backend by name through backend.Get/List or constructs a custom-config
-// instance through the New* helpers here.
+// backend by name through backend.Get/List, or builds a custom-config
+// systolic array through NewSystolic.
 //
 // Importing this package (often as a blank import) registers the default
 // instances of all four models into backend.Default:
@@ -36,19 +36,6 @@ func init() {
 // configuration (design-space sweeps, Fig. 12).
 func NewSystolic(cfg hw.Config, en hw.Energy) backend.Backend {
 	return systolic.New(cfg, en)
-}
-
-// NewEyeriss returns an Eyeriss-class backend with a custom configuration.
-func NewEyeriss(cfg hw.Config, en hw.Energy) backend.Backend {
-	return eyeriss.New(cfg, en)
-}
-
-// NewTX2 returns a fresh TX2-class GPU roofline backend.
-func NewTX2() backend.Backend { return gpu.TX2() }
-
-// NewGANNX returns a GANNX-class backend with a custom configuration.
-func NewGANNX(cfg hw.Config, en hw.Energy) backend.Backend {
-	return gannx.New(cfg, en)
 }
 
 // DefaultNonKey returns the per-frame non-key demand of the default ISM

@@ -28,7 +28,7 @@ func driveAdaptive(t *testing.T, cfg Config, scene dataset.SceneConfig) []bool {
 			p.ProcessKey(fr.Left, fr.Right, m.Match(fr.Left, fr.Right), 0)
 			keys = append(keys, true)
 		} else {
-			p.ProcessNonKey(fr.Left, fr.Right)
+			p.processNonKey(fr.Left, fr.Right)
 			keys = append(keys, false)
 		}
 	}
@@ -103,7 +103,7 @@ func TestAdaptiveMotionReportedOnNonKeyFrames(t *testing.T) {
 	if key.MeanMotionPx != 0 {
 		t.Fatal("key frames should report zero motion")
 	}
-	nk := p.ProcessNonKey(seq.Frames[1].Left, seq.Frames[1].Right)
+	nk := p.processNonKey(seq.Frames[1].Left, seq.Frames[1].Right)
 	if nk.MeanMotionPx <= 0 {
 		t.Fatalf("non-key frame should measure motion, got %v", nk.MeanMotionPx)
 	}
@@ -167,7 +167,7 @@ func TestAdaptiveBeatsStaticOnBurstyMotion(t *testing.T) {
 				res = p.ProcessKey(fr.Left, fr.Right, m.Match(fr.Left, fr.Right), 0)
 				keyCount++
 			} else {
-				res = p.ProcessNonKey(fr.Left, fr.Right)
+				res = p.processNonKey(fr.Left, fr.Right)
 			}
 			errSum += stereo.ThreePixelError(res.Disparity, fr.GT)
 		}

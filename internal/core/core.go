@@ -164,9 +164,6 @@ func (p *Pipeline) Reset() {
 	p.dropCarry()
 }
 
-// FrameIndex returns the number of frames processed since the last Reset.
-func (p *Pipeline) FrameIndex() int { return p.frameIdx }
-
 // NextIsKey reports whether the next Process call will treat its frame as a
 // key frame: KeyDue at the configured window.
 func (p *Pipeline) NextIsKey() bool { return p.KeyDue(1) }
@@ -208,15 +205,6 @@ func (p *Pipeline) Process(left, right *imgproc.Image) Result {
 // computed disparity map (e.g. the DNN oracle), charging cost macs.
 func (p *Pipeline) ProcessKey(left, right, disp *imgproc.Image, macs int64) Result {
 	return p.commitKey(left, right, disp, macs)
-}
-
-// ProcessNonKey consumes the next pair as a non-key frame regardless of the
-// schedule. It panics if no key frame has been processed yet.
-func (p *Pipeline) ProcessNonKey(left, right *imgproc.Image) Result {
-	if p.prevDisp == nil {
-		panic("core: non-key frame before any key frame")
-	}
-	return p.processNonKey(left, right)
 }
 
 // ProcessNonKeyWith consumes the next pair as a non-key frame using

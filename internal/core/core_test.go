@@ -10,6 +10,7 @@ import (
 	"asv/internal/flow"
 	"asv/internal/imgproc"
 	"asv/internal/stereo"
+	"asv/internal/testkit"
 )
 
 func seqCfg(seed int64) dataset.SceneConfig {
@@ -58,7 +59,7 @@ func TestKeyFrameSchedule(t *testing.T) {
 		}
 	}
 	p.Reset()
-	if !p.NextIsKey() || p.FrameIndex() != 0 {
+	if !p.NextIsKey() || p.frameIdx != 0 {
 		t.Fatal("Reset did not restore key-frame state")
 	}
 }
@@ -70,7 +71,7 @@ func TestProcessNonKeyBeforeKeyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	p.ProcessNonKey(imgproc.NewImage(8, 8), imgproc.NewImage(8, 8))
+	p.processNonKey(imgproc.NewImage(8, 8), imgproc.NewImage(8, 8))
 }
 
 func TestProcessWithoutMatcherPanics(t *testing.T) {
@@ -217,7 +218,7 @@ func TestISMEndToEndAccuracy(t *testing.T) {
 				m.SetGT(fr.GT)
 				res = p.ProcessKey(fr.Left, fr.Right, m.Match(fr.Left, fr.Right), 0)
 			} else {
-				res = p.ProcessNonKey(fr.Left, fr.Right)
+				res = p.processNonKey(fr.Left, fr.Right)
 				nonKeyErr = append(nonKeyErr, stereo.ThreePixelError(res.Disparity, fr.GT))
 			}
 		}
@@ -266,7 +267,7 @@ func TestPostprocessOptionHelpsOnFastMotion(t *testing.T) {
 				m.SetGT(fr.GT)
 				res = p.ProcessKey(fr.Left, fr.Right, m.Match(fr.Left, fr.Right), 0)
 			} else {
-				res = p.ProcessNonKey(fr.Left, fr.Right)
+				res = p.processNonKey(fr.Left, fr.Right)
 				errSum += stereo.ThreePixelError(res.Disparity, fr.GT)
 				n++
 			}
@@ -300,7 +301,7 @@ func TestIndependentPipelinesAreDeterministic(t *testing.T) {
 		seq := dataset.Generate(seqCfg(77))
 		p := New(nil, DefaultConfig())
 		p.ProcessKey(seq.Frames[0].Left, seq.Frames[0].Right, seq.Frames[0].GT, 0)
-		return p.ProcessNonKey(seq.Frames[1].Left, seq.Frames[1].Right).Disparity
+		return p.processNonKey(seq.Frames[1].Left, seq.Frames[1].Right).Disparity
 	}
 	serial := run()
 	const n = 4
@@ -316,7 +317,7 @@ func TestIndependentPipelinesAreDeterministic(t *testing.T) {
 		<-done
 	}
 	for i, r := range results {
-		if imgproc.MaxAbsDiff(serial, r) != 0 {
+		if testkit.DiffImages(serial, r, 0) != nil {
 			t.Fatalf("pipeline %d diverged from the serial run", i)
 		}
 	}
@@ -373,7 +374,7 @@ func TestOracleMatcherReproducible(t *testing.T) {
 		m.SetGT(gt)
 		return m.Match(seq.Frames[0].Left, seq.Frames[0].Right)
 	}
-	if imgproc.MaxAbsDiff(mk(), mk()) != 0 {
+	if testkit.DiffImages(mk(), mk(), 0) != nil {
 		t.Fatal("fresh oracles with the same seed must agree")
 	}
 }
@@ -386,7 +387,7 @@ func TestOracleMatcherConsecutiveCallsDiffer(t *testing.T) {
 	a := m.Match(seq.Frames[0].Left, seq.Frames[0].Right)
 	m.SetGT(gt)
 	b := m.Match(seq.Frames[0].Left, seq.Frames[0].Right)
-	if imgproc.MaxAbsDiff(a, b) == 0 {
+	if testkit.DiffImages(a, b, 0) == nil {
 		t.Fatal("consecutive frames should draw fresh noise")
 	}
 }
@@ -511,7 +512,7 @@ func TestNonKeyFrameAllocBudget(t *testing.T) {
 		for f := 1; f <= 3; f++ {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			p.ProcessNonKey(seq.Frames[f].Left, seq.Frames[f].Right)
+			p.processNonKey(seq.Frames[f].Left, seq.Frames[f].Right)
 			runtime.ReadMemStats(&m1)
 			least[f] = min(least[f], m1.TotalAlloc-m0.TotalAlloc)
 		}
@@ -592,7 +593,7 @@ func TestCarriedFlowMatchesStatelessEstimate(t *testing.T) {
 		if i == 7 {
 			got = carried.ProcessNonKeyWith(fr.Left, fr.Right, me.Estimate(pl, fr.Left), me.Estimate(pr, fr.Right))
 		} else {
-			got = carried.ProcessNonKey(fr.Left, fr.Right)
+			got = carried.processNonKey(fr.Left, fr.Right)
 		}
 		for p := range want.Disparity.Pix {
 			if math.Float32bits(got.Disparity.Pix[p]) != math.Float32bits(want.Disparity.Pix[p]) {

@@ -86,7 +86,7 @@ func (m *OracleMatcher) Match(left, right *imgproc.Image) *imgproc.Image {
 			continue
 		}
 		if rng.Float64() < p {
-			mag := float32(4 + 6*rng.Float64())
+			mag := float32(4 + float64(6*rng.Float64())) // rounded: no fused multiply-add
 			// Keep the gross error gross: never clamp it back under the
 			// three-pixel threshold.
 			if rng.Intn(2) == 0 && out.Pix[i]-mag >= 0 {

@@ -21,7 +21,7 @@ func nonKeyClip() (frames []dataset.FramePair, key *imgproc.Image) {
 // BenchmarkNonKeyFrame times frame 2 of a PW-4 window with the paper's
 // Farneback estimator. Cold, frame 1 ran through ProcessNonKeyWith with
 // stateless flows, so frame 2 expands both of its frame pairs; warm, frame
-// 1 ran through ProcessNonKey, and frame 2 reuses the expansion frame 1
+// 1 ran through processNonKey, and frame 2 reuses the expansion frame 1
 // built of its own pair.
 func BenchmarkNonKeyFrame(b *testing.B) {
 	frames, key := nonKeyClip()
@@ -37,13 +37,13 @@ func BenchmarkNonKeyFrame(b *testing.B) {
 				b.StopTimer()
 				p.ProcessKey(frames[0].Left, frames[0].Right, key, 0)
 				if warm {
-					p.ProcessNonKey(frames[1].Left, frames[1].Right)
+					p.processNonKey(frames[1].Left, frames[1].Right)
 				} else {
 					p.ProcessNonKeyWith(frames[1].Left, frames[1].Right,
 						me.Estimate(frames[0].Left, frames[1].Left), me.Estimate(frames[0].Right, frames[1].Right))
 				}
 				b.StartTimer()
-				p.ProcessNonKey(frames[2].Left, frames[2].Right)
+				p.processNonKey(frames[2].Left, frames[2].Right)
 			}
 		})
 	}

@@ -40,8 +40,8 @@ func TestStateRoundTripBitIdentical(t *testing.T) {
 		if err := resumed.SetState(subject.State()); err != nil {
 			t.Fatalf("cut %d: SetState: %v", cut, err)
 		}
-		if resumed.FrameIndex() != cut {
-			t.Fatalf("cut %d: resumed frame index %d", cut, resumed.FrameIndex())
+		if resumed.frameIdx != cut {
+			t.Fatalf("cut %d: resumed frame index %d", cut, resumed.frameIdx)
 		}
 		for i := cut; i < frames; i++ {
 			got := resumed.Process(seq.Frames[i].Left, seq.Frames[i].Right)
@@ -81,7 +81,7 @@ func TestSetStateRejectsInconsistency(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.frag)
 		}
-		if p.FrameIndex() != 0 {
+		if p.frameIdx != 0 {
 			t.Errorf("%s: failed SetState mutated the pipeline", tc.name)
 		}
 	}

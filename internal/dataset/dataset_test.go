@@ -8,6 +8,7 @@ import (
 	"asv/internal/flow"
 	"asv/internal/imgproc"
 	"asv/internal/stereo"
+	"asv/internal/testkit"
 )
 
 func smallCfg(seed int64) SceneConfig {
@@ -29,14 +30,14 @@ func TestGenerateShapesAndDeterminism(t *testing.T) {
 		if fa.Left.W != 96 || fa.Left.H != 64 {
 			t.Fatalf("bad frame size %dx%d", fa.Left.W, fa.Left.H)
 		}
-		if imgproc.MaxAbsDiff(fa.Left, fb.Left) != 0 ||
-			imgproc.MaxAbsDiff(fa.Right, fb.Right) != 0 ||
-			imgproc.MaxAbsDiff(fa.GT, fb.GT) != 0 {
+		if testkit.DiffImages(fa.Left, fb.Left, 0) != nil ||
+			testkit.DiffImages(fa.Right, fb.Right, 0) != nil ||
+			testkit.DiffImages(fa.GT, fb.GT, 0) != nil {
 			t.Fatal("same seed produced different sequences")
 		}
 	}
 	c := Generate(smallCfg(8))
-	if imgproc.MaxAbsDiff(a.Frames[0].Left, c.Frames[0].Left) == 0 {
+	if testkit.DiffImages(a.Frames[0].Left, c.Frames[0].Left, 0) == nil {
 		t.Fatal("different seeds produced identical frames")
 	}
 }
@@ -78,7 +79,10 @@ func TestTemporalCoherence(t *testing.T) {
 	// Consecutive frames must be similar (bounded motion) but not identical.
 	seq := Generate(smallCfg(33))
 	f0, f1 := seq.Frames[0], seq.Frames[1]
-	d := imgproc.MeanAbs(imgproc.Sub(f0.Left, f1.Left))
+	var d float64
+	for _, v := range imgproc.Sub(f0.Left, f1.Left).Pix {
+		d += math.Abs(float64(v)) / float64(len(f0.Left.Pix))
+	}
 	if d == 0 {
 		t.Fatal("frames are identical; no motion generated")
 	}
@@ -160,8 +164,8 @@ func TestQuickGeneratePure(t *testing.T) {
 		cfg.FrameCount = 2
 		a := Generate(cfg)
 		b := Generate(cfg)
-		return imgproc.MaxAbsDiff(a.Frames[1].Left, b.Frames[1].Left) == 0 &&
-			imgproc.MaxAbsDiff(a.Frames[1].GT, b.Frames[1].GT) == 0
+		return testkit.DiffImages(a.Frames[1].Left, b.Frames[1].Left, 0) == nil &&
+			testkit.DiffImages(a.Frames[1].GT, b.Frames[1].GT, 0) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
@@ -216,7 +220,7 @@ func TestRightGainDefaultIsNeutral(t *testing.T) {
 	cfg := smallCfg(42)
 	cfg.RightGain = 1.0
 	b := Generate(cfg)
-	if imgproc.MaxAbsDiff(a.Frames[0].Right, b.Frames[0].Right) != 0 {
+	if testkit.DiffImages(a.Frames[0].Right, b.Frames[0].Right, 0) != nil {
 		t.Fatal("RightGain 0 and 1 should be identical")
 	}
 }
@@ -270,7 +274,7 @@ func TestFarnebackEstimatesSubpixelMotionBlockCannot(t *testing.T) {
 		frac := math.Abs(vx - math.Round(vx))
 
 		block := flow.BlockMatch(fr0.Left, fr1.Left, 16, 4)
-		blockEPE := flow.EndpointError(block, gtField)
+		blockEPE := endpointError(block, gtField)
 		if math.Abs(blockEPE-frac) > 0.05 {
 			t.Errorf("seed %d: block EPE %.3f should equal the quantization residual %.3f",
 				seed, blockEPE, frac)
@@ -278,7 +282,7 @@ func TestFarnebackEstimatesSubpixelMotionBlockCannot(t *testing.T) {
 
 		fopt := flow.DefaultOptions()
 		fopt.Levels = 3
-		farnEPE := flow.EndpointError(flow.Farneback(fr0.Left, fr1.Left, fopt), gtField)
+		farnEPE := endpointError(flow.Farneback(fr0.Left, fr1.Left, fopt), gtField)
 		if farnEPE > 0.5 {
 			t.Errorf("seed %d: Farneback EPE %.3f should stay bounded", seed, farnEPE)
 		}
@@ -288,4 +292,17 @@ func TestFarnebackEstimatesSubpixelMotionBlockCannot(t *testing.T) {
 				seed, farnEPE, blockEPE, frac)
 		}
 	}
+}
+
+// endpointError returns the mean Euclidean distance between the estimated
+// field and a ground-truth field, the standard dense-flow accuracy metric.
+func endpointError(est, gt flow.Field) float64 {
+	var s float64
+	n := len(est.U.Pix)
+	for i := 0; i < n; i++ {
+		du := float64(est.U.Pix[i] - gt.U.Pix[i])
+		dv := float64(est.V.Pix[i] - gt.V.Pix[i])
+		s += math.Sqrt(float64(du*du) + float64(dv*dv))
+	}
+	return s / float64(n)
 }

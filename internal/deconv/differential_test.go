@@ -88,8 +88,8 @@ func TestDifferentialTransformed3DRandomShapes(t *testing.T) {
 			w = testkit.RandTensor(r, f, c, kd, kh, kw)
 			break
 		}
-		ref := tensor.Deconv3D(in, w, Stride, pad)
-		got := Transformed3D(in, w, pad)
+		ref := deconv3DRef(in, w, pad)
+		got := transformed3D(in, w, pad)
 		if m := testkit.DiffTensors(got, ref, tolExact); m != nil {
 			t.Fatalf("case %d: ifmap %v kernel %v pad %d: %s",
 				i, in.Shape(), w.Shape(), pad, m)

@@ -60,43 +60,6 @@ func Decompose2D(w *tensor.Tensor) [4]*tensor.Tensor {
 	return out
 }
 
-// Decompose3D splits a 3-D kernel w [F,C,KD,KH,KW] into eight sub-kernels
-// indexed by the parity bits (δd, δy, δx) = (k>>2&1, k&1, k>>1&1), matching
-// the Appendix A construction. Empty sub-kernels are nil.
-func Decompose3D(w *tensor.Tensor) [8]*tensor.Tensor {
-	if w.Rank() != 5 {
-		panic(fmt.Sprintf("deconv: Decompose3D wants rank 5, got %d", w.Rank()))
-	}
-	f, c := w.Dim(0), w.Dim(1)
-	kd, kh, kw := w.Dim(2), w.Dim(3), w.Dim(4)
-	var out [8]*tensor.Tensor
-	for k := 0; k < 8; k++ {
-		dy := k & 1
-		dx := (k >> 1) & 1
-		dz := (k >> 2) & 1
-		sd := subExtent(kd, dz)
-		sh := subExtent(kh, dy)
-		sw := subExtent(kw, dx)
-		if sd == 0 || sh == 0 || sw == 0 {
-			continue
-		}
-		s := tensor.New(f, c, sd, sh, sw)
-		for fi := 0; fi < f; fi++ {
-			for ci := 0; ci < c; ci++ {
-				for z := 0; z < sd; z++ {
-					for i := 0; i < sh; i++ {
-						for j := 0; j < sw; j++ {
-							s.Set(w.At(fi, ci, 2*z+dz, 2*i+dy, 2*j+dx), fi, ci, z, i, j)
-						}
-					}
-				}
-			}
-		}
-		out[k] = s
-	}
-	return out
-}
-
 // subExtent returns the extent of a sub-kernel dimension: elements 2i+δ of
 // an extent-k dimension, i.e. ⌈k/2⌉ for δ=0 and ⌊k/2⌋ for δ=1.
 func subExtent(k, delta int) int { return (k - delta + 1) / 2 }
@@ -159,64 +122,6 @@ func Transformed2D(in, w *tensor.Tensor, pad int) *tensor.Tensor {
 					}
 				}
 				out.Set3(float32(acc), fi, u, v)
-			}
-		}
-	}
-	return out
-}
-
-// Transformed3D is the 3-D analogue of Transformed2D for in [C,D,H,W] and
-// w [F,C,KD,KH,KW]; it equals tensor.Deconv3D(in, w, 2, pad).
-func Transformed3D(in, w *tensor.Tensor, pad int) *tensor.Tensor {
-	if in.Rank() != 4 || w.Rank() != 5 {
-		panic("deconv: Transformed3D wants ranks 4,5")
-	}
-	c, d, h, wd := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	f, kd, kh, kw := w.Dim(0), w.Dim(2), w.Dim(3), w.Dim(4)
-	od := tensor.DeconvOut(d, kd, Stride, pad)
-	oh := tensor.DeconvOut(h, kh, Stride, pad)
-	ow := tensor.DeconvOut(wd, kw, Stride, pad)
-	subs := Decompose3D(w)
-	out := tensor.New(f, od, oh, ow)
-	for t := 0; t < od; t++ {
-		dz := parity(pad - t)
-		az := (t - pad + dz) / 2
-		for u := 0; u < oh; u++ {
-			dy := parity(pad - u)
-			ay := (u - pad + dy) / 2
-			for v := 0; v < ow; v++ {
-				dx := parity(pad - v)
-				ax := (v - pad + dx) / 2
-				s := subs[dy|dx<<1|dz<<2]
-				if s == nil {
-					continue
-				}
-				sd, sh, sw := s.Dim(2), s.Dim(3), s.Dim(4)
-				for fi := 0; fi < f; fi++ {
-					var acc float64
-					for ci := 0; ci < c; ci++ {
-						for z := 0; z < sd; z++ {
-							iz := az + z
-							if iz < 0 || iz >= d {
-								continue
-							}
-							for i := 0; i < sh; i++ {
-								iy := ay + i
-								if iy < 0 || iy >= h {
-									continue
-								}
-								for j := 0; j < sw; j++ {
-									ix := ax + j
-									if ix < 0 || ix >= wd {
-										continue
-									}
-									acc += float64(in.At(ci, iz, iy, ix)) * float64(s.At(fi, ci, z, i, j))
-								}
-							}
-						}
-					}
-					out.Set(float32(acc), fi, t, u, v)
-				}
 			}
 		}
 	}
@@ -297,24 +202,4 @@ func EffectiveMACs(l nn.Layer) int64 {
 		s += sub.OutElemsPerFilter() * int64(l.OutC) * int64(l.InC) * sub.Taps()
 	}
 	return s
-}
-
-// NetworkEffectiveMACs sums EffectiveMACs over all layers.
-func NetworkEffectiveMACs(n *nn.Network) int64 {
-	var s int64
-	for _, l := range n.Layers {
-		s += EffectiveMACs(l)
-	}
-	return s
-}
-
-// RedundancyRatio returns the fraction of a deconvolution layer's naive
-// MACs that operate on inserted zeros (paper: >75% for stride-2 2-D
-// kernels, ~87.5% for 3-D).
-func RedundancyRatio(l nn.Layer) float64 {
-	naive := l.MACs()
-	if naive == 0 {
-		return 0
-	}
-	return 1 - float64(EffectiveMACs(l))/float64(naive)
 }

@@ -8,6 +8,7 @@ import (
 
 	"asv/internal/nn"
 	"asv/internal/tensor"
+	"asv/internal/testkit"
 )
 
 func TestDecompose2DShapesFor3x3(t *testing.T) {
@@ -29,7 +30,8 @@ func TestDecompose2DShapesFor3x3(t *testing.T) {
 func TestDecompose2DValuesFor3x3(t *testing.T) {
 	// Kernel a..i = 1..9 laid out row-major; check the exact Fig. 6 split:
 	// S0 (even,even) = [a c; g i], S1 = [d f], S2 = [b; h], S3 = [e].
-	w := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 1, 3, 3)
+	w := tensor.New(1, 1, 3, 3)
+	copy(w.Data(), []float32{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	subs := Decompose2D(w)
 	check := func(s *tensor.Tensor, want []float32) {
 		t.Helper()
@@ -70,7 +72,7 @@ func TestDecomposePartitionsKernel(t *testing.T) {
 
 func TestDecompose3DPartitionsKernel(t *testing.T) {
 	w := tensor.Rand(3, 2, 2, 3, 3, 3)
-	subs := Decompose3D(w)
+	subs := decompose3D(w)
 	var total int
 	for _, s := range subs {
 		if s == nil {
@@ -106,7 +108,7 @@ func TestTransformed2DEqualsReference(t *testing.T) {
 		w := tensor.RandFill(tensor.New(2, 3, k, k), rng)
 		ref := tensor.Deconv2D(in, w, 2, p)
 		got := Transformed2D(in, w, p)
-		return tensor.MaxAbsDiff(ref, got) < 1e-4
+		return testkit.DiffTensors(got, ref, 1e-4) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -124,9 +126,9 @@ func TestTransformed3DEqualsReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := tensor.RandFill(tensor.New(2, h, h, h), rng)
 		w := tensor.RandFill(tensor.New(2, 2, k, k, k), rng)
-		ref := tensor.Deconv3D(in, w, 2, p)
-		got := Transformed3D(in, w, p)
-		return tensor.MaxAbsDiff(ref, got) < 1e-4
+		ref := deconv3DRef(in, w, p)
+		got := transformed3D(in, w, p)
+		return testkit.DiffTensors(got, ref, 1e-4) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -192,7 +194,7 @@ func TestSubKernelTapsPartitionKernel(t *testing.T) {
 
 func TestRedundancyRatio2DApproaches75(t *testing.T) {
 	l := deconv2DLayer(16, 64, 64, 16, 4)
-	r := RedundancyRatio(l)
+	r := redundancyRatio(l)
 	if r < 0.70 || r > 0.80 {
 		t.Fatalf("2-D stride-2 redundancy = %.1f%%, want ~75%%", 100*r)
 	}
@@ -201,7 +203,7 @@ func TestRedundancyRatio2DApproaches75(t *testing.T) {
 func TestRedundancyRatio3DApproaches87(t *testing.T) {
 	l := nn.Layer{Name: "d3", Kind: nn.KindDeconv, InC: 16, InD: 32, InH: 32, InW: 32,
 		OutC: 16, KD: 3, KH: 3, KW: 3, Stride: 2, Pad: 1}
-	r := RedundancyRatio(l)
+	r := redundancyRatio(l)
 	if r < 0.82 || r > 0.92 {
 		t.Fatalf("3-D stride-2 redundancy = %.1f%%, want ~87.5%%", 100*r)
 	}
@@ -209,7 +211,7 @@ func TestRedundancyRatio3DApproaches87(t *testing.T) {
 
 func TestNetworkEffectiveMACsShrink(t *testing.T) {
 	for _, n := range nn.StereoZoo(270, 480) {
-		eff := NetworkEffectiveMACs(n)
+		eff := networkEffectiveMACs(n)
 		naive := n.TotalMACs()
 		if eff >= naive {
 			t.Fatalf("%s: transformation did not reduce MACs (%d >= %d)", n.Name, eff, naive)

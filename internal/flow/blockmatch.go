@@ -58,16 +58,3 @@ func blockMatchRow(prev, next *imgproc.Image, out Field, by, block, searchR int)
 		}
 	}
 }
-
-// EndpointError returns the mean Euclidean distance between the estimated
-// field and a ground-truth field, the standard dense-flow accuracy metric.
-func EndpointError(est, gt Field) float64 {
-	var s float64
-	n := len(est.U.Pix)
-	for i := 0; i < n; i++ {
-		du := float64(est.U.Pix[i] - gt.U.Pix[i])
-		dv := float64(est.V.Pix[i] - gt.V.Pix[i])
-		s += math.Sqrt(float64(du*du) + float64(dv*dv))
-	}
-	return s / float64(n)
-}

@@ -127,13 +127,6 @@ func TestBlockMatchIsBlockwiseConstant(t *testing.T) {
 	}
 }
 
-func TestEndpointErrorZeroForIdenticalFields(t *testing.T) {
-	f := NewField(8, 8)
-	if EndpointError(f, f) != 0 {
-		t.Fatal("EPE of identical fields should be 0")
-	}
-}
-
 func TestFarnebackMACsScaleWithResolution(t *testing.T) {
 	opt := DefaultOptions()
 	small := FarnebackMACs(100, 100, opt)

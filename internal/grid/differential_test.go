@@ -51,9 +51,8 @@ func TestDifferentialGridSADRandomShapes(t *testing.T) {
 		in := testkit.RandTensor(r, h, wd)
 		block := testkit.RandTensor(r, k, k)
 		g := NewGrid(testkit.RandDim(r, 1, 6), testkit.RandDim(r, 1, 4))
-		g.Mode = ModeSAD
-		got := g.SADWindow2D(in, block)
-		want := tensor.SADWindow(in, block, 1)
+		got := g.sadWindow2D(in, block)
+		want := sadWindowRef(in, block)
 		if m := testkit.DiffTensors(got, want, 1e-4); m != nil {
 			t.Fatalf("case %d: in %v block %v grid %dx%d: %s",
 				i, in.Shape(), block.Shape(), g.Rows, g.Cols, m)

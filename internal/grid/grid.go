@@ -273,62 +273,9 @@ func (g *Grid) Conv2D(in, w *tensor.Tensor, stride, pad int) *tensor.Tensor {
 	return out
 }
 
-// TilePassCycles returns the cycle cost the simulator incurs for one
-// (k-tile, n-tile) pass over m streamed rows: the weight load plus the
-// skewed stream and drain. Tests use it to pin the measured cycle count to
-// the analytic model's assumptions.
-func (g *Grid) TilePassCycles(m int) int64 {
-	return int64(g.Rows) + int64(m+g.Rows+g.Cols-1)
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a
 	}
 	return b
-}
-
-// SADWindow2D computes the sliding-window sum of absolute differences
-// between in [H,W] and block [KH,KW] on the array in SAD mode; it equals
-// tensor.SADWindow(in, block, 1).
-func (g *Grid) SADWindow2D(in, block *tensor.Tensor) *tensor.Tensor {
-	if g.Mode != ModeSAD {
-		panic("grid: SADWindow2D requires ModeSAD")
-	}
-	h, wd := in.Dim(0), in.Dim(1)
-	kh, kw := block.Dim(0), block.Dim(1)
-	oh := tensor.ConvOut(h, kh, 1, 0)
-	ow := tensor.ConvOut(wd, kw, 1, 0)
-
-	// im2col over the windows; the block is the single "filter" column.
-	k := kh * kw
-	a := mat(oh*ow, k)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			row := a[oy*ow+ox]
-			i := 0
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					row[i] = in.At(oy+ky, ox+kx)
-					i++
-				}
-			}
-		}
-	}
-	wm := mat(k, 1)
-	i := 0
-	for ky := 0; ky < kh; ky++ {
-		for kx := 0; kx < kw; kx++ {
-			wm[i][0] = block.At(ky, kx)
-			i++
-		}
-	}
-	res := g.MatMul(a, wm)
-	out := tensor.New(oh, ow)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			out.Set(res[oy*ow+ox][0], oy, ox)
-		}
-	}
-	return out
 }

@@ -53,9 +53,9 @@ func FilterCols(im *Image, k []float32) *Image {
 	return out
 }
 
-// blurDownsample2 is GaussianBlur followed by decimation by 2 in each
-// dimension, computing only the samples the decimation keeps: the row pass
-// on even columns, the column pass on even rows. Each kept sample goes
+// blurDownsample2 is a separable Gaussian blur followed by decimation by 2
+// in each dimension, computing only the samples the decimation keeps: the
+// row pass on even columns, the column pass on even rows. Each kept sample goes
 // through the arithmetic the full-size blur gives it. The result is
 // ceil(W/2) × ceil(H/2).
 func blurDownsample2(im *Image, sigma float64) *Image {
@@ -171,13 +171,6 @@ func filterCols(dst, src *Image, k []float32, step int) {
 	})
 }
 
-// GaussianBlur low-pass filters the image with a separable Gaussian of the
-// given standard deviation.
-func GaussianBlur(im *Image, sigma float64) *Image {
-	k := GaussianKernel1D(sigma)
-	return SeparableFilter(im, k, k)
-}
-
 // GradX returns the horizontal central-difference derivative (f(x+1)-f(x-1))/2.
 func GradX(im *Image) *Image {
 	out := NewImage(im.W, im.H)
@@ -198,23 +191,6 @@ func GradY(im *Image) *Image {
 		for y := lo; y < hi; y++ {
 			for x := 0; x < im.W; x++ {
 				out.Pix[y*im.W+x] = (im.At(x, y+1) - im.At(x, y-1)) / 2
-			}
-		}
-	})
-	return out
-}
-
-// Warp resamples the image according to a dense flow field: the output at
-// (x, y) is the input sampled at (x+u(x,y), y+v(x,y)). u and v must be the
-// same size as the image.
-func Warp(im, u, v *Image) *Image {
-	mustSameSize(im, u, "Warp(u)")
-	mustSameSize(im, v, "Warp(v)")
-	out := NewImage(im.W, im.H)
-	par.ForChunked(im.H, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			for x := 0; x < im.W; x++ {
-				out.Pix[y*im.W+x] = im.Bilinear(float32(x)+u.At(x, y), float32(y)+v.At(x, y))
 			}
 		}
 	})

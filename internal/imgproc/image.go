@@ -97,27 +97,6 @@ func Sub(a, b *Image) *Image {
 	return out
 }
 
-// MeanAbs returns the mean absolute pixel value.
-func MeanAbs(im *Image) float64 {
-	var s float64
-	for _, v := range im.Pix {
-		s += math.Abs(float64(v))
-	}
-	return s / float64(len(im.Pix))
-}
-
-// MaxAbsDiff returns the largest absolute pixel difference between a and b.
-func MaxAbsDiff(a, b *Image) float64 {
-	mustSameSize(a, b, "MaxAbsDiff")
-	var m float64
-	for i := range a.Pix {
-		if d := math.Abs(float64(a.Pix[i] - b.Pix[i])); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 func mustSameSize(a, b *Image, op string) {
 	if a.W != b.W || a.H != b.H {
 		panic(fmt.Sprintf("imgproc: %s size mismatch %dx%d vs %dx%d", op, a.W, a.H, b.W, b.H))

@@ -24,7 +24,7 @@ func TestPGMRoundTrip16Bit(t *testing.T) {
 		t.Fatalf("size %dx%d", got.W, got.H)
 	}
 	// 16-bit quantization: error bounded by 1/65535.
-	if d := MaxAbsDiff(im, got); d > 1.0/65535+1e-6 {
+	if d := maxAbsDiff(im, got); d > 1.0/65535+1e-6 {
 		t.Fatalf("roundtrip error %v exceeds quantization bound", d)
 	}
 }
@@ -83,7 +83,7 @@ func TestPFMRoundTripExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxAbsDiff(im, got); d != 0 {
+	if d := maxAbsDiff(im, got); d != 0 {
 		t.Fatalf("PFM roundtrip not exact: %v", d)
 	}
 }
@@ -126,7 +126,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MaxAbsDiff(im, got2) != 0 {
+	if maxAbsDiff(im, got2) != 0 {
 		t.Fatal("PFM file roundtrip not exact")
 	}
 }
@@ -146,7 +146,7 @@ func TestQuickPFMIdentity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return MaxAbsDiff(im, got) == 0
+		return maxAbsDiff(im, got) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

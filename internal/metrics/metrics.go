@@ -9,11 +9,9 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -271,18 +269,6 @@ func (r *Registry) Snapshot() map[string]any {
 	}
 }
 
-// SnapshotJSON renders Snapshot as indented JSON, the exact payload the
-// serving layer's /metrics endpoint returns.
-func (r *Registry) SnapshotJSON() []byte {
-	buf, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-	if err != nil {
-		// Snapshot only contains numbers, strings and maps; Marshal cannot
-		// fail on it.
-		panic("metrics: snapshot marshal: " + err.Error())
-	}
-	return append(buf, '\n')
-}
-
 // Dump renders the registry as a fixed-width text table.
 func (r *Registry) Dump() string {
 	var b strings.Builder
@@ -296,15 +282,6 @@ func (r *Registry) Dump() string {
 	fmt.Fprintf(&b, "alloc: %.1f MB in %d GCs; image pool: %d gets, %.1f%% recycled, %d puts\n",
 		a.AllocMB, a.NumGC, a.PoolGets, a.HitRatePc, a.PoolPuts)
 	return b.String()
-}
-
-// StageNames returns the registered stage names, sorted.
-func (r *Registry) StageNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
 }
 
 func ms(d time.Duration) float64 { return round2(float64(d) / 1e6) }

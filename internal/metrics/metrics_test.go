@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -42,7 +43,7 @@ func TestStageIdentityAndOrder(t *testing.T) {
 		t.Fatal("Stage is not idempotent")
 	}
 	r.Stage("b")
-	names := r.StageNames()
+	names := r.order
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names = %v", names)
 	}
@@ -197,17 +198,17 @@ func TestSnapshotStableSchema(t *testing.T) {
 		}
 	}
 
-	// SnapshotJSON is valid JSON of the same map.
+	// The snapshot marshals to valid JSON of the same map.
 	var decoded map[string]any
-	if err := json.Unmarshal(r.SnapshotJSON(), &decoded); err != nil {
-		t.Fatalf("SnapshotJSON not valid JSON: %v", err)
+	if err := json.Unmarshal(snapshotJSON(t, r), &decoded); err != nil {
+		t.Fatalf("snapshot JSON not valid: %v", err)
 	}
 	if _, ok := decoded["stages"]; !ok {
-		t.Fatal("SnapshotJSON missing stages")
+		t.Fatal("snapshot JSON missing stages")
 	}
 }
 
-// snapshotSchema is the pinned wire format of SnapshotJSON — the schema the
+// snapshotSchema is the pinned wire format of the snapshot's JSON — the schema the
 // serving layer's /metrics endpoint and asvbench's BENCH_*.json artifacts
 // promise to external dashboards. Every field is a pointer so a *missing*
 // key fails as loudly as an unknown one: adding a field here is a deliberate
@@ -238,7 +239,7 @@ type allocSchema struct {
 	PoolHitRatePc *float64 `json:"pool_hit_rate_pc"`
 }
 
-// TestSnapshotJSONPinnedStruct decodes SnapshotJSON into the pinned schema
+// TestSnapshotJSONPinnedStruct decodes the snapshot's JSON into the pinned schema
 // with DisallowUnknownFields: an unknown field is a decode error, a missing
 // field is a nil pointer, and either fails the test. This is the
 // machine-checked form of the stable-schema promise in the Snapshot doc
@@ -247,11 +248,11 @@ func TestSnapshotJSONPinnedStruct(t *testing.T) {
 	r := NewRegistry()
 	r.Stage("frame").Observe(3 * time.Millisecond)
 
-	dec := json.NewDecoder(strings.NewReader(string(r.SnapshotJSON())))
+	dec := json.NewDecoder(bytes.NewReader(snapshotJSON(t, r)))
 	dec.DisallowUnknownFields()
 	var snap snapshotSchema
 	if err := dec.Decode(&snap); err != nil {
-		t.Fatalf("SnapshotJSON no longer matches the pinned schema (unknown or mistyped field?): %v", err)
+		t.Fatalf("snapshot JSON no longer matches the pinned schema (unknown or mistyped field?): %v", err)
 	}
 	if snap.UptimeMS == nil {
 		t.Error("snapshot missing pinned field uptime_ms")
@@ -327,14 +328,13 @@ func TestSnapshotDuringConcurrentObserve(t *testing.T) {
 		if _, err := json.Marshal(snap); err != nil {
 			t.Errorf("snapshot %d not marshalable: %v", i, err)
 		}
-		_ = r.SnapshotJSON()
 	}
 	close(stop)
 	wg.Wait()
 
 	// After quiescence the counters must be exactly consistent.
 	var total int64
-	for _, name := range r.StageNames() {
+	for _, name := range r.order {
 		total += r.Stage(name).Count()
 	}
 	snap := r.Snapshot()
@@ -345,4 +345,14 @@ func TestSnapshotDuringConcurrentObserve(t *testing.T) {
 	if total != snapTotal {
 		t.Fatalf("post-quiescence snapshot count %d != live count %d", snapTotal, total)
 	}
+}
+
+// snapshotJSON is r's snapshot as JSON, the form /metrics serves.
+func snapshotJSON(t *testing.T, r *Registry) []byte {
+	t.Helper()
+	buf, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }

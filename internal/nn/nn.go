@@ -65,7 +65,7 @@ func (k Kind) String() string {
 
 // Layer is one (de)convolution in the IR. 2-D layers have InD = KD = 1.
 // For deconvolution, Pad is the border padding of the upsampled input
-// (tensor.TransposedPad converts from the framework convention).
+// (k-1-p for a framework's transposed padding p and kernel extent k).
 type Layer struct {
 	Name  string
 	Kind  Kind
@@ -212,16 +212,6 @@ func (n *Network) Params() int64 {
 	var s int64
 	for _, l := range n.Layers {
 		s += l.WeightElems()
-	}
-	return s
-}
-
-// ActivationElems returns the total output-activation volume across layers,
-// a proxy for the inter-layer traffic the scheduler manages.
-func (n *Network) ActivationElems() int64 {
-	var s int64
-	for _, l := range n.Layers {
-		s += l.OfmapElems()
 	}
 	return s
 }

@@ -228,8 +228,8 @@ func TestQuickMACsQuadraticInResolution(t *testing.T) {
 
 func TestNetworkSummaryAndParams(t *testing.T) {
 	n := DCGAN()
-	if n.Params() <= 0 || n.ActivationElems() <= 0 {
-		t.Fatal("parameter/activation accounting broken")
+	if n.Params() <= 0 {
+		t.Fatal("parameter accounting broken")
 	}
 	s := n.Summary()
 	if !strings.Contains(s, "DCGAN") || !strings.Contains(s, "deconv1") {

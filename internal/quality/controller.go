@@ -45,15 +45,8 @@ func (c *Controller) Observe(rung int, ms float64) {
 		c.ewma[rung], c.seen[rung] = ms, true
 		return
 	}
-	c.ewma[rung] = c.alpha*ms + (1-c.alpha)*c.ewma[rung]
-}
-
-// Predict returns rung's predicted latency (ms) at the given queue depth:
-// 0 for a rung that has never been observed.
-func (c *Controller) Predict(rung, queued, workers int) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.predictLocked(rung, queued, workers)
+	// Rounded products: no GOARCH may fuse them into a multiply-add.
+	c.ewma[rung] = float64(c.alpha*ms) + float64((1-c.alpha)*c.ewma[rung])
 }
 
 func (c *Controller) predictLocked(rung, queued, workers int) float64 {

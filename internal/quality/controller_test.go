@@ -176,19 +176,19 @@ func TestControllerEdgeCases(t *testing.T) {
 	ctl.Observe(-1, 5)
 	ctl.Observe(3, 5)
 	ctl.Observe(0, -5)
-	if got := ctl.Predict(0, 0, 1); got != 0 {
+	if got := ctl.predictLocked(0, 0, 1); got != 0 {
 		t.Errorf("rejected observations leaked into prediction: %v", got)
 	}
 	ctl.Observe(0, 10)
-	if got := ctl.Predict(0, 3, 1); got != 40 {
-		t.Errorf("Predict(0,q=3,w=1) = %v, want 10*(1+3)=40", got)
+	if got := ctl.predictLocked(0, 3, 1); got != 40 {
+		t.Errorf("predictLocked(0,q=3,w=1) = %v, want 10*(1+3)=40", got)
 	}
-	if got := ctl.Predict(0, 3, 0); got != 40 {
+	if got := ctl.predictLocked(0, 3, 0); got != 40 {
 		t.Errorf("workers<1 should clamp to 1: got %v, want 40", got)
 	}
 	// EWMA moves toward new samples.
 	ctl.Observe(0, 20)
-	if got := ctl.Predict(0, 0, 1); got <= 10 || got >= 20 {
+	if got := ctl.predictLocked(0, 0, 1); got <= 10 || got >= 20 {
 		t.Errorf("EWMA after 10,20 = %v, want strictly between", got)
 	}
 }

@@ -20,9 +20,6 @@ import (
 // Mat3 is a row-major 3×3 matrix.
 type Mat3 [9]float64
 
-// Identity returns the identity matrix.
-func Identity() Mat3 { return Mat3{1, 0, 0, 0, 1, 0, 0, 0, 1} }
-
 // Mul returns m·o.
 func (m Mat3) Mul(o Mat3) Mat3 {
 	var r Mat3
@@ -36,11 +33,6 @@ func (m Mat3) Mul(o Mat3) Mat3 {
 		}
 	}
 	return r
-}
-
-// Transpose returns mᵀ.
-func (m Mat3) Transpose() Mat3 {
-	return Mat3{m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8]}
 }
 
 // Det returns the determinant.
@@ -148,16 +140,4 @@ func Rectify(captured *imgproc.Image, in Intrinsics, r Mat3) *imgproc.Image {
 // rotation relative to the rectified frame.
 func RectifyPair(left, right *imgproc.Image, in Intrinsics, rl, rr Mat3) (*imgproc.Image, *imgproc.Image) {
 	return Rectify(left, in, rl), Rectify(right, in, rr)
-}
-
-// VerticalDisparityRMS measures rectification quality: the RMS vertical
-// component of the motion field between the two views, estimated by the
-// caller (rectified pairs have ~zero vertical disparity on corresponding
-// points).
-func VerticalDisparityRMS(v *imgproc.Image) float64 {
-	var s float64
-	for _, x := range v.Pix {
-		s += float64(x) * float64(x)
-	}
-	return math.Sqrt(s / float64(len(v.Pix)))
 }

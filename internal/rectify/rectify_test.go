@@ -8,11 +8,14 @@ import (
 	"asv/internal/dataset"
 	"asv/internal/imgproc"
 	"asv/internal/stereo"
+	"asv/internal/testkit"
 )
+
+var identity = Mat3{1, 0, 0, 0, 1, 0, 0, 0, 1}
 
 func TestMat3Identity(t *testing.T) {
 	m := Mat3{2, 3, 5, 7, 11, 13, 17, 19, 23}
-	if m.Mul(Identity()) != m || Identity().Mul(m) != m {
+	if m.Mul(identity) != m || identity.Mul(m) != m {
 		t.Fatal("identity multiplication broken")
 	}
 }
@@ -20,7 +23,7 @@ func TestMat3Identity(t *testing.T) {
 func TestMat3InverseRoundTrip(t *testing.T) {
 	m := Mat3{2, 0, 1, 0, 3, 0, 1, 0, 2}
 	p := m.Mul(m.Inverse())
-	for i, want := range Identity() {
+	for i, want := range identity {
 		if math.Abs(p[i]-want) > 1e-12 {
 			t.Fatalf("M·M⁻¹ = %v", p)
 		}
@@ -38,8 +41,8 @@ func TestMat3SingularPanics(t *testing.T) {
 
 func TestRotationIsOrthonormal(t *testing.T) {
 	r := Rotation(0.02, -0.03, 0.05)
-	p := r.Mul(r.Transpose())
-	for i, want := range Identity() {
+	p := r.Mul(Mat3{r[0], r[3], r[6], r[1], r[4], r[7], r[2], r[5], r[8]})
+	for i, want := range identity {
 		if math.Abs(p[i]-want) > 1e-12 {
 			t.Fatalf("R·Rᵀ != I: %v", p)
 		}
@@ -51,8 +54,8 @@ func TestRotationIsOrthonormal(t *testing.T) {
 
 func TestHomographyIdentityRotation(t *testing.T) {
 	in := DefaultIntrinsics(128, 96)
-	h := Homography(in, Identity())
-	for i, want := range Identity() {
+	h := Homography(in, identity)
+	for i, want := range identity {
 		if math.Abs(h[i]-want) > 1e-12 {
 			t.Fatalf("H(I) != I: %v", h)
 		}
@@ -63,8 +66,8 @@ func TestWarpIdentityIsNoOp(t *testing.T) {
 	seq := dataset.Generate(dataset.SceneConfig{
 		W: 64, H: 48, FrameCount: 1, Layers: 1, MinDisp: 2, MaxDisp: 10, Seed: 3})
 	im := seq.Frames[0].Left
-	out := WarpHomography(im, Identity())
-	if imgproc.MaxAbsDiff(im, out) > 1e-6 {
+	out := WarpHomography(im, identity)
+	if testkit.DiffImages(out, im, 1e-6) != nil {
 		t.Fatal("identity warp changed the image")
 	}
 }
@@ -136,14 +139,6 @@ func TestRectifyPairBothSides(t *testing.T) {
 	recL, recR := RectifyPair(capL, capR, in, rl, rr)
 	if recL.W != fr.Left.W || recR.W != fr.Right.W {
 		t.Fatal("rectified pair has wrong size")
-	}
-}
-
-func TestVerticalDisparityRMS(t *testing.T) {
-	v := imgproc.FromPix([]float32{3, -4}, 2, 1)
-	want := math.Sqrt((9 + 16) / 2.0)
-	if got := VerticalDisparityRMS(v); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("RMS = %v, want %v", got, want)
 	}
 }
 

@@ -6,12 +6,80 @@ import (
 	"testing/quick"
 )
 
+// Discrete-event validation of the round-latency model.
+//
+// Equ. 5 charges each round max(compute, memory), justified by double
+// buffering: while the PE array computes round i from the working buffer,
+// the DMA prefetches round i+1 into the filling buffer. This file
+// simulates that machinery event by event — a serial DMA engine, two
+// buffer halves, and the rule that a round's compute starts only when its
+// fill completed and the previous compute finished — so tests can measure
+// exactly when the closed-form model is faithful (homogeneous rounds, as
+// produced by the optimizer) and how far it can drift on adversarial
+// round mixes.
+
+// simulateDoubleBuffer returns the end-to-end cycle count of executing N
+// rounds with the given per-round compute and memory-fill times under
+// double buffering:
+//
+//   - the DMA is serial: fill i starts after fill i-1 completes, and not
+//     before the buffer half it writes (used by compute i-2) is free;
+//   - compute i starts at max(fill i done, compute i-1 done).
+//
+// Both slices must have equal length.
+func simulateDoubleBuffer(compute, mem []int64) int64 {
+	if len(compute) != len(mem) {
+		panic("schedule: compute/mem length mismatch")
+	}
+	n := len(compute)
+	if n == 0 {
+		return 0
+	}
+	fillDone := make([]int64, n)
+	computeDone := make([]int64, n)
+	for i := 0; i < n; i++ {
+		fillStart := int64(0)
+		if i > 0 {
+			fillStart = fillDone[i-1]
+		}
+		if i >= 2 && computeDone[i-2] > fillStart {
+			// The buffer half this fill writes is still being consumed.
+			fillStart = computeDone[i-2]
+		}
+		fillDone[i] = fillStart + mem[i]
+
+		computeStart := fillDone[i]
+		if i > 0 && computeDone[i-1] > computeStart {
+			computeStart = computeDone[i-1]
+		}
+		computeDone[i] = computeStart + compute[i]
+	}
+	return computeDone[n-1]
+}
+
+// closedFormRounds is Equ. 5's estimate for the same execution:
+// Σ max(compute_i, mem_i).
+func closedFormRounds(compute, mem []int64) int64 {
+	if len(compute) != len(mem) {
+		panic("schedule: compute/mem length mismatch")
+	}
+	var total int64
+	for i := range compute {
+		m := compute[i]
+		if mem[i] > m {
+			m = mem[i]
+		}
+		total += m
+	}
+	return total
+}
+
 func TestSimulateDoubleBufferEmptyAndSingle(t *testing.T) {
-	if SimulateDoubleBuffer(nil, nil) != 0 {
+	if simulateDoubleBuffer(nil, nil) != 0 {
 		t.Fatal("empty schedule should cost 0")
 	}
 	// One round: fill then compute, no overlap possible.
-	if got := SimulateDoubleBuffer([]int64{10}, []int64{4}); got != 14 {
+	if got := simulateDoubleBuffer([]int64{10}, []int64{4}); got != 14 {
 		t.Fatalf("single round = %d, want 14", got)
 	}
 }
@@ -22,7 +90,7 @@ func TestSimulateDoubleBufferPerfectOverlap(t *testing.T) {
 	compute := []int64{100, 100, 100, 100}
 	mem := []int64{20, 20, 20, 20}
 	want := int64(20 + 4*100)
-	if got := SimulateDoubleBuffer(compute, mem); got != want {
+	if got := simulateDoubleBuffer(compute, mem); got != want {
 		t.Fatalf("simulated = %d, want %d", got, want)
 	}
 }
@@ -33,7 +101,7 @@ func TestSimulateDoubleBufferMemoryBound(t *testing.T) {
 	compute := []int64{10, 10, 10}
 	mem := []int64{50, 50, 50}
 	want := int64(3*50 + 10)
-	if got := SimulateDoubleBuffer(compute, mem); got != want {
+	if got := simulateDoubleBuffer(compute, mem); got != want {
 		t.Fatalf("simulated = %d, want %d", got, want)
 	}
 }
@@ -52,8 +120,8 @@ func TestClosedFormFaithfulOnHomogeneousRounds(t *testing.T) {
 			compute[i] = c
 			mem[i] = m
 		}
-		sim := SimulateDoubleBuffer(compute, mem)
-		cf := ClosedFormRounds(compute, mem)
+		sim := simulateDoubleBuffer(compute, mem)
+		cf := closedFormRounds(compute, mem)
 		diff := sim - cf
 		if diff < 0 {
 			diff = -diff
@@ -84,7 +152,7 @@ func TestSimulationRespectsEngineBounds(t *testing.T) {
 			sumC += compute[i]
 			sumM += mem[i]
 		}
-		sim := SimulateDoubleBuffer(compute, mem)
+		sim := simulateDoubleBuffer(compute, mem)
 		lower := sumC
 		if sumM > lower {
 			lower = sumM
@@ -113,8 +181,8 @@ func TestClosedFormPessimisticOnAlternatingRounds(t *testing.T) {
 			compute[i], mem[i] = 0, 100
 		}
 	}
-	sim := SimulateDoubleBuffer(compute, mem)
-	cf := ClosedFormRounds(compute, mem)
+	sim := simulateDoubleBuffer(compute, mem)
+	cf := closedFormRounds(compute, mem)
 	if float64(cf) < 1.8*float64(sim) {
 		t.Fatalf("expected ~2x pessimism on alternating rounds: sim %d vs closed form %d", sim, cf)
 	}
@@ -126,5 +194,5 @@ func TestSimulateDoubleBufferLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SimulateDoubleBuffer([]int64{1}, []int64{1, 2})
+	simulateDoubleBuffer([]int64{1}, []int64{1, 2})
 }

@@ -6,8 +6,7 @@ import "fmt"
 //
 // Layout conventions:
 //
-//	2-D ifmap  [C, H, W]          2-D weights [F, C, KH, KW]
-//	3-D ifmap  [C, D, H, W]       3-D weights [F, C, KD, KH, KW]
+//	ifmap  [C, H, W]          weights [F, C, KH, KW]
 //
 // All operators compute cross-correlation (the deep-learning convention).
 //
@@ -16,7 +15,7 @@ import "fmt"
 // upsampled map is zero-padded by pad on every border, and the result is
 // convolved ("valid") with the kernel. For the standard transposed-conv
 // parameterisation with kernel k and transposed padding p, the equivalent
-// border padding is k-1-p (see TransposedPad).
+// border padding is k-1-p.
 
 // ConvOut returns the output spatial extent of a convolution with the given
 // input extent, kernel extent, stride and padding.
@@ -30,11 +29,6 @@ func ConvOut(in, k, stride, pad int) int {
 func DeconvOut(in, k, stride, pad int) int {
 	return (in-1)*stride + 1 + 2*pad - k + 1
 }
-
-// TransposedPad converts the conventional transposed-convolution padding p
-// (as used by deep-learning frameworks) for a kernel of extent k into the
-// border padding applied after upsampling.
-func TransposedPad(k, p int) int { return k - 1 - p }
 
 // Conv2D cross-correlates in [C,H,W] with w [F,C,KH,KW] and returns
 // [F,OH,OW]. Zero padding pad is applied on all four borders.
@@ -78,56 +72,6 @@ func Conv2D(in, w *Tensor, stride, pad int) *Tensor {
 	return out
 }
 
-// Conv3D cross-correlates in [C,D,H,W] with w [F,C,KD,KH,KW] and returns
-// [F,OD,OH,OW] with the same stride and padding in all three spatial dims.
-func Conv3D(in, w *Tensor, stride, pad int) *Tensor {
-	if in.Rank() != 4 || w.Rank() != 5 {
-		panic(fmt.Sprintf("tensor: Conv3D wants ranks 4,5; got %d,%d", in.Rank(), w.Rank()))
-	}
-	c, d, h, wd := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	f, wc, kd, kh, kw := w.Dim(0), w.Dim(1), w.Dim(2), w.Dim(3), w.Dim(4)
-	if c != wc {
-		panic(fmt.Sprintf("tensor: Conv3D channel mismatch ifmap=%d weights=%d", c, wc))
-	}
-	od, oh, ow := ConvOut(d, kd, stride, pad), ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
-	if od <= 0 || oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Conv3D non-positive output %dx%dx%d", od, oh, ow))
-	}
-	out := New(f, od, oh, ow)
-	for fi := 0; fi < f; fi++ {
-		for oz := 0; oz < od; oz++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var acc float64
-					for ci := 0; ci < c; ci++ {
-						for kz := 0; kz < kd; kz++ {
-							iz := oz*stride + kz - pad
-							if iz < 0 || iz >= d {
-								continue
-							}
-							for ky := 0; ky < kh; ky++ {
-								iy := oy*stride + ky - pad
-								if iy < 0 || iy >= h {
-									continue
-								}
-								for kx := 0; kx < kw; kx++ {
-									ix := ox*stride + kx - pad
-									if ix < 0 || ix >= wd {
-										continue
-									}
-									acc += float64(in.At(ci, iz, iy, ix)) * float64(w.At(fi, ci, kz, ky, kx))
-								}
-							}
-						}
-					}
-					out.Set(float32(acc), fi, oz, oy, ox)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Upsample2D inserts stride-1 zeros between neighbouring elements of each
 // channel of in [C,H,W] and zero-pads the result by pad on all borders.
 func Upsample2D(in *Tensor, stride, pad int) *Tensor {
@@ -148,28 +92,6 @@ func Upsample2D(in *Tensor, stride, pad int) *Tensor {
 	return out
 }
 
-// Upsample3D is the 3-D analogue of Upsample2D for in [C,D,H,W].
-func Upsample3D(in *Tensor, stride, pad int) *Tensor {
-	if in.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Upsample3D wants rank 4; got %d", in.Rank()))
-	}
-	c, d, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	ud := (d-1)*stride + 1 + 2*pad
-	uh := (h-1)*stride + 1 + 2*pad
-	uw := (w-1)*stride + 1 + 2*pad
-	out := New(c, ud, uh, uw)
-	for ci := 0; ci < c; ci++ {
-		for z := 0; z < d; z++ {
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					out.Set(in.At(ci, z, y, x), ci, z*stride+pad, y*stride+pad, x*stride+pad)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Deconv2D is the reference deconvolution: upsample in [C,H,W] by stride
 // with border padding pad, then valid-convolve with w [F,C,KH,KW].
 // This is the "standard deconvolution" path of Fig. 6, including all the
@@ -177,11 +99,4 @@ func Upsample3D(in *Tensor, stride, pad int) *Tensor {
 func Deconv2D(in, w *Tensor, stride, pad int) *Tensor {
 	up := Upsample2D(in, stride, pad)
 	return Conv2D(up, w, 1, 0)
-}
-
-// Deconv3D is the 3-D reference deconvolution for in [C,D,H,W] and
-// w [F,C,KD,KH,KW].
-func Deconv3D(in, w *Tensor, stride, pad int) *Tensor {
-	up := Upsample3D(in, stride, pad)
-	return Conv3D(up, w, 1, 0)
 }

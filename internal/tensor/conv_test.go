@@ -32,7 +32,7 @@ func TestTransposedPadEquivalence(t *testing.T) {
 	// PyTorch-style ConvTranspose2d(k=4, s=2, p=1): out = 2*in.
 	k, p := 4, 1
 	in := 5
-	out := DeconvOut(in, k, 2, TransposedPad(k, p))
+	out := DeconvOut(in, k, 2, transposedPad(k, p))
 	if out != 2*in {
 		t.Fatalf("transposed k=4 s=2 p=1: out = %d, want %d", out, 2*in)
 	}
@@ -43,19 +43,19 @@ func TestConv2DIdentityKernel(t *testing.T) {
 	w := New(1, 1, 1, 1)
 	w.Set(1, 0, 0, 0, 0)
 	out := Conv2D(in, w, 1, 0)
-	if MaxAbsDiff(in, FromSlice(out.Data(), 1, 4, 4)) != 0 {
+	if maxAbsDiff(in, fromSlice(out.Data(), 1, 4, 4)) != 0 {
 		t.Fatal("1x1 identity convolution changed the input")
 	}
 }
 
 func TestConv2DHandComputed(t *testing.T) {
 	// 1x3x3 input, 1x1x2x2 kernel, stride 1, no padding.
-	in := FromSlice([]float32{
+	in := fromSlice([]float32{
 		1, 2, 3,
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 3, 3)
-	w := FromSlice([]float32{1, 0, 0, 2}, 1, 1, 2, 2)
+	w := fromSlice([]float32{1, 0, 0, 2}, 1, 1, 2, 2)
 	out := Conv2D(in, w, 1, 0)
 	want := [][]float32{{1 + 2*5, 2 + 2*6}, {4 + 2*8, 5 + 2*9}}
 	for y := 0; y < 2; y++ {
@@ -70,8 +70,8 @@ func TestConv2DHandComputed(t *testing.T) {
 func TestConv2DPaddingZeroBorder(t *testing.T) {
 	// With pad=1 and a 3x3 sum kernel, the corner output sees only 4 input
 	// elements.
-	in := New(1, 3, 3).Fill(1)
-	w := New(1, 1, 3, 3).Fill(1)
+	in := filled(1, 1, 3, 3)
+	w := filled(1, 1, 1, 3, 3)
 	out := Conv2D(in, w, 1, 1)
 	if out.Dim(1) != 3 || out.Dim(2) != 3 {
 		t.Fatalf("shape %v, want [1 3 3]", out.Shape())
@@ -85,8 +85,8 @@ func TestConv2DPaddingZeroBorder(t *testing.T) {
 }
 
 func TestConv2DMultiChannelAccumulates(t *testing.T) {
-	in := New(2, 2, 2).Fill(1)
-	w := New(1, 2, 2, 2).Fill(1)
+	in := filled(1, 2, 2, 2)
+	w := filled(1, 1, 2, 2, 2)
 	out := Conv2D(in, w, 1, 0)
 	if out.At3(0, 0, 0) != 8 {
 		t.Fatalf("got %v, want 8 (2 channels x 4 taps)", out.At3(0, 0, 0))
@@ -112,22 +112,8 @@ func TestConv2DStride(t *testing.T) {
 	}
 }
 
-func TestConv3DReducesToConv2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	in2 := randTensor(rng, 3, 5, 5)
-	w2 := randTensor(rng, 2, 3, 3, 3)
-	in3 := FromSlice(in2.Data(), 3, 1, 5, 5)
-	w3 := FromSlice(w2.Data(), 2, 3, 1, 3, 3)
-	o2 := Conv2D(in2, w2, 1, 0)
-	o3 := Conv3D(in3, w3, 1, 0)
-	flat := FromSlice(o3.Data(), o2.Shape()...)
-	if d := MaxAbsDiff(o2, flat); d > 1e-5 {
-		t.Fatalf("Conv3D(D=1) != Conv2D, diff %v", d)
-	}
-}
-
 func TestUpsample2DPlacesValues(t *testing.T) {
-	in := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
+	in := fromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	up := Upsample2D(in, 2, 1)
 	if up.Dim(1) != 5 || up.Dim(2) != 5 {
 		t.Fatalf("shape %v, want [1 5 5]", up.Shape())
@@ -150,10 +136,10 @@ func TestDeconv2DFig6CornerValues(t *testing.T) {
 	// Reproduces the worked example of Fig. 6 with A..I = 1..9 and kernel
 	// a..i = 10..90 (so every product is distinct).
 	A, B, D, E, I := float32(1), float32(2), float32(4), float32(5), float32(9)
-	ifmap := FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
+	ifmap := fromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 3, 3)
 	a, b, c, d, e, f, g, h, i := float32(10), float32(20), float32(30), float32(40),
 		float32(50), float32(60), float32(70), float32(80), float32(90)
-	kernel := FromSlice([]float32{a, b, c, d, e, f, g, h, i}, 1, 1, 3, 3)
+	kernel := fromSlice([]float32{a, b, c, d, e, f, g, h, i}, 1, 1, 3, 3)
 
 	out := Deconv2D(ifmap, kernel, 2, 1)
 	if out.Dim(1) != 5 || out.Dim(2) != 5 {
@@ -225,7 +211,7 @@ func TestQuickDeconvGatherEqualsScatter(t *testing.T) {
 		w := randTensor(rng, 3, 2, k, k)
 		a := Deconv2D(in, w, s, p)
 		b := deconvScatter(in, w, s, p)
-		return MaxAbsDiff(a, b) < 1e-4
+		return maxAbsDiff(a, b) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -239,33 +225,16 @@ func TestQuickConvLinearity(t *testing.T) {
 		x := randTensor(rng, 2, 6, 6)
 		y := randTensor(rng, 2, 6, 6)
 		w := randTensor(rng, 3, 2, 3, 3)
-		lhs := Conv2D(x.Clone().AddInPlace(y), w, 1, 1)
-		rhs := Conv2D(x, w, 1, 1).AddInPlace(Conv2D(y, w, 1, 1))
-		return MaxAbsDiff(lhs, rhs) < 1e-3
+		lhs := Conv2D(add(x, y), w, 1, 1)
+		rhs := add(Conv2D(x, w, 1, 1), Conv2D(y, w, 1, 1))
+		return maxAbsDiff(lhs, rhs) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestDeconv3DShape(t *testing.T) {
-	in := Rand(3, 2, 3, 3, 3)
-	w := Rand(4, 2, 2, 3, 3, 3)
-	out := Deconv3D(in, w, 2, 1)
-	want := DeconvOut(3, 3, 2, 1)
-	if out.Dim(0) != 2 || out.Dim(1) != want || out.Dim(2) != want || out.Dim(3) != want {
-		t.Fatalf("shape %v, want [2 %d %d %d]", out.Shape(), want, want, want)
-	}
-}
-
-func TestDeconv3DMatchesUpsampleConv(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	in := randTensor(rng, 1, 2, 2, 2)
-	w := randTensor(rng, 1, 1, 2, 2, 2)
-	got := Deconv3D(in, w, 2, 1)
-	wantUp := Upsample3D(in, 2, 1)
-	want := Conv3D(wantUp, w, 1, 0)
-	if d := MaxAbsDiff(got, want); d != 0 {
-		t.Fatalf("Deconv3D != upsample+conv, diff %v", d)
-	}
-}
+// transposedPad converts the conventional transposed-convolution padding p
+// (as deep-learning frameworks use it) for a kernel of extent k into the
+// border padding applied after upsampling.
+func transposedPad(k, p int) int { return k - 1 - p }

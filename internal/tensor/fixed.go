@@ -49,16 +49,6 @@ func Quantize(t *Tensor, fracBits uint) *Fixed {
 	return f
 }
 
-// Dequantize converts back to float32.
-func (f *Fixed) Dequantize() *Tensor {
-	t := New(f.shape...)
-	inv := 1 / float32(int64(1)<<f.FracBits)
-	for i, q := range f.data {
-		t.data[i] = float32(q) * inv
-	}
-	return t
-}
-
 // Shape returns the dimensions.
 func (f *Fixed) Shape() []int { return f.shape }
 
@@ -77,9 +67,6 @@ func (f *Fixed) At3(c, y, x int) int16 {
 func (f *Fixed) At4(a, b, y, x int) int16 {
 	return f.data[a*f.stride[0]+b*f.stride[1]+y*f.stride[2]+x]
 }
-
-// QuantStep returns the representable resolution (1/2^FracBits).
-func (f *Fixed) QuantStep() float64 { return 1 / float64(int64(1)<<f.FracBits) }
 
 // FixedConv2D cross-correlates a fixed-point ifmap [C,H,W] with fixed-point
 // weights [F,C,KH,KW] exactly as the PE array does: 16-bit operands, 32-bit
@@ -118,40 +105,6 @@ func FixedConv2D(in, w *Fixed, stride, pad int) *Tensor {
 				}
 				out.Set3(float32(float64(acc)*invScale), fi, oy, ox)
 			}
-		}
-	}
-	return out
-}
-
-// FixedSAD computes the sum of absolute differences between two rank-2
-// fixed tensors over the aligned window, the a ← a + |b−c| operation the
-// ASV PE extension adds (Sec. 5.2). Both operands must share a scale.
-func FixedSAD(in, w *Fixed, stride int) *Tensor {
-	if len(in.shape) != 2 || len(w.shape) != 2 {
-		panic("tensor: FixedSAD wants ranks 2,2")
-	}
-	if in.FracBits != w.FracBits {
-		panic("tensor: FixedSAD operands must share a scale")
-	}
-	h, wd := in.shape[0], in.shape[1]
-	kh, kw := w.shape[0], w.shape[1]
-	oh, ow := ConvOut(h, kh, stride, 0), ConvOut(wd, kw, stride, 0)
-	out := New(oh, ow)
-	invScale := 1 / float64(int64(1)<<in.FracBits)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			var acc int64
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					d := int64(in.data[(oy*stride+ky)*in.stride[0]+ox*stride+kx]) -
-						int64(w.data[ky*w.stride[0]+kx])
-					if d < 0 {
-						d = -d
-					}
-					acc += d
-				}
-			}
-			out.Set(float32(float64(acc)*invScale), oy, ox)
 		}
 	}
 	return out

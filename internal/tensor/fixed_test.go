@@ -10,15 +10,16 @@ import (
 func TestQuantizeRoundTripBound(t *testing.T) {
 	a := Rand(1, 3, 8, 8)
 	q := Quantize(a, 12)
-	back := q.Dequantize()
+	back := dequantize(q)
 	// Error bounded by half a quantization step.
-	if d := MaxAbsDiff(a, back); d > q.QuantStep()/2+1e-9 {
-		t.Fatalf("quantization error %v exceeds half-step %v", d, q.QuantStep()/2)
+	step := 1 / float64(int64(1)<<q.FracBits)
+	if d := maxAbsDiff(a, back); d > step/2+1e-9 {
+		t.Fatalf("quantization error %v exceeds half-step %v", d, step/2)
 	}
 }
 
 func TestQuantizeSaturates(t *testing.T) {
-	a := FromSlice([]float32{100, -100}, 2)
+	a := fromSlice([]float32{100, -100}, 2)
 	q := Quantize(a, 12)
 	if q.Data()[0] != math.MaxInt16 || q.Data()[1] != math.MinInt16 {
 		t.Fatalf("saturation failed: %v", q.Data())
@@ -42,50 +43,28 @@ func TestFixedConv2DMatchesFloat(t *testing.T) {
 	got := FixedConv2D(Quantize(in, 12), Quantize(w, 12), 1, 1)
 	// Each tap contributes up to ~(|w|+|x|)·step error; 27 taps with
 	// step 2^-12 keeps the total well under 2e-2.
-	if d := MaxAbsDiff(want, got); d > 2e-2 {
+	if d := maxAbsDiff(want, got); d > 2e-2 {
 		t.Fatalf("fixed conv diverges from float by %v", d)
 	}
 }
 
 func TestFixedConv2DIsExactForRepresentableValues(t *testing.T) {
 	// Values on the quantization grid convolve exactly.
-	in := FromSlice([]float32{0.5, 0.25, -0.75, 1}, 1, 2, 2)
-	w := FromSlice([]float32{0.5}, 1, 1, 1, 1)
+	in := fromSlice([]float32{0.5, 0.25, -0.75, 1}, 1, 2, 2)
+	w := fromSlice([]float32{0.5}, 1, 1, 1, 1)
 	got := FixedConv2D(Quantize(in, 8), Quantize(w, 8), 1, 0)
 	want := Conv2D(in, w, 1, 0)
-	if MaxAbsDiff(got, want) != 0 {
+	if maxAbsDiff(got, want) != 0 {
 		t.Fatalf("grid-representable conv not exact: %v vs %v", got.Data(), want.Data())
 	}
-}
-
-func TestFixedSADMatchesFloat(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	in := randTensor(rng, 8, 8)
-	w := randTensor(rng, 3, 3)
-	want := SADWindow(in, w, 1)
-	got := FixedSAD(Quantize(in, 12), Quantize(w, 12), 1)
-	if d := MaxAbsDiff(want, got); d > 1e-2 {
-		t.Fatalf("fixed SAD diverges by %v", d)
-	}
-}
-
-func TestFixedSADScaleMismatchPanics(t *testing.T) {
-	a := Quantize(New(4, 4), 8)
-	b := Quantize(New(2, 2), 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	FixedSAD(a, b, 1)
 }
 
 // Property: more fractional bits never increase quantization error.
 func TestQuickMoreBitsMorePrecision(t *testing.T) {
 	f := func(seed int64) bool {
 		a := Rand(seed, 4, 4)
-		lo := MaxAbsDiff(a, Quantize(a, 6).Dequantize())
-		hi := MaxAbsDiff(a, Quantize(a, 12).Dequantize())
+		lo := maxAbsDiff(a, dequantize(Quantize(a, 6)))
+		hi := maxAbsDiff(a, dequantize(Quantize(a, 12)))
 		return hi <= lo+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -100,11 +79,20 @@ func TestQuickFixedConvErrorScales(t *testing.T) {
 		in := randTensor(rng, 2, 6, 6)
 		w := randTensor(rng, 2, 2, 3, 3)
 		ref := Conv2D(in, w, 1, 0)
-		e8 := MaxAbsDiff(ref, FixedConv2D(Quantize(in, 8), Quantize(w, 8), 1, 0))
-		e13 := MaxAbsDiff(ref, FixedConv2D(Quantize(in, 13), Quantize(w, 13), 1, 0))
+		e8 := maxAbsDiff(ref, FixedConv2D(Quantize(in, 8), Quantize(w, 8), 1, 0))
+		e13 := maxAbsDiff(ref, FixedConv2D(Quantize(in, 13), Quantize(w, 13), 1, 0))
 		return e13 <= e8+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dequantize converts f back to float32.
+func dequantize(f *Fixed) *Tensor {
+	t := New(f.shape...)
+	for i, q := range f.data {
+		t.data[i] = float32(q) / float32(int64(1)<<f.FracBits)
+	}
+	return t
 }

@@ -1,122 +1,15 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
-
-// ReLU applies max(0, x) element-wise and returns a new tensor.
-func ReLU(t *Tensor) *Tensor {
-	return t.Clone().Apply(func(v float32) float32 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	})
-}
-
-// LeakyReLU applies x if x>0 else alpha*x element-wise and returns a new
-// tensor.
-func LeakyReLU(t *Tensor, alpha float32) *Tensor {
-	return t.Clone().Apply(func(v float32) float32 {
-		if v < 0 {
-			return alpha * v
-		}
-		return v
-	})
-}
-
-// Sigmoid applies the logistic function element-wise and returns a new
-// tensor.
-func Sigmoid(t *Tensor) *Tensor {
-	return t.Clone().Apply(func(v float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(v))))
-	})
-}
 
 // Tanh applies the hyperbolic tangent element-wise and returns a new tensor.
 func Tanh(t *Tensor) *Tensor {
 	return t.Clone().Apply(func(v float32) float32 {
 		return float32(math.Tanh(float64(v)))
 	})
-}
-
-// MaxPool2D applies k×k max pooling with the given stride to in [C,H,W].
-func MaxPool2D(in *Tensor, k, stride int) *Tensor {
-	if in.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: MaxPool2D wants rank 3; got %d", in.Rank()))
-	}
-	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
-	out := New(c, oh, ow)
-	for ci := 0; ci < c; ci++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				m := float32(math.Inf(-1))
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						if v := in.At3(ci, oy*stride+ky, ox*stride+kx); v > m {
-							m = v
-						}
-					}
-				}
-				out.Set3(m, ci, oy, ox)
-			}
-		}
-	}
-	return out
-}
-
-// AvgPool2D applies k×k average pooling with the given stride to in [C,H,W].
-func AvgPool2D(in *Tensor, k, stride int) *Tensor {
-	if in.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: AvgPool2D wants rank 3; got %d", in.Rank()))
-	}
-	c, h, w := in.Dim(0), in.Dim(1), in.Dim(2)
-	oh, ow := ConvOut(h, k, stride, 0), ConvOut(w, k, stride, 0)
-	out := New(c, oh, ow)
-	inv := 1 / float32(k*k)
-	for ci := 0; ci < c; ci++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var s float32
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						s += in.At3(ci, oy*stride+ky, ox*stride+kx)
-					}
-				}
-				out.Set3(s*inv, ci, oy, ox)
-			}
-		}
-	}
-	return out
-}
-
-// SADWindow computes the sum of absolute differences between kernel w
-// [KH,KW] and every aligned window of in [H,W], returning [OH,OW].
-// It is the matching-cost primitive that ASV maps onto the systolic array by
-// replacing the MAC with an accumulate-absolute-difference (Sec. 5.2).
-func SADWindow(in, w *Tensor, stride int) *Tensor {
-	if in.Rank() != 2 || w.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: SADWindow wants ranks 2,2; got %d,%d", in.Rank(), w.Rank()))
-	}
-	h, wd := in.Dim(0), in.Dim(1)
-	kh, kw := w.Dim(0), w.Dim(1)
-	oh, ow := ConvOut(h, kh, stride, 0), ConvOut(wd, kw, stride, 0)
-	out := New(oh, ow)
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			var acc float64
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					acc += math.Abs(float64(in.At(oy*stride+ky, ox*stride+kx) - w.At(ky, kx)))
-				}
-			}
-			out.Set(float32(acc), oy, ox)
-		}
-	}
-	return out
 }
 
 // RandFill fills t with uniform values in [-1, 1) drawn from rng and

@@ -3,144 +3,12 @@ package tensor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
-func TestReLU(t *testing.T) {
-	in := FromSlice([]float32{-2, -0.5, 0, 1, 3}, 5)
-	out := ReLU(in)
-	want := []float32{0, 0, 0, 1, 3}
-	for i, v := range out.Data() {
-		if v != want[i] {
-			t.Fatalf("ReLU = %v, want %v", out.Data(), want)
-		}
-	}
-	if in.At(0) != -2 {
-		t.Fatal("ReLU mutated its input")
-	}
-}
-
-func TestLeakyReLU(t *testing.T) {
-	in := FromSlice([]float32{-4, 2}, 2)
-	out := LeakyReLU(in, 0.25)
-	if out.At(0) != -1 || out.At(1) != 2 {
-		t.Fatalf("LeakyReLU = %v", out.Data())
-	}
-}
-
-func TestSigmoidRange(t *testing.T) {
-	in := FromSlice([]float32{-10, 0, 10}, 3)
-	out := Sigmoid(in)
-	if out.At(1) != 0.5 {
-		t.Fatalf("sigmoid(0) = %v, want 0.5", out.At(1))
-	}
-	if out.At(0) > 0.001 || out.At(2) < 0.999 {
-		t.Fatalf("sigmoid saturation wrong: %v", out.Data())
-	}
-}
-
 func TestTanhOddFunction(t *testing.T) {
-	in := FromSlice([]float32{-1.5, 1.5}, 2)
+	in := fromSlice([]float32{-1.5, 1.5}, 2)
 	out := Tanh(in)
 	if math.Abs(float64(out.At(0)+out.At(1))) > 1e-6 {
 		t.Fatalf("tanh not odd: %v", out.Data())
-	}
-}
-
-func TestMaxPool2D(t *testing.T) {
-	in := FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 4, 4)
-	out := MaxPool2D(in, 2, 2)
-	want := []float32{6, 8, 14, 16}
-	for i, v := range out.Data() {
-		if v != want[i] {
-			t.Fatalf("MaxPool2D = %v, want %v", out.Data(), want)
-		}
-	}
-}
-
-func TestAvgPool2D(t *testing.T) {
-	in := New(1, 4, 4).Fill(3)
-	out := AvgPool2D(in, 2, 2)
-	for _, v := range out.Data() {
-		if v != 3 {
-			t.Fatalf("AvgPool2D of constant = %v, want 3", v)
-		}
-	}
-}
-
-func TestSADWindowZeroAtPerfectMatch(t *testing.T) {
-	in := FromSlice([]float32{
-		0, 0, 0, 0,
-		0, 1, 2, 0,
-		0, 3, 4, 0,
-		0, 0, 0, 0,
-	}, 4, 4)
-	w := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	out := SADWindow(in, w, 1)
-	if out.At(1, 1) != 0 {
-		t.Fatalf("SAD at match = %v, want 0", out.At(1, 1))
-	}
-	// Any other position should be strictly positive.
-	for y := 0; y < out.Dim(0); y++ {
-		for x := 0; x < out.Dim(1); x++ {
-			if (y != 1 || x != 1) && out.At(y, x) <= 0 {
-				t.Fatalf("SAD(%d,%d) = %v, want > 0", y, x, out.At(y, x))
-			}
-		}
-	}
-}
-
-// Property: SAD is symmetric in its arguments restricted to the aligned
-// window, and non-negative everywhere.
-func TestQuickSADNonNegative(t *testing.T) {
-	f := func(seed int64) bool {
-		in := Rand(seed, 6, 6)
-		w := Rand(seed+1, 3, 3)
-		out := SADWindow(in, w, 1)
-		for _, v := range out.Data() {
-			if v < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: ReLU is idempotent.
-func TestQuickReLUIdempotent(t *testing.T) {
-	f := func(seed int64) bool {
-		a := Rand(seed, 4, 4)
-		once := ReLU(a)
-		twice := ReLU(once)
-		return MaxAbsDiff(once, twice) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: max pooling dominates average pooling element-wise.
-func TestQuickMaxPoolDominatesAvgPool(t *testing.T) {
-	f := func(seed int64) bool {
-		in := Rand(seed, 2, 6, 6)
-		mx := MaxPool2D(in, 2, 2)
-		av := AvgPool2D(in, 2, 2)
-		for i := range mx.Data() {
-			if mx.Data()[i] < av.Data()[i]-1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }

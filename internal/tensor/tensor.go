@@ -1,7 +1,7 @@
 // Package tensor provides dense float32 tensors and the reference
 // implementations of the neural-network operators used throughout ASV:
-// 2-D/3-D convolution, transposed convolution (deconvolution), pooling and
-// pointwise activations.
+// 2-D convolution, transposed convolution (deconvolution), 16-bit
+// fixed-point convolution and the tanh activation.
 //
 // The implementations here favour clarity over speed: they are the ground
 // truth against which the deconvolution transformation (package deconv) is
@@ -12,12 +12,11 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
 // Tensor is a dense row-major float32 tensor of arbitrary rank.
-// The zero value is an empty tensor; use New or FromSlice to construct one.
+// The zero value is an empty tensor; use New to construct one.
 type Tensor struct {
 	shape  []int
 	stride []int
@@ -39,18 +38,6 @@ func New(shape ...int) *Tensor {
 		data:   make([]float32, n),
 		stride: strides(shape),
 	}
-	return t
-}
-
-// FromSlice returns a tensor with the given shape backed by a copy of data.
-// It panics if len(data) does not match the shape volume.
-func FromSlice(data []float32, shape ...int) *Tensor {
-	t := New(shape...)
-	if len(data) != len(t.data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)",
-			len(data), shape, len(t.data)))
-	}
-	copy(t.data, data)
 	return t
 }
 
@@ -127,30 +114,10 @@ func (t *Tensor) Set4(v float32, a, b, y, x int) {
 	t.data[a*t.stride[0]+b*t.stride[1]+y*t.stride[2]+x] = v
 }
 
-// Fill sets every element to v and returns t.
-func (t *Tensor) Fill(v float32) *Tensor {
-	for i := range t.data {
-		t.data[i] = v
-	}
-	return t
-}
-
 // Apply replaces every element x with f(x) and returns t.
 func (t *Tensor) Apply(f func(float32) float32) *Tensor {
 	for i, v := range t.data {
 		t.data[i] = f(v)
-	}
-	return t
-}
-
-// AddInPlace adds o element-wise into t and returns t.
-// It panics if shapes differ.
-func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
-	if !SameShape(t, o) {
-		panic(fmt.Sprintf("tensor: AddInPlace shape mismatch %v vs %v", t.shape, o.shape))
-	}
-	for i := range t.data {
-		t.data[i] += o.data[i]
 	}
 	return t
 }
@@ -172,17 +139,6 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// AbsMax returns the largest absolute element value.
-func (t *Tensor) AbsMax() float32 {
-	var m float32
-	for _, v := range t.data {
-		if a := float32(math.Abs(float64(v))); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // SameShape reports whether a and b have identical shapes.
 func SameShape(a, b *Tensor) bool {
 	if len(a.shape) != len(b.shape) {
@@ -196,22 +152,6 @@ func SameShape(a, b *Tensor) bool {
 	return true
 }
 
-// MaxAbsDiff returns the maximum absolute element-wise difference between a
-// and b. It panics if shapes differ.
-func MaxAbsDiff(a, b *Tensor) float64 {
-	if !SameShape(a, b) {
-		panic(fmt.Sprintf("tensor: MaxAbsDiff shape mismatch %v vs %v", a.shape, b.shape))
-	}
-	var m float64
-	for i := range a.data {
-		d := math.Abs(float64(a.data[i]) - float64(b.data[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // String renders small tensors for debugging; large tensors are summarized.
 func (t *Tensor) String() string {
 	var b strings.Builder
@@ -222,13 +162,4 @@ func (t *Tensor) String() string {
 		fmt.Fprintf(&b, "[%d elements]", len(t.data))
 	}
 	return b.String()
-}
-
-// Volume returns the product of the dimensions in shape.
-func Volume(shape []int) int {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	return n
 }

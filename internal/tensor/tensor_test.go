@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -66,7 +67,7 @@ func TestRowMajorLayout(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
+	a := fromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := a.Clone()
 	b.Set(99, 0, 0)
 	if a.At(0, 0) != 1 {
@@ -75,15 +76,6 @@ func TestCloneIsDeep(t *testing.T) {
 	if !SameShape(a, b) {
 		t.Fatal("Clone changed shape")
 	}
-}
-
-func TestFromSlicePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mismatched data length")
-		}
-	}()
-	FromSlice([]float32{1, 2, 3}, 2, 2)
 }
 
 func TestIndexOutOfRangePanics(t *testing.T) {
@@ -104,8 +96,8 @@ func TestNegativeDimensionPanics(t *testing.T) {
 	New(2, -1)
 }
 
-func TestFillApplyScale(t *testing.T) {
-	tt := New(3).Fill(2)
+func TestApplyScale(t *testing.T) {
+	tt := filled(2, 3)
 	tt.Apply(func(v float32) float32 { return v + 1 })
 	tt.Scale(2)
 	for _, v := range tt.Data() {
@@ -115,46 +107,20 @@ func TestFillApplyScale(t *testing.T) {
 	}
 }
 
-func TestAddInPlace(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	b := FromSlice([]float32{10, 20}, 2)
-	a.AddInPlace(b)
-	if a.At(0) != 11 || a.At(1) != 22 {
-		t.Fatalf("AddInPlace got %v", a.Data())
-	}
-}
-
-func TestSumAbsMaxMaxAbsDiff(t *testing.T) {
-	a := FromSlice([]float32{1, -5, 3}, 3)
-	if a.Sum() != -1 {
+func TestSum(t *testing.T) {
+	if a := fromSlice([]float32{1, -5, 3}, 3); a.Sum() != -1 {
 		t.Fatalf("Sum = %v, want -1", a.Sum())
-	}
-	if a.AbsMax() != 5 {
-		t.Fatalf("AbsMax = %v, want 5", a.AbsMax())
-	}
-	b := FromSlice([]float32{1, -5, 7}, 3)
-	if d := MaxAbsDiff(a, b); d != 4 {
-		t.Fatalf("MaxAbsDiff = %v, want 4", d)
-	}
-}
-
-func TestVolume(t *testing.T) {
-	if Volume([]int{2, 3, 4}) != 24 {
-		t.Fatal("Volume wrong")
-	}
-	if Volume(nil) != 1 {
-		t.Fatal("Volume of empty shape should be 1")
 	}
 }
 
 func TestRandDeterministic(t *testing.T) {
 	a := Rand(42, 4, 4)
 	b := Rand(42, 4, 4)
-	if MaxAbsDiff(a, b) != 0 {
+	if maxAbsDiff(a, b) != 0 {
 		t.Fatal("Rand with same seed differs")
 	}
 	c := Rand(43, 4, 4)
-	if MaxAbsDiff(a, c) == 0 {
+	if maxAbsDiff(a, c) == 0 {
 		t.Fatal("Rand with different seeds identical")
 	}
 }
@@ -165,7 +131,7 @@ func TestQuickAddSumLinear(t *testing.T) {
 		a := Rand(seed, 3, 5)
 		b := Rand(seed+1, 3, 5)
 		want := a.Sum() + b.Sum()
-		got := a.Clone().AddInPlace(b).Sum()
+		got := add(a, b).Sum()
 		return abs64(want-got) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -196,4 +162,42 @@ func abs64(x float64) float64 {
 
 func randTensor(rng *rand.Rand, shape ...int) *Tensor {
 	return RandFill(New(shape...), rng)
+}
+
+// fromSlice wraps data (copied) as a tensor of the given shape.
+func fromSlice(data []float32, shape ...int) *Tensor {
+	t := New(shape...)
+	if len(data) != len(t.data) {
+		panic("fromSlice: data length does not match shape")
+	}
+	copy(t.data, data)
+	return t
+}
+
+// filled returns a tensor of the given shape with every element v.
+func filled(v float32, shape ...int) *Tensor {
+	return New(shape...).Apply(func(float32) float32 { return v })
+}
+
+// add returns a+b element-wise.
+func add(a, b *Tensor) *Tensor {
+	out := a.Clone()
+	for i, v := range b.data {
+		out.data[i] += v
+	}
+	return out
+}
+
+// maxAbsDiff is the largest element-wise |a−b| of two same-shape tensors.
+// (testkit.DiffTensors is the cross-package form; testkit imports this
+// package.)
+func maxAbsDiff(a, b *Tensor) float64 {
+	if !SameShape(a, b) {
+		panic("maxAbsDiff: shape mismatch")
+	}
+	var m float64
+	for i := range a.data {
+		m = max(m, math.Abs(float64(a.data[i])-float64(b.data[i])))
+	}
+	return m
 }

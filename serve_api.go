@@ -7,8 +7,8 @@ import (
 )
 
 // Serving facade: re-exports of the internal/serve types that commands and
-// external users need to run the stereo depth service. The load generator
-// is internal/loadgen, which cmd/asvload imports directly. See DESIGN.md §6
+// external users need to run the stereo depth service. The load generator,
+// cmd/asvload, is a client of serve's wire types only. See DESIGN.md §6
 // "Serving architecture".
 
 // ServeConfig parameterizes a depth server (queue depth, workers, session
