@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,8 +17,10 @@ import (
 
 	"asv/internal/core"
 	"asv/internal/dataset"
+	"asv/internal/flow"
 	"asv/internal/imgproc"
 	"asv/internal/perception"
+	"asv/internal/stereo"
 )
 
 // getSnapshot fetches a session's snapshot, retrying briefly on 409 (frames
@@ -549,5 +552,74 @@ func TestClientSuppliedSessionID(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid id: %d, want 400", resp.StatusCode)
+	}
+}
+
+// fixtureSnapshot is the session testdata/snapshot_v2.asvsnap holds: every
+// optional block present (adaptive config, all three state images with
+// non-constant pixels, a preset past its first frame, a calibration with
+// rotations) and every field set to a value distinct from its neighbours,
+// so a swapped or dropped field changes the bytes.
+func fixtureSnapshot() *SessionSnapshot {
+	img := func(w, h int, base float32) *imgproc.Image {
+		im := imgproc.NewImage(w, h)
+		for i := range im.Pix {
+			im.Pix[i] = base + float32(i%7)*0.25 - float32(i/w)*1.5
+		}
+		return im
+	}
+	return &SessionSnapshot{
+		ID: "fixture-v2", PW: 3, Postprocess: true,
+		FlowScale: 2, RefineR: 4,
+		BM:       stereo.BMOptions{BlockR: 2, MaxDisp: 24, Subpixel: true, UniqRatio: 0.15, Census: 1, Fixed: true},
+		Flow:     flow.Options{Levels: 2, PyrSigma: 0.9, PolySigma: 1.1, PolyR: 2, WinSigma: 1.8, Iters: 3},
+		Adaptive: &core.AdaptiveConfig{MaxWindow: 5, MotionThresholdPx: 1.75},
+		Frames:   5, KeyFrames: 2, W: 10, H: 6,
+		State: core.State{
+			FrameIdx: 5, SinceKey: 2, NeedKey: true,
+			PrevLeft:  img(10, 6, 10),
+			PrevRight: img(10, 6, 20),
+			PrevDisp:  img(10, 6, 3),
+		},
+		Preset: &PresetSnapshot{
+			Name: "kitti",
+			Scene: dataset.SceneConfig{W: 40, H: 24, FrameCount: 9, Layers: 2,
+				MinDisp: 1.5, MaxDisp: 14, MaxVel: 2.5, MaxDispVel: 0.5, Ground: true,
+				Noise: 0.02, RightGain: 1.1, Seed: 42},
+			Next: 5,
+		},
+		Calib: &perception.Calibration{Fx: 30.5, Fy: 31, Cx: 19.5, Cy: 11.75, BaselineM: 0.12,
+			LeftRPY: [3]float64{0.01, -0.02, 0.005}, RightRPY: [3]float64{-0.004, 0.003, 0.002}},
+	}
+}
+
+// TestSnapshotV2Fixture pins the v2 wire format byte for byte: the committed
+// fixture, written by the v2 encoder, decodes to fixtureSnapshot and
+// re-encodes to the identical bytes. A codec change that moves, drops or
+// re-types a field fails here even if it still round-trips its own output.
+func TestSnapshotV2Fixture(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.asvsnap"))
+	if err != nil {
+		t.Fatalf("reading v2 fixture: %v", err)
+	}
+	got, err := DecodeSnapshot(fixture, 0)
+	if err != nil {
+		t.Fatalf("decoding v2 fixture: %v", err)
+	}
+	if want := fixtureSnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("v2 fixture decodes to\n%+v\nwant\n%+v", got, want)
+	}
+	if re := EncodeSnapshot(got); !bytes.Equal(re, fixture) {
+		t.Fatalf("re-encoding the v2 fixture gives %d bytes that differ from its %d", len(re), len(fixture))
+	}
+}
+
+// The cluster checkpoint path encodes a snapshot after every frame, so the
+// encoder must stay one allocation per call: the output buffer, sized up
+// front.
+func TestEncodeSnapshotAllocatesOnce(t *testing.T) {
+	snap := fixtureSnapshot()
+	if n := testing.AllocsPerRun(20, func() { EncodeSnapshot(snap) }); n != 1 {
+		t.Fatalf("EncodeSnapshot allocates %v times per call, want 1", n)
 	}
 }
