@@ -66,10 +66,6 @@ type SGMKeyMatcher = core.SGMMatcher
 // BMKeyMatcher adapts full-search block matching as the key-frame matcher.
 type BMKeyMatcher = core.BMMatcher
 
-// OracleKeyMatcher emulates a trained stereo DNN at a published error rate
-// (see DESIGN.md, substitutions).
-type OracleKeyMatcher = core.OracleMatcher
-
 // DefaultPipelineConfig returns the evaluation configuration: PW-4,
 // half-resolution Farneback flow, ±3 guided search.
 func DefaultPipelineConfig() PipelineConfig { return core.DefaultConfig() }
@@ -158,9 +154,6 @@ type FarnebackMotion = core.FarnebackME
 
 // BlockMotion is block-matching motion estimation (per-block vectors).
 type BlockMotion = core.BlockME
-
-// ZeroMotion assumes a static scene.
-type ZeroMotion = core.ZeroME
 
 // CVFOptions configures cost-volume-filtering stereo matching.
 type CVFOptions = stereo.CVFOptions

@@ -22,6 +22,7 @@ import (
 	"asv/internal/schedule"
 	"asv/internal/stereo"
 	"asv/internal/tensor"
+	"asv/internal/testkit"
 )
 
 // ----------------------------------------------------------- experiments
@@ -237,8 +238,8 @@ func BenchmarkKernelGaussianBlur(b *testing.B) {
 }
 
 func BenchmarkKernelDeconvReference(b *testing.B) {
-	in := tensor.Rand(1, 16, 24, 24)
-	w := tensor.Rand(2, 16, 16, 4, 4)
+	in := testkit.SeededTensor(1, 16, 24, 24)
+	w := testkit.SeededTensor(2, 16, 16, 4, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.Deconv2D(in, w, 2, 2)
@@ -246,8 +247,8 @@ func BenchmarkKernelDeconvReference(b *testing.B) {
 }
 
 func BenchmarkKernelDeconvTransformed(b *testing.B) {
-	in := tensor.Rand(1, 16, 24, 24)
-	w := tensor.Rand(2, 16, 16, 4, 4)
+	in := testkit.SeededTensor(1, 16, 24, 24)
+	w := testkit.SeededTensor(2, 16, 16, 4, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		deconv.Transformed2D(in, w, 2)

@@ -31,6 +31,7 @@ import (
 	"text/tabwriter"
 
 	"asv"
+	"asv/internal/quality"
 )
 
 // EvalRow is one configuration's scores, averaged over the sequence.
@@ -148,7 +149,7 @@ func run(args []string, out io.Writer) error {
 func priceLadder(fs *flag.FlagSet, out io.Writer, path string, w, h, frames int, seed int64, preset, matcher string, pw int) error {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	pc := asv.LadderPriceConfig{Preset: preset}
+	pc := quality.PriceConfig{Preset: preset}
 	if set["w"] {
 		pc.W = w
 	}
@@ -168,7 +169,7 @@ func priceLadder(fs *flag.FlagSet, out io.Writer, path string, w, h, frames int,
 	if err != nil {
 		return err
 	}
-	doc, err := asv.PriceQualityLadder(asv.DefaultQualityLadder(), km, pc)
+	doc, err := quality.Price(quality.DefaultLadder(), km, pc)
 	if err != nil {
 		return err
 	}

@@ -32,7 +32,7 @@ import (
 	"syscall"
 	"time"
 
-	"asv"
+	"asv/internal/cluster"
 )
 
 func main() {
@@ -65,7 +65,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	g, err := asv.NewClusterGateway(asv.ClusterConfig{
+	g, err := cluster.New(cluster.Config{
 		Shards:         shards,
 		Replicas:       *replicas,
 		HealthInterval: *healthInterval,
@@ -105,8 +105,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // shard set. Bare urls are named by position, which is fine for throwaway
 // clusters but unstable if the list is ever reordered — named shards are
 // the production spelling.
-func parseShards(s string) ([]asv.ClusterShard, error) {
-	var shards []asv.ClusterShard
+func parseShards(s string) ([]cluster.Shard, error) {
+	var shards []cluster.Shard
 	for i, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -122,7 +122,7 @@ func parseShards(s string) ([]asv.ClusterShard, error) {
 		if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
 			return nil, fmt.Errorf("shard %q: url must start with http:// or https://", part)
 		}
-		shards = append(shards, asv.ClusterShard{Name: name, URL: url})
+		shards = append(shards, cluster.Shard{Name: name, URL: url})
 	}
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("-shards is required (comma-separated name=url list)")

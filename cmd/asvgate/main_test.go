@@ -13,13 +13,15 @@ import (
 	"time"
 
 	"asv"
+	"asv/internal/cluster"
+	"asv/internal/serve"
 )
 
 func startShard(t *testing.T) string {
 	t.Helper()
 	opt := asv.DefaultBMOptions()
 	opt.MaxDisp = 12
-	srv := asv.NewServeServer(asv.BMKeyMatcher{Opt: opt}, asv.DefaultServeConfig())
+	srv := serve.New(asv.BMKeyMatcher{Opt: opt}, serve.DefaultConfig())
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +74,7 @@ func TestRunGatewayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var info asv.ServeSessionInfo
+	var info serve.SessionInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestParseShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []asv.ClusterShard{
+	want := []cluster.Shard{
 		{Name: "a", URL: "http://h:1"},
 		{Name: "shard1", URL: "http://h:2"},
 		{Name: "c", URL: "https://h:3"},

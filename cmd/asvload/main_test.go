@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"asv"
+	"asv/internal/serve"
 	"asv/internal/testkit"
 )
 
@@ -26,7 +27,7 @@ func startServer(t *testing.T) string {
 	t.Helper()
 	opt := asv.DefaultBMOptions()
 	opt.MaxDisp = 12
-	srv := asv.NewServeServer(asv.BMKeyMatcher{Opt: opt}, asv.DefaultServeConfig())
+	srv := serve.New(asv.BMKeyMatcher{Opt: opt}, serve.DefaultConfig())
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

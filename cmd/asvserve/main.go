@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"asv"
+	"asv/internal/serve"
 )
 
 func main() {
@@ -78,10 +79,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("unknown matcher %q (bm|sgm)", *matcherName)
 	}
 	if *pacedFrameMs > 0 {
-		matcher = asv.NewPacedKeyMatcher(matcher, time.Duration(*pacedFrameMs)*time.Millisecond)
+		matcher = serve.NewPacedKeyMatcher(matcher, time.Duration(*pacedFrameMs)*time.Millisecond)
 	}
 
-	cfg := asv.DefaultServeConfig()
+	cfg := serve.DefaultConfig()
 	if *deadline > 0 {
 		cfg.DefaultDeadline = *deadline
 	}
@@ -123,7 +124,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfg.CostNonKey = asv.DefaultNonKeyCost()
 	}
 
-	srv := asv.NewServeServer(matcher, cfg)
+	srv := serve.New(matcher, cfg)
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		return fmt.Errorf("listening on %s: %w", *addr, err)

@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,7 +81,8 @@ func TestNoExportOnlyTestsReach(t *testing.T) {
 }
 
 // TestDeadExportsScanner holds the scanner to what it claims on a small
-// in-memory module.
+// in-memory module, including names that another package's identifiers
+// shadow: math.Tanh and bar's own Shadowed keep neither foo function alive.
 func TestDeadExportsScanner(t *testing.T) {
 	files := map[string][]byte{
 		"internal/foo/foo.go": []byte(`package foo
@@ -91,7 +93,16 @@ func (T) String() string { return "t" }
 func Dead() {}
 func UsedByCmd() {}
 func UsedByTest() {}
-func unexported() {}
+func UsedInPackage() {}
+func Tanh() {}
+func Shadowed() {}
+func unexported() { UsedInPackage() }
+`),
+		"internal/bar/bar.go": []byte(`package bar
+
+var Shadowed = 1
+
+func use() int { return Shadowed }
 `),
 		"internal/foo/foo_test.go": []byte(`package foo
 
@@ -107,9 +118,13 @@ func Helper() {}
 `),
 		"cmd/asvfoo/main.go": []byte(`package main
 
-import "asv/internal/foo"
+import (
+	"math"
 
-func main() { foo.UsedByCmd() }
+	"asv/internal/foo"
+)
+
+func main() { foo.UsedByCmd(); math.Tanh(0) }
 `),
 	}
 	dead, err := deadExports(files)
@@ -120,7 +135,8 @@ func main() { foo.UsedByCmd() }
 	for _, d := range dead {
 		got = append(got, d.file+" "+d.name)
 	}
-	want := []string{"internal/foo/foo.go foo.Dead", "internal/foo/foo.go foo.UsedByTest"}
+	want := []string{"internal/foo/foo.go foo.Dead", "internal/foo/foo.go foo.Shadowed",
+		"internal/foo/foo.go foo.Tanh", "internal/foo/foo.go foo.UsedByTest"}
 	if strings.Join(got, ", ") != strings.Join(want, ", ") {
 		t.Fatalf("flagged %q, want %q", got, want)
 	}
@@ -132,10 +148,19 @@ type deadExport struct{ file, name string }
 // and returns, sorted by file and name, the exported functions and methods
 // under internal/ that no non-test file uses and deadcodeAllow does not
 // name. _test.go entries are ignored: a caller there does not count.
+//
+// A function is used by X.Name where X is an import of its package, or by a
+// bare Name inside its own package; so math.Tanh does not keep a
+// tensor.Tanh alive. A method is used by any identifier with its name,
+// because resolving the receiver's type would need the type checker.
 func deadExports(files map[string][]byte) ([]deadExport, error) {
 	fset := token.NewFileSet()
-	used := make(map[string]bool)
-	var decls []deadExport
+	used := make(map[string]bool) // "dir.Func" for functions, "Name" for methods
+	type decl struct {
+		deadExport
+		key string
+	}
+	var decls []decl
 	for p, src := range files {
 		if strings.HasSuffix(p, "_test.go") {
 			continue
@@ -143,6 +168,16 @@ func deadExports(files map[string][]byte) ([]deadExport, error) {
 		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
+		}
+		dir := path.Dir(p)
+		imports := make(map[string]string) // local name → module-relative dir
+		for _, imp := range f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			local := path.Base(ip)
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = strings.TrimPrefix(ip, "asv/")
 		}
 		declNames := make(map[*ast.Ident]bool)
 		for _, d := range f.Decls {
@@ -154,28 +189,39 @@ func deadExports(files map[string][]byte) ([]deadExport, error) {
 			if !strings.HasPrefix(p, "internal/") || !fd.Name.IsExported() {
 				continue
 			}
-			name := f.Name.Name + "." + fd.Name.Name
+			name, key := f.Name.Name+"."+fd.Name.Name, dir+"."+fd.Name.Name
 			if fd.Recv != nil {
 				if _, ok := stdlibMethods[fd.Name.Name]; ok {
 					continue
 				}
-				name = f.Name.Name + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				name, key = f.Name.Name+"."+recvType(fd.Recv.List[0].Type)+"."+fd.Name.Name, fd.Name.Name
 			}
 			if !allowedDead(p, name) {
-				decls = append(decls, deadExport{p, name})
+				decls = append(decls, decl{deadExport{p, name}, key})
 			}
 		}
+		selectors := make(map[*ast.Ident]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
-				used[id.Name] = true
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				selectors[x.Sel] = true
+				used[x.Sel.Name] = true
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					used[imports[id.Name]+"."+x.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if !declNames[x] && !selectors[x] {
+					used[x.Name] = true
+					used[dir+"."+x.Name] = true
+				}
 			}
 			return true
 		})
 	}
 	var dead []deadExport
 	for _, d := range decls {
-		if !used[d.name[strings.LastIndexByte(d.name, '.')+1:]] {
-			dead = append(dead, d)
+		if !used[d.key] {
+			dead = append(dead, d.deadExport)
 		}
 	}
 	sort.Slice(dead, func(i, j int) bool {

@@ -19,16 +19,6 @@ type AdaptiveConfig struct {
 	MotionThresholdPx float64
 }
 
-// validateAdaptive panics on a nonsensical controller configuration.
-func (a AdaptiveConfig) validate() {
-	if a.MaxWindow < 1 {
-		panic("core: adaptive MaxWindow < 1")
-	}
-	if a.MotionThresholdPx <= 0 {
-		panic("core: adaptive MotionThresholdPx <= 0")
-	}
-}
-
 // DefaultAdaptiveConfig bounds the window at 6 and re-keys beyond 2 px of
 // mean motion, the point where the ±3 guided search starts losing the true
 // correspondence in the evaluation scenes.

@@ -92,19 +92,23 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() {
-	if c.PW < 1 {
-		panic(fmt.Sprintf("core: propagation window %d < 1", c.PW))
+// Validate returns the first parameter New would refuse, or nil. Callers
+// that build a Config from outside input (a restored session snapshot) check
+// it here instead of letting New panic.
+func (c Config) Validate() error {
+	switch {
+	case c.PW < 1:
+		return fmt.Errorf("core: propagation window %d < 1", c.PW)
+	case c.FlowScale < 1:
+		return fmt.Errorf("core: flow scale %d < 1", c.FlowScale)
+	case c.RefineR < 1:
+		return fmt.Errorf("core: refine radius %d < 1", c.RefineR)
+	case c.Adaptive != nil && c.Adaptive.MaxWindow < 1:
+		return fmt.Errorf("core: adaptive MaxWindow %d < 1", c.Adaptive.MaxWindow)
+	case c.Adaptive != nil && c.Adaptive.MotionThresholdPx <= 0:
+		return fmt.Errorf("core: adaptive MotionThresholdPx %g <= 0", c.Adaptive.MotionThresholdPx)
 	}
-	if c.FlowScale < 1 {
-		panic(fmt.Sprintf("core: flow scale %d < 1", c.FlowScale))
-	}
-	if c.RefineR < 1 {
-		panic(fmt.Sprintf("core: refine radius %d < 1", c.RefineR))
-	}
-	if c.Adaptive != nil {
-		c.Adaptive.validate()
-	}
+	return nil
 }
 
 // Result reports one processed stereo pair.
@@ -139,7 +143,9 @@ type Pipeline struct {
 // New returns a pipeline that calls matcher on key frames. matcher may be
 // nil only if the caller always supplies key disparities via ProcessKey.
 func New(matcher KeyMatcher, cfg Config) *Pipeline {
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	return &Pipeline{cfg: cfg, matcher: matcher}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"asv/internal/flow"
-	"asv/internal/imgproc"
 	"asv/internal/stereo"
 	"asv/internal/testkit"
 )
@@ -80,8 +79,8 @@ func TestTemporalCoherence(t *testing.T) {
 	seq := Generate(smallCfg(33))
 	f0, f1 := seq.Frames[0], seq.Frames[1]
 	var d float64
-	for _, v := range imgproc.Sub(f0.Left, f1.Left).Pix {
-		d += math.Abs(float64(v)) / float64(len(f0.Left.Pix))
+	for i, v := range f0.Left.Pix {
+		d += math.Abs(float64(v-f1.Left.Pix[i])) / float64(len(f0.Left.Pix))
 	}
 	if d == 0 {
 		t.Fatal("frames are identical; no motion generated")

@@ -76,7 +76,7 @@ func decomposeND(w *tensor.Tensor, spatialDims int) []*tensor.Tensor {
 }
 
 func TestDecomposeNDMatchesDecompose2D(t *testing.T) {
-	w := tensor.Rand(11, 2, 3, 5, 4)
+	w := testkit.SeededTensor(11, 2, 3, 5, 4)
 	nd := decomposeND(w, 2)
 	d2 := Decompose2D(w)
 	if len(nd) != 4 {
@@ -109,7 +109,7 @@ func signature(subs []*tensor.Tensor) []string {
 }
 
 func TestDecomposeNDMatchesDecompose3DUpToOrder(t *testing.T) {
-	w := tensor.Rand(13, 2, 2, 3, 3, 3)
+	w := testkit.SeededTensor(13, 2, 2, 3, 3, 3)
 	nd := decomposeND(w, 3)
 	d3 := decompose3D(w)
 	a := signature(nd)
@@ -149,7 +149,7 @@ func TestDecomposeND1D(t *testing.T) {
 
 func TestDecomposeND4D(t *testing.T) {
 	// 4 spatial dimensions -> 16 sub-kernels; elements still partition.
-	w := tensor.Rand(17, 1, 2, 3, 3, 2, 3)
+	w := testkit.SeededTensor(17, 1, 2, 3, 3, 2, 3)
 	subs := decomposeND(w, 4)
 	if len(subs) != 16 {
 		t.Fatalf("expected 16 sub-kernels, got %d", len(subs))
@@ -166,7 +166,7 @@ func TestDecomposeND4D(t *testing.T) {
 }
 
 func TestDecomposeNDBadArgsPanics(t *testing.T) {
-	w := tensor.Rand(1, 2, 3, 3)
+	w := testkit.SeededTensor(1, 2, 3, 3)
 	for _, dims := range []int{0, 4} {
 		func() {
 			defer func() {
@@ -186,7 +186,7 @@ func TestQuickDecomposeNDPartition(t *testing.T) {
 		k1 := int(k1Raw)%4 + 1
 		k2 := int(k2Raw)%4 + 1
 		k3 := int(k3Raw)%4 + 1
-		w := tensor.Rand(seed, 2, 2, k1, k2, k3)
+		w := testkit.SeededTensor(seed, 2, 2, k1, k2, k3)
 		subs := decomposeND(w, 3)
 		var total int
 		var sum float64

@@ -174,8 +174,8 @@ func upsample3D(in *tensor.Tensor, stride, pad int) *tensor.Tensor {
 }
 
 func TestConv3DReducesToConv2D(t *testing.T) {
-	in2 := tensor.Rand(9, 3, 5, 5)
-	w2 := tensor.Rand(10, 2, 3, 3, 3)
+	in2 := testkit.SeededTensor(9, 3, 5, 5)
+	w2 := testkit.SeededTensor(10, 2, 3, 3, 3)
 	in3, w3 := tensor.New(3, 1, 5, 5), tensor.New(2, 3, 1, 3, 3)
 	copy(in3.Data(), in2.Data())
 	copy(w3.Data(), w2.Data())
@@ -186,7 +186,7 @@ func TestConv3DReducesToConv2D(t *testing.T) {
 }
 
 func TestDeconv3DShape(t *testing.T) {
-	out := deconv3DRef(tensor.Rand(3, 2, 3, 3, 3), tensor.Rand(4, 2, 2, 3, 3, 3), 1)
+	out := deconv3DRef(testkit.SeededTensor(3, 2, 3, 3, 3), testkit.SeededTensor(4, 2, 2, 3, 3, 3), 1)
 	want := tensor.DeconvOut(3, 3, 2, 1)
 	if out.Dim(0) != 2 || out.Dim(1) != want || out.Dim(2) != want || out.Dim(3) != want {
 		t.Fatalf("shape %v, want [2 %d %d %d]", out.Shape(), want, want, want)

@@ -12,7 +12,7 @@ import (
 )
 
 func TestDecompose2DShapesFor3x3(t *testing.T) {
-	w := tensor.Rand(1, 2, 3, 3, 3)
+	w := testkit.SeededTensor(1, 2, 3, 3, 3)
 	subs := Decompose2D(w)
 	// Paper Sec. 4.1: a 3x3 kernel yields sub-kernels 2x2, 1x2, 2x1, 1x1.
 	wantH := []int{2, 1, 2, 1}
@@ -52,7 +52,7 @@ func TestDecomposePartitionsKernel(t *testing.T) {
 	f := func(seed int64, khRaw, kwRaw uint8) bool {
 		kh := int(khRaw)%5 + 1
 		kw := int(kwRaw)%5 + 1
-		w := tensor.Rand(seed, 2, 3, kh, kw)
+		w := testkit.SeededTensor(seed, 2, 3, kh, kw)
 		subs := Decompose2D(w)
 		var total int
 		var sum float64
@@ -71,7 +71,7 @@ func TestDecomposePartitionsKernel(t *testing.T) {
 }
 
 func TestDecompose3DPartitionsKernel(t *testing.T) {
-	w := tensor.Rand(3, 2, 2, 3, 3, 3)
+	w := testkit.SeededTensor(3, 2, 2, 3, 3, 3)
 	subs := decompose3D(w)
 	var total int
 	for _, s := range subs {
@@ -86,7 +86,7 @@ func TestDecompose3DPartitionsKernel(t *testing.T) {
 }
 
 func TestDecompose1x1HasEmptySubs(t *testing.T) {
-	w := tensor.Rand(1, 1, 1, 1, 1)
+	w := testkit.SeededTensor(1, 1, 1, 1, 1)
 	subs := Decompose2D(w)
 	if subs[0] == nil || subs[1] != nil || subs[2] != nil || subs[3] != nil {
 		t.Fatal("1x1 kernel should decompose into a single 1x1 sub-kernel")

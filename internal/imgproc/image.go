@@ -87,22 +87,6 @@ func splitCoord(v float32) (int, float32) {
 
 func clampInt(v, lo, hi int) int { return min(max(v, lo), hi) }
 
-// Sub returns the element-wise difference a-b. It panics on size mismatch.
-func Sub(a, b *Image) *Image {
-	mustSameSize(a, b, "Sub")
-	out := NewImage(a.W, a.H)
-	for i := range out.Pix {
-		out.Pix[i] = a.Pix[i] - b.Pix[i]
-	}
-	return out
-}
-
-func mustSameSize(a, b *Image, op string) {
-	if a.W != b.W || a.H != b.H {
-		panic(fmt.Sprintf("imgproc: %s size mismatch %dx%d vs %dx%d", op, a.W, a.H, b.W, b.H))
-	}
-}
-
 // Upsample2 returns the image bilinearly enlarged to exactly w×h
 // (typically 2× the input), sampling with replicate border handling as
 // Bilinear does.

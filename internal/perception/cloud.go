@@ -117,26 +117,15 @@ func (c *Cloud) Stats() CloudStats {
 //	count ×  4 float32 (x, y, z, intensity)
 //	uint32   IEEE CRC32 of everything before it (magic included)
 //
-// Like the session snapshot codec it is strictly versioned and fully
-// validated: truncation, bad counts, non-finite coordinates, trailing
-// bytes, or a CRC mismatch yield a typed *CloudError, never a panic.
+// The bytes are canonical: one cloud has one encoding. The server only
+// writes the format; its reference reader, which refuses truncation, bad
+// counts, non-finite coordinates, trailing bytes and CRC mismatches, lives
+// with the tests (decodeCloud in codec_test.go) that hold EncodeCloud to it.
 
 // CloudCodecVersion is the wire-format version this build writes.
 const CloudCodecVersion = 1
 
 const cloudMagic = "ASVPCD"
-
-// cloudMaxDim caps the decoded grid dimensions.
-const cloudMaxDim = 1 << 15
-
-// CloudError is the typed failure for corrupt point-cloud bytes.
-type CloudError struct{ msg string }
-
-func (e *CloudError) Error() string { return "cloud: " + e.msg }
-
-func cloudErrf(format string, args ...any) *CloudError {
-	return &CloudError{msg: fmt.Sprintf(format, args...)}
-}
 
 // EncodeCloud serializes the cloud into the versioned binary format.
 func EncodeCloud(c *Cloud) []byte {
@@ -153,59 +142,4 @@ func EncodeCloud(c *Cloud) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(p.I))
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-// DecodeCloud parses and validates cloud bytes. maxPoints bounds the
-// allocation a hostile payload can force (≤ 0 selects a 2^24 default).
-// Anything DecodeCloud accepts re-encodes to the identical bytes.
-func DecodeCloud(data []byte, maxPoints int) (*Cloud, error) {
-	if maxPoints <= 0 {
-		maxPoints = 1 << 24
-	}
-	header := len(cloudMagic) + 1 + 12
-	if len(data) < header+4 {
-		return nil, cloudErrf("%d bytes is shorter than any cloud", len(data))
-	}
-	if string(data[:len(cloudMagic)]) != cloudMagic {
-		return nil, cloudErrf("bad magic %q", data[:len(cloudMagic)])
-	}
-	if v := data[len(cloudMagic)]; v != CloudCodecVersion {
-		return nil, cloudErrf("unsupported version %d (this build reads %d)", v, CloudCodecVersion)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, cloudErrf("checksum mismatch (computed %08x, recorded %08x)", got, want)
-	}
-	pos := len(cloudMagic) + 1
-	w := binary.LittleEndian.Uint32(body[pos:])
-	h := binary.LittleEndian.Uint32(body[pos+4:])
-	n := binary.LittleEndian.Uint32(body[pos+8:])
-	pos += 12
-	if w < 1 || w > cloudMaxDim || h < 1 || h > cloudMaxDim {
-		return nil, cloudErrf("grid %dx%d out of range [1, %d]", w, h, cloudMaxDim)
-	}
-	if uint64(n) > uint64(w)*uint64(h) {
-		return nil, cloudErrf("%d points exceed the %dx%d grid", n, w, h)
-	}
-	if int64(n) > int64(maxPoints) {
-		return nil, cloudErrf("%d points exceed the %d-point cap", n, maxPoints)
-	}
-	if len(body)-pos != 16*int(n) {
-		return nil, cloudErrf("payload is %d bytes, %d points need %d", len(body)-pos, n, 16*int(n))
-	}
-	out := &Cloud{W: int(w), H: int(h), Points: make([]Point, n)}
-	for i := range out.Points {
-		p := &out.Points[i]
-		p.X = math.Float32frombits(binary.LittleEndian.Uint32(body[pos:]))
-		p.Y = math.Float32frombits(binary.LittleEndian.Uint32(body[pos+4:]))
-		p.Z = math.Float32frombits(binary.LittleEndian.Uint32(body[pos+8:]))
-		p.I = math.Float32frombits(binary.LittleEndian.Uint32(body[pos+12:]))
-		pos += 16
-		for _, v := range [4]float32{p.X, p.Y, p.Z, p.I} {
-			if v != v || math.IsInf(float64(v), 0) {
-				return nil, cloudErrf("non-finite coordinate in point %d", i)
-			}
-		}
-	}
-	return out, nil
 }

@@ -40,7 +40,7 @@ func FuzzCalibrationJSON(f *testing.F) {
 }
 
 // FuzzCloudDecode hammers the binary point-cloud decoder. Contract: never
-// panic, reject only with *CloudError, and anything accepted must re-encode
+// panic, reject only with *cloudError, and anything accepted must re-encode
 // to the identical bytes (the codec is canonical).
 func FuzzCloudDecode(f *testing.F) {
 	f.Add(EncodeCloud(&Cloud{W: 1, H: 1}))
@@ -51,11 +51,11 @@ func FuzzCloudDecode(f *testing.F) {
 	f.Add(damaged)
 	f.Add([]byte("ASVPCD"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeCloud(data, 1<<16)
+		c, err := decodeCloud(data, 1<<16)
 		if err != nil {
-			var ce *CloudError
+			var ce *cloudError
 			if !errors.As(err, &ce) {
-				t.Fatalf("rejection %v is not a *CloudError", err)
+				t.Fatalf("rejection %v is not a *cloudError", err)
 			}
 			return
 		}

@@ -154,9 +154,9 @@ func testCloud(t *testing.T) *Cloud {
 func TestCloudCodecRoundTrip(t *testing.T) {
 	cl := testCloud(t)
 	buf := EncodeCloud(cl)
-	got, err := DecodeCloud(buf, 0)
+	got, err := decodeCloud(buf, 0)
 	if err != nil {
-		t.Fatalf("DecodeCloud: %v", err)
+		t.Fatalf("decodeCloud: %v", err)
 	}
 	if got.W != cl.W || got.H != cl.H || len(got.Points) != len(cl.Points) {
 		t.Fatalf("shape changed: %dx%d/%d != %dx%d/%d",
@@ -176,10 +176,10 @@ func TestDecodeCloudRejectsDamage(t *testing.T) {
 	valid := EncodeCloud(testCloud(t))
 	mustFail := func(name string, data []byte) {
 		t.Helper()
-		_, err := DecodeCloud(data, 0)
-		var ce *CloudError
+		_, err := decodeCloud(data, 0)
+		var ce *cloudError
 		if err == nil || !errors.As(err, &ce) {
-			t.Errorf("%s: err=%v, want *CloudError", name, err)
+			t.Errorf("%s: err=%v, want *cloudError", name, err)
 		}
 	}
 	mustFail("empty", nil)
@@ -191,7 +191,7 @@ func TestDecodeCloudRejectsDamage(t *testing.T) {
 	bumped := append([]byte(nil), valid...)
 	bumped[6] = 99
 	mustFail("future version", bumped)
-	if _, err := DecodeCloud(valid, 1); err == nil {
+	if _, err := decodeCloud(valid, 1); err == nil {
 		t.Error("point cap not enforced")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"asv/internal/core"
+	"asv/internal/dataset"
 	"asv/internal/imgproc"
 	"asv/internal/quality"
 )
@@ -301,7 +302,7 @@ func TestDegradedSessionSnapshotDropsState(t *testing.T) {
 	if snap.State.PrevLeft != nil || snap.State.FrameIdx != 0 {
 		t.Fatalf("degraded snapshot kept temporal state: %+v", snap.State)
 	}
-	restored, err := s.sessionFromSnapshot(snap)
+	restored, err := s.newSession(snap)
 	if err != nil {
 		t.Fatalf("restoring degraded snapshot: %v", err)
 	}
@@ -327,14 +328,13 @@ type testFrame struct{ left, right *imgproc.Image }
 
 func presetSeq(t *testing.T, w, h, n int) []testFrame {
 	t.Helper()
-	src, err := (&Server{cfg: DefaultConfig()}).buildPreset(CreateSessionRequest{Preset: "sceneflow", W: w, H: h, Frames: n})
+	ps, err := presetFor(CreateSessionRequest{Preset: "sceneflow", W: w, H: h, Frames: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]testFrame, n)
-	for i := range out {
-		l, r := src.frame()
-		out[i] = testFrame{left: l, right: r}
+	for i, fr := range dataset.Generate(ps.Scene).Frames {
+		out[i] = testFrame{left: fr.Left, right: fr.Right}
 	}
 	return out
 }

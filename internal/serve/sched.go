@@ -143,9 +143,7 @@ func (s *Server) drain(sess *session) {
 // stream are one frame path observing the same metric stages — and replies.
 func (s *Server) process(it *workItem, queueWait time.Duration) {
 	rep := frameReply{queueWait: queueWait}
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Stage("queue").Observe(queueWait)
-	}
+	s.cfg.Metrics.Stage("queue").Observe(queueWait)
 	defer func() {
 		// A panic in a kernel must not take the server down; it becomes a
 		// 500 on this one request. The session's pipeline state is intact
@@ -166,9 +164,13 @@ func (s *Server) process(it *workItem, queueWait time.Duration) {
 	// written here outside it, and only then is the reply sent: when the
 	// cadence is every frame, a client that has seen frame N's reply is
 	// guaranteed the spill store holds frame N's state — the invariant the
-	// chaos recovery path depends on.
+	// chaos recovery path depends on. The deleted mark is read after the
+	// write, so a DELETE that removed the file first is not undone.
 	if checkpoint := s.runFrame(it, &rep); checkpoint != nil {
 		s.persist(it.sess.id, checkpoint, &s.checkpoints)
+		if it.sess.deleted.Load() {
+			s.dropSpill(it.sess.id)
+		}
 	}
 }
 
@@ -198,9 +200,7 @@ func (s *Server) runFrame(it *workItem, rep *frameReply) (checkpoint []byte) {
 	if calib := it.sess.calib; calib != nil && !calib.Rectified() {
 		tr := time.Now()
 		left, right = calib.RectifyPair(left, right)
-		if s.cfg.Metrics != nil {
-			s.cfg.Metrics.Stage("rectify").Observe(time.Since(tr))
-		}
+		s.cfg.Metrics.Stage("rectify").Observe(time.Since(tr))
 	}
 	if it.wantLeft {
 		rep.left = left

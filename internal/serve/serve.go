@@ -72,8 +72,7 @@ type Config struct {
 	// overridden per session).
 	Pipeline core.Config
 	// Metrics receives per-stage latencies ("queue", "keymatch", "flow",
-	// "propagate+refine", "frame"). Nil disables stage metrics (the
-	// /metrics endpoint then reports counters only).
+	// "propagate+refine", "frame"). Nil installs a fresh registry.
 	Metrics *metrics.Registry
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
@@ -97,12 +96,6 @@ type Config struct {
 	// writes a session's snapshot to the spill store every N completed
 	// frames, bounding how much stream state a shard crash can lose.
 	CheckpointEvery int
-	// Ladder is the operating-point ladder best-effort sessions may degrade
-	// along under load (DESIGN.md §12). Nil installs quality.DefaultLadder;
-	// an invalid ladder panics in New (it is a configuration error on par
-	// with a nil matcher). Rung 0 is always the undegraded operating point —
-	// gold sessions never leave it.
-	Ladder quality.Ladder
 	// DefaultDeadline is the per-frame latency target assumed for
 	// best-effort sessions that do not set their own: the ladder controller
 	// picks the cheapest rung predicted to complete within it given the
@@ -128,7 +121,6 @@ func DefaultConfig() Config {
 		PW:              4,
 		Pipeline:        core.DefaultConfig(),
 		Metrics:         metrics.NewRegistry(),
-		Ladder:          quality.DefaultLadder(),
 		DefaultDeadline: 250 * time.Millisecond,
 
 		BestEffortOvercommit: 8,
@@ -161,8 +153,8 @@ func (c Config) withDefaults() Config {
 	if c.Pipeline.PW == 0 {
 		c.Pipeline = d.Pipeline
 	}
-	if c.Ladder == nil {
-		c.Ladder = d.Ladder
+	if c.Metrics == nil {
+		c.Metrics = d.Metrics
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = d.DefaultDeadline
@@ -183,11 +175,11 @@ type Server struct {
 	httpSrv *http.Server // set by Start; nil when mounted via Handler
 	started time.Time
 
-	// Operating-point ladder state (DESIGN.md §12): the validated ladder,
-	// one pre-built key matcher per rung (rung 0 holds the server's
-	// configured matcher, so the top rung stays bit-identical to the
-	// pre-ladder path), and the EWMA latency controller that picks rungs
-	// for best-effort frames.
+	// Operating-point ladder state (DESIGN.md §12): quality.DefaultLadder,
+	// along which best-effort sessions degrade under load, one pre-built key
+	// matcher per rung (rung 0 holds the server's configured matcher, so the
+	// top rung stays bit-identical to the pre-ladder path), and the EWMA
+	// latency controller that picks rungs for best-effort frames.
 	ladder       quality.Ladder
 	rungMatchers []core.KeyMatcher
 	ctl          *quality.Controller
@@ -277,10 +269,7 @@ func New(matcher core.KeyMatcher, cfg Config) *Server {
 		serveErr:    make(chan error, 1),
 		janitorStop: make(chan struct{}),
 	}
-	s.ladder = s.cfg.Ladder
-	if err := s.ladder.Validate(); err != nil {
-		panic("serve: " + err.Error())
-	}
+	s.ladder = quality.DefaultLadder()
 	s.rungMatchers = make([]core.KeyMatcher, len(s.ladder))
 	for i, r := range s.ladder {
 		s.rungMatchers[i] = r.BuildMatcher(matcher)
@@ -551,10 +540,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	doc := map[string]any{
 		"serve":  s.CountersSnapshot(),
-		"stages": map[string]any{},
-	}
-	if s.cfg.Metrics != nil {
-		doc["stages"] = s.cfg.Metrics.Snapshot()
+		"stages": s.cfg.Metrics.Snapshot(),
 	}
 	if s.costEst != nil {
 		doc["backend"] = s.costEst
@@ -683,14 +669,17 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var calib *perception.Calibration
+	// A new session is a fresh snapshot of the request over the server's
+	// pipeline template, built by the constructor every restore uses.
+	snap := &SessionSnapshot{ID: id, Pipeline: s.cfg.Pipeline}
+	snap.Pipeline.PW = pw
+	snap.Pipeline.Postprocess = req.Postprocess
+	var err error
 	if len(req.Calibration) > 0 {
-		c, err := perception.ParseCalibration(req.Calibration)
-		if err != nil {
+		if snap.Calib, err = perception.ParseCalibration(req.Calibration); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		calib = c
 	}
 
 	slo, err := quality.ParseClass(req.SLO)
@@ -709,34 +698,26 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cfg := s.cfg.Pipeline
-	cfg.PW = pw
-	cfg.Postprocess = req.Postprocess
-	sess := &session{
-		id:         id,
-		pipe:       core.New(s.matcher, cfg),
-		created:    time.Now(),
-		calib:      calib,
-		slo:        slo,
-		deadlineMs: deadlineMs,
-	}
-	sess.touch()
-
 	if req.Preset != "" {
-		src, err := s.buildPreset(req)
-		if err != nil {
+		if snap.Preset, err = presetFor(req); err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		sess.preset = src
 	}
-
+	sess, err := s.newSession(snap)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	sess.slo, sess.deadlineMs = slo, deadlineMs
 	s.installSession(sess)
 	writeJSON(w, http.StatusCreated, s.info(sess))
 }
 
-// buildPreset validates and generates a synthetic frame source.
-func (s *Server) buildPreset(req CreateSessionRequest) (*presetSource, error) {
+// presetFor resolves a create request's synthetic source: the defaults, the
+// smallest usable scene and the named generator. This server's size and
+// length caps are newSession's to check.
+func presetFor(req CreateSessionRequest) (*PresetSnapshot, error) {
 	w, h, frames := req.W, req.H, req.Frames
 	if w == 0 {
 		w = 128
@@ -747,11 +728,11 @@ func (s *Server) buildPreset(req CreateSessionRequest) (*presetSource, error) {
 	if frames == 0 {
 		frames = 16
 	}
-	if w < 16 || h < 16 || w*h > s.cfg.MaxPixels {
-		return nil, fmt.Errorf("preset size %dx%d out of range (min 16x16, max %d pixels)", w, h, s.cfg.MaxPixels)
+	if w < 16 || h < 16 {
+		return nil, fmt.Errorf("preset size %dx%d out of range (min 16x16)", w, h)
 	}
-	if frames < 1 || frames > s.cfg.MaxPresetFrames {
-		return nil, fmt.Errorf("preset frames %d out of range [1,%d]", frames, s.cfg.MaxPresetFrames)
+	if frames < 1 {
+		return nil, fmt.Errorf("preset frames %d out of range (min 1)", frames)
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -767,7 +748,7 @@ func (s *Server) buildPreset(req CreateSessionRequest) (*presetSource, error) {
 	default:
 		return nil, fmt.Errorf("unknown preset %q (sceneflow|kitti)", req.Preset)
 	}
-	return &presetSource{name: req.Preset, cfg: cfg, seq: dataset.Generate(cfg)}, nil
+	return &PresetSnapshot{Name: req.Preset, Scene: cfg}, nil
 }
 
 func (s *Server) info(sess *session) SessionInfo {
@@ -805,7 +786,13 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	removed := s.tab.remove(id)
+	removed := false
+	if sess := s.tab.remove(id); sess != nil {
+		// Marked before the spill file goes: a frame still running writes
+		// its checkpoint, sees the mark and removes the file itself.
+		sess.deleted.Store(true)
+		removed = true
+	}
 	if path := s.spillPath(id); path != "" {
 		if _, err := os.Stat(path); err == nil {
 			removed = true
@@ -892,10 +879,7 @@ func (s *Server) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
 // the current backlog has drained far enough that a retry has a real chance,
 // from the live queue depth and the observed p95 frame latency.
 func (s *Server) retryAfterHint() int {
-	var p95 time.Duration
-	if s.cfg.Metrics != nil {
-		p95 = s.cfg.Metrics.Stage("frame").Quantile(0.95)
-	}
+	p95 := s.cfg.Metrics.Stage("frame").Quantile(0.95)
 	return retryAfterSeconds(int(s.inflight.Load()), s.cfg.Workers, p95)
 }
 

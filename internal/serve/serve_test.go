@@ -53,9 +53,6 @@ func quickMatcher(delay time.Duration) testMatcher {
 // cleanup-registered handle.
 func testServer(t *testing.T, cfg Config, delay time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 	s := New(quickMatcher(delay), cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

@@ -81,6 +81,9 @@ type session struct {
 	// session with queued work.
 	lastUseNs     atomic.Int64
 	pendingFrames atomic.Int64
+	// deleted is set by DELETE before it removes the spill file; a frame
+	// that checkpoints afterwards removes its file again.
+	deleted atomic.Bool
 	// frames counts completed frames; keyFrames counts how many ran the
 	// key matcher.
 	frames    atomic.Int64
@@ -236,13 +239,13 @@ func (t *sessionTable) list() []*session {
 	return out
 }
 
-// remove unlinks a session by id, returning whether it was present.
-func (t *sessionTable) remove(id string) bool {
+// remove unlinks a session by id, returning it (nil when absent).
+func (t *sessionTable) remove(id string) *session {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.byID[id]
+	s := t.byID[id]
 	delete(t.byID, id)
-	return ok
+	return s
 }
 
 // expire evicts every idle session whose last use is older than ttl,

@@ -8,10 +8,8 @@ import (
 
 	"asv/internal/core"
 	"asv/internal/dataset"
-	"asv/internal/flow"
 	"asv/internal/imgproc"
 	"asv/internal/perception"
-	"asv/internal/stereo"
 )
 
 // Session snapshot wire format (version 2).
@@ -31,7 +29,7 @@ import (
 //
 //	[7]byte  magic "ASVSNAP"
 //	uint8    version (2)
-//	...      version-2 payload (see encode below)
+//	...      version-2 payload (see walk below)
 //	uint32   IEEE CRC32 of everything before it (magic included)
 //
 // The format is strictly versioned: a decoder refuses unknown versions and
@@ -43,7 +41,9 @@ import (
 // byte + 11 float64 fields) after the preset block. Decoders refuse other
 // versions outright — a v1 snapshot cannot distinguish "uncalibrated" from
 // "calibration lost", so it is rejected rather than silently upgraded
-// (testdata/snapshot_v1.asvsnap pins that behavior).
+// (testdata/snapshot_v1.asvsnap pins that behavior). The v2 bytes
+// themselves are pinned by testdata/snapshot_v2.asvsnap, which must decode
+// and re-encode unchanged.
 
 // SnapshotVersion is the wire-format version this build writes.
 const SnapshotVersion = 2
@@ -65,19 +65,14 @@ func snapErrf(format string, args ...any) *SnapshotError {
 
 // SessionSnapshot is the decoded form of a session snapshot.
 type SessionSnapshot struct {
-	ID          string
-	PW          int
-	Postprocess bool
+	ID string
 
-	// Pipeline options that affect the stream's numerical results. A
-	// restored session must recompute exactly what the source would have,
-	// so the snapshot carries them instead of trusting the destination
-	// server's template.
-	FlowScale int
-	RefineR   int
-	BM        stereo.BMOptions
-	Flow      flow.Options
-	Adaptive  *core.AdaptiveConfig
+	// Pipeline is the session's ISM configuration: every option that affects
+	// the stream's numerical results, so a restored session recomputes
+	// exactly what the source would have instead of trusting the destination
+	// server's template. ME is not serialized; restore takes it from the
+	// template.
+	Pipeline core.Config
 
 	// Frames and KeyFrames mirror the session's completed-frame counters.
 	Frames, KeyFrames int64
@@ -106,257 +101,17 @@ type PresetSnapshot struct {
 	Next  int64
 }
 
-// --- encoding -----------------------------------------------------------
-
-type snapEncoder struct{ buf []byte }
-
-func (e *snapEncoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *snapEncoder) bool(v bool)  { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
-func (e *snapEncoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *snapEncoder) i64(v int64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v)) }
-func (e *snapEncoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *snapEncoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *snapEncoder) image(im *imgproc.Image) {
-	if im == nil {
-		e.u8(0)
-		return
-	}
-	e.u8(1)
-	e.u32(uint32(im.W))
-	e.u32(uint32(im.H))
-	for _, px := range im.Pix {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, math.Float32bits(px))
-	}
-}
-
 // EncodeSnapshot serializes snap into the versioned binary format.
 func EncodeSnapshot(snap *SessionSnapshot) []byte {
-	e := &snapEncoder{buf: make([]byte, 0, snapshotSizeHint(snap))}
-	e.buf = append(e.buf, snapshotMagic...)
-	e.u8(SnapshotVersion)
-
-	e.str(snap.ID)
-	e.u32(uint32(snap.PW))
-	e.bool(snap.Postprocess)
-
-	e.u32(uint32(snap.FlowScale))
-	e.u32(uint32(snap.RefineR))
-	e.u32(uint32(snap.BM.BlockR))
-	e.u32(uint32(snap.BM.MaxDisp))
-	e.bool(snap.BM.Subpixel)
-	e.f64(snap.BM.UniqRatio)
-	e.u32(uint32(snap.BM.Census))
-	e.bool(snap.BM.Fixed)
-	e.u32(uint32(snap.Flow.Levels))
-	e.f64(snap.Flow.PyrSigma)
-	e.f64(snap.Flow.PolySigma)
-	e.u32(uint32(snap.Flow.PolyR))
-	e.f64(snap.Flow.WinSigma)
-	e.u32(uint32(snap.Flow.Iters))
-	if snap.Adaptive != nil {
-		e.u8(1)
-		e.u32(uint32(snap.Adaptive.MaxWindow))
-		e.f64(snap.Adaptive.MotionThresholdPx)
-	} else {
-		e.u8(0)
-	}
-
-	e.i64(snap.Frames)
-	e.i64(snap.KeyFrames)
-	e.u32(uint32(snap.W))
-	e.u32(uint32(snap.H))
-
-	e.u32(uint32(snap.State.FrameIdx))
-	e.u32(uint32(snap.State.SinceKey))
-	e.bool(snap.State.NeedKey)
-	e.image(snap.State.PrevLeft)
-	e.image(snap.State.PrevRight)
-	e.image(snap.State.PrevDisp)
-
-	if snap.Preset != nil {
-		e.u8(1)
-		e.str(snap.Preset.Name)
-		sc := snap.Preset.Scene
-		e.u32(uint32(sc.W))
-		e.u32(uint32(sc.H))
-		e.u32(uint32(sc.FrameCount))
-		e.u32(uint32(sc.Layers))
-		e.f64(sc.MinDisp)
-		e.f64(sc.MaxDisp)
-		e.f64(sc.MaxVel)
-		e.f64(sc.MaxDispVel)
-		e.bool(sc.Ground)
-		e.f64(sc.Noise)
-		e.f64(sc.RightGain)
-		e.i64(sc.Seed)
-		e.i64(snap.Preset.Next)
-	} else {
-		e.u8(0)
-	}
-
-	if snap.Calib != nil {
-		e.u8(1)
-		c := snap.Calib
-		e.f64(c.Fx)
-		e.f64(c.Fy)
-		e.f64(c.Cx)
-		e.f64(c.Cy)
-		e.f64(c.BaselineM)
-		for _, a := range c.LeftRPY {
-			e.f64(a)
-		}
-		for _, a := range c.RightRPY {
-			e.f64(a)
-		}
-	} else {
-		e.u8(0)
-	}
-
-	e.u32(crc32.ChecksumIEEE(e.buf))
-	return e.buf
-}
-
-func snapshotSizeHint(snap *SessionSnapshot) int {
 	n := 512
 	for _, im := range []*imgproc.Image{snap.State.PrevLeft, snap.State.PrevRight, snap.State.PrevDisp} {
 		if im != nil {
 			n += 9 + 4*len(im.Pix)
 		}
 	}
-	return n
-}
-
-// --- decoding -----------------------------------------------------------
-
-type snapDecoder struct {
-	buf       []byte
-	pos       int
-	maxPixels int
-}
-
-func (d *snapDecoder) need(n int, what string) error {
-	if d.pos+n > len(d.buf) {
-		return snapErrf("truncated reading %s (need %d bytes at offset %d of %d)", what, n, d.pos, len(d.buf))
-	}
-	return nil
-}
-
-func (d *snapDecoder) u8(what string) (uint8, error) {
-	if err := d.need(1, what); err != nil {
-		return 0, err
-	}
-	v := d.buf[d.pos]
-	d.pos++
-	return v, nil
-}
-
-func (d *snapDecoder) bool(what string) (bool, error) {
-	v, err := d.u8(what)
-	if err != nil {
-		return false, err
-	}
-	if v > 1 {
-		return false, snapErrf("bad boolean %d for %s", v, what)
-	}
-	return v == 1, nil
-}
-
-func (d *snapDecoder) u32(what string) (uint32, error) {
-	if err := d.need(4, what); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.pos:])
-	d.pos += 4
-	return v, nil
-}
-
-// count decodes a u32 that must fit in [0, maxInt] for counting uses.
-func (d *snapDecoder) count(what string, max int) (int, error) {
-	v, err := d.u32(what)
-	if err != nil {
-		return 0, err
-	}
-	if int64(v) > int64(max) {
-		return 0, snapErrf("%s %d exceeds the cap %d", what, v, max)
-	}
-	return int(v), nil
-}
-
-func (d *snapDecoder) i64(what string) (int64, error) {
-	if err := d.need(8, what); err != nil {
-		return 0, err
-	}
-	v := int64(binary.LittleEndian.Uint64(d.buf[d.pos:]))
-	d.pos += 8
-	return v, nil
-}
-
-func (d *snapDecoder) f64(what string) (float64, error) {
-	if err := d.need(8, what); err != nil {
-		return 0, err
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.pos:]))
-	d.pos += 8
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, snapErrf("non-finite value for %s", what)
-	}
-	return v, nil
-}
-
-func (d *snapDecoder) str(what string) (string, error) {
-	n, err := d.count(what+" length", snapMaxString)
-	if err != nil {
-		return "", err
-	}
-	if err := d.need(n, what); err != nil {
-		return "", err
-	}
-	s := string(d.buf[d.pos : d.pos+n])
-	d.pos += n
-	return s, nil
-}
-
-func (d *snapDecoder) image(what string) (*imgproc.Image, error) {
-	present, err := d.u8(what + " presence")
-	if err != nil {
-		return nil, err
-	}
-	if present == 0 {
-		return nil, nil
-	}
-	if present != 1 {
-		return nil, snapErrf("bad presence byte %d for %s", present, what)
-	}
-	w, err := d.count(what+" width", 1<<15)
-	if err != nil {
-		return nil, err
-	}
-	h, err := d.count(what+" height", 1<<15)
-	if err != nil {
-		return nil, err
-	}
-	if w < 1 || h < 1 {
-		return nil, snapErrf("%s size %dx%d is empty", what, w, h)
-	}
-	if w*h > d.maxPixels {
-		return nil, snapErrf("%s size %dx%d exceeds the %d-pixel cap", what, w, h, d.maxPixels)
-	}
-	if err := d.need(4*w*h, what+" pixels"); err != nil {
-		return nil, err
-	}
-	im := imgproc.NewImage(w, h)
-	for i := range im.Pix {
-		im.Pix[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[d.pos+4*i:]))
-	}
-	d.pos += 4 * w * h
-	return im, nil
+	c := snapCodec{out: append(append(make([]byte, 0, n), snapshotMagic...), SnapshotVersion)}
+	c.walk(snap)
+	return binary.LittleEndian.AppendUint32(c.out, crc32.ChecksumIEEE(c.out))
 }
 
 // DecodeSnapshot parses and structurally validates snapshot bytes. Images
@@ -380,219 +135,274 @@ func DecodeSnapshot(data []byte, maxPixels int) (*SessionSnapshot, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
 		return nil, snapErrf("checksum mismatch (computed %08x, recorded %08x)", got, want)
 	}
-
-	d := &snapDecoder{buf: body, pos: len(snapshotMagic) + 1, maxPixels: maxPixels}
+	c := snapCodec{decoding: true, in: body, pos: len(snapshotMagic) + 1, maxPixels: maxPixels}
 	snap := &SessionSnapshot{}
-	var err error
-	if snap.ID, err = d.str("session id"); err != nil {
-		return nil, err
+	c.walk(snap)
+	if c.err == nil && c.pos != len(body) {
+		c.fail("%d trailing bytes after the payload", len(body)-c.pos)
 	}
-	if !validSessionID(snap.ID) {
-		return nil, snapErrf("invalid session id %q", snap.ID)
-	}
-	if snap.PW, err = d.count("pw", 64); err != nil {
-		return nil, err
-	}
-	if snap.PW < 1 {
-		return nil, snapErrf("pw %d out of range", snap.PW)
-	}
-	if snap.Postprocess, err = d.bool("postprocess"); err != nil {
-		return nil, err
-	}
-
-	if snap.FlowScale, err = d.count("flow scale", 64); err != nil {
-		return nil, err
-	}
-	if snap.RefineR, err = d.count("refine radius", 256); err != nil {
-		return nil, err
-	}
-	if snap.BM.BlockR, err = d.count("bm block radius", 256); err != nil {
-		return nil, err
-	}
-	if snap.BM.MaxDisp, err = d.count("bm max disparity", 1<<12); err != nil {
-		return nil, err
-	}
-	if snap.BM.Subpixel, err = d.bool("bm subpixel"); err != nil {
-		return nil, err
-	}
-	if snap.BM.UniqRatio, err = d.f64("bm uniqueness ratio"); err != nil {
-		return nil, err
-	}
-	if snap.BM.Census, err = d.count("bm census radius", 256); err != nil {
-		return nil, err
-	}
-	if snap.BM.Fixed, err = d.bool("bm fixed-point"); err != nil {
-		return nil, err
-	}
-	if snap.Flow.Levels, err = d.count("flow levels", 64); err != nil {
-		return nil, err
-	}
-	if snap.Flow.PyrSigma, err = d.f64("flow pyramid sigma"); err != nil {
-		return nil, err
-	}
-	if snap.Flow.PolySigma, err = d.f64("flow poly sigma"); err != nil {
-		return nil, err
-	}
-	if snap.Flow.PolyR, err = d.count("flow poly radius", 256); err != nil {
-		return nil, err
-	}
-	if snap.Flow.WinSigma, err = d.f64("flow window sigma"); err != nil {
-		return nil, err
-	}
-	if snap.Flow.Iters, err = d.count("flow iterations", 1024); err != nil {
-		return nil, err
-	}
-	hasAdaptive, err := d.bool("adaptive presence")
-	if err != nil {
-		return nil, err
-	}
-	if hasAdaptive {
-		var a core.AdaptiveConfig
-		if a.MaxWindow, err = d.count("adaptive max window", 1<<10); err != nil {
-			return nil, err
-		}
-		if a.MotionThresholdPx, err = d.f64("adaptive motion threshold"); err != nil {
-			return nil, err
-		}
-		if a.MaxWindow < 1 || a.MotionThresholdPx <= 0 {
-			return nil, snapErrf("adaptive config (window %d, threshold %g) out of range", a.MaxWindow, a.MotionThresholdPx)
-		}
-		snap.Adaptive = &a
-	}
-
-	if snap.Frames, err = d.i64("frame counter"); err != nil {
-		return nil, err
-	}
-	if snap.KeyFrames, err = d.i64("key-frame counter"); err != nil {
-		return nil, err
-	}
-	if snap.Frames < 0 || snap.KeyFrames < 0 || snap.KeyFrames > snap.Frames {
-		return nil, snapErrf("counters (%d frames, %d key) are inconsistent", snap.Frames, snap.KeyFrames)
-	}
-	if snap.W, err = d.count("geometry width", 1<<15); err != nil {
-		return nil, err
-	}
-	if snap.H, err = d.count("geometry height", 1<<15); err != nil {
-		return nil, err
-	}
-
-	if snap.State.FrameIdx, err = d.count("state frame index", 1<<31-1); err != nil {
-		return nil, err
-	}
-	if snap.State.SinceKey, err = d.count("state since-key", 1<<31-1); err != nil {
-		return nil, err
-	}
-	if snap.State.NeedKey, err = d.bool("state need-key"); err != nil {
-		return nil, err
-	}
-	if snap.State.PrevLeft, err = d.image("previous left"); err != nil {
-		return nil, err
-	}
-	if snap.State.PrevRight, err = d.image("previous right"); err != nil {
-		return nil, err
-	}
-	if snap.State.PrevDisp, err = d.image("previous disparity"); err != nil {
-		return nil, err
-	}
-
-	hasPreset, err := d.bool("preset presence")
-	if err != nil {
-		return nil, err
-	}
-	if hasPreset {
-		ps := &PresetSnapshot{}
-		if ps.Name, err = d.str("preset name"); err != nil {
-			return nil, err
-		}
-		if ps.Scene.W, err = d.count("scene width", 1<<15); err != nil {
-			return nil, err
-		}
-		if ps.Scene.H, err = d.count("scene height", 1<<15); err != nil {
-			return nil, err
-		}
-		if ps.Scene.FrameCount, err = d.count("scene frame count", 1<<20); err != nil {
-			return nil, err
-		}
-		if ps.Scene.Layers, err = d.count("scene layers", 1<<10); err != nil {
-			return nil, err
-		}
-		if ps.Scene.MinDisp, err = d.f64("scene min disparity"); err != nil {
-			return nil, err
-		}
-		if ps.Scene.MaxDisp, err = d.f64("scene max disparity"); err != nil {
-			return nil, err
-		}
-		if ps.Scene.MaxVel, err = d.f64("scene max velocity"); err != nil {
-			return nil, err
-		}
-		if ps.Scene.MaxDispVel, err = d.f64("scene max disparity velocity"); err != nil {
-			return nil, err
-		}
-		if ps.Scene.Ground, err = d.bool("scene ground plane"); err != nil {
-			return nil, err
-		}
-		if ps.Scene.Noise, err = d.f64("scene noise"); err != nil {
-			return nil, err
-		}
-		if ps.Scene.RightGain, err = d.f64("scene right gain"); err != nil {
-			return nil, err
-		}
-		if ps.Scene.Seed, err = d.i64("scene seed"); err != nil {
-			return nil, err
-		}
-		if ps.Next, err = d.i64("preset cursor"); err != nil {
-			return nil, err
-		}
-		if ps.Next < 0 {
-			return nil, snapErrf("negative preset cursor %d", ps.Next)
-		}
-		if ps.Scene.W < 16 || ps.Scene.H < 16 || ps.Scene.FrameCount < 1 ||
-			ps.Scene.MinDisp < 0 || ps.Scene.MaxDisp < ps.Scene.MinDisp {
-			return nil, snapErrf("preset scene config out of range (%dx%d, %d frames, disparity [%g, %g])",
-				ps.Scene.W, ps.Scene.H, ps.Scene.FrameCount, ps.Scene.MinDisp, ps.Scene.MaxDisp)
-		}
-		snap.Preset = ps
-	}
-
-	hasCalib, err := d.bool("calibration presence")
-	if err != nil {
-		return nil, err
-	}
-	if hasCalib {
-		c := &perception.Calibration{}
-		if c.Fx, err = d.f64("calibration fx"); err != nil {
-			return nil, err
-		}
-		if c.Fy, err = d.f64("calibration fy"); err != nil {
-			return nil, err
-		}
-		if c.Cx, err = d.f64("calibration cx"); err != nil {
-			return nil, err
-		}
-		if c.Cy, err = d.f64("calibration cy"); err != nil {
-			return nil, err
-		}
-		if c.BaselineM, err = d.f64("calibration baseline"); err != nil {
-			return nil, err
-		}
-		for i := range c.LeftRPY {
-			if c.LeftRPY[i], err = d.f64("calibration left rpy"); err != nil {
-				return nil, err
-			}
-		}
-		for i := range c.RightRPY {
-			if c.RightRPY[i], err = d.f64("calibration right rpy"); err != nil {
-				return nil, err
-			}
-		}
-		if err := c.Validate(); err != nil {
-			return nil, snapErrf("%v", err)
-		}
-		snap.Calib = c
-	}
-
-	if d.pos != len(body) {
-		return nil, snapErrf("%d trailing bytes after the payload", len(body)-d.pos)
+	if c.err != nil {
+		return nil, c.err
 	}
 	return snap, nil
+}
+
+// walk is the version-2 payload: every field in wire order, each with its
+// decode-time check. Encoding reads the fields of snap; decoding fills
+// them, and the checks only run then.
+func (c *snapCodec) walk(snap *SessionSnapshot) {
+	c.str(&snap.ID, "session id")
+	if c.decoding && !validSessionID(snap.ID) {
+		c.fail("invalid session id %q", snap.ID)
+	}
+	p := &snap.Pipeline
+	c.count(&p.PW, "pw", 64)
+	if c.decoding && p.PW < 1 {
+		c.fail("pw %d out of range", p.PW)
+	}
+	c.flag(&p.Postprocess, "postprocess")
+	c.count(&p.FlowScale, "flow scale", 64)
+	c.count(&p.RefineR, "refine radius", 256)
+	c.count(&p.BM.BlockR, "bm block radius", 256)
+	c.count(&p.BM.MaxDisp, "bm max disparity", 1<<12)
+	c.flag(&p.BM.Subpixel, "bm subpixel")
+	c.f64(&p.BM.UniqRatio, "bm uniqueness ratio")
+	c.count(&p.BM.Census, "bm census radius", 256)
+	c.flag(&p.BM.Fixed, "bm fixed-point") // selects nothing now; the byte keeps the format
+	c.count(&p.Flow.Levels, "flow levels", 64)
+	c.f64(&p.Flow.PyrSigma, "flow pyramid sigma")
+	c.f64(&p.Flow.PolySigma, "flow poly sigma")
+	c.count(&p.Flow.PolyR, "flow poly radius", 256)
+	c.f64(&p.Flow.WinSigma, "flow window sigma")
+	c.count(&p.Flow.Iters, "flow iterations", 1024)
+	if c.present(p.Adaptive != nil, "adaptive presence") {
+		if c.decoding {
+			p.Adaptive = &core.AdaptiveConfig{}
+		}
+		a := p.Adaptive
+		c.count(&a.MaxWindow, "adaptive max window", 1<<10)
+		c.f64(&a.MotionThresholdPx, "adaptive motion threshold")
+		if c.decoding && (a.MaxWindow < 1 || a.MotionThresholdPx <= 0) {
+			c.fail("adaptive config (window %d, threshold %g) out of range", a.MaxWindow, a.MotionThresholdPx)
+		}
+	}
+
+	c.i64(&snap.Frames, "frame counter")
+	c.i64(&snap.KeyFrames, "key-frame counter")
+	if c.decoding && (snap.Frames < 0 || snap.KeyFrames < 0 || snap.KeyFrames > snap.Frames) {
+		c.fail("counters (%d frames, %d key) are inconsistent", snap.Frames, snap.KeyFrames)
+	}
+	c.count(&snap.W, "geometry width", 1<<15)
+	c.count(&snap.H, "geometry height", 1<<15)
+
+	st := &snap.State
+	c.count(&st.FrameIdx, "state frame index", 1<<31-1)
+	c.count(&st.SinceKey, "state since-key", 1<<31-1)
+	c.flag(&st.NeedKey, "state need-key")
+	c.image(&st.PrevLeft, "previous left")
+	c.image(&st.PrevRight, "previous right")
+	c.image(&st.PrevDisp, "previous disparity")
+
+	if c.present(snap.Preset != nil, "preset presence") {
+		if c.decoding {
+			snap.Preset = &PresetSnapshot{}
+		}
+		ps, sc := snap.Preset, &snap.Preset.Scene
+		c.str(&ps.Name, "preset name")
+		c.count(&sc.W, "scene width", 1<<15)
+		c.count(&sc.H, "scene height", 1<<15)
+		c.count(&sc.FrameCount, "scene frame count", 1<<20)
+		c.count(&sc.Layers, "scene layers", 1<<10)
+		c.f64(&sc.MinDisp, "scene min disparity")
+		c.f64(&sc.MaxDisp, "scene max disparity")
+		c.f64(&sc.MaxVel, "scene max velocity")
+		c.f64(&sc.MaxDispVel, "scene max disparity velocity")
+		c.flag(&sc.Ground, "scene ground plane")
+		c.f64(&sc.Noise, "scene noise")
+		c.f64(&sc.RightGain, "scene right gain")
+		c.i64(&sc.Seed, "scene seed")
+		c.i64(&ps.Next, "preset cursor")
+		if c.decoding && ps.Next < 0 {
+			c.fail("negative preset cursor %d", ps.Next)
+		}
+		if c.decoding && (sc.W < 16 || sc.H < 16 || sc.FrameCount < 1 || sc.MinDisp < 0 || sc.MaxDisp < sc.MinDisp) {
+			c.fail("preset scene config out of range (%dx%d, %d frames, disparity [%g, %g])",
+				sc.W, sc.H, sc.FrameCount, sc.MinDisp, sc.MaxDisp)
+		}
+	}
+
+	if c.present(snap.Calib != nil, "calibration presence") {
+		if c.decoding {
+			snap.Calib = &perception.Calibration{}
+		}
+		cal := snap.Calib
+		c.f64(&cal.Fx, "calibration fx")
+		c.f64(&cal.Fy, "calibration fy")
+		c.f64(&cal.Cx, "calibration cx")
+		c.f64(&cal.Cy, "calibration cy")
+		c.f64(&cal.BaselineM, "calibration baseline")
+		for i := range cal.LeftRPY {
+			c.f64(&cal.LeftRPY[i], "calibration left rpy")
+		}
+		for i := range cal.RightRPY {
+			c.f64(&cal.RightRPY[i], "calibration right rpy")
+		}
+		if c.decoding && c.err == nil {
+			if err := cal.Validate(); err != nil {
+				c.fail("%v", err)
+			}
+		}
+	}
+}
+
+// snapCodec is one direction of the codec. Encoding appends each field to
+// out. Decoding reads each field from in at pos and validates it; the first
+// failure is kept in err and turns every later step into a no-op, so walk
+// needs no error check between fields.
+type snapCodec struct {
+	decoding  bool
+	out       []byte
+	in        []byte
+	pos       int
+	maxPixels int
+	err       *SnapshotError
+}
+
+// fail records the first decode failure.
+func (c *snapCodec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = snapErrf(format, args...)
+	}
+}
+
+// next consumes n input bytes, or returns nil (recording a truncation) when
+// fewer remain or an earlier step failed.
+func (c *snapCodec) next(n int, what string) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n > len(c.in)-c.pos {
+		c.fail("truncated reading %s (need %d bytes at offset %d of %d)", what, n, c.pos, len(c.in))
+		return nil
+	}
+	b := c.in[c.pos : c.pos+n]
+	c.pos += n
+	return b
+}
+
+func (c *snapCodec) u64(v *uint64, what string) {
+	if !c.decoding {
+		c.out = binary.LittleEndian.AppendUint64(c.out, *v)
+	} else if b := c.next(8, what); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// flag is a boolean byte: 0 or 1, anything else is damage.
+func (c *snapCodec) flag(v *bool, what string) {
+	if !c.decoding {
+		c.out = append(c.out, b2u8(*v))
+	} else if b := c.next(1, what); b != nil {
+		if b[0] > 1 {
+			c.fail("bad boolean %d for %s", b[0], what)
+		}
+		*v = b[0] == 1
+	}
+}
+
+func b2u8(v bool) uint8 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// present is an optional block's presence byte: it writes has, or reads
+// whether the block follows.
+func (c *snapCodec) present(has bool, what string) bool {
+	c.flag(&has, what)
+	return has && c.err == nil
+}
+
+// count is a u32 that must not exceed max.
+func (c *snapCodec) count(v *int, what string, max int) {
+	if !c.decoding {
+		c.out = binary.LittleEndian.AppendUint32(c.out, uint32(*v))
+	} else if b := c.next(4, what); b != nil {
+		u := binary.LittleEndian.Uint32(b)
+		if int64(u) > int64(max) {
+			c.fail("%s %d exceeds the cap %d", what, u, max)
+		}
+		*v = int(u)
+	}
+}
+
+func (c *snapCodec) i64(v *int64, what string) {
+	u := uint64(*v)
+	c.u64(&u, what)
+	if c.decoding {
+		*v = int64(u)
+	}
+}
+
+// f64 is an IEEE float64 that must be finite.
+func (c *snapCodec) f64(v *float64, what string) {
+	u := math.Float64bits(*v)
+	c.u64(&u, what)
+	if c.decoding && c.err == nil {
+		*v = math.Float64frombits(u)
+		if math.IsNaN(*v) || math.IsInf(*v, 0) {
+			c.fail("non-finite value for %s", what)
+		}
+	}
+}
+
+// str is a length-prefixed string of at most snapMaxString bytes.
+func (c *snapCodec) str(v *string, what string) {
+	n := len(*v)
+	c.count(&n, what, snapMaxString)
+	if !c.decoding {
+		c.out = append(c.out, *v...)
+	} else if b := c.next(n, what); b != nil {
+		*v = string(b)
+	}
+}
+
+// image is a presence byte and, when present, u32 width and height and the
+// float32 pixels. A decoded image must be non-empty and within maxPixels,
+// which is checked before its buffer is allocated.
+func (c *snapCodec) image(v **imgproc.Image, what string) {
+	if !c.present(*v != nil, what) {
+		return
+	}
+	var w, h int
+	if !c.decoding {
+		w, h = (*v).W, (*v).H
+	}
+	c.count(&w, what, 1<<15)
+	c.count(&h, what, 1<<15)
+	if !c.decoding {
+		// A local slice keeps the write barrier of c.out out of the loop.
+		out := c.out
+		for _, px := range (*v).Pix {
+			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(px))
+		}
+		c.out = out
+		return
+	}
+	if c.err == nil && (w < 1 || h < 1) {
+		c.fail("%s size %dx%d is empty", what, w, h)
+	}
+	if c.err == nil && w*h > c.maxPixels {
+		c.fail("%s size %dx%d exceeds the %d-pixel cap", what, w, h, c.maxPixels)
+	}
+	b := c.next(4*w*h, what)
+	if b == nil {
+		return
+	}
+	im := imgproc.NewImage(w, h)
+	for i := range im.Pix {
+		im.Pix[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	*v = im
 }

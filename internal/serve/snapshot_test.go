@@ -217,16 +217,39 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 		"since-key 0": {FrameIdx: 2, PrevLeft: im, PrevRight: im, PrevDisp: im},
 	} {
 		snap := EncodeSnapshot(&SessionSnapshot{
-			ID: "bad-state", PW: 3, FlowScale: 2, RefineR: 3,
-			BM:   DefaultConfig().Pipeline.BM,
-			Flow: DefaultConfig().Pipeline.Flow,
-			W:    8, H: 6, Frames: 2, KeyFrames: 1,
+			ID: "bad-state",
+			Pipeline: core.Config{PW: 3, FlowScale: 2, RefineR: 3,
+				BM: DefaultConfig().Pipeline.BM, Flow: DefaultConfig().Pipeline.Flow},
+			W: 8, H: 6, Frames: 2, KeyFrames: 1,
 			State: st,
 		})
 		if code, body := putSnapshot(t, ts.URL, "bad-state", snap); code != http.StatusUnprocessableEntity {
 			t.Errorf("%s: PUT snapshot: %d: %s, want 422", name, code, body)
 		}
 		resp, err := http.Get(ts.URL + "/v1/sessions/bad-state")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: refused snapshot left a session behind (GET %d)", name, resp.StatusCode)
+		}
+	}
+}
+
+// A well-formed snapshot whose pipeline options core.New would refuse (a
+// zero flow scale or refine radius) is refused on restore with 422, not a
+// panic in the handler, and installs nothing.
+func TestRestoreRefusesInvalidPipeline(t *testing.T) {
+	_, ts := testServer(t, DefaultConfig(), 0)
+	zeroScale, zeroRadius := DefaultConfig().Pipeline, DefaultConfig().Pipeline
+	zeroScale.FlowScale, zeroRadius.RefineR = 0, 0
+	for name, cfg := range map[string]core.Config{"flow scale 0": zeroScale, "refine radius 0": zeroRadius} {
+		snap := EncodeSnapshot(&SessionSnapshot{ID: "bad-pipe", Pipeline: cfg})
+		if code, body := putSnapshot(t, ts.URL, "bad-pipe", snap); code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: PUT snapshot: %d: %s, want 422", name, code, body)
+		}
+		resp, err := http.Get(ts.URL + "/v1/sessions/bad-pipe")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,10 +312,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	// Seed corpus: a real mid-stream preset snapshot, a minimal fresh
 	// session, and a few obviously damaged variants.
 	full := EncodeSnapshot(&SessionSnapshot{
-		ID: "seed1", PW: 3,
-		FlowScale: 2, RefineR: 2,
-		BM:     DefaultConfig().Pipeline.BM,
-		Flow:   DefaultConfig().Pipeline.Flow,
+		ID: "seed1",
+		Pipeline: core.Config{PW: 3, FlowScale: 2, RefineR: 2,
+			BM: DefaultConfig().Pipeline.BM, Flow: DefaultConfig().Pipeline.Flow},
 		Frames: 2, KeyFrames: 1, W: 8, H: 6,
 		State: core.State{
 			FrameIdx: 2, SinceKey: 1,
@@ -307,14 +329,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 		},
 	})
 	fresh := EncodeSnapshot(&SessionSnapshot{
-		ID: "seed2", PW: 1,
-		BM:   DefaultConfig().Pipeline.BM,
-		Flow: DefaultConfig().Pipeline.Flow,
+		ID: "seed2", Pipeline: core.Config{PW: 1, BM: DefaultConfig().Pipeline.BM, Flow: DefaultConfig().Pipeline.Flow},
 	})
 	calibrated := EncodeSnapshot(&SessionSnapshot{
-		ID: "seed3", PW: 2,
-		BM:    DefaultConfig().Pipeline.BM,
-		Flow:  DefaultConfig().Pipeline.Flow,
+		ID: "seed3", Pipeline: core.Config{PW: 2, BM: DefaultConfig().Pipeline.BM, Flow: DefaultConfig().Pipeline.Flow},
 		Calib: perception.DefaultCalibration(32, 24),
 	})
 	f.Add(full)
@@ -369,9 +387,7 @@ func TestSnapshotVersionCompat(t *testing.T) {
 	calib := perception.DefaultCalibration(32, 24)
 	calib.LeftRPY = [3]float64{0.01, -0.02, 0.005}
 	snap := &SessionSnapshot{
-		ID: "v2-rt", PW: 2,
-		BM:    DefaultConfig().Pipeline.BM,
-		Flow:  DefaultConfig().Pipeline.Flow,
+		ID: "v2-rt", Pipeline: core.Config{PW: 2, BM: DefaultConfig().Pipeline.BM, Flow: DefaultConfig().Pipeline.Flow},
 		Calib: calib,
 	}
 	got, err := DecodeSnapshot(EncodeSnapshot(snap), 0)
@@ -569,12 +585,14 @@ func fixtureSnapshot() *SessionSnapshot {
 		return im
 	}
 	return &SessionSnapshot{
-		ID: "fixture-v2", PW: 3, Postprocess: true,
-		FlowScale: 2, RefineR: 4,
-		BM:       stereo.BMOptions{BlockR: 2, MaxDisp: 24, Subpixel: true, UniqRatio: 0.15, Census: 1, Fixed: true},
-		Flow:     flow.Options{Levels: 2, PyrSigma: 0.9, PolySigma: 1.1, PolyR: 2, WinSigma: 1.8, Iters: 3},
-		Adaptive: &core.AdaptiveConfig{MaxWindow: 5, MotionThresholdPx: 1.75},
-		Frames:   5, KeyFrames: 2, W: 10, H: 6,
+		ID: "fixture-v2",
+		Pipeline: core.Config{
+			PW: 3, Postprocess: true, FlowScale: 2, RefineR: 4,
+			BM:       stereo.BMOptions{BlockR: 2, MaxDisp: 24, Subpixel: true, UniqRatio: 0.15, Census: 1, Fixed: true},
+			Flow:     flow.Options{Levels: 2, PyrSigma: 0.9, PolySigma: 1.1, PolyR: 2, WinSigma: 1.8, Iters: 3},
+			Adaptive: &core.AdaptiveConfig{MaxWindow: 5, MotionThresholdPx: 1.75},
+		},
+		Frames: 5, KeyFrames: 2, W: 10, H: 6,
 		State: core.State{
 			FrameIdx: 5, SinceKey: 2, NeedKey: true,
 			PrevLeft:  img(10, 6, 10),
@@ -621,5 +639,56 @@ func TestEncodeSnapshotAllocatesOnce(t *testing.T) {
 	snap := fixtureSnapshot()
 	if n := testing.AllocsPerRun(20, func() { EncodeSnapshot(snap) }); n != 1 {
 		t.Fatalf("EncodeSnapshot allocates %v times per call, want 1", n)
+	}
+}
+
+// A session deleted while one of its frames runs stays deleted: the frame's
+// checkpoint, written after the DELETE removed the spill file, must not
+// bring the session back on the next lookup.
+func TestDeleteDuringFrameStaysDeleted(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig()
+	cfg.SpillDir = dir
+	cfg.CheckpointEvery = 1
+	_, ts := testServer(t, cfg, 300*time.Millisecond)
+	info := createPresetSession(t, ts.URL, CreateSessionRequest{
+		Preset: "sceneflow", W: 32, H: 24, Frames: 2, PW: 1,
+	})
+
+	frameCode := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+info.ID+"/frames", "", nil)
+		if err != nil {
+			frameCode <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		frameCode <- resp.StatusCode
+	}()
+	time.Sleep(100 * time.Millisecond) // the frame is inside the matcher now
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+info.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE: %d, want 204", resp.StatusCode)
+	}
+	if code := <-frameCode; code != http.StatusOK {
+		t.Fatalf("in-flight frame: %d, want 200", code)
+	}
+	resp, err = http.Get(ts.URL + "/v1/sessions/" + info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET after DELETE: %d, want 404 (the session came back from its checkpoint)", resp.StatusCode)
+	}
+	if _, err := os.Stat(filepath.Join(dir, info.ID+".asvsnap")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("spill file of a deleted session: %v, want it gone", err)
 	}
 }

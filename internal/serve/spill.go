@@ -38,21 +38,16 @@ func (s *Server) snapshotOf(sess *session) *SessionSnapshot {
 
 // snapshotLocked builds the snapshot; sess.runMu must be held.
 func (s *Server) snapshotLocked(sess *session) *SessionSnapshot {
-	cfg := sess.pipe.Config()
 	w, h := sess.geometry()
 	snap := &SessionSnapshot{
-		ID:          sess.id,
-		PW:          cfg.PW,
-		Postprocess: cfg.Postprocess,
-		FlowScale:   cfg.FlowScale,
-		RefineR:     cfg.RefineR,
-		BM:          cfg.BM,
-		Flow:        cfg.Flow,
-		Frames:      sess.frames.Load(),
-		KeyFrames:   sess.keyFrames.Load(),
-		W:           w,
-		H:           h,
-		State:       sess.pipe.State(),
+		ID:        sess.id,
+		Pipeline:  sess.pipe.Config(),
+		Frames:    sess.frames.Load(),
+		KeyFrames: sess.keyFrames.Load(),
+		W:         w,
+		H:         h,
+		State:     sess.pipe.State(),
+		Calib:     sess.calib,
 	}
 	if sess.level != 0 {
 		// The session is currently degraded to a pyramid rung: its temporal
@@ -64,10 +59,6 @@ func (s *Server) snapshotLocked(sess *session) *SessionSnapshot {
 		// default to gold.
 		snap.State = core.State{}
 	}
-	if cfg.Adaptive != nil {
-		a := *cfg.Adaptive
-		snap.Adaptive = &a
-	}
 	if sess.preset != nil {
 		snap.Preset = &PresetSnapshot{
 			Name:  sess.preset.name,
@@ -75,67 +66,48 @@ func (s *Server) snapshotLocked(sess *session) *SessionSnapshot {
 			Next:  int64(sess.preset.next),
 		}
 	}
-	if sess.calib != nil {
-		c := *sess.calib
-		snap.Calib = &c
-	}
 	return snap
 }
 
-// sessionFromSnapshot rebuilds a live session from a decoded snapshot,
-// enforcing this server's resource limits. The pipeline configuration comes
-// from the snapshot (so the stream recomputes exactly what the source shard
-// would have), layered over the server's template for the parts a snapshot
-// does not carry (the motion-estimator override).
-func (s *Server) sessionFromSnapshot(snap *SessionSnapshot) (*session, error) {
+// newSession is the one constructor of a live session: POST /v1/sessions
+// hands it a fresh snapshot, PUT snapshot, disk restore and drain migration
+// a decoded one. It enforces this server's resource limits, so the pixel
+// and frame caps are checked here and nowhere else. The pipeline
+// configuration comes from the snapshot (so a restored stream recomputes
+// exactly what the source shard would have) with the motion estimator,
+// which a snapshot does not carry, from the server's template.
+func (s *Server) newSession(snap *SessionSnapshot) (*session, error) {
 	if snap.W*snap.H > s.cfg.MaxPixels {
 		return nil, fmt.Errorf("snapshot geometry %dx%d exceeds this server's %d-pixel cap", snap.W, snap.H, s.cfg.MaxPixels)
 	}
-	cfg := s.cfg.Pipeline
-	cfg.PW = snap.PW
-	cfg.Postprocess = snap.Postprocess
-	cfg.FlowScale = snap.FlowScale
-	cfg.RefineR = snap.RefineR
-	cfg.BM = snap.BM
-	cfg.Flow = snap.Flow
-	cfg.Adaptive = nil
-	if snap.Adaptive != nil {
-		a := *snap.Adaptive
-		cfg.Adaptive = &a
+	if ps := snap.Preset; ps != nil {
+		if ps.Scene.W*ps.Scene.H > s.cfg.MaxPixels {
+			return nil, fmt.Errorf("preset size %dx%d exceeds this server's %d-pixel cap", ps.Scene.W, ps.Scene.H, s.cfg.MaxPixels)
+		}
+		if ps.Scene.FrameCount > s.cfg.MaxPresetFrames {
+			return nil, fmt.Errorf("preset length %d exceeds this server's %d-frame cap", ps.Scene.FrameCount, s.cfg.MaxPresetFrames)
+		}
 	}
-
+	cfg := snap.Pipeline
+	cfg.ME = s.cfg.Pipeline.ME
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	sess := &session{
 		id:      snap.ID,
 		pipe:    core.New(s.matcher, cfg),
 		created: time.Now(),
+		calib:   snap.Calib,
+		w:       snap.W,
+		h:       snap.H,
 	}
 	if err := sess.pipe.SetState(snap.State); err != nil {
 		return nil, err
 	}
 	sess.frames.Store(snap.Frames)
 	sess.keyFrames.Store(snap.KeyFrames)
-	if snap.W > 0 {
-		sess.w, sess.h = snap.W, snap.H
-	}
-	if snap.Preset != nil {
-		if snap.Preset.Scene.W*snap.Preset.Scene.H > s.cfg.MaxPixels {
-			return nil, fmt.Errorf("preset size %dx%d exceeds this server's %d-pixel cap",
-				snap.Preset.Scene.W, snap.Preset.Scene.H, s.cfg.MaxPixels)
-		}
-		if snap.Preset.Scene.FrameCount > s.cfg.MaxPresetFrames {
-			return nil, fmt.Errorf("preset length %d exceeds this server's %d-frame cap",
-				snap.Preset.Scene.FrameCount, s.cfg.MaxPresetFrames)
-		}
-		sess.preset = &presetSource{
-			name: snap.Preset.Name,
-			cfg:  snap.Preset.Scene,
-			seq:  dataset.Generate(snap.Preset.Scene),
-			next: int(snap.Preset.Next),
-		}
-	}
-	if snap.Calib != nil {
-		c := *snap.Calib
-		sess.calib = &c
+	if ps := snap.Preset; ps != nil {
+		sess.preset = &presetSource{name: ps.Name, cfg: ps.Scene, seq: dataset.Generate(ps.Scene), next: int(ps.Next)}
 	}
 	sess.touch()
 	return sess, nil
@@ -231,7 +203,7 @@ func (s *Server) restore(id string, buf []byte) (*session, error) {
 	if snap.ID != id {
 		return nil, snapErrf("is for session %q, not %q", snap.ID, id)
 	}
-	sess, err := s.sessionFromSnapshot(snap)
+	sess, err := s.newSession(snap)
 	if err != nil {
 		return nil, err
 	}

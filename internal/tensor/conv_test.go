@@ -39,7 +39,7 @@ func TestTransposedPadEquivalence(t *testing.T) {
 }
 
 func TestConv2DIdentityKernel(t *testing.T) {
-	in := Rand(1, 1, 4, 4)
+	in := seededTensor(1, 1, 4, 4)
 	w := New(1, 1, 1, 1)
 	w.Set(1, 0, 0, 0, 0)
 	out := Conv2D(in, w, 1, 0)
@@ -94,8 +94,8 @@ func TestConv2DMultiChannelAccumulates(t *testing.T) {
 }
 
 func TestConv2DStride(t *testing.T) {
-	in := Rand(7, 1, 6, 6)
-	w := Rand(8, 1, 1, 2, 2)
+	in := seededTensor(7, 1, 6, 6)
+	w := seededTensor(8, 1, 1, 2, 2)
 	out := Conv2D(in, w, 2, 0)
 	if out.Dim(1) != 3 || out.Dim(2) != 3 {
 		t.Fatalf("shape %v, want [.. 3 3]", out.Shape())

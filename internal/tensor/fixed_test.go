@@ -8,7 +8,7 @@ import (
 )
 
 func TestQuantizeRoundTripBound(t *testing.T) {
-	a := Rand(1, 3, 8, 8)
+	a := seededTensor(1, 3, 8, 8)
 	q := Quantize(a, 12)
 	back := dequantize(q)
 	// Error bounded by half a quantization step.
@@ -62,7 +62,7 @@ func TestFixedConv2DIsExactForRepresentableValues(t *testing.T) {
 // Property: more fractional bits never increase quantization error.
 func TestQuickMoreBitsMorePrecision(t *testing.T) {
 	f := func(seed int64) bool {
-		a := Rand(seed, 4, 4)
+		a := seededTensor(seed, 4, 4)
 		lo := maxAbsDiff(a, dequantize(Quantize(a, 6)))
 		hi := maxAbsDiff(a, dequantize(Quantize(a, 12)))
 		return hi <= lo+1e-9

@@ -114,12 +114,12 @@ func TestSum(t *testing.T) {
 }
 
 func TestRandDeterministic(t *testing.T) {
-	a := Rand(42, 4, 4)
-	b := Rand(42, 4, 4)
+	a := seededTensor(42, 4, 4)
+	b := seededTensor(42, 4, 4)
 	if maxAbsDiff(a, b) != 0 {
 		t.Fatal("Rand with same seed differs")
 	}
-	c := Rand(43, 4, 4)
+	c := seededTensor(43, 4, 4)
 	if maxAbsDiff(a, c) == 0 {
 		t.Fatal("Rand with different seeds identical")
 	}
@@ -128,8 +128,8 @@ func TestRandDeterministic(t *testing.T) {
 // Property: Sum(a) + Sum(b) == Sum(a+b) within float tolerance.
 func TestQuickAddSumLinear(t *testing.T) {
 	f := func(seed int64) bool {
-		a := Rand(seed, 3, 5)
-		b := Rand(seed+1, 3, 5)
+		a := seededTensor(seed, 3, 5)
+		b := seededTensor(seed+1, 3, 5)
 		want := a.Sum() + b.Sum()
 		got := add(a, b).Sum()
 		return abs64(want-got) < 1e-4
@@ -143,7 +143,7 @@ func TestQuickAddSumLinear(t *testing.T) {
 func TestQuickScaleSum(t *testing.T) {
 	f := func(seed int64, s8 int8) bool {
 		s := float32(s8) / 16
-		a := Rand(seed, 4, 4)
+		a := seededTensor(seed, 4, 4)
 		want := a.Sum() * float64(s)
 		got := a.Clone().Scale(s).Sum()
 		return abs64(want-got) < 1e-3
@@ -200,4 +200,10 @@ func maxAbsDiff(a, b *Tensor) float64 {
 		m = max(m, math.Abs(float64(a.data[i])-float64(b.data[i])))
 	}
 	return m
+}
+
+// randTensor returns a tensor of the given shape filled by RandFill from a
+// generator seeded with seed.
+func seededTensor(seed int64, shape ...int) *Tensor {
+	return RandFill(New(shape...), rand.New(rand.NewSource(seed)))
 }

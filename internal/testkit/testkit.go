@@ -74,6 +74,13 @@ func RandTensor(r *rand.Rand, shape ...int) *tensor.Tensor {
 	return out
 }
 
+// SeededTensor returns a tensor of the given shape filled by
+// tensor.RandFill from a generator seeded with seed: values uniform in
+// [-1, 1), the same for a given seed on every run.
+func SeededTensor(seed int64, shape ...int) *tensor.Tensor {
+	return tensor.RandFill(tensor.New(shape...), rand.New(rand.NewSource(seed)))
+}
+
 // RandImage returns a w×h image with i.i.d. pixel values uniform in [0, 1).
 func RandImage(r *rand.Rand, w, h int) *imgproc.Image {
 	im := imgproc.NewImage(w, h)

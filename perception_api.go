@@ -19,14 +19,8 @@ type Calibration = perception.Calibration
 // the left camera frame, plus the source grid dimensions.
 type PointCloud = perception.Cloud
 
-// CloudPoint is one reprojected pixel: metric XYZ plus left-image intensity.
-type CloudPoint = perception.Point
-
 // CloudStats summarizes a cloud's validity fraction and depth distribution.
 type CloudStats = perception.CloudStats
-
-// MinValidDisparity is the smallest disparity that triangulates to a point.
-const MinValidDisparity = perception.MinValidDisp
 
 // DefaultCalibration returns DefaultIntrinsics plus a 0.12 m baseline and
 // zero misalignment (an already-rectified rig).
@@ -45,15 +39,6 @@ func DepthFromDisparity(disp *Image, c *Calibration) *Image {
 // intensity from the left image (nil intensity = all zeros).
 func ReprojectCloud(disp, intensity *Image, c *Calibration) *PointCloud {
 	return perception.Reproject(disp, intensity, c)
-}
-
-// EncodePointCloud serializes a cloud in the versioned ASVPCD binary format.
-func EncodePointCloud(c *PointCloud) []byte { return perception.EncodeCloud(c) }
-
-// DecodePointCloud parses an ASVPCD document; maxPoints caps allocation
-// (0 = default limit).
-func DecodePointCloud(data []byte, maxPoints int) (*PointCloud, error) {
-	return perception.DecodeCloud(data, maxPoints)
 }
 
 // WritePLYASCII writes a cloud as ASCII PLY (x y z intensity per vertex).

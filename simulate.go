@@ -36,10 +36,6 @@ func DefaultEnergyModel() EnergyModel { return hw.DefaultEnergy() }
 // capabilities) and runnable on any network.
 type Backend = backend.Backend
 
-// BackendDescription is a backend's name, hardware summary and capability
-// set.
-type BackendDescription = backend.Description
-
 // RunOptions carries the unified RunNetwork knobs: scheduling policy, ISM
 // propagation window, and the non-key cost the window amortizes.
 type RunOptions = backend.RunOptions
@@ -184,9 +180,6 @@ type SceneConfig = dataset.SceneConfig
 
 // StereoSequence is a generated stereo video with ground truth.
 type StereoSequence = dataset.Sequence
-
-// StereoFrame is one stereo pair plus its ground-truth disparity.
-type StereoFrame = dataset.FramePair
 
 // GenerateSequence renders a stereo video from the configuration.
 func GenerateSequence(cfg SceneConfig) *StereoSequence { return dataset.Generate(cfg) }
