@@ -206,13 +206,14 @@ func RunPerfGate(root string, c *PerfContract) (*PerfReport, error) {
 		rep.Inlinable[name] = false
 	}
 	cannotInline := map[string]string{}
-	seen := map[string]bool{} // dedupe identical diagnostic lines
+	// Check and escape lines count with their multiplicity: a generic
+	// helper reports the same line once per instantiation, and each one is
+	// compiled code. Inline verdicts only set a flag, so repeats are no-ops.
 	for _, line := range strings.Split(out, "\n") {
 		m := diagLine.FindStringSubmatch(line)
-		if m == nil || seen[line] {
+		if m == nil {
 			continue
 		}
-		seen[line] = true
 		msg := m[4]
 		// Inline verdicts are package-wide, not limited to gated files.
 		if name, ok := strings.CutPrefix(msg, "can inline "); ok {

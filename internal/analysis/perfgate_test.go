@@ -202,8 +202,37 @@ func Sum() int {
 		t.Fatalf("helper escape not gated in the instantiating package:\n%s", joined)
 	}
 	// Pinned at the measured count, the same build passes.
-	c.Files["../pool/pool.go"]["List.Get"] = rep.Measured["../pool/pool.go"]["List.Get"]
+	one := rep.Measured["../pool/pool.go"]["List.Get"]
+	c.Files["../pool/pool.go"]["List.Get"] = one
 	if rep, err = RunPerfGate(root, c); err != nil || len(rep.Violations) != 0 {
 		t.Fatalf("pinned helper still fails: %v %v", err, rep.Violations)
+	}
+
+	// A second instantiation prints the helper's diagnostic lines again,
+	// byte for byte. Each copy is compiled code, so each one counts, and the
+	// contract pinned at one instantiation fails.
+	write("kern/kern2.go", `package kern
+
+import "m/pool"
+
+var scratch2 pool.List[[32]int]
+
+func Sum2() int {
+	s := 0
+	for _, v := range scratch2.Get() {
+		s += v
+	}
+	return s
+}
+`)
+	c.Files["kern2.go"] = map[string]PerfCounts{"Sum2": {}}
+	if rep, err = RunPerfGate(root, c); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Measured["../pool/pool.go"]["List.Get"].Escapes; got != 2*one.Escapes {
+		t.Fatalf("two instantiations count %d escapes, want %d; diags %+v", got, 2*one.Escapes, rep.Diags)
+	}
+	if joined := strings.Join(rep.Violations, "\n"); !strings.Contains(joined, "../pool/pool.go: List.Get gained heap escapes") {
+		t.Fatalf("a second instantiation passed the gate pinned at one:\n%s", joined)
 	}
 }

@@ -229,13 +229,8 @@ func (g *Gateway) probe(shard Shard) bool {
 // first. The id is injected into the JSON body and the request routed like
 // any other session request.
 func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBody+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading request: "+err.Error())
-		return
-	}
-	if int64(len(body)) > g.cfg.MaxBody {
-		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds the gateway cap")
+	body, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
 	var req serve.CreateSessionRequest
@@ -261,18 +256,52 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Body != nil {
-		b, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBody+1))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "reading request: "+err.Error())
-			return
-		}
-		if int64(len(b)) > g.cfg.MaxBody {
-			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds the gateway cap")
+		b, ok := g.readBody(w, r)
+		if !ok {
 			return
 		}
 		body = b
 	}
 	g.route(w, r, r.PathValue("id"), body, r.Header.Get("Content-Type"))
+}
+
+// readBody buffers r's body under the gateway cap, answering 400 to a read
+// error and 413 to a body past the cap. A body that declares a length within
+// the cap is read into one buffer of that length (and a byte to see its
+// end), not one that io.ReadAll doubles towards it. The body's end, not the
+// declared length, still decides what is read.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	size := int64(512) // io.ReadAll's first buffer
+	if n := r.ContentLength; n >= 0 && n <= g.cfg.MaxBody {
+		size = n + 1
+	}
+	body, err := readAllInto(make([]byte, 0, size), io.LimitReader(r.Body, g.cfg.MaxBody+1))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "reading request: "+err.Error())
+		return nil, false
+	}
+	if int64(len(body)) > g.cfg.MaxBody {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds the gateway cap")
+		return nil, false
+	}
+	return body, true
+}
+
+// readAllInto is io.ReadAll appending to b, which grows only once b is full.
+func readAllInto(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // route forwards the request to the session's owner, failing over to the

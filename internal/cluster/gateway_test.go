@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -599,5 +601,76 @@ func TestGatewayRejectsBadConfigs(t *testing.T) {
 		{Name: "a", URL: "http://x"}, {Name: "a", URL: "http://y"},
 	}}); err == nil {
 		t.Fatal("no error for duplicate name")
+	}
+}
+
+// TestGatewayBodyReadAgainstDeclaredLength: the gateway sizes its body
+// buffer from Content-Length, but the body's own end decides what is
+// forwarded, the cap holds whatever length is declared, and over the wire a
+// body that ends before its declared length is a 400.
+func TestGatewayBodyReadAgainstDeclaredLength(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("X-ASV-Body-Len", fmt.Sprint(len(b)))
+	}))
+	t.Cleanup(shard.Close)
+	g, ts := newTestGateway(t, Config{Shards: []Shard{{Name: "a", URL: shard.URL}}, MaxBody: 64})
+
+	for _, tc := range []struct {
+		name           string
+		sent, declared int
+		status         int
+	}{
+		{"as declared", 40, 40, http.StatusOK},
+		{"at the cap", 64, 64, http.StatusOK},
+		{"past the cap", 65, 65, http.StatusRequestEntityTooLarge},
+		{"shorter than declared", 10, 40, http.StatusOK},
+		{"longer than declared", 40, 10, http.StatusOK},
+		{"longer than declared, past the cap", 65, 10, http.StatusRequestEntityTooLarge},
+		{"declared past the cap", 40, 100, http.StatusOK},
+	} {
+		req := httptest.NewRequest("POST", "/v1/sessions/s1/frames", strings.NewReader(strings.Repeat("a", tc.sent)))
+		req.ContentLength = int64(tc.declared)
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, req)
+		if rec.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.status, rec.Body)
+		}
+		if got := rec.Header().Get("X-ASV-Body-Len"); tc.status == http.StatusOK && got != fmt.Sprint(tc.sent) {
+			t.Fatalf("%s: shard got %s bytes, want %d", tc.name, got, tc.sent)
+		}
+	}
+
+	// wire sends one raw request; hangUp half-closes the connection after it,
+	// which is how a body ends early.
+	wire := func(declared int, body string, hangUp bool) *http.Response {
+		t.Helper()
+		conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		fmt.Fprintf(conn, "POST /v1/sessions/s1/frames HTTP/1.1\r\nHost: gw\r\nContent-Length: %d\r\n\r\n%s", declared, body)
+		if hangUp {
+			conn.(*net.TCPConn).CloseWrite()
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	if resp := wire(40, strings.Repeat("a", 10), true); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("body ending before its declared length: %s, want 400", resp.Status)
+	}
+	// Bytes past the declared length are the next request, not this body.
+	if resp := wire(10, strings.Repeat("a", 40), false); resp.StatusCode != http.StatusOK || resp.Header.Get("X-ASV-Body-Len") != "10" {
+		t.Fatalf("body longer than declared: %s with %s bytes forwarded, want 200 with 10", resp.Status, resp.Header.Get("X-ASV-Body-Len"))
 	}
 }

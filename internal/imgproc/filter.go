@@ -141,13 +141,18 @@ func rowInterior(dst, src, k []float32) {
 	}
 }
 
-// rowInteriorStrided is rowInterior for output columns step apart.
+// rowInteriorStrided is rowInterior for output columns step apart. It runs
+// sample-outer: a strided tap pass would touch each destination sample once
+// per tap, and the samples are too far apart for the tap-outer loop to pay.
+// Each sample still starts at +0 and adds its products in tap order.
 func rowInteriorStrided(dst, src, k []float32, step int) {
-	for j, kv := range k {
-		tap := src[j:]
-		for i := range dst {
-			dst[i] += float32(kv * tap[i*step])
+	for i := range dst {
+		win := src[i*step:][:len(k)]
+		var acc float32
+		for j, kv := range k {
+			acc += float32(kv * win[j])
 		}
+		dst[i] = acc
 	}
 }
 

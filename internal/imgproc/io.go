@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
+	"strconv"
 )
 
 // Image and disparity-map file I/O.
@@ -84,25 +86,83 @@ func clamp01(v float32) float32 {
 	return v
 }
 
-// WritePGM writes im as a binary 16-bit PGM, clamping pixels to [0, 1].
+// WritePGM writes im as a binary 16-bit PGM, clamping pixels to [0, 1],
+// in one Write.
 func WritePGM(w io.Writer, im *Image) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n65535\n", im.W, im.H); err != nil {
-		return err
-	}
-	buf := make([]byte, 2)
-	for _, v := range im.Pix {
+	_, err := w.Write(AppendPGM(nil, im))
+	return err
+}
+
+// AppendPGM appends the bytes WritePGM writes to dst and returns the
+// extended slice.
+func AppendPGM(dst []byte, im *Image) []byte {
+	dst, out := appendHeader(dst, "P5", im, "65535", 2)
+	for i, v := range im.Pix {
 		if v < 0 {
 			v = 0
 		} else if v > 1 {
 			v = 1
 		}
-		binary.BigEndian.PutUint16(buf, uint16(v*65535+0.5))
-		if _, err := bw.Write(buf); err != nil {
-			return err
+		binary.BigEndian.PutUint16(out[2*i:], uint16(v*65535+0.5))
+	}
+	return dst
+}
+
+// WritePFM writes im as a single-channel little-endian PFM (values are
+// stored verbatim, so negative "invalid" disparities survive a roundtrip)
+// in one Write.
+func WritePFM(w io.Writer, im *Image) error {
+	_, err := w.Write(AppendPFM(nil, im))
+	return err
+}
+
+// AppendPFM appends the bytes WritePFM writes to dst and returns the
+// extended slice.
+func AppendPFM(dst []byte, im *Image) []byte {
+	// Scale -1.0 marks little-endian per the PFM spec.
+	dst, out := appendHeader(dst, "Pf", im, "-1.0", 4)
+	// PFM stores rows bottom-up.
+	for y := im.H - 1; y >= 0; y-- {
+		for _, v := range im.Pix[y*im.W:][:im.W] {
+			binary.LittleEndian.PutUint32(out, math.Float32bits(v))
+			out = out[4:]
 		}
 	}
-	return bw.Flush()
+	return dst
+}
+
+// appendHeader appends the "magic\nW H\nlast\n" header PGM and PFM share,
+// then room for im's samples at size bytes each. It returns the extended
+// slice and that room.
+func appendHeader(dst []byte, magic string, im *Image, last string, size int) (all, samples []byte) {
+	dst = append(dst, magic...)
+	dst = append(dst, '\n')
+	dst = strconv.AppendInt(dst, int64(im.W), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(im.H), 10)
+	dst = append(dst, '\n')
+	dst = append(dst, last...)
+	dst = append(dst, '\n')
+	n := len(dst)
+	dst = slices.Grow(dst, size*len(im.Pix))[:n+size*len(im.Pix)]
+	return dst, dst[n:]
+}
+
+// decodeScratch holds the byte buffers the readers take pixel data into, so
+// that a served frame's two uploads do not allocate them afresh.
+var decodeScratch FreeList[[]byte]
+
+// readPixels reads n bytes of pixel data from br into a buffer off
+// decodeScratch and hands it to decode, which must not keep it.
+func readPixels(br *bufio.Reader, format string, n int, decode func([]byte)) error {
+	bp := decodeScratch.Get()
+	defer decodeScratch.Put(bp)
+	*bp = Grow(*bp, n)
+	if _, err := io.ReadFull(br, *bp); err != nil {
+		return fmt.Errorf("imgproc: reading %s pixels: %w", format, err)
+	}
+	decode(*bp)
+	return nil
 }
 
 // ReadPGM reads a binary 8- or 16-bit PGM into an image scaled to [0, 1],
@@ -137,45 +197,25 @@ func ReadPGMLimit(r io.Reader, maxPixels int) (*Image, error) {
 	}
 	im := NewImage(w, h)
 	scale := 1 / float32(maxv)
-	if maxv < 256 {
-		buf := make([]byte, w*h)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("imgproc: reading PGM pixels: %w", err)
-		}
-		for i, b := range buf {
-			im.Pix[i] = clamp01(float32(b) * scale)
-		}
-		return im, nil
+	depth := 1 // bytes per sample
+	if maxv >= 256 {
+		depth = 2
 	}
-	buf := make([]byte, 2*w*h)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("imgproc: reading PGM pixels: %w", err)
-	}
-	for i := 0; i < w*h; i++ {
-		im.Pix[i] = clamp01(float32(binary.BigEndian.Uint16(buf[2*i:])) * scale)
+	err := readPixels(br, "PGM", depth*w*h, func(buf []byte) {
+		if depth == 1 {
+			for i, b := range buf {
+				im.Pix[i] = clamp01(float32(b) * scale)
+			}
+			return
+		}
+		for i := range im.Pix {
+			im.Pix[i] = clamp01(float32(binary.BigEndian.Uint16(buf[2*i:])) * scale)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return im, nil
-}
-
-// WritePFM writes im as a single-channel little-endian PFM (values are
-// stored verbatim, so negative "invalid" disparities survive a roundtrip).
-func WritePFM(w io.Writer, im *Image) error {
-	bw := bufio.NewWriter(w)
-	// Scale -1.0 marks little-endian per the PFM spec.
-	if _, err := fmt.Fprintf(bw, "Pf\n%d %d\n-1.0\n", im.W, im.H); err != nil {
-		return err
-	}
-	buf := make([]byte, 4)
-	// PFM stores rows bottom-up.
-	for y := im.H - 1; y >= 0; y-- {
-		for x := 0; x < im.W; x++ {
-			binary.LittleEndian.PutUint32(buf, math.Float32bits(im.At(x, y)))
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }
 
 // ReadPFM reads a single-channel PFM, with the default MaxDecodePixels size
@@ -208,21 +248,25 @@ func ReadPFMLimit(r io.Reader, maxPixels int) (*Image, error) {
 	if err := expectSeparator(br, "PFM"); err != nil {
 		return nil, err
 	}
-	order := binary.ByteOrder(binary.LittleEndian)
-	if scale > 0 {
-		order = binary.BigEndian
-	}
-	buf := make([]byte, 4*w*h)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("imgproc: reading PFM pixels: %w", err)
-	}
 	im := NewImage(w, h)
-	i := 0
-	for y := h - 1; y >= 0; y-- {
-		for x := 0; x < w; x++ {
-			im.Set(x, y, math.Float32frombits(order.Uint32(buf[4*i:])))
-			i++
+	err := readPixels(br, "PFM", 4*w*h, func(buf []byte) {
+		// Rows are stored bottom-up; a positive scale marks big-endian.
+		for y := h - 1; y >= 0; y-- {
+			row, src := im.Pix[y*w:][:w], buf[:4*w]
+			buf = buf[4*w:]
+			if scale > 0 {
+				for x := range row {
+					row[x] = math.Float32frombits(binary.BigEndian.Uint32(src[4*x:]))
+				}
+			} else {
+				for x := range row {
+					row[x] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*x:]))
+				}
+			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return im, nil
 }

@@ -1,8 +1,12 @@
 package imgproc
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"path/filepath"
 	"strings"
@@ -206,5 +210,140 @@ func TestReadLimitTypedError(t *testing.T) {
 	var tle *TooLargeError
 	if err == nil || errors.As(err, &tle) {
 		t.Fatalf("zero-width PGM: got %v, want untyped parse error", err)
+	}
+}
+
+// writePGMPerPixel and writePFMPerPixel are the writers AppendPGM and
+// AppendPFM replaced, one buffered Write per sample: the byte-for-byte
+// oracle for the one-buffer encoders.
+func writePGMPerPixel(w io.Writer, im *Image) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n65535\n", im.W, im.H); err != nil {
+		return err
+	}
+	buf := make([]byte, 2)
+	for _, v := range im.Pix {
+		if v < 0 {
+			v = 0
+		} else if v > 1 {
+			v = 1
+		}
+		binary.BigEndian.PutUint16(buf, uint16(v*65535+0.5))
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+func writePFMPerPixel(w io.Writer, im *Image) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintf(bw, "Pf\n%d %d\n-1.0\n", im.W, im.H); err != nil {
+		return err
+	}
+	buf := make([]byte, 4)
+	for y := im.H - 1; y >= 0; y-- {
+		for x := 0; x < im.W; x++ {
+			binary.LittleEndian.PutUint32(buf, math.Float32bits(im.At(x, y)))
+			if _, err := bw.Write(buf); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
+}
+
+// oracleShapes are the image shapes the encoders are checked on: single
+// pixels, single rows and columns, odd sizes, and one past bufio's 4 KiB.
+var oracleShapes = [][2]int{{1, 1}, {1, 7}, {7, 1}, {5, 3}, {33, 17}, {1100, 1}}
+
+// oracleImage fills a w×h image with seeded values in and out of [0, 1],
+// with -1 (the invalid disparity), NaN, ±Inf and -0 among them.
+func oracleImage(w, h int) *Image {
+	im := NewImage(w, h)
+	special := []float32{-1, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1)), 1, 0}
+	for i := range im.Pix {
+		if i%3 == 0 {
+			im.Pix[i] = special[(i/3)%len(special)]
+		} else {
+			im.Pix[i] = float32(i%97)/50 - 0.5
+		}
+	}
+	return im
+}
+
+func TestAppendEncodersMatchPerPixelWriters(t *testing.T) {
+	for _, sh := range oracleShapes {
+		im := oracleImage(sh[0], sh[1])
+		for _, enc := range []struct {
+			name   string
+			oracle func(io.Writer, *Image) error
+			append func([]byte, *Image) []byte
+			write  func(io.Writer, *Image) error
+		}{
+			{"PGM", writePGMPerPixel, AppendPGM, WritePGM},
+			{"PFM", writePFMPerPixel, AppendPFM, WritePFM},
+		} {
+			var want, got bytes.Buffer
+			if err := enc.oracle(&want, im); err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.write(&got, im); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s %dx%d: Write differs from the per-pixel writer", enc.name, sh[0], sh[1])
+			}
+			// Appending keeps what dst held.
+			prefix := []byte("prefix")
+			app := enc.append(prefix[:len(prefix):len(prefix)], im)
+			if !bytes.Equal(app[:len(prefix)], prefix) || !bytes.Equal(app[len(prefix):], want.Bytes()) {
+				t.Fatalf("%s %dx%d: Append differs from the per-pixel writer", enc.name, sh[0], sh[1])
+			}
+		}
+	}
+}
+
+// readPFMPerPixel is the per-sample reader ReadPFMLimit replaced, for the
+// pixel data after a header of w, h and scale.
+func readPFMPerPixel(data []byte, w, h int, scale float64) *Image {
+	order := binary.ByteOrder(binary.LittleEndian)
+	if scale > 0 {
+		order = binary.BigEndian
+	}
+	im := NewImage(w, h)
+	i := 0
+	for y := h - 1; y >= 0; y-- {
+		for x := 0; x < w; x++ {
+			im.Set(x, y, math.Float32frombits(order.Uint32(data[4*i:])))
+			i++
+		}
+	}
+	return im
+}
+
+// TestReadPFMRowsMatchPerPixelReader decodes both byte orders row by row
+// and compares the bits with the per-sample reader.
+func TestReadPFMRowsMatchPerPixelReader(t *testing.T) {
+	for _, sh := range oracleShapes {
+		w, h := sh[0], sh[1]
+		data := make([]byte, 4*w*h)
+		for i := range data {
+			data[i] = byte(i*131 + i/7)
+		}
+		for _, scale := range []float64{-1, 1} {
+			file := append(fmt.Appendf(nil, "Pf\n%d %d\n%g\n", w, h, scale), data...)
+			got, err := ReadPFM(bytes.NewReader(file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := readPFMPerPixel(data, w, h, scale)
+			for i := range want.Pix {
+				if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
+					t.Fatalf("%dx%d scale %g: sample %d is %08x, want %08x", w, h, scale, i,
+						math.Float32bits(got.Pix[i]), math.Float32bits(want.Pix[i]))
+				}
+			}
+		}
 	}
 }

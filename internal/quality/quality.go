@@ -214,12 +214,20 @@ func UpsampleDisparity(d *imgproc.Image, w, h, level int) *imgproc.Image {
 	}
 	scale := float32(int(1) << level)
 	out := imgproc.NewImage(w, h)
+	cols := make([]int, w) // source column of each output column
+	for x := range cols {
+		cols[x] = x * d.W / w
+	}
 	for y := 0; y < h; y++ {
 		sy := y * d.H / h
-		row := out.Pix[y*w : (y+1)*w]
-		for x := 0; x < w; x++ {
-			v := d.At(x*d.W/w, sy)
-			if v < 0 {
+		row := out.Pix[y*w:][:w]
+		if y > 0 && sy == (y-1)*d.H/h {
+			copy(row, out.Pix[(y-1)*w:][:w])
+			continue
+		}
+		src := d.Pix[sy*d.W:][:d.W]
+		for x, sx := range cols {
+			if v := src[sx]; v < 0 {
 				row[x] = -1
 			} else {
 				row[x] = v * scale

@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"math"
 	"testing"
 
 	"asv/internal/core"
@@ -112,6 +113,37 @@ func TestUpsampleDisparity(t *testing.T) {
 	}
 	if same := UpsampleDisparity(d, 2, 2, 0); same != d {
 		t.Error("level 0 should return the input unchanged")
+	}
+}
+
+// TestUpsampleDisparityMatchesPerPixelSampling holds the column-table
+// upsample to the per-pixel nearest-neighbour form it replaced, bit for bit,
+// on sizes that are and are not multiples of the source.
+func TestUpsampleDisparityMatchesPerPixelSampling(t *testing.T) {
+	for _, c := range []struct{ dw, dh, w, h, level int }{
+		{40, 24, 160, 96, 2}, {80, 48, 160, 96, 1}, {3, 2, 7, 5, 1}, {5, 4, 5, 4, 1}, {1, 1, 3, 2, 2},
+	} {
+		d := imgproc.NewImage(c.dw, c.dh)
+		special := []float32{-1, -0.5, float32(math.NaN()), float32(math.Inf(1)), 0}
+		for i := range d.Pix {
+			d.Pix[i] = float32(i%13) * 0.75
+			if i%4 == 1 {
+				d.Pix[i] = special[(i/4)%len(special)]
+			}
+		}
+		got := UpsampleDisparity(d, c.w, c.h, c.level)
+		scale := float32(int(1) << c.level)
+		for y := 0; y < c.h; y++ {
+			for x := 0; x < c.w; x++ {
+				want := float32(-1)
+				if v := d.At(x*d.W/c.w, y*d.H/c.h); !(v < 0) {
+					want = v * scale
+				}
+				if g := got.At(x, y); math.Float32bits(g) != math.Float32bits(want) {
+					t.Fatalf("%+v: (%d,%d) = %v, want %v", c, x, y, g, want)
+				}
+			}
+		}
 	}
 }
 

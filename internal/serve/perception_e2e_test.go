@@ -144,14 +144,25 @@ func TestDepthAndCloudResponses(t *testing.T) {
 
 	// Frame 0: the plain disparity format still works on a calibrated
 	// session.
-	_, dispBytes := get("?disparity=pfm")
+	// A PFM reply is one buffer with its length in the header, not a
+	// chunked stream.
+	oneWrite := func(query string, resp *http.Response, body []byte) {
+		t.Helper()
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: Content-Length %d, transfer encoding %v, for a %d-byte body",
+				query, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+	resp, dispBytes := get("?disparity=pfm")
+	oneWrite("?disparity=pfm", resp, dispBytes)
 	if _, err := imgproc.ReadPFM(bytes.NewReader(dispBytes)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Frame 1 as metric depth: right geometry, nonnegative everywhere
 	// (invalid disparities map to 0), and not entirely invalid.
-	_, depthBytes := get("?depth=pfm")
+	resp, depthBytes := get("?depth=pfm")
+	oneWrite("?depth=pfm", resp, depthBytes)
 	depth, err := imgproc.ReadPFM(bytes.NewReader(depthBytes))
 	if err != nil {
 		t.Fatal(err)

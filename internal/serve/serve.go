@@ -31,7 +31,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -965,6 +968,9 @@ func parseReplyFormat(r *http.Request, sess *session) (replyFormat, error) {
 	return format, nil
 }
 
+// replyBufs holds the buffers binary replies are encoded into.
+var replyBufs imgproc.FreeList[[]byte]
+
 // writeFrameReply renders a completed frame: JSON stats by default, or one
 // of the binary formats (stats travel in X-ASV-* headers). Depth and cloud
 // replies triangulate through the session's calibration.
@@ -999,13 +1005,20 @@ func (s *Server) writeFrameReply(w http.ResponseWriter, sess *session, format re
 	// Write failures past this point mean the client hung up; headers are
 	// gone, so there is nothing to report.
 	switch format {
-	case formatDispPFM:
+	case formatDispPFM, formatDepthPFM:
+		im := rep.res.Disparity
+		if format == formatDepthPFM {
+			s.depthMapsServed.Add(1)
+			im = perception.DepthMap(im, sess.calib)
+		}
+		// One buffer and one write with a known length, not a chunked
+		// stream of small writes.
+		bp := replyBufs.Get()
+		*bp = imgproc.AppendPFM((*bp)[:0], im)
+		w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 		//asvlint:ignore droppederr a short write mid-reply means the client hung up; no recovery
-		imgproc.WritePFM(w, rep.res.Disparity)
-	case formatDepthPFM:
-		s.depthMapsServed.Add(1)
-		//asvlint:ignore droppederr a short write mid-reply means the client hung up; no recovery
-		imgproc.WritePFM(w, perception.DepthMap(rep.res.Disparity, sess.calib))
+		w.Write(*bp)
+		replyBufs.Put(bp)
 	default:
 		cl := perception.Reproject(rep.res.Disparity, rep.left, sess.calib)
 		st := cl.Stats()
@@ -1028,42 +1041,64 @@ func (s *Server) writeFrameReply(w http.ResponseWriter, sess *session, format re
 	}
 }
 
-// decodePair extracts the left/right images of a multipart upload. Each
-// part may be PGM or PFM (sniffed by magic); decode enforces the
-// configured pixel cap via imgproc's typed error.
+// partNames are the multipart file parts a frame upload carries, in the
+// order decodePair returns them.
+var partNames = [2]string{"left", "right"}
+
+// decodePair extracts the left/right images of a multipart upload, decoding
+// each part as it streams in rather than buffering the body. Each part may
+// be PGM or PFM (sniffed by magic); decode enforces the configured pixel cap
+// via imgproc's typed error. Only file parts count, the first part of each
+// name wins, and other parts are skipped. The whole body is read, so a
+// malformed or over-cap body fails however its parts decoded.
 func (s *Server) decodePair(r *http.Request) (left, right *imgproc.Image, err error) {
-	// Bound the bytes we are willing to buffer: 4 bytes per pixel per
-	// image for PFM plus generous header/boundary slack.
+	// Bound the bytes we are willing to read: 4 bytes per pixel per image
+	// for PFM plus generous header/boundary slack.
 	limit := int64(s.cfg.MaxPixels)*8 + 1<<16
 	r.Body = http.MaxBytesReader(nil, r.Body, limit)
-	if err := r.ParseMultipartForm(limit); err != nil {
+	mr, err := r.MultipartReader()
+	if err != nil {
 		return nil, nil, fmt.Errorf("parsing multipart upload: %w", err)
 	}
-	//asvlint:ignore droppederr best-effort temp-file cleanup; decode already has the bytes
-	defer r.MultipartForm.RemoveAll()
-	for _, name := range []string{"left", "right"} {
-		f, _, err := r.FormFile(name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("missing %q image part: %w", name, err)
+	var (
+		ims   [2]*imgproc.Image
+		errs  [2]error
+		found [2]bool
+	)
+	for {
+		p, err := mr.NextPart()
+		if err == io.EOF {
+			break
 		}
-		im, err := s.decodeImage(f)
-		//asvlint:ignore droppederr read-only multipart part; decode result is what matters
-		f.Close()
 		if err != nil {
-			return nil, nil, fmt.Errorf("decoding %q: %w", name, err)
+			return nil, nil, fmt.Errorf("parsing multipart upload: %w", err)
 		}
-		if name == "left" {
-			left = im
-		} else {
-			right = im
+		i := slices.Index(partNames[:], p.FormName())
+		if i < 0 || found[i] || p.FileName() == "" {
+			continue
+		}
+		found[i] = true
+		ims[i], errs[i] = s.decodeImage(p)
+	}
+	// Like the form parser, refuse a query string that does not parse.
+	if _, err := url.ParseQuery(r.URL.RawQuery); err != nil {
+		return nil, nil, fmt.Errorf("parsing multipart upload: %w", err)
+	}
+	for i, name := range partNames {
+		if !found[i] {
+			return nil, nil, fmt.Errorf("missing %q image part: %w", name, http.ErrMissingFile)
+		}
+		if errs[i] != nil {
+			return nil, nil, fmt.Errorf("decoding %q: %w", name, errs[i])
 		}
 	}
-	return left, right, nil
+	return ims[0], ims[1], nil
 }
 
 // decodeImage sniffs PGM ("P5") vs PFM ("Pf") and decodes under the
 // configured pixel cap, scrubbing non-finite PFM samples (the kernels are
-// clamp-safe on any finite input).
+// clamp-safe on any finite input; PGM samples are in [0, 1] by
+// construction).
 func (s *Server) decodeImage(f io.Reader) (*imgproc.Image, error) {
 	// Peek leaves the magic unread for the PGM/PFM readers, which reuse br
 	// rather than buffering the part a second time.
@@ -1072,20 +1107,19 @@ func (s *Server) decodeImage(f io.Reader) (*imgproc.Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading magic: %w", err)
 	}
-	var im *imgproc.Image
 	switch string(magic) {
 	case "P5":
-		im, err = imgproc.ReadPGMLimit(br, s.cfg.MaxPixels)
+		return imgproc.ReadPGMLimit(br, s.cfg.MaxPixels)
 	case "Pf":
-		im, err = imgproc.ReadPFMLimit(br, s.cfg.MaxPixels)
+		im, err := imgproc.ReadPFMLimit(br, s.cfg.MaxPixels)
+		if err != nil {
+			return nil, err
+		}
+		sanitize(im)
+		return im, nil
 	default:
 		return nil, fmt.Errorf("unsupported image magic %q (want PGM P5 or PFM Pf)", magic)
 	}
-	if err != nil {
-		return nil, err
-	}
-	sanitize(im)
-	return im, nil
 }
 
 // sanitize replaces non-finite samples with 0 so hostile PFM payloads

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
@@ -53,7 +54,13 @@ func quickMatcher(delay time.Duration) testMatcher {
 // cleanup-registered handle.
 func testServer(t *testing.T, cfg Config, delay time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(quickMatcher(delay), cfg)
+	return serveWith(t, quickMatcher(delay), cfg)
+}
+
+// serveWith is testServer over any key matcher.
+func serveWith(t *testing.T, m core.KeyMatcher, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	s := New(m, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -360,60 +367,141 @@ func TestLRUEvictionOnOverflow(t *testing.T) {
 	}
 }
 
-// Uploaded frames: PGM multipart works; oversize images bounce with 413
-// before allocation; mismatched geometry is a 422.
+// uploadPart is one part of a hand-built multipart upload: a file part
+// unless file is empty.
+type uploadPart struct {
+	name, file string
+	data       []byte
+}
+
+// multipartBody encodes parts and returns the body and its content type.
+func multipartBody(t *testing.T, parts ...uploadPart) ([]byte, string) {
+	t.Helper()
+	var buf bytes.Buffer
+	mw := multipart.NewWriter(&buf)
+	for _, p := range parts {
+		var fw io.Writer
+		var err error
+		if p.file != "" {
+			fw, err = mw.CreateFormFile(p.name, p.file)
+		} else {
+			fw, err = mw.CreateFormField(p.name)
+		}
+		if err == nil {
+			_, err = fw.Write(p.data)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), mw.FormDataContentType()
+}
+
+func pgmBytes(w, h int) []byte { return imgproc.AppendPGM(nil, imgproc.NewImage(w, h)) }
+
+// Uploaded frames are decoded as the parts stream in. PGM multipart works;
+// oversize images bounce with 413 before allocation; mismatched geometry is
+// a 422; only the first file part of each name counts, other parts are
+// skipped; a malformed, truncated or over-cap body is a 400 however its
+// parts decoded.
 func TestUploadDecodeAndCaps(t *testing.T) {
 	_, ts := testServer(t, Config{MaxPixels: 48 * 32}, 0)
 	info := createPresetSession(t, ts.URL, CreateSessionRequest{PW: 2})
 
-	post := func(lw, lh, rw, rh int) int {
+	postBody := func(query string, body []byte, contentType string) (int, string) {
 		t.Helper()
-		var buf bytes.Buffer
-		mw := multipart.NewWriter(&buf)
-		for _, p := range []struct {
-			name string
-			w, h int
-		}{{"left", lw, lh}, {"right", rw, rh}} {
-			fw, err := mw.CreateFormFile(p.name, p.name+".pgm")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := imgproc.WritePGM(fw, imgproc.NewImage(p.w, p.h)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mw.Close()
-		resp, err := http.Post(ts.URL+"/v1/sessions/"+info.ID+"/frames",
-			mw.FormDataContentType(), &buf)
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+info.ID+"/frames"+query, contentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	post := func(parts ...uploadPart) (int, string) {
+		t.Helper()
+		body, ct := multipartBody(t, parts...)
+		return postBody("", body, ct)
+	}
+	left := func(w, h int) uploadPart { return uploadPart{"left", "left.pgm", pgmBytes(w, h)} }
+	right := func(w, h int) uploadPart { return uploadPart{"right", "right.pgm", pgmBytes(w, h)} }
+	extra := uploadPart{"note", "note.txt", []byte("not an image")}
+
+	for _, tc := range []struct {
+		name   string
+		parts  []uploadPart
+		status int
+		msg    string // a substring of the error body
+	}{
+		{"valid", []uploadPart{left(48, 32), right(48, 32)}, http.StatusOK, ""},
+		// One pixel over the cap → 413 from the typed decode error.
+		{"oversize", []uploadPart{left(49, 32), right(49, 32)}, http.StatusRequestEntityTooLarge, "decode limit"},
+		// Geometry mismatch with the established 48x32 stream → 422.
+		{"mismatched", []uploadPart{left(32, 32), right(32, 32)}, http.StatusUnprocessableEntity, ""},
+		{"right before left", []uploadPart{right(48, 32), left(48, 32)}, http.StatusOK, ""},
+		// A second left would be a 422 if it counted.
+		{"duplicate left", []uploadPart{left(48, 32), left(32, 32), right(48, 32)}, http.StatusOK, ""},
+		{"left as a plain field", []uploadPart{{"left", "", pgmBytes(48, 32)}, right(48, 32)},
+			http.StatusBadRequest, `missing \"left\" image part: http: no such file`},
+		{"no right", []uploadPart{left(48, 32)}, http.StatusBadRequest, `missing \"right\" image part`},
+		{"unknown parts", []uploadPart{extra, left(48, 32), extra, right(48, 32), extra}, http.StatusOK, ""},
+		{"undecodable left", []uploadPart{{"left", "left.pgm", []byte("P6 junk")}, right(48, 32)},
+			http.StatusBadRequest, `decoding \"left\"`},
+		// Past the body cap (48·32·8 + 64 KiB) the upload fails as a body,
+		// before its parts are judged: an unknown part that overflows it
+		// after two good images, or an oversize image that does.
+		{"unknown part past the cap", []uploadPart{left(48, 32), right(48, 32), {"note", "n", make([]byte, 80_000)}},
+			http.StatusBadRequest, "request body too large"},
+		{"oversize image past the cap", []uploadPart{left(200, 200), right(48, 32)},
+			http.StatusBadRequest, "request body too large"},
+	} {
+		status, msg := post(tc.parts...)
+		if status != tc.status || !strings.Contains(msg, tc.msg) {
+			t.Fatalf("%s: %d %s, want %d with %q", tc.name, status, msg, tc.status, tc.msg)
+		}
 	}
 
-	if status := post(48, 32, 48, 32); status != http.StatusOK {
-		t.Fatalf("valid upload: %d", status)
-	}
-	// One pixel over the cap → 413 from the typed decode error.
-	if status := post(49, 32, 49, 32); status != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize upload: %d, want 413", status)
-	}
-	// Geometry mismatch with the established 48x32 stream → 422.
-	if status := post(32, 32, 32, 32); status != http.StatusUnprocessableEntity {
-		t.Fatalf("mismatched upload: %d, want 422", status)
+	// A body cut off inside the right part → 400.
+	body, ct := multipartBody(t, left(48, 32), right(48, 32))
+	if status, msg := postBody("", body[:len(body)-200], ct); status != http.StatusBadRequest {
+		t.Fatalf("truncated upload: %d %s, want 400", status, msg)
 	}
 	// Garbage body → 400.
-	resp, err := http.Post(ts.URL+"/v1/sessions/"+info.ID+"/frames",
-		"multipart/form-data; boundary=x", bytes.NewReader([]byte("not multipart")))
+	if status, msg := postBody("", []byte("not multipart"), "multipart/form-data; boundary=x"); status != http.StatusBadRequest {
+		t.Fatalf("garbage upload: %d %s, want 400", status, msg)
+	}
+	// A malformed query string → 400, as the form parser had it.
+	if status, msg := postBody("?a=1;b=2", body, ct); status != http.StatusBadRequest {
+		t.Fatalf("malformed query: %d %s, want 400", status, msg)
+	}
+	// Not multipart at all → 400.
+	if status, msg := postBody("", pgmBytes(48, 32), "application/octet-stream"); status != http.StatusBadRequest {
+		t.Fatalf("non-multipart upload: %d %s, want 400", status, msg)
+	}
+}
+
+// TestUploadScrubsNonFinitePFM: PFM parts are decoded verbatim except for
+// non-finite samples, which become 0; PGM parts are not scanned at all.
+func TestUploadScrubsNonFinitePFM(t *testing.T) {
+	s, _ := testServer(t, Config{}, 0)
+	im := imgproc.NewImage(3, 2)
+	copy(im.Pix, []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0.25, -1, 2e9})
+	body, ct := multipartBody(t, uploadPart{"left", "l.pfm", imgproc.AppendPFM(nil, im)},
+		uploadPart{"right", "r.pgm", pgmBytes(3, 2)})
+	req := httptest.NewRequest("POST", "/v1/sessions/x/frames", bytes.NewReader(body))
+	req.Header.Set("Content-Type", ct)
+	l, r, err := s.decodePair(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage upload: %d, want 400", resp.StatusCode)
+	if want := []float32{0, 0, 0, 0.25, -1, 0}; !slices.Equal(l.Pix, want) {
+		t.Fatalf("scrubbed left %v, want %v", l.Pix, want)
+	}
+	if r.W != 3 || r.H != 2 || slices.ContainsFunc(r.Pix, func(v float32) bool { return v != 0 }) {
+		t.Fatalf("right %dx%d %v, want a 3x2 zero image", r.W, r.H, r.Pix)
 	}
 }
 
