@@ -611,24 +611,33 @@ func fixtureSnapshot() *SessionSnapshot {
 	}
 }
 
-// TestSnapshotV2Fixture pins the v2 wire format byte for byte: the committed
-// fixture, written by the v2 encoder, decodes to fixtureSnapshot and
+// TestSnapshotV2Fixture pins the v2 wire format byte for byte: each
+// committed fixture, written by the v2 encoder, decodes to its session and
 // re-encodes to the identical bytes. A codec change that moves, drops or
 // re-types a field fails here even if it still round-trips its own output.
+// snapshot_v2_sad.asvsnap is fixtureSnapshot with the SAD cost and no
+// uniqueness test.
 func TestSnapshotV2Fixture(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.asvsnap"))
-	if err != nil {
-		t.Fatalf("reading v2 fixture: %v", err)
-	}
-	got, err := DecodeSnapshot(fixture, 0)
-	if err != nil {
-		t.Fatalf("decoding v2 fixture: %v", err)
-	}
-	if want := fixtureSnapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("v2 fixture decodes to\n%+v\nwant\n%+v", got, want)
-	}
-	if re := EncodeSnapshot(got); !bytes.Equal(re, fixture) {
-		t.Fatalf("re-encoding the v2 fixture gives %d bytes that differ from its %d", len(re), len(fixture))
+	sad := fixtureSnapshot()
+	sad.Pipeline.BM.UniqRatio, sad.Pipeline.BM.Census = 0, 0
+	for file, want := range map[string]*SessionSnapshot{
+		"snapshot_v2.asvsnap":     fixtureSnapshot(),
+		"snapshot_v2_sad.asvsnap": sad,
+	} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatalf("reading %s: %v", file, err)
+		}
+		got, err := DecodeSnapshot(fixture, 0)
+		if err != nil {
+			t.Fatalf("decoding %s: %v", file, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s decodes to\n%+v\nwant\n%+v", file, got, want)
+		}
+		if re := EncodeSnapshot(got); !bytes.Equal(re, fixture) {
+			t.Fatalf("re-encoding %s gives %d bytes that differ from its %d", file, len(re), len(fixture))
+		}
 	}
 }
 
