@@ -18,7 +18,7 @@ func TestGateKernels(t *testing.T) {
 	committed := []asv.KernelPoint{
 		point("cvf", "fixed", 128, 80, 100),
 		point("sad", "fixed", 128, 80, 40),
-		point("census", "fixed", 128, 80, 130),
+		point("sgm-aggregate", "fixed", 128, 80, 130),
 		point("refine", "fixed", 128, 80, 90),
 	}
 	// scaled is committed measured on a host slower by factor, with row i
@@ -58,10 +58,10 @@ func TestGateKernels(t *testing.T) {
 	})
 
 	t.Run("one row 3x slower than the rest fails", func(t *testing.T) {
-		fresh := scaled(2, map[int]float64{2: 3}) // a 2x slower host, census 3x on top
+		fresh := scaled(2, map[int]float64{2: 3}) // a 2x slower host, sgm-aggregate 3x on top
 		err := gateKernels(fresh, committed)
-		if err == nil || !strings.Contains(err.Error(), "census|fixed|128x80") || strings.Contains(err.Error(), "sad|") {
-			t.Fatalf("want exactly the census|fixed failure, got %v", err)
+		if err == nil || !strings.Contains(err.Error(), "sgm-aggregate|fixed|128x80") || strings.Contains(err.Error(), "sad|") {
+			t.Fatalf("want exactly the sgm-aggregate|fixed failure, got %v", err)
 		}
 	})
 

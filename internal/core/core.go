@@ -107,9 +107,24 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: adaptive MaxWindow %d < 1", c.Adaptive.MaxWindow)
 	case c.Adaptive != nil && c.Adaptive.MotionThresholdPx <= 0:
 		return fmt.Errorf("core: adaptive MotionThresholdPx %g <= 0", c.Adaptive.MotionThresholdPx)
+	case c.Flow.PolyR < 1:
+		return fmt.Errorf("core: flow polynomial radius %d < 1", c.Flow.PolyR)
+	case !gaussianSigmaOK(c.Flow.PyrSigma):
+		return fmt.Errorf("core: flow pyramid sigma %g not in (0, %d/3]", c.Flow.PyrSigma, maxGaussR)
+	case !gaussianSigmaOK(c.Flow.WinSigma):
+		return fmt.Errorf("core: flow window sigma %g not in (0, %d/3]", c.Flow.WinSigma, maxGaussR)
 	}
 	return nil
 }
+
+// maxGaussR caps the radius ceil(3σ) of the Gaussian kernel a flow sigma
+// asks imgproc.GaussianKernel1D for: the cap the snapshot codec puts on
+// every other radius.
+const maxGaussR = 256
+
+// gaussianSigmaOK reports whether sigma s is positive with a kernel radius
+// within maxGaussR.
+func gaussianSigmaOK(s float64) bool { return s > 0 && math.Ceil(3*s) <= maxGaussR }
 
 // Result reports one processed stereo pair.
 type Result struct {

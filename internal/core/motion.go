@@ -121,13 +121,6 @@ func (ZeroME) MACs(w, h int) int64 { return 0 }
 // Name implements MotionEstimator.
 func (ZeroME) Name() string { return "zero" }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // HornSchunckME is the classic variational dense-flow estimator — dense
 // like Farneback but pyramid-less, so it breaks down beyond ~1 px of
 // motion; the ablation quantifies that limitation.

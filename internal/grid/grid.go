@@ -272,10 +272,3 @@ func (g *Grid) Conv2D(in, w *tensor.Tensor, stride, pad int) *tensor.Tensor {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -207,13 +207,14 @@ func DownsampleInput(im *imgproc.Image, level int) *imgproc.Image {
 // UpsampleDisparity lifts a disparity map computed at pyramid level back to
 // w×h: nearest-neighbor sampling (bilinear would blend invalid pixels into
 // their neighbors) with values scaled by 2^level; invalid entries (<0) stay
-// exactly -1. level 0 returns d itself.
+// exactly -1. level 0 returns d itself; otherwise the map comes from the
+// image pool, and its owner may imgproc.PutImage it when done.
 func UpsampleDisparity(d *imgproc.Image, w, h, level int) *imgproc.Image {
 	if level == 0 {
 		return d
 	}
 	scale := float32(int(1) << level)
-	out := imgproc.NewImage(w, h)
+	out := imgproc.GetImage(w, h)
 	cols := make([]int, w) // source column of each output column
 	for x := range cols {
 		cols[x] = x * d.W / w

@@ -145,9 +145,13 @@ func (s *Server) process(it *workItem, queueWait time.Duration) {
 	rep := frameReply{queueWait: queueWait}
 	s.cfg.Metrics.Stage("queue").Observe(queueWait)
 	defer func() {
-		// A panic in a kernel must not take the server down; it becomes a
-		// 500 on this one request. The session's pipeline state is intact
-		// because core commits state only after a frame fully succeeds.
+		// A panic on this worker's own goroutine becomes a 500 on this one
+		// request; the session's pipeline state is intact because core
+		// commits state only after a frame fully succeeds. It covers this
+		// goroutine only: a panic on one the frame starts (the right eye's
+		// flow in core, par's workers) ends the process, so a pipeline the
+		// kernels cannot run is refused before it becomes a session
+		// (core.Config.Validate in newSession).
 		if r := recover(); r != nil {
 			rep.err = fmt.Errorf("internal: frame processing panicked: %v", r)
 		}

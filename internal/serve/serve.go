@@ -871,6 +871,11 @@ func (s *Server) handleSubmitFrame(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.writeFrameReply(w, sess, format, rep)
+		if s.ladder[rep.rung].OP.PyrLevel > 0 {
+			// A degraded frame's upsampled disparity belongs to its reply
+			// alone; at level 0 it is the pipeline's previous disparity.
+			imgproc.PutImage(rep.res.Disparity)
+		}
 	case <-r.Context().Done():
 		// Client went away; the frame still runs to completion (the session
 		// state must advance) and the buffered reply is dropped.

@@ -166,8 +166,20 @@ func (c *snapCodec) walk(snap *SessionSnapshot) {
 	c.count(&p.BM.BlockR, "bm block radius", 256)
 	c.count(&p.BM.MaxDisp, "bm max disparity", 1<<12)
 	c.flag(&p.BM.Subpixel, "bm subpixel")
-	c.f64(&p.BM.UniqRatio, "bm uniqueness ratio")
-	c.count(&p.BM.Census, "bm census radius", 256)
+	// Two slots of options block matching no longer has, kept so the
+	// format does not change: the uniqueness ratio and the census radius.
+	// Encoding writes 0 to both; a positive value selected a cost or a test
+	// the kernels cannot run, and is refused.
+	var uniq float64
+	var censusR int
+	c.f64(&uniq, "bm uniqueness ratio")
+	c.count(&censusR, "bm census radius", 256)
+	if uniq > 0 {
+		c.fail("bm uniqueness ratio %g: the uniqueness test was removed", uniq)
+	}
+	if censusR > 0 {
+		c.fail("bm census radius %d: census block matching was removed", censusR)
+	}
 	c.flag(&p.BM.Fixed, "bm fixed-point") // selects nothing now; the byte keeps the format
 	c.count(&p.Flow.Levels, "flow levels", 64)
 	c.f64(&p.Flow.PyrSigma, "flow pyramid sigma")

@@ -6,13 +6,16 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"asv/internal/core"
@@ -237,17 +240,43 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 	}
 }
 
-// A well-formed snapshot whose pipeline options core.New would refuse (a
-// zero flow scale or refine radius) is refused on restore with 422, not a
-// panic in the handler, and installs nothing.
+// A well-formed snapshot whose pipeline options core.New would refuse — a
+// zero flow scale or refine radius, or flow options the Farneback kernels
+// would panic on: a Gaussian sigma ≤ 0 or past the radius cap, a polynomial
+// radius of 0 — is refused on restore with 422 and installs nothing. The
+// right eye's flow runs on a goroutine the worker's recover does not cover,
+// so an accepted one would end the process on its first non-key frame; the
+// server must go on serving its other sessions.
 func TestRestoreRefusesInvalidPipeline(t *testing.T) {
 	_, ts := testServer(t, DefaultConfig(), 0)
-	zeroScale, zeroRadius := DefaultConfig().Pipeline, DefaultConfig().Pipeline
-	zeroScale.FlowScale, zeroRadius.RefineR = 0, 0
-	for name, cfg := range map[string]core.Config{"flow scale 0": zeroScale, "refine radius 0": zeroRadius} {
-		snap := EncodeSnapshot(&SessionSnapshot{ID: "bad-pipe", Pipeline: cfg})
-		if code, body := putSnapshot(t, ts.URL, "bad-pipe", snap); code != http.StatusUnprocessableEntity {
-			t.Errorf("%s: PUT snapshot: %d: %s, want 422", name, code, body)
+	info := createPresetSession(t, ts.URL, CreateSessionRequest{Preset: "sceneflow", W: 32, H: 24, Frames: 4, PW: 2})
+	submitPFM(t, ts.URL, info.ID) // the key frame: the next one runs the flow
+	good, err := DecodeSnapshot(getSnapshot(t, ts.URL, info.ID), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*core.Config)
+	}{
+		{"flow scale 0", func(c *core.Config) { c.FlowScale = 0 }},
+		{"refine radius 0", func(c *core.Config) { c.RefineR = 0 }},
+		{"window sigma 0", func(c *core.Config) { c.Flow.WinSigma = 0 }},
+		{"window sigma -1", func(c *core.Config) { c.Flow.WinSigma = -1 }},
+		{"window sigma past the cap", func(c *core.Config) { c.Flow.WinSigma = 85.34 }},
+		{"window sigma 1e15", func(c *core.Config) { c.Flow.WinSigma = 1e15 }},
+		{"pyramid sigma 0", func(c *core.Config) { c.Flow.PyrSigma = 0 }},
+		{"pyramid sigma -1", func(c *core.Config) { c.Flow.PyrSigma = -1 }},
+		{"polynomial radius 0", func(c *core.Config) { c.Flow.PolyR = 0 }},
+	} {
+		snap := *good
+		snap.ID = "bad-pipe"
+		tc.set(&snap.Pipeline)
+		if code, body := putSnapshot(t, ts.URL, snap.ID, EncodeSnapshot(&snap)); code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: PUT snapshot: %d: %s, want 422", tc.name, code, body)
+			if code == http.StatusOK {
+				submitPFM(t, ts.URL, snap.ID) // the frame the refusal is for
+			}
 		}
 		resp, err := http.Get(ts.URL + "/v1/sessions/bad-pipe")
 		if err != nil {
@@ -255,7 +284,34 @@ func TestRestoreRefusesInvalidPipeline(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: refused snapshot left a session behind (GET %d)", name, resp.StatusCode)
+			t.Errorf("%s: refused snapshot left a session behind (GET %d)", tc.name, resp.StatusCode)
+		}
+	}
+	if frame, isKey, _, _ := submitPFM(t, ts.URL, info.ID); frame != 1 || isKey {
+		t.Fatalf("the healthy session's next frame is %d (key %v), want non-key frame 1", frame, isKey)
+	}
+}
+
+// PUT snapshot answers 413 only to a body past its cap; any other failure
+// to read the body is a 400.
+func TestPutSnapshotBodyErrors(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxPixels = 16
+	srv, _ := testServer(t, cfg, 0)
+	limit := 16*12 + 1<<20 // the handler's cap at MaxPixels 16
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"failing reader", iotest.ErrReader(errors.New("connection reset")), http.StatusBadRequest},
+		{"over the cap", bytes.NewReader(make([]byte, limit+1)), http.StatusRequestEntityTooLarge},
+		{"at the cap", bytes.NewReader(make([]byte, limit)), http.StatusBadRequest}, // read, then not a snapshot
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/sessions/abc/snapshot", tc.body))
+		if rec.Code != tc.want {
+			t.Errorf("%s: %d: %s, want %d", tc.name, rec.Code, rec.Body, tc.want)
 		}
 	}
 }
@@ -571,7 +627,7 @@ func TestClientSuppliedSessionID(t *testing.T) {
 	}
 }
 
-// fixtureSnapshot is the session testdata/snapshot_v2.asvsnap holds: every
+// fixtureSnapshot is the session testdata/snapshot_v2_sad.asvsnap holds: every
 // optional block present (adaptive config, all three state images with
 // non-constant pixels, a preset past its first frame, a calibration with
 // rotations) and every field set to a value distinct from its neighbours,
@@ -588,7 +644,7 @@ func fixtureSnapshot() *SessionSnapshot {
 		ID: "fixture-v2",
 		Pipeline: core.Config{
 			PW: 3, Postprocess: true, FlowScale: 2, RefineR: 4,
-			BM:       stereo.BMOptions{BlockR: 2, MaxDisp: 24, Subpixel: true, UniqRatio: 0.15, Census: 1, Fixed: true},
+			BM:       stereo.BMOptions{BlockR: 2, MaxDisp: 24, Subpixel: true, Fixed: true},
 			Flow:     flow.Options{Levels: 2, PyrSigma: 0.9, PolySigma: 1.1, PolyR: 2, WinSigma: 1.8, Iters: 3},
 			Adaptive: &core.AdaptiveConfig{MaxWindow: 5, MotionThresholdPx: 1.75},
 		},
@@ -611,33 +667,79 @@ func fixtureSnapshot() *SessionSnapshot {
 	}
 }
 
-// TestSnapshotV2Fixture pins the v2 wire format byte for byte: each
-// committed fixture, written by the v2 encoder, decodes to its session and
+// TestSnapshotV2Fixture pins the v2 wire format byte for byte: the committed
+// fixture, written by the v2 encoder, decodes to fixtureSnapshot and
 // re-encodes to the identical bytes. A codec change that moves, drops or
 // re-types a field fails here even if it still round-trips its own output.
-// snapshot_v2_sad.asvsnap is fixtureSnapshot with the SAD cost and no
-// uniqueness test.
 func TestSnapshotV2Fixture(t *testing.T) {
-	sad := fixtureSnapshot()
-	sad.Pipeline.BM.UniqRatio, sad.Pipeline.BM.Census = 0, 0
-	for file, want := range map[string]*SessionSnapshot{
-		"snapshot_v2.asvsnap":     fixtureSnapshot(),
-		"snapshot_v2_sad.asvsnap": sad,
+	fixture, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2_sad.asvsnap"))
+	if err != nil {
+		t.Fatalf("reading v2 fixture: %v", err)
+	}
+	got, err := DecodeSnapshot(fixture, 0)
+	if err != nil {
+		t.Fatalf("decoding v2 fixture: %v", err)
+	}
+	if want := fixtureSnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("v2 fixture decodes to\n%+v\nwant\n%+v", got, want)
+	}
+	if re := EncodeSnapshot(got); !bytes.Equal(re, fixture) {
+		t.Fatalf("re-encoding the v2 fixture gives %d bytes that differ from its %d", len(re), len(fixture))
+	}
+}
+
+// withBMSlots returns the SAD fixture with its block-matching uniqueness
+// ratio and census radius slots set to uniq and census, and the CRC
+// recomputed. The slots follow the magic, the version, fixtureSnapshot's
+// 10-byte id and the pipeline's seven leading fields.
+func withBMSlots(t *testing.T, uniq float64, census uint32) []byte {
+	t.Helper()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2_sad.asvsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = len(snapshotMagic) + 1 + 4 + len("fixture-v2") + 4 + 1 + 4 + 4 + 4 + 4 + 1
+	body := fixture[:len(fixture)-4]
+	binary.LittleEndian.PutUint64(body[at:], math.Float64bits(uniq))
+	binary.LittleEndian.PutUint32(body[at+8:], census)
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// Block matching has one cost, SAD, and no uniqueness test. A snapshot
+// whose retired slots select either — the older fixture, written when they
+// existed, sets both — is refused with a *SnapshotError naming the field,
+// which PUT answers with 400; a restored session could not run its non-key
+// frames. Values that selected neither still decode.
+func TestSnapshotRefusesRemovedMatchingOptions(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.asvsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want string // "" when the snapshot decodes
+	}{
+		{"older fixture", old, "uniqueness ratio 0.15"},
+		{"uniqueness", withBMSlots(t, 0.15, 0), "uniqueness ratio 0.15"},
+		{"census 1", withBMSlots(t, 0, 1), "census radius 1"},
+		{"census 4", withBMSlots(t, 0, 4), "census radius 4"},
+		{"negative ratio", withBMSlots(t, -0.5, 0), ""},
+		{"zero slots", withBMSlots(t, 0, 0), ""},
 	} {
-		fixture, err := os.ReadFile(filepath.Join("testdata", file))
-		if err != nil {
-			t.Fatalf("reading %s: %v", file, err)
+		_, err := DecodeSnapshot(tc.buf, 0)
+		var se *SnapshotError
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v, want it decoded", tc.name, err)
+		case tc.want != "" && (!errors.As(err, &se) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err=%v, want a *SnapshotError naming %q", tc.name, err, tc.want)
 		}
-		got, err := DecodeSnapshot(fixture, 0)
-		if err != nil {
-			t.Fatalf("decoding %s: %v", file, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s decodes to\n%+v\nwant\n%+v", file, got, want)
-		}
-		if re := EncodeSnapshot(got); !bytes.Equal(re, fixture) {
-			t.Fatalf("re-encoding %s gives %d bytes that differ from its %d", file, len(re), len(fixture))
-		}
+	}
+
+	_, ts := testServer(t, DefaultConfig(), 0)
+	if code, body := putSnapshot(t, ts.URL, "fixture-v2", withBMSlots(t, 0, 4)); code != http.StatusBadRequest {
+		t.Fatalf("PUT with census radius 4: %d: %s, want 400", code, body)
 	}
 }
 

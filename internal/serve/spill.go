@@ -173,7 +173,12 @@ func (s *Server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 	limit := int64(s.cfg.MaxPixels)*12 + 1<<20 // three float32 planes + slack
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "reading snapshot: "+err.Error())
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "reading snapshot: "+err.Error())
 		return
 	}
 	sess, err := s.restore(id, body)

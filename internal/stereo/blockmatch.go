@@ -13,15 +13,6 @@ type BMOptions struct {
 	BlockR   int  // block radius: the block is (2r+1)×(2r+1)
 	MaxDisp  int  // maximum disparity searched in full-search mode
 	Subpixel bool // parabola-fit subpixel refinement around the winner
-	// UniqRatio, when positive, invalidates (-1) pixels whose best cost is
-	// not at least UniqRatio fractionally better than the runner-up at a
-	// non-adjacent disparity — the standard uniqueness test for repetitive
-	// texture.
-	UniqRatio float64
-	// Census switches the matching cost from SAD to census-Hamming with
-	// the given window radius (0 disables). Census costs are invariant to
-	// per-camera gain/offset, at a small cost in clean-image accuracy.
-	Census int
 	// Fixed selects nothing: the SAD kernels have one numeric type, uint8
 	// samples and uint16 cost cells (DESIGN.md §9). The field stays only
 	// because the repository benchmark's workload table assigns it.
@@ -59,14 +50,9 @@ func mustSameSize(left, right *imgproc.Image) {
 
 // Match performs full-search block matching: for every left pixel it scans
 // disparities 0..MaxDisp and keeps the winner-take-all disparity. The cost
-// is SAD over uint8-quantized samples, or census-Hamming when opt.Census is
-// positive.
+// is SAD over uint8-quantized samples.
 func Match(left, right *imgproc.Image, opt BMOptions) *imgproc.Image {
 	mustSameSize(left, right)
-	if opt.Census > 0 {
-		cl, cr := census(left, opt.Census), census(right, opt.Census)
-		return matchStrips(left.W, left.H, opt, censusRowCost(cl, cr, left.W))
-	}
 	return matchAD(left, right, opt, float32(math.Inf(1)))
 }
 
@@ -76,38 +62,33 @@ func Match(left, right *imgproc.Image, opt BMOptions) *imgproc.Image {
 func matchAD(left, right *imgproc.Image, opt BMOptions, truncate float32) *imgproc.Image {
 	l8, r8 := quantize8(left), quantize8(right)
 	defer planeFree.Put(l8, r8)
-	return matchStrips(left.W, left.H, opt, adRowCost(*l8, *r8, left.W, uint16(quant8(truncate))))
+	return matchStrips(*l8, *r8, left.W, left.H, uint16(quant8(truncate)), opt)
 }
 
 // Refine performs ISM's guided correspondence search (paper step 4): for
 // every pixel, it searches a 1-D window of ±searchR pixels centred on the
 // initial disparity estimate init, and returns the refined disparity map.
 // This is dramatically cheaper than Match because searchR << MaxDisp. The
-// cost is chosen as in Match.
+// cost is Match's SAD.
 func Refine(left, right, init *imgproc.Image, searchR int, opt BMOptions) *imgproc.Image {
 	mustSameSize(left, right)
 	if init.W != left.W || init.H != left.H {
 		panic("stereo: initial disparity size mismatch")
 	}
-	w, br := left.W, opt.BlockR
-	if opt.Census > 0 {
-		cl, cr := census(left, opt.Census), census(right, opt.Census)
-		return refine(init, searchR, br, opt.Subpixel, censusRowSums(cl, cr, w, br))
-	}
 	l8, r8 := quantize8(left), quantize8(right)
 	defer planeFree.Put(l8, r8)
-	return refine(init, searchR, br, opt.Subpixel, adRowSums(*l8, *r8, w, br))
+	return refine(*l8, *r8, init, searchR, opt.BlockR, opt.Subpixel)
 }
 
 // refine is the guided-search loop behind Refine: one row range per worker,
-// each refineStrip over the cost whose row sums rowSums computes, on
-// scratch recycled through refineFree. Every output row depends only on
-// init and the images, so the partition does not change the bits.
-func refine(init *imgproc.Image, searchR, br int, subpixel bool, rowSums rowSummer) *imgproc.Image {
+// each refineStrip over the SAD of the planes l8 and r8, on scratch
+// recycled through refineFree. Every output row depends only on init and
+// the images, so the partition does not change the bits.
+func refine(l8, r8 []uint8, init *imgproc.Image, searchR, br int, subpixel bool) *imgproc.Image {
 	out := imgproc.NewImage(init.W, init.H)
 	par.ForChunked(init.H, func(y0, y1 int) {
 		sc := refineFree.Get()
-		refineStrip(init, out, y0, y1, searchR, br, subpixel, rowSums, sc)
+		refineStrip(l8, r8, init, out, y0, y1, searchR, br, subpixel, sc)
 		refineFree.Put(sc)
 	})
 	return out

@@ -17,7 +17,7 @@ import (
 
 // KernelPoint is one (kernel, variant, size) benchmark measurement.
 type KernelPoint struct {
-	Kernel     string  `json:"kernel"`  // sad | census | cvf | refine | census-transform | sgm-aggregate | wta here; separable-filter | farneback from the root package
+	Kernel     string  `json:"kernel"`  // sad | cvf | refine | census-transform | sgm-aggregate | wta here; separable-filter | farneback from the root package
 	Variant    string  `json:"variant"` // numeric type: fixed (integer cells) here; float (float32) for the root package's flow kernels
 	W          int     `json:"w"`
 	H          int     `json:"h"`
@@ -63,7 +63,7 @@ func TimeKernel(w, h, rounds int, f func()) float64 {
 
 // MeasureKernels benchmarks every matching kernel at the given frame sizes
 // and disparity range, timing each run rounds times and keeping the fastest:
-// one fixed row per kernel (sad, census, cvf, refine, census-transform —
+// one fixed row per kernel (sad, cvf, refine, census-transform —
 // SGM's descriptor stage alone for both eyes — sgm-aggregate, wta).
 func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 	var points []KernelPoint
@@ -73,8 +73,6 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 		nd := maxDisp + 1
 
 		bmOpt := BMOptions{BlockR: 3, MaxDisp: maxDisp, Subpixel: true}
-		censusOpt := bmOpt
-		censusOpt.Census = 2
 		// The guide is benchPair's true shift off by up to ±1 px, drawn per
 		// pixel: a constant guide would give every column the same 7-wide
 		// band, narrower than a propagated guide's.
@@ -99,7 +97,6 @@ func MeasureKernels(sizes [][2]int, maxDisp, rounds int) []KernelPoint {
 			run  func()
 		}{
 			{"sad", func() { Match(left, right, bmOpt) }},
-			{"census", func() { Match(left, right, censusOpt) }},
 			{"cvf", func() { CostVolumeFilter(left, right, cvfOpt) }},
 			{"refine", func() { Refine(left, right, init, 3, bmOpt) }},
 			{"census-transform", func() { census(left, sgmOpt.CensusR); census(right, sgmOpt.CensusR) }},

@@ -7,8 +7,8 @@ func TestMeasureKernels(t *testing.T) {
 		t.Skip("benchmark harness, skipped in -short")
 	}
 	points := MeasureKernels([][2]int{{32, 24}}, 8, 1)
-	if len(points) != 7 { // sad, census, cvf, refine, census-transform, sgm-aggregate, wta
-		t.Fatalf("got %d points, want 7", len(points))
+	if len(points) != 6 { // sad, cvf, refine, census-transform, sgm-aggregate, wta
+		t.Fatalf("got %d points, want 6", len(points))
 	}
 	for _, p := range points {
 		if p.NsPerPixel <= 0 {

@@ -2,101 +2,62 @@ package stereo
 
 import (
 	"math"
-	"math/bits"
 
 	"asv/internal/imgproc"
 	"asv/internal/par"
 )
 
 // The sliding-window kernel family (DESIGN.md §9). Every dense matcher that
-// aggregates a per-pixel cost over a square window — SAD and census block
-// matching, cost-volume filtering — is one algorithm: one cost row per
+// aggregates a per-pixel cost over a square window — SAD block matching and
+// cost-volume filtering — is one algorithm: one absolute-difference row per
 // (row, disparity), slid horizontally in O(1) per pixel, then slid
 // vertically down a strip of rows into a struct-of-arrays cost volume laid
 // out [row][disparity][x], read out by one winner-take-all pass. It has one
-// numeric type: uint8 samples (quantize8 for SAD, census descriptors
-// otherwise) give uint16 cost cells summed exactly in uint32. Stores
-// saturate at limU16.
+// numeric type: uint8 samples (quantize8) give uint16 cost cells summed
+// exactly in uint32. Stores saturate at limU16.
 
 // limU16 is the largest cost cell, as its uint32 accumulator: the value
 // every store saturates at.
 const limU16 uint32 = math.MaxUint16
 
-// rowCoster fills dst[x] with the per-pixel matching cost at (x, yy) for
-// disparity d. Implementations clamp the right-view column to the image
-// before shifting (clamp-then-shift), the one border rule of the family.
-type rowCoster func(yy, d int, dst []uint16)
-
-// adRowCost matches intensities by absolute difference capped at limit: the
-// SAD cost (limit at the sample range) and the truncated-AD cost of
-// cost-volume filtering.
-func adRowCost(l, r []uint8, w int, limit uint16) rowCoster {
-	return func(yy, d int, dst []uint16) {
-		// Hoisting the row windows pins every slice length to w, so the
-		// prove pass drops all per-pixel bounds checks (perf_contract.json
-		// holds this function to zero).
-		if w <= 0 {
-			return
-		}
-		row := yy * w
-		lr := l[row:][:w]
-		rr := r[row:][:w]
-		dst = dst[:w]
-		// Columns with x-d < 0 clamp to the row start. Clamping d once (a
-		// no-op for valid disparities) and phrasing the shifted loop as
-		// three windows sharing one length lets prove drop the x-d checks.
-		if d < 0 {
-			d = 0
-		}
-		if d > w {
-			d = w
-		}
-		// |l-r| is taken in the cell type: min/max of uint8 operands would
-		// compile to branches (amd64 has no byte-sized conditional move).
-		border := uint16(rr[0])
-		db := dst[:d]
-		for x, lv := range lr[:d] {
-			db[x] = min(max(uint16(lv), border)-min(uint16(lv), border), limit)
-		}
-		n := w - d
-		lo := lr[d:][:n]
-		ro := rr[:n]
-		do := dst[d:][:n]
-		for i, rv := range ro {
-			do[i] = min(max(uint16(lo[i]), uint16(rv))-min(uint16(lo[i]), uint16(rv)), limit)
-		}
+// adRowCost fills dst[x] with the absolute difference of the w-wide uint8
+// planes l and r at (x, yy) for disparity d, capped at limit: the SAD cost
+// (limit at the sample range) and the truncated-AD cost of cost-volume
+// filtering. The right-view column is clamped to the image before shifting
+// (clamp-then-shift), the one border rule of the family.
+func adRowCost(l, r []uint8, w int, limit uint16, yy, d int, dst []uint16) {
+	// Hoisting the row windows pins every slice length to w, so the prove
+	// pass drops all per-pixel bounds checks (perf_contract.json holds this
+	// function to zero).
+	if w <= 0 {
+		return
 	}
-}
-
-// censusRowCost matches precomputed census descriptor planes by Hamming
-// distance; the costs are small integers whatever the image type.
-func censusRowCost(cl, cr []uint64, w int) rowCoster {
-	return func(yy, d int, dst []uint16) {
-		if w <= 0 {
-			return
-		}
-		row := yy * w
-		lr := cl[row:][:w]
-		rr := cr[row:][:w]
-		dst = dst[:w]
-		if d < 0 {
-			d = 0
-		}
-		if d > w {
-			d = w
-		}
-		border := rr[0]
-		db := dst[:d]
-		for x, lv := range lr[:d] {
-			db[x] = uint16(bits.OnesCount64(lv ^ border))
-		}
-		n := w - d
-		lo := lr[d:][:n]
-		ro := rr[:n]
-		do := dst[d:][:n]
-		for i, rv := range ro {
-			do[i] = uint16(bits.OnesCount64(lo[i] ^ rv))
-		}
+	row := yy * w
+	lr := l[row:][:w]
+	rr := r[row:][:w]
+	dst = dst[:w]
+	// Columns with x-d < 0 clamp to the row start. Clamping d once (a no-op
+	// for valid disparities) and phrasing the shifted loop as three windows
+	// sharing one length lets prove drop the x-d checks.
+	if d < 0 {
+		d = 0
+	}
+	if d > w {
+		d = w
+	}
+	// |l-r| is taken in the cell type: min/max of uint8 operands would
+	// compile to branches (amd64 has no byte-sized conditional move).
+	border := uint16(rr[0])
+	db := dst[:d]
+	for x, lv := range lr[:d] {
+		db[x] = min(max(uint16(lv), border)-min(uint16(lv), border), limit)
+	}
+	n := w - d
+	lo := lr[d:][:n]
+	ro := rr[:n]
+	do := dst[d:][:n]
+	for i, rv := range ro {
+		do[i] = min(max(uint16(lo[i]), uint16(rv))-min(uint16(lo[i]), uint16(rv)), limit)
 	}
 }
 
@@ -109,22 +70,22 @@ func censusRowCost(cl, cr []uint64, w int) rowCoster {
 const stripRows = 32
 
 // matchStrips is the full-search matcher behind Match and CostVolumeFilter:
-// per strip of rows, the block-cost volume of cost over a (2·BlockR+1)²
-// window, then the winner-take-all readout.
-func matchStrips(w, h int, opt BMOptions, cost rowCoster) *imgproc.Image {
-	nd := opt.MaxDisp + 1
-	r := opt.BlockR
+// per strip of rows, the block-cost volume of the absolute difference of
+// the w×h planes l and r capped at limit over a (2·BlockR+1)² window, then
+// the winner-take-all readout.
+func matchStrips(l, r []uint8, w, h int, limit uint16, opt BMOptions) *imgproc.Image {
+	nd, br := opt.MaxDisp+1, opt.BlockR
 	out := imgproc.NewImage(w, h)
 	par.For((h+stripRows-1)/stripRows, func(s int) {
 		y0 := s * stripRows
 		y1 := min(y0+stripRows, h)
 		rows := y1 - y0
 		adBuf := make([]uint16, w)
-		rowSum := make([]uint16, (rows+2*r)*w)
+		rowSum := make([]uint16, (rows+2*br)*w)
 		colSum := make([]uint32, w)
 		vol := make([]uint16, rows*nd*w)
-		blockCostStrip(cost, w, h, y0, y1, r, nd, adBuf, rowSum, colSum, vol)
-		wtaStrip(vol, out, w, y0, y1, nd, opt)
+		blockCostStrip(l, r, limit, w, h, y0, y1, br, nd, adBuf, rowSum, colSum, vol)
+		wtaStrip(vol, out, w, y0, y1, nd, opt.Subpixel)
 	})
 	return out
 }
@@ -133,21 +94,22 @@ func matchStrips(w, h int, opt BMOptions, cost rowCoster) *imgproc.Image {
 //
 //	vol[((y-y0)*nd + d)*w + x] = Σ_{|dy|<=r, |dx|<=r} cost(clamp(x+dx), clamp(y+dy), d)
 //
-// for rows [y0, y1) of an h-row image, using one rowCoster evaluation per
-// (row, disparity) and O(1) sliding-window updates per pixel. adBuf must
+// for rows [y0, y1) of an h-row image, cost the capped absolute difference
+// of adRowCost, using one adRowCost row per (row, disparity) and O(1)
+// sliding-window updates per pixel. adBuf must
 // hold w entries, rowSum (y1-y0+2r)*w entries, and colSum w entries; all are
 // scratch owned by the calling strip. The vertical pass walks row-major (one
 // wide running sum per column, advanced a full row at a time) so every
 // inner loop streams four equal-length row windows — the layout the prove
 // pass needs to drop all per-pixel bounds checks, and the one the prefetcher
 // likes.
-func blockCostStrip(cost rowCoster, w, h, y0, y1, r, nd int, adBuf, rowSum []uint16, colSum []uint32, vol []uint16) {
+func blockCostStrip(l8, r8 []uint8, limit uint16, w, h, y0, y1, r, nd int, adBuf, rowSum []uint16, colSum []uint32, vol []uint16) {
 	rows := y1 - y0
 	for d := 0; d < nd; d++ {
 		// Row block sums for every image row the vertical window touches,
 		// with replicate clamping at the top and bottom borders.
 		for yy := y0 - r; yy < y1+r; yy++ {
-			cost(clampInt(yy, 0, h-1), d, adBuf)
+			adRowCost(l8, r8, w, limit, clampInt(yy, 0, h-1), d, adBuf)
 			slideRow(adBuf, w, r, rowSum[(yy-(y0-r))*w:])
 		}
 		// Vertical sliding window down the strip, exact wide running sums.
@@ -243,9 +205,9 @@ func slideRow(src []uint16, w, r int, dst []uint16) {
 
 // wtaStrip reads the strip's SoA cost volume out into disparities:
 // winner-take-all restricted to d <= x (a disparity cannot look past the
-// left border), the uniqueness test, and subpixel refinement. Ties keep the
-// smallest disparity.
-func wtaStrip(vol []uint16, out *imgproc.Image, w, y0, y1, nd int, opt BMOptions) {
+// left border) and the optional subpixel refinement. Ties keep the smallest
+// disparity.
+func wtaStrip(vol []uint16, out *imgproc.Image, w, y0, y1, nd int, subpixel bool) {
 	bestC := make([]uint16, w)
 	bestD := make([]int32, w)
 	for y := y0; y < y1; y++ {
@@ -270,24 +232,8 @@ func wtaStrip(vol []uint16, out *imgproc.Image, w, y0, y1, nd int, opt BMOptions
 		for x := 0; x < w; x++ {
 			hi := min(nd-1, x)
 			bd := int(bestD[x])
-			if opt.UniqRatio > 0 {
-				// Runner-up outside the winner's immediate neighbourhood.
-				second := math.Inf(1)
-				for d := 0; d <= hi; d++ {
-					if d >= bd-1 && d <= bd+1 {
-						continue
-					}
-					if c := float64(vol[rowBase+d*w+x]); c < second {
-						second = c
-					}
-				}
-				if second < float64(bestC[x])*(1+opt.UniqRatio) {
-					out.Set(x, y, -1)
-					continue
-				}
-			}
 			disp := float64(bd)
-			if opt.Subpixel && bd > 0 && bd < hi {
+			if subpixel && bd > 0 && bd < hi {
 				disp += subpixelFit(
 					float64(vol[rowBase+(bd-1)*w+x]),
 					float64(vol[rowBase+bd*w+x]),
@@ -313,69 +259,63 @@ func wtaStrip(vol []uint16, out *imgproc.Image, w, y0, y1, nd int, opt BMOptions
 // candidate. The sums are integers, exact in any order, so the costs are
 // the per-candidate reference's in kernels_test.go.
 
-// rowSummer fills the row sums H(x, yy, d) of image row yy for every
-// column x and every d in [lo[x], hi[x]] (none when lo[x] > hi[x]), packed
-// into dst column after column in increasing d.
-type rowSummer func(yy int, lo, hi []int32, dst []uint32)
-
-// adRowSums is the rowSummer of the absolute-difference cost, |l−r| taken
-// in the cell type as in adRowCost. A sum whose taps and partners all lie
-// inside the row — x−br ≥ 0, x+br < w and x−br−d ≥ 0 — reads a left and a
-// right window of 2·br+1 samples with no clamp and no index check; the
-// rest go through adSumClamped.
-func adRowSums(l, r []uint8, w, br int) rowSummer {
-	return func(yy int, lo, hi []int32, dst []uint32) {
-		if w <= 0 {
-			return
+// adRowSums fills the row sums H(x, yy, d) of row yy of the w-wide uint8
+// planes l and r for every column x and every d in [lo[x], hi[x]] (none
+// when lo[x] > hi[x]), packed into dst column after column in increasing d,
+// |l−r| taken in the cell type as in adRowCost. A sum whose taps and
+// partners all lie inside the row — x−br ≥ 0, x+br < w and x−br−d ≥ 0 —
+// reads a left and a right window of 2·br+1 samples with no clamp and no
+// index check; the rest go through adSumClamped.
+func adRowSums(l, r []uint8, w, br, yy int, lo, hi []int32, dst []uint32) {
+	if w <= 0 {
+		return
+	}
+	row := yy * w
+	lr, rr := l[row:][:w], r[row:][:w]
+	lo, hi = lo[:w], hi[:w]
+	n := 2*br + 1
+	for x, b0 := range lo {
+		cnt := int(hi[x]) - int(b0) + 1
+		if cnt <= 0 {
+			continue
 		}
-		row := yy * w
-		lr, rr := l[row:][:w], r[row:][:w]
-		lo, hi = lo[:w], hi[:w]
-		n := 2*br + 1
-		for x, b0 := range lo {
-			cnt := int(hi[x]) - int(b0) + 1
-			if cnt <= 0 {
-				continue
-			}
-			out := dst[:cnt]
-			dst = dst[cnt:]
-			// The first in candidates read inside the row; candidate i's
-			// right window starts at x−br−b0−i. Four candidates at a time
-			// keep four sums in flight, each adding its own taps in dx
-			// order.
-			in := 0
-			if x >= br && x+br < w {
-				in = max(min(cnt, x-br-int(b0)+1), 0)
-			}
-			if o := out[:in]; len(o) > 0 {
-				lw := lr[x-br:][:n]
-				p := x - br - int(b0)
-				for ; len(o) >= 4; o, p = o[4:], p-4 {
-					r0, r1, r2, r3 := rr[p:][:len(lw)], rr[p-1:][:len(lw)], rr[p-2:][:len(lw)], rr[p-3:][:len(lw)]
-					var s0, s1, s2, s3 uint32
-					for j, v := range lw {
-						a, q0, q1, q2, q3 := uint16(v), uint16(r0[j]), uint16(r1[j]), uint16(r2[j]), uint16(r3[j])
-						s0 += uint32(max(a, q0) - min(a, q0))
-						s1 += uint32(max(a, q1) - min(a, q1))
-						s2 += uint32(max(a, q2) - min(a, q2))
-						s3 += uint32(max(a, q3) - min(a, q3))
-					}
-					o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+		out := dst[:cnt]
+		dst = dst[cnt:]
+		// The first in candidates read inside the row; candidate i's right
+		// window starts at x−br−b0−i. Four candidates at a time keep four
+		// sums in flight, each adding its own taps in dx order.
+		in := 0
+		if x >= br && x+br < w {
+			in = max(min(cnt, x-br-int(b0)+1), 0)
+		}
+		if o := out[:in]; len(o) > 0 {
+			lw := lr[x-br:][:n]
+			p := x - br - int(b0)
+			for ; len(o) >= 4; o, p = o[4:], p-4 {
+				r0, r1, r2, r3 := rr[p:][:len(lw)], rr[p-1:][:len(lw)], rr[p-2:][:len(lw)], rr[p-3:][:len(lw)]
+				var s0, s1, s2, s3 uint32
+				for j, v := range lw {
+					a, q0, q1, q2, q3 := uint16(v), uint16(r0[j]), uint16(r1[j]), uint16(r2[j]), uint16(r3[j])
+					s0 += uint32(max(a, q0) - min(a, q0))
+					s1 += uint32(max(a, q1) - min(a, q1))
+					s2 += uint32(max(a, q2) - min(a, q2))
+					s3 += uint32(max(a, q3) - min(a, q3))
 				}
-				for k := range o {
-					rw := rr[p-k:][:len(lw)]
-					var s uint32
-					for j, v := range lw {
-						a, b := uint16(v), uint16(rw[j])
-						s += uint32(max(a, b) - min(a, b))
-					}
-					o[k] = s
+				o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+			}
+			for k := range o {
+				rw := rr[p-k:][:len(lw)]
+				var s uint32
+				for j, v := range lw {
+					a, b := uint16(v), uint16(rw[j])
+					s += uint32(max(a, b) - min(a, b))
 				}
+				o[k] = s
 			}
-			border := out[in:]
-			for k := range border {
-				border[k] = adSumClamped(lr, rr, x, int(b0)+in+k, br)
-			}
+		}
+		border := out[in:]
+		for k := range border {
+			border[k] = adSumClamped(lr, rr, x, int(b0)+in+k, br)
 		}
 	}
 }
@@ -389,70 +329,6 @@ func adSumClamped(lr, rr []uint8, x, d, br int) uint32 {
 		xx := clampInt(x+dx, 0, w-1)
 		a, b := uint16(lr[xx]), uint16(rr[clampInt(xx-d, 0, w-1)])
 		s += uint32(max(a, b) - min(a, b))
-	}
-	return s
-}
-
-// censusRowSums is adRowSums over census descriptor planes, the cost the
-// Hamming distance.
-func censusRowSums(cl, cr []uint64, w, br int) rowSummer {
-	return func(yy int, lo, hi []int32, dst []uint32) {
-		if w <= 0 {
-			return
-		}
-		row := yy * w
-		lr, rr := cl[row:][:w], cr[row:][:w]
-		lo, hi = lo[:w], hi[:w]
-		n := 2*br + 1
-		for x, b0 := range lo {
-			cnt := int(hi[x]) - int(b0) + 1
-			if cnt <= 0 {
-				continue
-			}
-			out := dst[:cnt]
-			dst = dst[cnt:]
-			in := 0
-			if x >= br && x+br < w {
-				in = max(min(cnt, x-br-int(b0)+1), 0)
-			}
-			if o := out[:in]; len(o) > 0 {
-				lw := lr[x-br:][:n]
-				p := x - br - int(b0)
-				for ; len(o) >= 4; o, p = o[4:], p-4 {
-					r0, r1, r2, r3 := rr[p:][:len(lw)], rr[p-1:][:len(lw)], rr[p-2:][:len(lw)], rr[p-3:][:len(lw)]
-					var s0, s1, s2, s3 uint32
-					for j, v := range lw {
-						s0 += uint32(bits.OnesCount64(v ^ r0[j]))
-						s1 += uint32(bits.OnesCount64(v ^ r1[j]))
-						s2 += uint32(bits.OnesCount64(v ^ r2[j]))
-						s3 += uint32(bits.OnesCount64(v ^ r3[j]))
-					}
-					o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-				}
-				for k := range o {
-					rw := rr[p-k:][:len(lw)]
-					var s uint32
-					for j, v := range lw {
-						s += uint32(bits.OnesCount64(v ^ rw[j]))
-					}
-					o[k] = s
-				}
-			}
-			border := out[in:]
-			for k := range border {
-				border[k] = hamSumClamped(lr, rr, x, int(b0)+in+k, br)
-			}
-		}
-	}
-}
-
-// hamSumClamped is adSumClamped's census counterpart.
-func hamSumClamped(lr, rr []uint64, x, d, br int) uint32 {
-	w := len(lr)
-	var s uint32
-	for dx := -br; dx <= br; dx++ {
-		xx := clampInt(x+dx, 0, w-1)
-		s += uint32(bits.OnesCount64(lr[xx] ^ rr[clampInt(xx-d, 0, w-1)]))
 	}
 	return s
 }
@@ -499,14 +375,15 @@ type sumRow struct {
 // refineFree holds the scratch of finished strips for the next ones.
 var refineFree imgproc.FreeList[refineScratch]
 
-// refineStrip runs the guided search for rows [y0, y1) of init, writing the
-// refined disparities into out (pixels with an empty window keep out's 0).
+// refineStrip runs the guided search over the SAD cost of the uint8 planes
+// l8 and r8 for rows [y0, y1) of init, writing the refined disparities into
+// out (pixels with an empty window keep out's 0).
 // Per pixel, the candidate with the smallest cost in its window wins, ties
 // to the smallest disparity, with the optional parabola fit. The row sums
 // of image row r are computed once, when output row r−br is reached, into
 // a ring of 2·br+1 rows: output row y reads rows clamp(y±br), the ring's
 // whole content.
-func refineStrip(init, out *imgproc.Image, y0, y1, searchR, br int, subpixel bool, rowSums rowSummer, sc *refineScratch) {
+func refineStrip(l8, r8 []uint8, init, out *imgproc.Image, y0, y1, searchR, br int, subpixel bool, sc *refineScratch) {
 	w, h := init.W, init.H
 	sc.lo, sc.hi = imgproc.Grow(sc.lo, (y1-y0)*w), imgproc.Grow(sc.hi, (y1-y0)*w)
 	for y := y0; y < y1; y++ {
@@ -523,7 +400,7 @@ func refineStrip(init, out *imgproc.Image, y0, y1, searchR, br int, subpixel boo
 	next := max(y0-br, 0) // the next image row to sum
 	for y := y0; y < y1; y++ {
 		for ; next <= min(y+br, h-1); next++ {
-			sumRowBand(sc, &sc.ring[next%n], next, y0, y1, br, rowSums)
+			sumRowBand(l8, r8, sc, &sc.ring[next%n], next, y0, y1, br)
 		}
 		for dy := -br; dy <= br; dy++ {
 			sc.rows[dy+br] = &sc.ring[clampInt(y+dy, 0, h-1)%n]
@@ -560,7 +437,7 @@ func refineStrip(init, out *imgproc.Image, y0, y1, searchR, br int, subpixel boo
 // at column x, the union of the windows of the strip pixels in column x
 // within br rows of r — every pixel that reads H(x, r, ·) reads it inside
 // its own window.
-func sumRowBand(sc *refineScratch, dst *sumRow, r, y0, y1, br int, rowSums rowSummer) {
+func sumRowBand(l8, r8 []uint8, sc *refineScratch, dst *sumRow, r, y0, y1, br int) {
 	w := len(sc.bLo)
 	bLo, bHi := sc.bLo, sc.bHi[:w]
 	for x := range bLo {
@@ -582,7 +459,7 @@ func sumRowBand(sc *refineScratch, dst *sumRow, r, y0, y1, br int, rowSums rowSu
 		}
 	}
 	dst.sums = imgproc.Grow(dst.sums, total)
-	rowSums(r, bLo, bHi, dst.sums)
+	adRowSums(l8, r8, w, br, r, bLo, bHi, dst.sums)
 }
 
 // addRowSums adds src's leading row sums onto the candidate costs c.

@@ -128,8 +128,8 @@ func FuzzPackedStepMatchesScalar(f *testing.F) {
 // reference on arbitrary frames: sizes from one pixel to two strips and
 // more, block radii 0–3, search radii 0–4, [0,1] samples (dyadic or not,
 // with flat patches for ties), and guides that run off both ends of the
-// row or are not finite. The SAD and census costs are integers, exact in
-// any order, so every output must match in bits.
+// row or are not finite. The SAD costs are integers, exact in any order,
+// so every output must match in bits.
 func FuzzRefineMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(23), uint8(17), uint8(2), uint8(3), uint8(12), false)
 	f.Add(int64(2), uint8(6), uint8(40), uint8(3), uint8(1), uint8(3), true)
@@ -148,11 +148,8 @@ func FuzzRefineMatchesReference(f *testing.F) {
 				init.Pix[i] = odd[rng.Intn(len(odd))]
 			}
 		}
-		for _, cen := range []int{0, 2} {
-			opt := BMOptions{BlockR: br, Subpixel: true, Census: cen}
-			want := naiveRefine(refPixelCost(left, right, true, cen, math.Inf(1)), init, searchR, opt)
-			sameImage(t, fmt.Sprintf("%dx%d br=%d R=%d census=%d", w, h, br, searchR, cen),
-				Refine(left, right, init, searchR, opt), want)
-		}
+		opt := BMOptions{BlockR: br, Subpixel: true}
+		want := naiveRefine(refPixelCost(left, right, true, math.Inf(1)), init, searchR, opt)
+		sameImage(t, fmt.Sprintf("%dx%d br=%d R=%d", w, h, br, searchR), Refine(left, right, init, searchR, opt), want)
 	})
 }

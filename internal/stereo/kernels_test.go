@@ -67,25 +67,20 @@ func sameImage(t *testing.T, name string, got, want *imgproc.Image) {
 // and right column xr of row y, both already inside the image.
 type refCost func(x, xr, y int) float64
 
-// refPixelCost builds the per-pixel cost: census-Hamming when cen is
-// positive, else the absolute difference of the uint8-quantized samples
-// when quantized is set (the kernels' SAD cost) or of the float samples
-// (the quantized-oracle suite's), capped at limit in those units.
-func refPixelCost(left, right *imgproc.Image, quantized bool, cen int, limit float64) refCost {
+// refPixelCost builds the per-pixel cost: the absolute difference of the
+// uint8-quantized samples when quantized is set (the kernels' SAD cost) or
+// of the float samples (the quantized-oracle suite's), capped at limit in
+// those units.
+func refPixelCost(left, right *imgproc.Image, quantized bool, limit float64) refCost {
 	w := left.W
-	switch {
-	case cen > 0:
-		cl, cr := naiveCensus(left, cen), naiveCensus(right, cen)
-		return func(x, xr, y int) float64 { return float64(bits.OnesCount64(cl[y*w+x] ^ cr[y*w+xr])) }
-	case quantized:
+	if quantized {
 		l8, r8 := *quantize8(left), *quantize8(right)
 		return func(x, xr, y int) float64 {
 			return min(math.Abs(float64(l8[y*w+x])-float64(r8[y*w+xr])), limit)
 		}
-	default:
-		return func(x, xr, y int) float64 {
-			return min(math.Abs(float64(left.Pix[y*w+x]-right.Pix[y*w+xr])), limit)
-		}
+	}
+	return func(x, xr, y int) float64 {
+		return min(math.Abs(float64(left.Pix[y*w+x]-right.Pix[y*w+xr])), limit)
 	}
 }
 
@@ -124,23 +119,12 @@ func refBlock(c refCost, w, h, x, y, d, r int) float64 {
 }
 
 // refReadout picks the disparity from costs, where costs[i] belongs to
-// disparity lo+i: first minimum, uniqueness test, parabola fit.
-func refReadout(costs []float64, lo int, uniq float64, subpixel bool) float32 {
+// disparity lo+i: first minimum, parabola fit.
+func refReadout(costs []float64, lo int, subpixel bool) float32 {
 	best := 0
 	for i, c := range costs {
 		if c < costs[best] {
 			best = i
-		}
-	}
-	if uniq > 0 {
-		second := math.Inf(1)
-		for i, c := range costs {
-			if (i < best-1 || i > best+1) && c < second {
-				second = c
-			}
-		}
-		if second < costs[best]*(1+uniq) {
-			return -1
 		}
 	}
 	disp := float64(lo + best)
@@ -159,7 +143,7 @@ func naiveMatch(c refCost, w, h int, opt BMOptions) *imgproc.Image {
 			for d := range costs {
 				costs[d] = refBlock(c, w, h, x, y, d, opt.BlockR)
 			}
-			out.Set(x, y, refReadout(costs, 0, opt.UniqRatio, opt.Subpixel))
+			out.Set(x, y, refReadout(costs, 0, opt.Subpixel))
 		}
 	}
 	return out
@@ -172,7 +156,7 @@ func naiveCVF(left, right *imgproc.Image, opt CVFOptions, quantized bool) *imgpr
 	if quantized {
 		limit = float64(quant8(opt.Truncate))
 	}
-	return naiveMatch(refPixelCost(left, right, quantized, 0, limit), left.W, left.H,
+	return naiveMatch(refPixelCost(left, right, quantized, limit), left.W, left.H,
 		BMOptions{BlockR: opt.AggR, MaxDisp: opt.MaxDisp, Subpixel: opt.Subpixel})
 }
 
@@ -197,7 +181,7 @@ func naiveRefine(c refCost, init *imgproc.Image, searchR int, opt BMOptions) *im
 			for i := range costs {
 				costs[i] = refBlock(c, w, h, x, y, lo+i, opt.BlockR)
 			}
-			out.Set(x, y, refReadout(costs, lo, 0, opt.Subpixel))
+			out.Set(x, y, refReadout(costs, lo, opt.Subpixel))
 		}
 	}
 	return out
@@ -272,7 +256,7 @@ func naiveSGM(left, right *imgproc.Image, opt SGMOptions) *imgproc.Image {
 		for d := range costs {
 			costs[d] = float64(sum[p*nd+d])
 		}
-		out.Pix[p] = refReadout(costs, 0, 0, opt.Subpixel)
+		out.Pix[p] = refReadout(costs, 0, opt.Subpixel)
 	}
 	return out
 }
@@ -294,40 +278,15 @@ func driftFracs(a, b *imgproc.Image) (off1, winner float64) {
 
 func TestMatchFixedAgainstNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for i, tc := range []struct {
-		w, h, r, maxD int
-		census        int
-		uniq          float64
-	}{
-		{37, 70, 2, 21, 0, 0},   // spans three strips
-		{37, 70, 3, 21, 0, 0.3}, // uniqueness path
-		{64, 33, 1, 40, 0, 0},   // disparity range near the width
-		{37, 70, 2, 21, 2, 0},   // census costs
-		{29, 31, 0, 8, 0, 0},    // single-pixel blocks
+	for i, tc := range []struct{ w, h, r, maxD int }{
+		{37, 70, 2, 21}, // spans three strips
+		{64, 33, 1, 40}, // disparity range near the width
+		{29, 31, 0, 8},  // single-pixel blocks
 	} {
 		left, right := randPair(rng, tc.w, tc.h, true)
-		opt := BMOptions{BlockR: tc.r, MaxDisp: tc.maxD, Subpixel: true, UniqRatio: tc.uniq, Census: tc.census}
-		want := naiveMatch(refPixelCost(left, right, true, tc.census, math.Inf(1)), tc.w, tc.h, opt)
+		opt := BMOptions{BlockR: tc.r, MaxDisp: tc.maxD, Subpixel: true}
+		want := naiveMatch(refPixelCost(left, right, true, math.Inf(1)), tc.w, tc.h, opt)
 		sameImage(t, fmt.Sprintf("case %d", i), Match(left, right, opt), want)
-	}
-}
-
-// Census costs are integers whatever the image type: Fixed on and off must
-// give the same bits, and both the reference's.
-func TestCensusFixedMatchesFloatBitExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	left, right := randPair(rng, 45, 38, false)
-	init := imgproc.NewImage(45, 38)
-	for i := range init.Pix {
-		init.Pix[i] = float32(3 + i%7)
-	}
-	opt := BMOptions{BlockR: 3, MaxDisp: 24, Subpixel: true, Census: 2}
-	c := refPixelCost(left, right, false, opt.Census, math.Inf(1))
-	wantMatch, wantRefine := naiveMatch(c, 45, 38, opt), naiveRefine(c, init, 3, opt)
-	for _, fixed := range []bool{false, true} {
-		opt.Fixed = fixed
-		sameImage(t, "census match", Match(left, right, opt), wantMatch)
-		sameImage(t, "census refine", Refine(left, right, init, 3, opt), wantRefine)
 	}
 }
 
@@ -356,16 +315,13 @@ func TestRefineAgainstNaiveReference(t *testing.T) {
 		for i := range init.Pix {
 			init.Pix[i] = float32(g.initLo+rng.Intn(g.initSpan)) - 0.5
 		}
-		for _, cen := range []int{0, 2} {
-			opt := BMOptions{BlockR: g.br, Subpixel: true, Census: cen}
-			c := refPixelCost(left, right, true, cen, math.Inf(1))
-			sameImage(t, fmt.Sprintf("%s: refine census=%d", g.name, cen),
-				Refine(left, right, init, 3, opt), naiveRefine(c, init, 3, opt))
-		}
+		opt := BMOptions{BlockR: g.br, Subpixel: true}
+		c := refPixelCost(left, right, true, math.Inf(1))
+		sameImage(t, g.name+": refine", Refine(left, right, init, 3, opt), naiveRefine(c, init, 3, opt))
 	}
 }
 
-// The row-sum kernels against the per-candidate reference they replace, on
+// The row-sum kernel against the per-candidate reference it replaces, on
 // every (x, y, d ≤ x) of a frame — sums that read inside the row and sums
 // that clamp — the candidate's row sums added in dy order as refineStrip
 // adds them.
@@ -373,24 +329,15 @@ func TestInteriorBlockCostsMatchClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	w, h := 23, 17
 	left, right := randImage(rng, w, h, false), randImage(rng, w, h, false)
+	c := refPixelCost(left, right, true, math.Inf(1))
 	for _, br := range []int{0, 1, 2, 3} {
-		sad := blockCosts(adRowSums(*quantize8(left), *quantize8(right), w, br), w, h, br)
-		cen := blockCosts(censusRowSums(census(left, 2), census(right, 2), w, br), w, h, br)
-		for _, k := range []struct {
-			name string
-			got  func(x, y, d int) float64
-			c    refCost
-		}{
-			{"sad", sad, refPixelCost(left, right, true, 0, math.Inf(1))},
-			{"census", cen, refPixelCost(left, right, true, 2, math.Inf(1))},
-		} {
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					for d := 0; d <= x; d++ {
-						got, want := k.got(x, y, d), refBlock(k.c, w, h, x, y, d, br)
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s br=%d (%d,%d) d=%d: %x, want %x", k.name, br, x, y, d, math.Float64bits(got), math.Float64bits(want))
-						}
+		sad := blockCosts(*quantize8(left), *quantize8(right), w, h, br)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				for d := 0; d <= x; d++ {
+					got, want := sad(x, y, d), refBlock(c, w, h, x, y, d, br)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("br=%d (%d,%d) d=%d: %x, want %x", br, x, y, d, math.Float64bits(got), math.Float64bits(want))
 					}
 				}
 			}
@@ -398,10 +345,10 @@ func TestInteriorBlockCostsMatchClamped(t *testing.T) {
 	}
 }
 
-// blockCosts runs rowSums over every row of a w×h frame with each column's
-// band the whole [0, x], and returns the block cost of (x, y, d) summed from
-// those row sums as refineStrip sums them.
-func blockCosts(rowSums rowSummer, w, h, br int) func(x, y, d int) float64 {
+// blockCosts runs adRowSums over every row of the w×h planes l8 and r8 with
+// each column's band the whole [0, x], and returns the block cost of
+// (x, y, d) summed from those row sums as refineStrip sums them.
+func blockCosts(l8, r8 []uint8, w, h, br int) func(x, y, d int) float64 {
 	lo, hi := make([]int32, w), make([]int32, w)
 	for x := range hi {
 		hi[x] = int32(x)
@@ -409,7 +356,7 @@ func blockCosts(rowSums rowSummer, w, h, br int) func(x, y, d int) float64 {
 	n := w * (w + 1) / 2
 	sums := make([]uint32, h*n)
 	for yy := 0; yy < h; yy++ {
-		rowSums(yy, lo, hi, sums[yy*n:][:n])
+		adRowSums(l8, r8, w, br, yy, lo, hi, sums[yy*n:][:n])
 	}
 	return func(x, y, d int) float64 {
 		c := make([]uint32, 1)
@@ -422,8 +369,7 @@ func blockCosts(rowSums rowSummer, w, h, br int) func(x, y, d int) float64 {
 
 // A guide that Go cannot convert to int portably — NaN, ±Inf, or a
 // magnitude past the int range — leaves its pixel 0 before it can reach a
-// window or a band, for either cost, and the strip's other pixels match
-// the reference.
+// window or a band, and the strip's other pixels match the reference.
 func TestRefineNonFiniteGuides(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	w, h := 33, 21
@@ -436,15 +382,12 @@ func TestRefineNonFiniteGuides(t *testing.T) {
 			init.Pix[i] = bad[i%len(bad)]
 		}
 	}
-	for _, cen := range []int{0, 2} {
-		opt := BMOptions{BlockR: 2, Subpixel: true, Census: cen}
-		got := Refine(left, right, init, 3, opt)
-		name := fmt.Sprintf("census=%d", cen)
-		sameImage(t, name, got, naiveRefine(refPixelCost(left, right, true, cen, math.Inf(1)), init, 3, opt))
-		for i := 3; i < len(got.Pix); i += 7 {
-			if got.Pix[i] != 0 {
-				t.Fatalf("%s: pixel %d with guide %v refined to %v, want 0", name, i, init.Pix[i], got.Pix[i])
-			}
+	opt := BMOptions{BlockR: 2, Subpixel: true}
+	got := Refine(left, right, init, 3, opt)
+	sameImage(t, "refine", got, naiveRefine(refPixelCost(left, right, true, math.Inf(1)), init, 3, opt))
+	for i := 3; i < len(got.Pix); i += 7 {
+		if got.Pix[i] != 0 {
+			t.Fatalf("pixel %d with guide %v refined to %v, want 0", i, init.Pix[i], got.Pix[i])
 		}
 	}
 }
@@ -454,17 +397,15 @@ func TestRefineNonFiniteGuides(t *testing.T) {
 func TestRefineRejectsMismatchedRight(t *testing.T) {
 	left, init := imgproc.NewImage(8, 6), imgproc.NewImage(8, 6)
 	for _, right := range []*imgproc.Image{imgproc.NewImage(6, 8), imgproc.NewImage(8, 5), imgproc.NewImage(9, 6)} {
-		for _, opt := range []BMOptions{{BlockR: 1}, {BlockR: 1, Census: 1}} {
-			func() {
-				defer func() {
-					want := fmt.Sprintf("stereo: image sizes differ 8x6 vs %dx%d", right.W, right.H)
-					if got := recover(); got != want {
-						t.Errorf("right %dx%d, %+v: panic %v, want %q", right.W, right.H, opt, got, want)
-					}
-				}()
-				Refine(left, right, init, 2, opt)
+		func() {
+			defer func() {
+				want := fmt.Sprintf("stereo: image sizes differ 8x6 vs %dx%d", right.W, right.H)
+				if got := recover(); got != want {
+					t.Errorf("right %dx%d: panic %v, want %q", right.W, right.H, got, want)
+				}
 			}()
-		}
+			Refine(left, right, init, 2, BMOptions{BlockR: 1})
+		}()
 	}
 }
 
@@ -529,10 +470,10 @@ func TestCVFPlaneKernelsAgainstNaiveReference(t *testing.T) {
 	w, h := 31, 22
 	left, right := randPair(rng, w, h, true)
 	const d, nd, trunc = 5, 6, 0.125
-	cu := refPixelCost(left, right, true, 0, float64(quant8(trunc)))
+	cu := refPixelCost(left, right, true, float64(quant8(trunc)))
 	for _, r := range []int{0, 2, 3} {
 		u16 := make([]uint16, h*nd*w)
-		blockCostStrip(adRowCost(*quantize8(left), *quantize8(right), w, uint16(quant8(trunc))),
+		blockCostStrip(*quantize8(left), *quantize8(right), uint16(quant8(trunc)),
 			w, h, 0, h, r, nd, make([]uint16, w), make([]uint16, (h+2*r)*w), make([]uint32, w), u16)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
@@ -626,13 +567,10 @@ func TestDegenerateGeometry(t *testing.T) {
 				init.Pix[i] = float32(rng.Intn(g.maxD + 1))
 			}
 		}
-		for _, cen := range []int{0, 2} {
-			opt := BMOptions{BlockR: g.r, MaxDisp: g.maxD, Subpixel: true, Census: cen}
-			c := refPixelCost(left, right, true, cen, math.Inf(1))
-			sameImage(t, fmt.Sprintf("%s census=%d match", g.name, cen), Match(left, right, opt), naiveMatch(c, g.w, g.h, opt))
-			sameImage(t, fmt.Sprintf("%s census=%d refine", g.name, cen),
-				Refine(left, right, init, g.searchR, opt), naiveRefine(c, init, g.searchR, opt))
-		}
+		opt := BMOptions{BlockR: g.r, MaxDisp: g.maxD, Subpixel: true}
+		c := refPixelCost(left, right, true, math.Inf(1))
+		sameImage(t, g.name+" match", Match(left, right, opt), naiveMatch(c, g.w, g.h, opt))
+		sameImage(t, g.name+" refine", Refine(left, right, init, g.searchR, opt), naiveRefine(c, init, g.searchR, opt))
 		cvf := CVFOptions{MaxDisp: g.maxD, AggR: g.r, Truncate: 0.125, Subpixel: true}
 		sameImage(t, g.name+" cvf", CostVolumeFilter(left, right, cvf), naiveCVF(left, right, cvf, true))
 		sgm := SGMOptions{MaxDisp: g.maxD, CensusR: 2, P1: 1, P2: 8, Paths: 8, Subpixel: true}
@@ -647,7 +585,7 @@ func TestWorkerCountDoesNotChangeBits(t *testing.T) {
 	left, right := randPair(rng, 45, 70, false)
 	run := func() []*imgproc.Image {
 		return []*imgproc.Image{
-			Match(left, right, BMOptions{BlockR: 2, MaxDisp: 20, Subpixel: true, UniqRatio: 0.1}),
+			Match(left, right, BMOptions{BlockR: 2, MaxDisp: 20, Subpixel: true}),
 			CostVolumeFilter(left, right, CVFOptions{MaxDisp: 20, AggR: 2, Truncate: 0.12, Subpixel: true}),
 			SGM(left, right, SGMOptions{MaxDisp: 20, CensusR: 2, P1: 1, P2: 8, Paths: 8, Subpixel: true}),
 		}

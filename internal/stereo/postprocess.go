@@ -10,7 +10,7 @@ import (
 // Disparity-map post-processing: the cleanup passes a production stereo
 // pipeline runs between matching and consumption. Invalid pixels are
 // marked with negative disparities throughout (the convention of
-// LeftRightCheck and BMOptions.UniqRatio).
+// LeftRightCheck).
 
 // MedianFilter applies a (2r+1)×(2r+1) median to the disparity map,
 // ignoring invalid (negative) samples; a pixel with no valid neighbours

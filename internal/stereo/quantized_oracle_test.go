@@ -41,7 +41,7 @@ func TestQuantizedOracleBlockMatch(t *testing.T) {
 	for i, f := range oracleFrames() {
 		opt := DefaultBMOptions()
 		opt.MaxDisp = 32
-		float := naiveMatch(refPixelCost(f.Left, f.Right, false, 0, math.Inf(1)), f.Left.W, f.Left.H, opt)
+		float := naiveMatch(refPixelCost(f.Left, f.Right, false, math.Inf(1)), f.Left.W, f.Left.H, opt)
 		checkDrift(t, fmt.Sprintf("scene%d sad", i), Match(f.Left, f.Right, opt), float)
 	}
 }
@@ -58,7 +58,7 @@ func TestQuantizedOracleRefine(t *testing.T) {
 	for i, f := range oracleFrames() {
 		opt := DefaultBMOptions()
 		opt.MaxDisp = 32
-		float := naiveRefine(refPixelCost(f.Left, f.Right, false, 0, math.Inf(1)), f.GT, 3, opt)
+		float := naiveRefine(refPixelCost(f.Left, f.Right, false, math.Inf(1)), f.GT, 3, opt)
 		checkDrift(t, fmt.Sprintf("scene%d refine", i), Refine(f.Left, f.Right, f.GT, 3, opt), float)
 	}
 }
