@@ -8,8 +8,11 @@ package asv
 // The second half of the file benchmarks the functional kernels themselves
 // (stereo matching, optical flow, the deconvolution transformation and the
 // scheduler), which is what a user adopting the library will care about.
+// Each matching and flow kernel also reports ns/px, time per output pixel;
+// internal/stereo's BenchmarkSGMStages times SGM's stages apart.
 
 import (
+	"math/rand"
 	"testing"
 
 	"asv/internal/core"
@@ -193,6 +196,7 @@ func BenchmarkKernelSGM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		stereo.SGM(fr.Left, fr.Right, opt)
 	}
+	testkit.ReportNsPerPx(b, 160*96)
 }
 
 func BenchmarkKernelBlockMatch(b *testing.B) {
@@ -203,17 +207,37 @@ func BenchmarkKernelBlockMatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		stereo.Match(fr.Left, fr.Right, opt)
 	}
+	testkit.ReportNsPerPx(b, 160*96)
 }
 
+func BenchmarkKernelCVF(b *testing.B) {
+	fr := benchFrame(b, 160, 96)
+	opt := stereo.DefaultCVFOptions()
+	opt.MaxDisp = 32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stereo.CostVolumeFilter(fr.Left, fr.Right, opt)
+	}
+	testkit.ReportNsPerPx(b, 160*96)
+}
+
+// BenchmarkKernelGuidedRefine guides with the ground truth off by up to
+// ±1 px, drawn per pixel: a smooth guide would give neighbouring columns
+// the same search band, narrower than a propagated guide's.
 func BenchmarkKernelGuidedRefine(b *testing.B) {
 	fr := benchFrame(b, 160, 96)
 	init := fr.GT.Clone()
+	rng := rand.New(rand.NewSource(7919))
+	for i := range init.Pix {
+		init.Pix[i] += float32(2*rng.Float64() - 1)
+	}
 	opt := stereo.DefaultBMOptions()
 	opt.BlockR = 2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stereo.Refine(fr.Left, fr.Right, init, 3, opt)
 	}
+	testkit.ReportNsPerPx(b, 160*96)
 }
 
 func BenchmarkKernelFarneback(b *testing.B) {
@@ -226,6 +250,7 @@ func BenchmarkKernelFarneback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		flow.Farneback(seq.Frames[0].Left, seq.Frames[1].Left, opt)
 	}
+	testkit.ReportNsPerPx(b, 160*96)
 }
 
 func BenchmarkKernelGaussianBlur(b *testing.B) {
@@ -233,8 +258,11 @@ func BenchmarkKernelGaussianBlur(b *testing.B) {
 	k := imgproc.GaussianKernel1D(1.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		imgproc.SeparableFilter(im, k, k)
+		rows := imgproc.FilterRows(im, k)
+		imgproc.FilterCols(rows, k)
+		imgproc.PutImage(rows)
 	}
+	testkit.ReportNsPerPx(b, 320*180)
 }
 
 func BenchmarkKernelDeconvReference(b *testing.B) {

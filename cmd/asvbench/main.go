@@ -25,12 +25,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig1,fig3,fig4,fig9,fig10,fig11,fig12,fig13,fig14,backends,sec71,sec33,kernels,all)")
+	exp := flag.String("exp", "all", "experiment to run (fig1,fig3,fig4,fig9,fig10,fig11,fig12,fig13,fig14,backends,sec71,sec33,all)")
 	scale := flag.String("scale", "quick", "dataset scale for accuracy experiments (quick|full)")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	backendName := flag.String("backend", "", "run the network-zoo cost sweep on one registered backend ("+strings.Join(asv.BackendNames(), "|")+") and exit")
-	flag.StringVar(&jsonPath, "json", "", "with -exp backends/kernels: also write the measurements to this JSON file")
-	flag.StringVar(&gatePath, "gate", "", "with -exp kernels: fail if any kernel's fresh/committed ns/pixel ratio exceeds 2.5x the median row's, against the baseline JSON at this path")
+	flag.StringVar(&jsonPath, "json", "", "with -exp backends: also write the sweep to this JSON file")
 	flag.StringVar(&format, "format", "table", "output format (table|csv)")
 	flag.Parse()
 	if format != "table" && format != "csv" {
@@ -42,7 +41,6 @@ func main() {
 		for _, l := range asv.ExperimentIndex() {
 			fmt.Println(l)
 		}
-		fmt.Println("kernels    matching- and flow-kernel ns/pixel (-json writes BENCH_kernels.json, -gate checks a baseline)")
 		return
 	}
 
@@ -84,7 +82,6 @@ func main() {
 		"ablation-param": ablationParam,
 		"ablation-key":   ablationKey,
 		"ablation-order": ablationOrder,
-		"kernels":        func(asv.ExpScale) { kernelsExp() },
 	}
 	order := []string{"fig1", "fig3", "fig4", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "sec71", "sec33",
@@ -108,13 +105,8 @@ func main() {
 // format selects the output renderer ("table" or "csv").
 var format = "table"
 
-// jsonPath, when non-empty, is where -exp backends or kernels writes its
-// JSON record.
+// jsonPath, when non-empty, is where -exp backends writes its JSON record.
 var jsonPath = ""
-
-// gatePath, when non-empty, is the committed BENCH_kernels.json baseline the
-// kernels experiment compares itself against.
-var gatePath = ""
 
 func table(title string, header []string, rows [][]string) {
 	if format == "csv" {

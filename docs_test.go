@@ -94,7 +94,7 @@ func TestDocsNameLiveInstruments(t *testing.T) {
 	}
 	for _, f := range committed {
 		if benchFileRe.FindString(f) != f {
-			continue // a fresh measurement such as BENCH_kernels.fresh.json
+			continue // a fresh measurement such as BENCH_eval.fresh.json
 		}
 		if !strings.Contains(string(mk), "-json "+f) {
 			t.Errorf("%s is committed but no Makefile target writes it (-json %s)", f, f)

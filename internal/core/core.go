@@ -107,14 +107,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: adaptive MaxWindow %d < 1", c.Adaptive.MaxWindow)
 	case c.Adaptive != nil && c.Adaptive.MotionThresholdPx <= 0:
 		return fmt.Errorf("core: adaptive MotionThresholdPx %g <= 0", c.Adaptive.MotionThresholdPx)
-	case c.Flow.PolyR < 1:
-		return fmt.Errorf("core: flow polynomial radius %d < 1", c.Flow.PolyR)
 	case !gaussianSigmaOK(c.Flow.PyrSigma):
 		return fmt.Errorf("core: flow pyramid sigma %g not in (0, %d/3]", c.Flow.PyrSigma, maxGaussR)
 	case !gaussianSigmaOK(c.Flow.WinSigma):
 		return fmt.Errorf("core: flow window sigma %g not in (0, %d/3]", c.Flow.WinSigma, maxGaussR)
 	}
-	return nil
+	return flow.CheckPolyExpansion(c.Flow.PolyR, c.Flow.PolySigma)
 }
 
 // maxGaussR caps the radius ceil(3σ) of the Gaussian kernel a flow sigma

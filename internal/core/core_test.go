@@ -39,6 +39,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// Validate refuses every polynomial sigma the flow's expansion cannot run
+// with: not a positive number, or so small that the normal matrix is
+// singular (0.1 and 0.15 at the default radius 2, and 1e-200, whose square
+// underflows). The default and 0.2 pass, and the flow runs with them.
+func TestValidatePolySigma(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("DefaultConfig: %v", err)
+	}
+	fr := dataset.Generate(seqCfg(5)).Frames
+	for _, tc := range []struct {
+		sigma float64
+		ok    bool
+	}{{1.1, true}, {0.2, true}, {0, false}, {-1, false}, {math.NaN(), false}, {0.1, false}, {0.15, false}, {1e-200, false}} {
+		cfg := DefaultConfig()
+		cfg.Flow.PolySigma = tc.sigma
+		err := cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("PolySigma %g: Validate() = %v, want ok %v", tc.sigma, err, tc.ok)
+		}
+		if err == nil {
+			flow.Farneback(fr[0].Left, fr[1].Left, cfg.Flow)
+		}
+	}
+}
+
 func TestKeyFrameSchedule(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PW = 3

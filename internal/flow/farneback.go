@@ -13,6 +13,7 @@
 package flow
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -81,7 +82,10 @@ type polyCoeffs struct {
 // separable correlations, exactly the structure ASV maps onto convolution
 // hardware.
 func polyExpand(im *imgproc.Image, r int, sigma float64) polyCoeffs {
-	k0, k1, k2, ginv := polyBasis(r, sigma)
+	k0, k1, k2, ginv, ok := polyBasis(r, sigma)
+	if !ok {
+		panic(errSingular)
+	}
 	mom := polyMoments(im, k0, k1, k2)
 	p := polyCoeffs{
 		bx:  imgproc.GetImage(im.W, im.H),
@@ -97,10 +101,32 @@ func polyExpand(im *imgproc.Image, r int, sigma float64) polyCoeffs {
 	return p
 }
 
+// errSingular is what polyExpand panics with on a normal matrix that does
+// not invert; CheckPolyExpansion reports it as an error beforehand.
+var errSingular = errors.New("flow: singular normal matrix in polynomial expansion")
+
+// CheckPolyExpansion returns why the polynomial expansion of radius r and
+// applicability sigma cannot run, or nil if it can: r must be ≥ 1, sigma
+// positive and the normal matrix invertible. A sigma too small for the
+// applicability to reach the window's off-centre taps leaves it singular.
+func CheckPolyExpansion(r int, sigma float64) error {
+	switch {
+	case r < 1:
+		return fmt.Errorf("flow: polynomial radius %d < 1", r)
+	case !(sigma > 0): // NaN included
+		return fmt.Errorf("flow: polynomial sigma %g is not positive", sigma)
+	}
+	if _, _, _, _, ok := polyBasis(r, sigma); !ok {
+		return fmt.Errorf("%w (sigma %g, radius %d)", errSingular, sigma, r)
+	}
+	return nil
+}
+
 // polyBasis returns the 1-D moment kernels k0 = a, k1 = x·a, k2 = x²·a of
 // the Gaussian applicability a of radius r, and the inverse of the normal
-// matrix G over the basis (1, x, y, x², y², xy).
-func polyBasis(r int, sigma float64) (k0, k1, k2 []float32, ginv [6][6]float64) {
+// matrix G over the basis (1, x, y, x², y², xy); ok is false when G does
+// not invert.
+func polyBasis(r int, sigma float64) (k0, k1, k2 []float32, ginv [6][6]float64, ok bool) {
 	if r < 1 {
 		panic(fmt.Sprintf("flow: polynomial radius %d < 1", r))
 	}
@@ -133,7 +159,8 @@ func polyBasis(r int, sigma float64) (k0, k1, k2 []float32, ginv [6][6]float64) 
 		{s2, 0, 0, s22, s4, 0},
 		{0, 0, 0, 0, 0, s22},
 	}
-	return k0, k1, k2, invert6(g)
+	ginv, ok = invert6(g)
+	return k0, k1, k2, ginv, ok
 }
 
 // polySolve writes the coefficients r = G⁻¹m of pixels [lo, hi) from their
@@ -204,9 +231,9 @@ func (p polyCoeffs) put() {
 }
 
 // invert6 inverts a 6×6 matrix by Gauss-Jordan elimination with partial
-// pivoting. It panics if the matrix is singular, which cannot happen for a
-// positive applicability.
-func invert6(m [6][6]float64) [6][6]float64 {
+// pivoting. It reports false if a pivot is NaN or below 1e-12: the matrix
+// is singular, or too close to it for the inverse to be trusted.
+func invert6(m [6][6]float64) (out [6][6]float64, ok bool) {
 	var aug [6][12]float64
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
@@ -221,8 +248,8 @@ func invert6(m [6][6]float64) [6][6]float64 {
 				piv = row
 			}
 		}
-		if math.Abs(aug[piv][col]) < 1e-12 {
-			panic("flow: singular normal matrix in polynomial expansion")
+		if !(math.Abs(aug[piv][col]) >= 1e-12) { // NaN included
+			return out, false
 		}
 		aug[col], aug[piv] = aug[piv], aug[col]
 		inv := 1 / aug[col][col]
@@ -239,13 +266,12 @@ func invert6(m [6][6]float64) [6][6]float64 {
 			}
 		}
 	}
-	var out [6][6]float64
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			out[i][j] = aug[i][6+j]
 		}
 	}
-	return out
+	return out, true
 }
 
 // Farneback estimates the dense motion field that maps prev onto next using
@@ -378,8 +404,8 @@ var (
 // channels at once, into the row-filtered systems; the second sums each
 // output row's column of taps and solves each pixel as soon as its sums
 // are final. The bits are those of the five channels each put through
-// imgproc.SeparableFilter and then solved: every sample starts at +0 and
-// adds its products in tap order, each product rounded to float32.
+// imgproc.FilterRows and FilterCols and then solved: every sample starts at
+// +0 and adds its products in tap order, each product rounded to float32.
 func flowIteration(c1, c2 polyCoeffs, cur Field, scale float32, win []float32) Field {
 	w, h := cur.U.W, cur.U.H
 	r := len(win) / 2

@@ -264,7 +264,7 @@ func TestPolyMomentsMatchIndependentFilters(t *testing.T) {
 			im := texture(sz[0], sz[1], 0.4)
 			got := polyMoments(im, k0, k1, k2)
 			for i, k := range [6][2][]float32{{k0, k0}, {k1, k0}, {k0, k1}, {k2, k0}, {k0, k2}, {k1, k1}} {
-				want := imgproc.SeparableFilter(im, k[0], k[1])
+				want := imgproc.FilterCols(imgproc.FilterRows(im, k[0]), k[1])
 				for p := range want.Pix {
 					if math.Float32bits(got[i].Pix[p]) != math.Float32bits(want.Pix[p]) {
 						t.Fatalf("ASV_WORKERS=%s %dx%d: moment %d pixel %d = %v, want %v",
@@ -286,7 +286,10 @@ func TestPolySolveMatchesFullProduct(t *testing.T) {
 	im := texture(37, 23, 0.7)
 	for _, r := range []int{1, 2, 3, 4} {
 		for _, sigma := range []float64{0.5, 1.1, 1.5, 3} {
-			k0, k1, k2, ginv := polyBasis(r, sigma)
+			k0, k1, k2, ginv, ok := polyBasis(r, sigma)
+			if !ok {
+				t.Fatalf("r=%d σ=%v: singular normal matrix", r, sigma)
+			}
 			for row := 1; row < 6; row++ {
 				for col := 0; col < 6; col++ {
 					if !nonZero[[2]int{row, col}] && ginv[row][col] != 0 {
@@ -342,7 +345,7 @@ func TestExpansionReuseMatchesFarneback(t *testing.T) {
 
 // naiveFlowIteration is the definition flowIteration computes, one full
 // plane per step: the per-pixel system (matrix update) into five planes,
-// each plane through imgproc.SeparableFilter, then the 2×2 solve. cur is
+// each plane through imgproc.FilterRows and FilterCols, then the 2×2 solve. cur is
 // read as it is, so a scaled read is compared against a scaled copy.
 func naiveFlowIteration(c1, c2 polyCoeffs, cur Field, win []float32) Field {
 	w, h := cur.U.W, cur.U.H
@@ -369,7 +372,7 @@ func naiveFlowIteration(c1, c2 polyCoeffs, cur Field, win []float32) Field {
 		}
 	}
 	for c := range sys {
-		sys[c] = imgproc.SeparableFilter(sys[c], win, win)
+		sys[c] = imgproc.FilterCols(imgproc.FilterRows(sys[c], win), win)
 	}
 	out := Field{U: imgproc.NewImage(w, h), V: imgproc.NewImage(w, h)}
 	for i := range out.U.Pix {

@@ -28,25 +28,19 @@ func GaussianKernel1D(sigma float64) []float32 {
 	return k
 }
 
-// SeparableFilter convolves the image with kx horizontally then ky
-// vertically, using replicate border handling. Kernel lengths must be odd.
-func SeparableFilter(im *Image, kx, ky []float32) *Image {
-	tmp := FilterRows(im, kx)
-	out := FilterCols(tmp, ky)
-	PutImage(tmp)
-	return out
-}
-
-// FilterRows is SeparableFilter's horizontal pass alone: every row
-// correlated with k under replicate padding. Callers that filter one image
-// with several vertical kernels share its result between FilterCols calls.
+// FilterRows is the horizontal pass of a separable filter: every row
+// correlated with k under replicate padding; FilterCols on its result is
+// the vertical pass. Kernel lengths must be odd. Callers that filter one
+// image with several vertical kernels share its result between FilterCols
+// calls.
 func FilterRows(im *Image, k []float32) *Image {
 	out := GetImage(im.W, im.H)
 	filterRows(out, im, k, 1)
 	return out
 }
 
-// FilterCols is SeparableFilter's vertical pass alone.
+// FilterCols is the vertical pass of a separable filter: every column
+// correlated with k under replicate padding.
 func FilterCols(im *Image, k []float32) *Image {
 	out := GetImage(im.W, im.H)
 	filterCols(out, im, k, 1)

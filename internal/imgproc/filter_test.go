@@ -13,7 +13,16 @@ import (
 // float32 rounding as the kernels, so the comparison also holds where the
 // compiler may fuse a multiply into the add.
 
-// naiveSeparable is SeparableFilter as it stood before the split.
+// separableFilter convolves im with kx horizontally then ky vertically,
+// using replicate border handling: FilterRows, then FilterCols.
+func separableFilter(im *Image, kx, ky []float32) *Image {
+	tmp := FilterRows(im, kx)
+	out := FilterCols(tmp, ky)
+	PutImage(tmp)
+	return out
+}
+
+// naiveSeparable is separableFilter as it stood before the split.
 func naiveSeparable(im *Image, kx, ky []float32) *Image {
 	rx, ry := len(kx)/2, len(ky)/2
 	tmp := NewImage(im.W, im.H)
@@ -126,7 +135,7 @@ func TestSeparableFilterMatchesNaiveReference(t *testing.T) {
 				{g, g}, {k[0], k[0]}, {k[1], k[0]}, {k[0], k[1]}, {k[2], k[0]}, {k[0], k[2]}, {k[1], k[1]},
 				{k[2], {1}}, {{1}, k[1]}, // mixed radii, and a radius-0 pass: all interior
 			} {
-				got := SeparableFilter(im, pair[0], pair[1])
+				got := separableFilter(im, pair[0], pair[1])
 				sameBits(t, fmt.Sprintf("r=%d kernels %v|%v", r, pair[0], pair[1]), got, naiveSeparable(im, pair[0], pair[1]))
 				PutImage(got)
 			}
@@ -136,7 +145,7 @@ func TestSeparableFilterMatchesNaiveReference(t *testing.T) {
 
 // TestSharedRowPassMatchesSeparableFilter pins what polyExpand relies on:
 // one FilterRows result fed to several FilterCols calls gives each the bits
-// of its own SeparableFilter call, and leaves the shared pass untouched.
+// of its own separableFilter call, and leaves the shared pass untouched.
 func TestSharedRowPassMatchesSeparableFilter(t *testing.T) {
 	forEachGeometry(t, func(t *testing.T, im *Image) {
 		k := momentKernels(2)
@@ -177,5 +186,5 @@ func TestFilterRejectsEvenKernel(t *testing.T) {
 			t.Fatal("expected panic on an even-length kernel")
 		}
 	}()
-	SeparableFilter(NewImage(4, 4), []float32{1, 1}, []float32{1})
+	separableFilter(NewImage(4, 4), []float32{1, 1}, []float32{1})
 }

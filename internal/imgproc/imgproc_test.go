@@ -12,7 +12,7 @@ import (
 // deviation sigma, the blur the pyramid and the flow's windows apply.
 func gaussianBlur(im *Image, sigma float64) *Image {
 	k := GaussianKernel1D(sigma)
-	return SeparableFilter(im, k, k)
+	return separableFilter(im, k, k)
 }
 
 // maxAbsDiff is the largest |a−b| over two same-size images.

@@ -61,7 +61,7 @@ func TestSeparableFilterMatchesDirectConvolution(t *testing.T) {
 	}
 	kx := []float32{0.25, 0.5, 0.25}
 	ky := []float32{0.1, 0.8, 0.1}
-	got := SeparableFilter(im, kx, ky)
+	got := separableFilter(im, kx, ky)
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
 			var want float32

@@ -7,7 +7,7 @@
 // A rung composes three orthogonal degradations of the ISM pipeline:
 //
 //   - matcher choice: the server's configured key matcher (typically the
-//     accelerator-backed one) versus the cheap classic BM/SGM kernels;
+//     accelerator-backed one) versus the cheap classic block matcher;
 //   - PW stretch: multiply the session's propagation window (or, under the
 //     motion-adaptive schedule, its MaxWindow), amortizing the expensive key
 //     matcher over more motion-propagated frames;
@@ -76,7 +76,7 @@ func (c Class) String() string {
 type OperatingPoint struct {
 	// Matcher selects the key-frame matcher: "" inherits the server's
 	// configured matcher (required on the top rung so it stays bit-identical
-	// to the undegraded path), "bm" and "sgm" build the classic kernels.
+	// to the undegraded path), "bm" builds the classic block matcher.
 	Matcher string `json:"matcher,omitempty"`
 	// PWStretch multiplies the session's propagation window (1 = no
 	// stretch): key frames every basePW*PWStretch frames, or at most
@@ -136,10 +136,8 @@ func (l Ladder) Validate() error {
 		if r.OP.PyrLevel < 0 || r.OP.PyrLevel > 4 {
 			return fmt.Errorf("quality: rung %q pyramid level %d out of [0,4]", r.Name, r.OP.PyrLevel)
 		}
-		switch r.OP.Matcher {
-		case "", "bm", "sgm":
-		default:
-			return fmt.Errorf("quality: rung %q has unknown matcher %q", r.Name, r.OP.Matcher)
+		if m := r.OP.Matcher; m != "" && m != "bm" {
+			return fmt.Errorf("quality: rung %q has unknown matcher %q", r.Name, m)
 		}
 	}
 	return nil
@@ -147,20 +145,15 @@ func (l Ladder) Validate() error {
 
 // BuildMatcher resolves the rung's key matcher: top (the caller's configured
 // matcher, typically the accelerator-backed one) when the operating point
-// inherits, otherwise a classic kernel sized for the rung's pyramid level
-// (the disparity range shrinks with the image).
+// inherits, otherwise the classic block matcher sized for the rung's pyramid
+// level (the disparity range shrinks with the image).
 func (r Rung) BuildMatcher(top core.KeyMatcher) core.KeyMatcher {
-	switch r.OP.Matcher {
-	case "bm":
-		opt := stereo.DefaultBMOptions()
-		opt.MaxDisp = scaledMaxDisp(opt.MaxDisp, r.OP.PyrLevel)
-		return core.BMMatcher{Opt: opt}
-	case "sgm":
-		opt := stereo.DefaultSGMOptions()
-		opt.MaxDisp = scaledMaxDisp(opt.MaxDisp, r.OP.PyrLevel)
-		return core.SGMMatcher{Opt: opt}
+	if r.OP.Matcher != "bm" {
+		return top
 	}
-	return top
+	opt := stereo.DefaultBMOptions()
+	opt.MaxDisp = scaledMaxDisp(opt.MaxDisp, r.OP.PyrLevel)
+	return core.BMMatcher{Opt: opt}
 }
 
 // scaledMaxDisp halves the disparity search range per pyramid level, never

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -243,7 +244,9 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 // A well-formed snapshot whose pipeline options core.New would refuse — a
 // zero flow scale or refine radius, or flow options the Farneback kernels
 // would panic on: a Gaussian sigma ≤ 0 or past the radius cap, a polynomial
-// radius of 0 — is refused on restore with 422 and installs nothing. The
+// radius of 0, a polynomial sigma ≤ 0 or one that leaves the expansion's
+// normal matrix singular — is refused on restore with 422 and installs
+// nothing. The
 // right eye's flow runs on a goroutine the worker's recover does not cover,
 // so an accepted one would end the process on its first non-key frame; the
 // server must go on serving its other sessions.
@@ -258,22 +261,31 @@ func TestRestoreRefusesInvalidPipeline(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		set  func(*core.Config)
+		want int // 0: 422, a well-formed snapshot the pipeline refuses
 	}{
-		{"flow scale 0", func(c *core.Config) { c.FlowScale = 0 }},
-		{"refine radius 0", func(c *core.Config) { c.RefineR = 0 }},
-		{"window sigma 0", func(c *core.Config) { c.Flow.WinSigma = 0 }},
-		{"window sigma -1", func(c *core.Config) { c.Flow.WinSigma = -1 }},
-		{"window sigma past the cap", func(c *core.Config) { c.Flow.WinSigma = 85.34 }},
-		{"window sigma 1e15", func(c *core.Config) { c.Flow.WinSigma = 1e15 }},
-		{"pyramid sigma 0", func(c *core.Config) { c.Flow.PyrSigma = 0 }},
-		{"pyramid sigma -1", func(c *core.Config) { c.Flow.PyrSigma = -1 }},
-		{"polynomial radius 0", func(c *core.Config) { c.Flow.PolyR = 0 }},
+		{"flow scale 0", func(c *core.Config) { c.FlowScale = 0 }, 0},
+		{"refine radius 0", func(c *core.Config) { c.RefineR = 0 }, 0},
+		{"window sigma 0", func(c *core.Config) { c.Flow.WinSigma = 0 }, 0},
+		{"window sigma -1", func(c *core.Config) { c.Flow.WinSigma = -1 }, 0},
+		{"window sigma past the cap", func(c *core.Config) { c.Flow.WinSigma = 85.34 }, 0},
+		{"window sigma 1e15", func(c *core.Config) { c.Flow.WinSigma = 1e15 }, 0},
+		{"pyramid sigma 0", func(c *core.Config) { c.Flow.PyrSigma = 0 }, 0},
+		{"pyramid sigma -1", func(c *core.Config) { c.Flow.PyrSigma = -1 }, 0},
+		{"polynomial radius 0", func(c *core.Config) { c.Flow.PolyR = 0 }, 0},
+		{"polynomial sigma 0", func(c *core.Config) { c.Flow.PolySigma = 0 }, 0},
+		{"polynomial sigma -1", func(c *core.Config) { c.Flow.PolySigma = -1 }, 0},
+		// The codec refuses a non-finite float before the pipeline sees it.
+		{"polynomial sigma NaN", func(c *core.Config) { c.Flow.PolySigma = math.NaN() }, http.StatusBadRequest},
+		// Singular normal matrix: the expansion would panic on the flow
+		// goroutine of the first non-key frame, outside any recover.
+		{"polynomial sigma 0.1", func(c *core.Config) { c.Flow.PolySigma = 0.1 }, 0},
 	} {
 		snap := *good
 		snap.ID = "bad-pipe"
 		tc.set(&snap.Pipeline)
-		if code, body := putSnapshot(t, ts.URL, snap.ID, EncodeSnapshot(&snap)); code != http.StatusUnprocessableEntity {
-			t.Errorf("%s: PUT snapshot: %d: %s, want 422", tc.name, code, body)
+		want := cmp.Or(tc.want, http.StatusUnprocessableEntity)
+		if code, body := putSnapshot(t, ts.URL, snap.ID, EncodeSnapshot(&snap)); code != want {
+			t.Errorf("%s: PUT snapshot: %d: %s, want %d", tc.name, code, body, want)
 			if code == http.StatusOK {
 				submitPFM(t, ts.URL, snap.ID) // the frame the refusal is for
 			}

@@ -16,7 +16,7 @@ func quant8(v float32) uint8 {
 	case v >= 1:
 		return 255
 	case v > 0:
-		return uint8(v*255 + 0.5)
+		return uint8(float32(v*255) + 0.5)
 	}
 	return 0
 }

@@ -44,15 +44,11 @@ func censusBits(r int) int {
 	return (2*r+1)*(2*r+1) - 1
 }
 
-// census computes the census transform of im with the given radius: each
-// pixel becomes a bit-string recording which neighbours are darker than the
-// centre. Radius must be <= 3 so the descriptor fits 64 bits.
-func census(im *imgproc.Image, r int) []uint64 {
-	return censusInto(make([]uint64, im.W*im.H), im, r)
-}
-
-// censusInto is census writing into out, of length im.W·im.H. Rows split
-// across par.Workers(); interior columns skip the border clamp.
+// censusInto computes the census transform of im with radius r into out, of
+// length im.W·im.H: each pixel becomes a bit-string recording which
+// neighbours are darker than the centre. Radius must be <= 3 so the
+// descriptor fits 64 bits. Rows split across par.Workers(); interior
+// columns skip the border clamp.
 func censusInto(out []uint64, im *imgproc.Image, r int) []uint64 {
 	censusBits(r)
 	w, h := im.W, im.H

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"asv/internal/imgproc"
+	"asv/internal/testkit"
 )
 
 // The key frame's two parallel stages are held, cell for cell, to serial
@@ -126,6 +129,11 @@ func TestSGMRejectsPenaltiesBeyondLaneBound(t *testing.T) {
 	sameImage(t, "M + P1 + P2 = 127", SGM(left, right, opt), naiveSGM(left, right, opt))
 }
 
+// census is censusInto on a fresh slice.
+func census(im *imgproc.Image, r int) []uint64 {
+	return censusInto(make([]uint64, im.W*im.H), im, r)
+}
+
 func TestCensusMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, h := range parallelHeights {
@@ -153,4 +161,34 @@ func firstDiff[T comparable](a, b []T) int {
 		}
 	}
 	return -1
+}
+
+// BenchmarkSGMStages times three stages of a key frame's SGM apart, each in
+// ns per output pixel: the census transform of both views, the path
+// aggregation and the winner-take-all readout.
+func BenchmarkSGMStages(b *testing.B) {
+	const w, h = 160, 96
+	left, right, _ := constPair(w, h, 8)
+	opt := DefaultSGMOptions()
+	opt.MaxDisp = 32
+	nd, p1, p2 := opt.MaxDisp+1, roundPenalty(opt.P1), roundPenalty(opt.P2)
+	sc := &sgmScratch{cl: census(left, opt.CensusR), cr: census(right, opt.CensusR),
+		cost: make([]uint64, w*h*laneWords(nd))}
+	costVolume(sc.cost, sc.cl, sc.cr, w, h, nd, opt.CensusR)
+	sc.aggregate(w, h, nd, opt.Paths, p1, p2)
+	for _, stage := range []struct {
+		name string
+		run  func()
+	}{
+		{"census-transform", func() { censusInto(sc.cl, left, opt.CensusR); censusInto(sc.cr, right, opt.CensusR) }},
+		{"sgm-aggregate", func() { sc.aggregate(w, h, nd, opt.Paths, p1, p2) }},
+		{"wta", func() { wtaVolume(sc.sum, w, h, nd, opt.Subpixel) }},
+	} {
+		b.Run(stage.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				stage.run()
+			}
+			testkit.ReportNsPerPx(b, w*h)
+		})
+	}
 }

@@ -11,9 +11,9 @@
 //     `-update` flag (golden.go), so any change to numerical behaviour has
 //     to be committed explicitly,
 //   - a goroutine-leak check for a package's TestMain (MainNoLeaks, leak.go),
-//     and
 //   - a stalled-client probe for HTTP listeners (MustDropStalledRequest,
-//     http.go).
+//     http.go), and
+//   - the ns/px metric every kernel benchmark reports (ReportNsPerPx).
 //
 // The package may be imported only from test files. It depends on the leaf
 // packages imgproc and tensor; tests inside those two packages must use an
@@ -201,4 +201,10 @@ func MustEqualImages(t testing.TB, label string, got, want *imgproc.Image, tol f
 	if m := DiffImages(got, want, tol); m != nil {
 		t.Fatalf("%s: %s", label, m)
 	}
+}
+
+// ReportNsPerPx attaches b's time per iteration over a frame of pixels output
+// pixels as the metric ns/px. Call it after the timed loop.
+func ReportNsPerPx(b *testing.B, pixels int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pixels), "ns/px")
 }
