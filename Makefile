@@ -28,7 +28,7 @@ FUZZ_TARGETS := \
 # Minimum total test coverage (percent) enforced by `make cover` and CI.
 COVER_THRESHOLD := 80
 
-.PHONY: build test race bench backends-json eval-json eval-check ladder-json ladder-check serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
+.PHONY: build test race bench backends-json backends-check eval-json eval-check ladder-json ladder-check serve-smoke cluster-smoke perception-smoke degrade-smoke benchmark-smoke fmt fmt-check vet lint lint-fix perf-gate check fuzz-smoke cover
 
 build:
 	go build ./...
@@ -51,10 +51,18 @@ bench:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 
 # Regenerate BENCH_backends.json, the committed cost sweep of every
-# registered accelerator model x network x supported policy (analytic, so
+# accelerator model x network x supported policy (analytic, so
 # deterministic on any host).
 backends-json:
 	go run ./cmd/asvbench -exp backends -json BENCH_backends.json
+
+# Regenerate the cost sweep into BENCH_backends.fresh.json and fail unless it
+# is byte-identical to the committed BENCH_backends.json: the models are
+# analytic, so any drift means a model, the scheduler or a network changed.
+# The fresh file is left for CI to upload.
+backends-check:
+	go run ./cmd/asvbench -exp backends -json BENCH_backends.fresh.json
+	cmp BENCH_backends.fresh.json BENCH_backends.json
 
 # Regenerate BENCH_eval.json, the committed accuracy sweep (bad-pixel
 # rates + depth RMSE per preset x matcher x PW) from the batch evaluator.
@@ -184,4 +192,4 @@ cover:
 	if [ "$$ok" != 1 ]; then \
 		echo "coverage $$total% is below the $(COVER_THRESHOLD)% floor" >&2; exit 1; fi
 
-check: build vet lint perf-gate fmt-check test race bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke ladder-check eval-check benchmark-smoke cover
+check: build vet lint perf-gate fmt-check test race bench fuzz-smoke serve-smoke cluster-smoke perception-smoke degrade-smoke ladder-check eval-check backends-check benchmark-smoke cover

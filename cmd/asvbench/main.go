@@ -28,7 +28,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (fig1,fig3,fig4,fig9,fig10,fig11,fig12,fig13,fig14,backends,sec71,sec33,all)")
 	scale := flag.String("scale", "quick", "dataset scale for accuracy experiments (quick|full)")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	backendName := flag.String("backend", "", "run the network-zoo cost sweep on one registered backend ("+strings.Join(asv.BackendNames(), "|")+") and exit")
+	backendName := flag.String("backend", "", "run the network-zoo cost sweep on one backend ("+strings.Join(asv.BackendNames(), "|")+") and exit")
 	flag.StringVar(&jsonPath, "json", "", "with -exp backends: also write the sweep to this JSON file")
 	flag.StringVar(&format, "format", "table", "output format (table|csv)")
 	flag.Parse()
@@ -238,7 +238,7 @@ func fig14() {
 		[]string{"GAN", "ASV-x", "ASV-en-x", "GANNX-x", "GANNX-en-x"}, rows)
 }
 
-// backendsTable renders a registry-sweep row set.
+// backendsTable renders a backend-sweep row set.
 func backendsTable(title string, rows []asv.BackendRow) {
 	var tr [][]string
 	for _, r := range rows {

@@ -101,7 +101,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		fmt.Fprintf(out, "(backend %q reports aggregate costs only — no per-layer schedule)\n", be.Name())
+		fmt.Fprintf(out, "(backend %q reports aggregate costs only — no per-layer schedule)\n", be.Describe().Name)
 	}
 
 	fmt.Fprintf(out, "\ntotal: %.3f ms, %.2f GMACs, %.1f MB DRAM, %.3f J (%.1f FPS)\n",

@@ -19,12 +19,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"asv"
+	"asv/internal/core"
 	"asv/internal/serve"
+	"asv/internal/stereo"
 )
 
 func main() {
@@ -50,31 +50,26 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	pw := fs.Int("pw", 0, "default propagation window for new sessions (0 = default)")
 	maxPixels := fs.Int("max-pixels", 0, "per-image upload pixel cap, oversize gets 413 (0 = default)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	backendName := fs.String("backend", "systolic",
-		fmt.Sprintf("accelerator model for the /metrics per-frame cost estimate (%s; empty disables)",
-			strings.Join(asv.BackendNames(), "|")))
 	spillDir := fs.String("spill-dir", "", "directory for session snapshots (eviction spill + checkpoints); share it across shards for failover")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "checkpoint each session to -spill-dir every N frames (0 = only on eviction)")
 	matcherName := fs.String("matcher", "bm", "key-frame matcher (bm|sgm)")
 	maxDisp := fs.Int("maxdisp", 24, "matcher disparity search range")
-	deadline := fs.Duration("deadline", 0, "default per-frame latency target for best-effort sessions (0 = server default)")
-	overcommit := fs.Int("overcommit", 0, "best-effort admission bound as a multiple of -queue (0 = default)")
 	pacedFrameMs := fs.Int("paced-frame-ms", 0, "pace the key matcher to a fixed per-Match budget in ms (0 = off; for reproducible overload/degrade demos)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight work at shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var matcher asv.KeyMatcher
+	var matcher core.KeyMatcher
 	switch *matcherName {
 	case "bm":
-		opt := asv.DefaultBMOptions()
+		opt := stereo.DefaultBMOptions()
 		opt.MaxDisp = *maxDisp
-		matcher = asv.BMKeyMatcher{Opt: opt}
+		matcher = core.BMMatcher{Opt: opt}
 	case "sgm":
-		opt := asv.DefaultSGMOptions()
+		opt := stereo.DefaultSGMOptions()
 		opt.MaxDisp = *maxDisp
-		matcher = asv.SGMKeyMatcher{Opt: opt}
+		matcher = core.SGMMatcher{Opt: opt}
 	default:
 		return fmt.Errorf("unknown matcher %q (bm|sgm)", *matcherName)
 	}
@@ -83,12 +78,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	cfg := serve.DefaultConfig()
-	if *deadline > 0 {
-		cfg.DefaultDeadline = *deadline
-	}
-	if *overcommit > 0 {
-		cfg.BestEffortOvercommit = *overcommit
-	}
 	if *workers > 0 {
 		cfg.Workers = *workers
 	}
@@ -115,14 +104,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfg.CheckpointEvery = *checkpointEvery
 	}
 	cfg.EnablePprof = *pprofOn
-	if *backendName != "" {
-		be, err := asv.BackendByName(*backendName)
-		if err != nil {
-			return err
-		}
-		cfg.CostBackend = be
-		cfg.CostNonKey = asv.DefaultNonKeyCost()
-	}
 
 	srv := serve.New(matcher, cfg)
 	bound, err := srv.Start(*addr)

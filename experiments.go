@@ -13,9 +13,9 @@ import (
 // This file regenerates every table and figure of the paper's evaluation.
 // Each ExperimentFigN function returns structured rows; cmd/asvbench and
 // the benchmark harness render them. EXPERIMENTS.md records paper-vs-
-// measured values for each. All accelerator models are reached through the
-// backend registry (see simulate.go); no experiment imports a concrete
-// model package.
+// measured values for each. All accelerator models are reached by name
+// through the fixed backend list (see simulate.go); no experiment imports a
+// concrete model package.
 
 // defaultNonKey returns the ISM non-key cost at qHD on the default
 // pipeline configuration.
@@ -390,8 +390,8 @@ func ExperimentFig14() []GANRow {
 
 // ------------------------------------------------------------- Backends
 
-// BackendRow is one (backend, workload, policy) cell of the registry-wide
-// cost sweep: every registered accelerator model run over the stereo and
+// BackendRow is one (backend, workload, policy) cell of the cross-model
+// cost sweep: every accelerator model run over the stereo and
 // GAN zoos under each policy its capabilities allow, plus — for
 // ISM-capable backends — the averaged PW-4 system point.
 type BackendRow struct {
@@ -404,7 +404,7 @@ type BackendRow struct {
 	DRAMMB   float64 `json:"dram_mib"`  // per-frame off-chip traffic, in MiB
 }
 
-// ExperimentBackends sweeps the whole backend registry — the cross-model
+// ExperimentBackends sweeps every backend — the cross-model
 // comparison Figs. 13 and 14 sample, as one table. Rows are emitted in
 // deterministic order: backends sorted by name, networks in zoo order,
 // policies in capability order.
@@ -504,7 +504,7 @@ func ExperimentIndex() []string {
 		"fig12: DCO sensitivity to PE-array and buffer size (FlowNetC)",
 		"fig13: ASV vs Eyeriss vs mobile GPU",
 		"fig14: GANs — ASV vs GANNX (normalized to Eyeriss)",
-		"backends: every registered backend x network zoo x supported policy",
+		"backends: every backend x network zoo x supported policy",
 		"sec71: hardware overhead of the ISM extensions",
 		"sec33: non-key frame cost vs DNN inference cost",
 		"ablation-me: motion-estimation algorithm choice (Sec 3.3)",

@@ -4,9 +4,9 @@ import "strings"
 
 // archModelPkgs are the concrete accelerator-model packages. They are an
 // implementation detail of the backend layer: everything else selects
-// models by name through the asv/internal/backend registry, so experiments
-// and tools stay backend-generic and a new model is one package plus one
-// Register call.
+// models by name through the fixed list in asv/internal/backend/backends,
+// so experiments and tools stay backend-generic and a new model is one
+// package plus one line in that list.
 var archModelPkgs = map[string]bool{
 	"asv/internal/systolic": true,
 	"asv/internal/eyeriss":  true,
@@ -15,7 +15,7 @@ var archModelPkgs = map[string]bool{
 }
 
 // archAllowedPrefix is the one subtree that may import the models: the
-// neutral interface package and its backends/ registration shim.
+// neutral interface package and the backends/ list of the models.
 const archAllowedPrefix = "asv/internal/backend"
 
 // runArchLayer (rule "archlayer") enforces the backend layering boundary (DESIGN.md §8):
@@ -35,7 +35,7 @@ func runArchLayer(p *Pass) []Diagnostic {
 			path := strings.Trim(imp.Path.Value, `"`)
 			if archModelPkgs[path] {
 				out = append(out, p.diag(imp.Pos(), "archlayer",
-					"import of accelerator model %s outside internal/backend; depend on asv/internal/backend and select the model by name via the registry", path))
+					"import of accelerator model %s outside internal/backend; depend on asv/internal/backend and select the model by name via asv/internal/backend/backends", path))
 			}
 		}
 	}

@@ -30,16 +30,17 @@ func (c Capabilities) SupportsPolicy(p Policy) bool {
 	return false
 }
 
-// Description is a backend's self-description: its registry name, a
-// one-line summary of the modeled hardware, and its capabilities.
+// Description is a backend's self-description: its name (the key
+// backends.ByName resolves), a one-line summary of the modeled hardware,
+// and its capabilities.
 type Description struct {
 	Name    string
 	Summary string
 	Caps    Capabilities
 }
 
-// Backend is one accelerator model. Name is the registry key; Describe
-// carries the capability set RunOptions are validated against; RunNetwork
+// Backend is one accelerator model. Describe carries its name and the
+// capability set RunOptions are validated against; RunNetwork
 // executes one inference (or, for PW > 1 on ISM-capable models, the
 // average ISM frame) and returns its full cost breakdown.
 //
@@ -47,7 +48,6 @@ type Description struct {
 // package-level Run helper) first. Implementations may panic on options
 // their capabilities exclude — validation is the caller's contract.
 type Backend interface {
-	Name() string
 	Describe() Description
 	RunNetwork(n *nn.Network, opts RunOptions) Report
 }
@@ -71,7 +71,7 @@ type RunOptions struct {
 // UnsupportedError is returned when options ask a backend for a mode its
 // capabilities exclude (e.g. ILAR on a model without inter-layer reuse).
 type UnsupportedError struct {
-	Backend string // registry name
+	Backend string // Description.Name
 	Feature string // human-readable feature, e.g. `policy "ilar"`
 }
 

@@ -8,13 +8,12 @@ import (
 	"asv/internal/nn"
 )
 
-// fakeBackend is a minimal Backend for registry and Normalize tests.
+// fakeBackend is a minimal Backend for the Run tests.
 type fakeBackend struct {
 	name string
 	caps Capabilities
 }
 
-func (f fakeBackend) Name() string { return f.name }
 func (f fakeBackend) Describe() Description {
 	return Description{Name: f.name, Summary: "fake", Caps: f.caps}
 }
@@ -163,52 +162,4 @@ func TestRunSurfacesTypedError(t *testing.T) {
 	if err != nil || rep.Seconds != 1 {
 		t.Fatalf("valid Run failed: %v %+v", err, rep)
 	}
-}
-
-func TestRegistryDeterministicOrder(t *testing.T) {
-	r := NewRegistry()
-	for _, name := range []string{"zeta", "alpha", "mid"} {
-		r.Register(fakeBackend{name: name, caps: allPolicies()})
-	}
-	wantNames := []string{"alpha", "mid", "zeta"}
-	for i := 0; i < 5; i++ { // map iteration would be random; sorted must not be
-		names := r.Names()
-		list := r.List()
-		if len(names) != len(wantNames) || len(list) != len(wantNames) {
-			t.Fatalf("sizes: %d names, %d backends", len(names), len(list))
-		}
-		for j, want := range wantNames {
-			if names[j] != want || list[j].Name() != want {
-				t.Fatalf("iteration %d: order %v not sorted", i, names)
-			}
-		}
-	}
-}
-
-func TestRegistryGetUnknownListsNames(t *testing.T) {
-	r := NewRegistry()
-	r.Register(fakeBackend{name: "only", caps: allPolicies()})
-	if _, err := r.Get("only"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := r.Get("nope")
-	if err == nil || !strings.Contains(err.Error(), "only") {
-		t.Fatalf("Get error should list available names, got %v", err)
-	}
-}
-
-func TestRegistryRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	r := NewRegistry()
-	r.Register(fakeBackend{name: "dup", caps: allPolicies()})
-	mustPanic("duplicate", func() { r.Register(fakeBackend{name: "dup"}) })
-	mustPanic("empty name", func() { r.Register(fakeBackend{name: ""}) })
 }

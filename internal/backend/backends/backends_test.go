@@ -1,30 +1,29 @@
 package backends
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"asv/internal/backend"
 	"asv/internal/nn"
 )
 
-func TestAllModelsRegistered(t *testing.T) {
-	want := []string{"eyeriss", "gannx", "gpu", "systolic"} // sorted
-	got := backend.Names()
-	if len(got) != len(want) {
-		t.Fatalf("registered %v, want %v", got, want)
+func TestNamesAreSorted(t *testing.T) {
+	want := []string{"eyeriss", "gannx", "gpu", "systolic"}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("registered %v, want %v", got, want)
-		}
-	}
-	for _, name := range want {
-		b, err := backend.Get(name)
+}
+
+func TestEveryEntryAnswersToItsName(t *testing.T) {
+	for _, name := range Names() {
+		b, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Name() != name || b.Describe().Name != name {
-			t.Errorf("%s: Name/Describe mismatch (%q, %q)", name, b.Name(), b.Describe().Name)
+		if got := b.Describe().Name; got != name {
+			t.Errorf("ByName(%q) describes itself as %q", name, got)
 		}
 		if len(b.Describe().Caps.Policies) == 0 {
 			t.Errorf("%s: no supported policies", name)
@@ -32,9 +31,21 @@ func TestAllModelsRegistered(t *testing.T) {
 	}
 }
 
+func TestByNameUnknownListsEveryName(t *testing.T) {
+	_, err := ByName("nosuch")
+	if err == nil {
+		t.Fatal("ByName(nosuch) succeeded")
+	}
+	for _, name := range []string{"eyeriss", "gannx", "gpu", "systolic"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+}
+
 func TestEveryBackendRunsItsCapabilitySet(t *testing.T) {
 	n := nn.DispNet(68, 120) // small shape: this is a wiring test, not a sweep
-	for _, b := range backend.List() {
+	for _, b := range All() {
 		d := b.Describe()
 		for _, pol := range d.Caps.Policies {
 			rep, err := backend.Run(b, n, backend.RunOptions{Policy: pol})

@@ -42,15 +42,12 @@ func New(cfg hw.Config, en hw.Energy) *Model {
 // buffer and bandwidth to the ASV accelerator.
 func Default() *Model { return New(hw.Default(), hw.DefaultEnergy()) }
 
-// Name implements backend.Backend.
-func (m *Model) Name() string { return "eyeriss" }
-
 // Describe implements backend.Backend: row-stationary mapping takes the
 // deconvolution transformation (DCT) but has no unified-buffer ILAR and no
 // ISM extensions.
 func (m *Model) Describe() backend.Description {
 	return backend.Description{
-		Name: m.Name(),
+		Name: "eyeriss",
 		Summary: fmt.Sprintf("Eyeriss-class row-stationary spatial array, %dx%d PEs @ %.1f GHz, %.1f MB buffer",
 			m.Cfg.PEsX, m.Cfg.PEsY, m.Cfg.FreqHz/1e9, float64(m.Cfg.BufBytes)/(1024*1024)),
 		Caps: backend.Capabilities{

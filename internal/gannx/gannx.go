@@ -8,7 +8,7 @@
 // software transformation, but in hardware. What it cannot do is ASV's
 // inter-layer activation reuse: each computation pattern streams the ifmap
 // again, and pattern switches cost reconfiguration. Those two differences
-// are exactly what the model captures. As a backend (registry name
+// are exactly what the model captures. As a backend (name
 // "gannx") it supports only PolicyBaseline: zero skipping is baked into
 // the hardware, not a scheduling choice.
 package gannx
@@ -49,15 +49,12 @@ func New(cfg hw.Config, en hw.Energy) *Model {
 // Default returns the Fig. 14 comparison configuration.
 func Default() *Model { return New(hw.Default(), hw.DefaultEnergy()) }
 
-// Name implements backend.Backend.
-func (m *Model) Name() string { return "gannx" }
-
 // Describe implements backend.Backend: hardware zero skipping is the
 // native execution, so the only policy is baseline; there is no scheduler
 // to run DCT/ConvR/ILAR and no ISM extension.
 func (m *Model) Describe() backend.Description {
 	return backend.Description{
-		Name: m.Name(),
+		Name: "gannx",
 		Summary: fmt.Sprintf("GANNX-class MIMD-SIMD deconvolution accelerator, %dx%d PEs @ %.1f GHz, %.1f MB buffer",
 			m.Cfg.PEsX, m.Cfg.PEsY, m.Cfg.FreqHz/1e9, float64(m.Cfg.BufBytes)/(1024*1024)),
 		Caps: backend.Capabilities{

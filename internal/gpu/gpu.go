@@ -2,7 +2,7 @@
 // Jetson TX2 (paper Sec. 6.2, Fig. 13): peak fp16 throughput, shared LPDDR4
 // bandwidth, and board-level power. It reproduces the baseline GPU curves of
 // Fig. 1 and the GPU bars of Fig. 13 at the fidelity the paper uses them —
-// a reference point, not a target. As a backend (registry name "gpu") it
+// a reference point, not a target. As a backend (name "gpu") it
 // supports only PolicyBaseline, the cuDNN-era execution the paper measures.
 package gpu
 
@@ -39,14 +39,11 @@ func TX2() *Model {
 	}
 }
 
-// Name implements backend.Backend.
-func (m *Model) Name() string { return "gpu" }
-
 // Describe implements backend.Backend: a roofline reference point with no
 // scheduler, so only the native (baseline) execution is modeled.
 func (m *Model) Describe() backend.Description {
 	return backend.Description{
-		Name: m.Name(),
+		Name: "gpu",
 		Summary: fmt.Sprintf("mobile GPU roofline (TX2-class), %.0f GMAC/s fp16 peak, %.1f GB/s, %.0f W board",
 			m.PeakMACsPerSec/1e9, m.BWBytesPerSec/1e9, m.BoardPowerW),
 		Caps: backend.Capabilities{

@@ -80,7 +80,7 @@ func (s *Server) submit(it *workItem) error {
 	sess := it.sess
 	limit := int64(s.cfg.QueueDepth)
 	if sess.slo == quality.BestEffort {
-		limit *= int64(s.cfg.BestEffortOvercommit)
+		limit *= bestEffortOvercommit
 	}
 	cur := s.inflight.Load() + 1
 	var err error

@@ -39,12 +39,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"asv/internal/backend"
 	"asv/internal/core"
 	"asv/internal/dataset"
 	"asv/internal/imgproc"
 	"asv/internal/metrics"
-	"asv/internal/nn"
 	"asv/internal/perception"
 	"asv/internal/quality"
 	"asv/internal/stereo"
@@ -65,30 +63,17 @@ type Config struct {
 	// MaxPixels caps uploaded image sizes at decode time (per image);
 	// oversize uploads get 413 before any pixel buffer is allocated.
 	MaxPixels int
-	// MaxPresetFrames caps the synthetic sequence length a preset session
-	// may request.
-	MaxPresetFrames int
 	// PW is the default propagation window for sessions that do not set
 	// their own.
 	PW int
 	// Pipeline is the ISM configuration template for new sessions (PW is
 	// overridden per session).
 	Pipeline core.Config
-	// Metrics receives per-stage latencies ("queue", "keymatch", "flow",
-	// "propagate+refine", "frame"). Nil installs a fresh registry.
+	// Metrics receives per-stage latencies ("queue", "rectify", "keymatch",
+	// "flow", "propagate+refine", "frame"). Nil installs a fresh registry.
 	Metrics *metrics.Registry
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// CostBackend, when set, adds a "backend" section to /metrics: the
-	// estimated per-frame cost of running the key-frame DNN (DispNet at
-	// qHD) on this accelerator model, under its best supported policy and
-	// — when the model supports ISM — amortized over the configured PW.
-	// Nil omits the section.
-	CostBackend backend.Backend
-	// CostNonKey is the per-frame non-key demand used for the ISM variant
-	// of the CostBackend estimate. Zero restricts the estimate to the pure
-	// DNN cost even on ISM-capable backends.
-	CostNonKey backend.NonKeyCost
 	// SpillDir, when set, turns eviction into spill: cold sessions evicted
 	// by TTL or LRU pressure are serialized to <SpillDir>/<id>.asvsnap and
 	// transparently restored on their next use. Pointing the shards of a
@@ -99,34 +84,35 @@ type Config struct {
 	// writes a session's snapshot to the spill store every N completed
 	// frames, bounding how much stream state a shard crash can lose.
 	CheckpointEvery int
-	// DefaultDeadline is the per-frame latency target assumed for
+}
+
+const (
+	// maxPresetFrames caps the synthetic sequence length a preset session
+	// may request.
+	maxPresetFrames = 256
+	// defaultDeadline is the per-frame latency target assumed for
 	// best-effort sessions that do not set their own: the ladder controller
 	// picks the cheapest rung predicted to complete within it given the
-	// current queue. Zero means 250ms.
-	DefaultDeadline time.Duration
-	// BestEffortOvercommit multiplies QueueDepth into the admission bound
-	// for best-effort frames: they may queue up to QueueDepth×Overcommit
-	// deep, because degrading drains the backlog far faster than rung-0
-	// service would. Gold frames keep the plain QueueDepth bound. Zero
-	// means 8.
-	BestEffortOvercommit int
-}
+	// current queue.
+	defaultDeadline = 250 * time.Millisecond
+	// bestEffortOvercommit multiplies QueueDepth into the admission bound
+	// for best-effort frames: they may queue up to QueueDepth×8 deep,
+	// because degrading drains the backlog far faster than rung-0 service
+	// would. Gold frames keep the plain QueueDepth bound.
+	bestEffortOvercommit = 8
+)
 
 // DefaultConfig returns a serving configuration sized for a small host.
 func DefaultConfig() Config {
 	return Config{
-		MaxSessions:     64,
-		SessionTTL:      5 * time.Minute,
-		QueueDepth:      64,
-		Workers:         4,
-		MaxPixels:       1 << 21, // 2 Mpx per image, ~8 MB of float32
-		MaxPresetFrames: 256,
-		PW:              4,
-		Pipeline:        core.DefaultConfig(),
-		Metrics:         metrics.NewRegistry(),
-		DefaultDeadline: 250 * time.Millisecond,
-
-		BestEffortOvercommit: 8,
+		MaxSessions: 64,
+		SessionTTL:  5 * time.Minute,
+		QueueDepth:  64,
+		Workers:     4,
+		MaxPixels:   1 << 21, // 2 Mpx per image, ~8 MB of float32
+		PW:          4,
+		Pipeline:    core.DefaultConfig(),
+		Metrics:     metrics.NewRegistry(),
 	}
 }
 
@@ -147,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPixels < 1 || c.MaxPixels > imgproc.MaxDecodePixels {
 		c.MaxPixels = d.MaxPixels
 	}
-	if c.MaxPresetFrames < 1 {
-		c.MaxPresetFrames = d.MaxPresetFrames
-	}
 	if c.PW < 1 {
 		c.PW = d.PW
 	}
@@ -158,12 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = d.Metrics
-	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = d.DefaultDeadline
-	}
-	if c.BestEffortOvercommit < 1 {
-		c.BestEffortOvercommit = d.BestEffortOvercommit
 	}
 	return c
 }
@@ -192,11 +169,6 @@ type Server struct {
 	serveErr chan error
 
 	janitorStop chan struct{}
-
-	// costEst is the precomputed /metrics "backend" section (nil when no
-	// CostBackend is configured). Computed once in New: the cost model is
-	// analytic and deterministic, so there is nothing live to sample.
-	costEst map[string]any
 
 	// Scheduler state (sched.go). mu guards every session's queue and
 	// running flag and the slot-occupancy samples below, and orders
@@ -281,9 +253,6 @@ func New(matcher core.KeyMatcher, cfg Config) *Server {
 	s.rungServed = make([]atomic.Int64, len(s.ladder))
 	s.tab = newSessionTable(s.cfg.MaxSessions)
 	s.slots = make(chan struct{}, s.cfg.Workers)
-	if s.cfg.CostBackend != nil {
-		s.costEst = backendCostEstimate(s.cfg.CostBackend, s.cfg.CostNonKey, s.cfg.PW)
-	}
 	s.mux = http.NewServeMux()
 	s.routes()
 	go s.janitor()
@@ -474,7 +443,7 @@ type CreateSessionRequest struct {
 	SLO string `json:"slo,omitempty"`
 	// DeadlineMs is a best-effort session's per-frame latency target; the
 	// controller degrades only as far as needed to meet it. Zero uses the
-	// server's DefaultDeadline. Ignored for gold sessions.
+	// server's default of 250 ms. Ignored for gold sessions.
 	DeadlineMs float64 `json:"deadline_ms,omitempty"`
 }
 
@@ -537,51 +506,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the live observability snapshot: serving-layer
 // counters plus the shared internal/metrics stage snapshot (the same format
-// asvbench emits), so one dashboard reads both. When a CostBackend is
-// configured, a "backend" section carries the estimated per-frame
-// accelerator cost alongside the measured serving numbers.
+// asvbench emits), so one dashboard reads both.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	doc := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"serve":  s.CountersSnapshot(),
 		"stages": s.cfg.Metrics.Snapshot(),
-	}
-	if s.costEst != nil {
-		doc["backend"] = s.costEst
-	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// backendCostEstimate runs the accelerator model once on the serving
-// workload shape — the DispNet key-frame DNN at the paper's qHD resolution
-// — under the model's best supported policy, and returns the /metrics
-// "backend" section. On ISM-capable backends with a known non-key demand
-// the estimate is the steady-state per-frame cost amortized over pw.
-func backendCostEstimate(b backend.Backend, nonKey backend.NonKeyCost, pw int) map[string]any {
-	d := b.Describe()
-	pol := d.Caps.Policies[len(d.Caps.Policies)-1]
-	opts := backend.RunOptions{Policy: pol}
-	mode := "dnn-per-frame"
-	if d.Caps.ISM && pw > 1 && nonKey != (backend.NonKeyCost{}) {
-		opts.PW, opts.NonKey = pw, nonKey
-		mode = fmt.Sprintf("ism-pw%d", pw)
-	}
-	rep, err := backend.Run(b, nn.DispNet(nn.QHDH, nn.QHDW), opts)
-	if err != nil {
-		// Unreachable for registered backends (options come from Describe),
-		// but a broken custom backend should not take down the server.
-		return map[string]any{"name": d.Name, "error": err.Error()}
-	}
-	return map[string]any{
-		"name":              d.Name,
-		"policy":            pol.String(),
-		"mode":              mode,
-		"workload":          rep.Workload,
-		"est_frame_ms":      round2(rep.Seconds * 1e3),
-		"est_fps":           round2(rep.FPS()),
-		"est_frame_mj":      round2(rep.EnergyJ * 1e3),
-		"est_frame_gmacs":   round2(float64(rep.MACs) / 1e9),
-		"est_frame_dram_mb": round2(float64(rep.DRAMBytes) / (1024 * 1024)),
-	}
+	})
 }
 
 // CountersSnapshot returns the serving-layer counters under stable names
@@ -694,7 +624,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if slo == quality.BestEffort {
 		deadlineMs = req.DeadlineMs
 		if deadlineMs <= 0 {
-			deadlineMs = float64(s.cfg.DefaultDeadline) / 1e6
+			deadlineMs = float64(defaultDeadline) / 1e6
 		}
 	} else if req.DeadlineMs != 0 {
 		writeError(w, http.StatusBadRequest, "deadline_ms requires slo=besteffort (gold sessions are never degraded)")

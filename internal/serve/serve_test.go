@@ -18,10 +18,8 @@ import (
 	"testing"
 	"time"
 
-	"asv/internal/backend/backends"
 	"asv/internal/core"
 	"asv/internal/dataset"
-	"asv/internal/hw"
 	"asv/internal/imgproc"
 	"asv/internal/metrics"
 	"asv/internal/stereo"
@@ -252,6 +250,9 @@ func TestBackpressure429(t *testing.T) {
 	var doc map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
+	}
+	if _, hasStages := doc["stages"]; len(doc) != 2 || !hasStages {
+		t.Fatalf("metrics top-level keys of %v, want exactly serve and stages", doc)
 	}
 	serveDoc, ok := doc["serve"].(map[string]any)
 	if !ok {
@@ -947,57 +948,5 @@ func TestKernelPanicBecomes500(t *testing.T) {
 	}
 	if acc, done := s.accepted.Load(), s.completed.Load(); acc != 2 || done != 2 || s.inflight.Load() != 0 {
 		t.Fatalf("accepted %d, completed %d, in flight %d; want 2, 2, 0", acc, done, s.inflight.Load())
-	}
-}
-
-func TestMetricsBackendCostSection(t *testing.T) {
-	cfg := Config{
-		CostBackend: backends.NewSystolic(hw.Default(), hw.DefaultEnergy()),
-		CostNonKey:  backends.DefaultNonKey(),
-	}
-	_, ts := testServer(t, cfg, 0)
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	be, ok := doc["backend"].(map[string]any)
-	if !ok {
-		t.Fatalf("no backend section in /metrics: %v", doc)
-	}
-	if be["name"] != "systolic" {
-		t.Fatalf("backend name %v, want systolic", be["name"])
-	}
-	// Default PW is 4 and the systolic model supports ISM, so the estimate
-	// must be the amortized steady-state cost, not the raw DNN cost.
-	if be["mode"] != "ism-pw4" {
-		t.Fatalf("mode %v, want ism-pw4", be["mode"])
-	}
-	for _, k := range []string{"est_frame_ms", "est_fps", "est_frame_mj", "est_frame_gmacs"} {
-		v, ok := be[k].(float64)
-		if !ok || v <= 0 {
-			t.Errorf("%s = %v, want positive number", k, be[k])
-		}
-	}
-}
-
-func TestMetricsBackendSectionOmittedByDefault(t *testing.T) {
-	_, ts := testServer(t, Config{}, 0)
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := doc["backend"]; ok {
-		t.Fatal("backend section present without a configured CostBackend")
 	}
 }

@@ -200,13 +200,16 @@ func TestSnapshotHTTPErrors(t *testing.T) {
 		t.Fatalf("PUT under mismatched id: %d: %s, want 400", code, body)
 	}
 
-	// Semantically unacceptable: the stream is fine but exceeds the target
-	// server's preset-length cap → 422, distinct from the 400 class.
-	strict := DefaultConfig()
-	strict.MaxPresetFrames = 2
-	_, tsStrict := testServer(t, strict, 0)
-	if code, body := putSnapshot(t, tsStrict.URL, info.ID, snap); code != http.StatusUnprocessableEntity {
-		t.Fatalf("PUT over preset cap: %d: %s, want 422", code, body)
+	// Semantically unacceptable: the stream is well formed but its preset is
+	// one frame past the server's cap → 422, distinct from the 400 class.
+	// The cap is checked before the preset is rendered, so this stays cheap.
+	long, err := DecodeSnapshot(snap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long.Preset.Scene.FrameCount = maxPresetFrames + 1
+	if code, body := putSnapshot(t, ts.URL, info.ID, EncodeSnapshot(long)); code != http.StatusUnprocessableEntity || !strings.Contains(body, "frame cap") {
+		t.Fatalf("PUT over preset cap: %d: %s, want 422 naming the frame cap", code, body)
 	}
 }
 

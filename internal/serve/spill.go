@@ -84,8 +84,8 @@ func (s *Server) newSession(snap *SessionSnapshot) (*session, error) {
 		if ps.Scene.W*ps.Scene.H > s.cfg.MaxPixels {
 			return nil, fmt.Errorf("preset size %dx%d exceeds this server's %d-pixel cap", ps.Scene.W, ps.Scene.H, s.cfg.MaxPixels)
 		}
-		if ps.Scene.FrameCount > s.cfg.MaxPresetFrames {
-			return nil, fmt.Errorf("preset length %d exceeds this server's %d-frame cap", ps.Scene.FrameCount, s.cfg.MaxPresetFrames)
+		if ps.Scene.FrameCount > maxPresetFrames {
+			return nil, fmt.Errorf("preset length %d exceeds this server's %d-frame cap", ps.Scene.FrameCount, maxPresetFrames)
 		}
 	}
 	cfg := snap.Pipeline

@@ -6,7 +6,7 @@
 //
 // Latency comes from the round model in package schedule; energy integrates
 // per-event costs from package hw over the counted MACs and on-/off-chip
-// traffic. The package implements backend.Backend (registry name
+// traffic. The package implements backend.Backend (name
 // "systolic"): it is the only model that supports all four scheduling
 // policies and ISM propagation windows.
 package systolic
@@ -35,14 +35,11 @@ func New(cfg hw.Config, en hw.Energy) *Accelerator {
 // Default returns the paper's evaluation accelerator (Sec. 6.1).
 func Default() *Accelerator { return New(hw.Default(), hw.DefaultEnergy()) }
 
-// Name implements backend.Backend.
-func (a *Accelerator) Name() string { return "systolic" }
-
 // Describe implements backend.Backend: the systolic array supports every
 // scheduling policy and the ISM non-key extensions.
 func (a *Accelerator) Describe() backend.Description {
 	return backend.Description{
-		Name: a.Name(),
+		Name: "systolic",
 		Summary: fmt.Sprintf("ASV systolic array, %dx%d PEs @ %.1f GHz, %.1f MB SRAM, %.1f GB/s",
 			a.Cfg.PEsX, a.Cfg.PEsY, a.Cfg.FreqHz/1e9,
 			float64(a.Cfg.BufBytes)/(1024*1024), a.Cfg.BytesPerCycle()*a.Cfg.FreqHz/1e9),

@@ -29,8 +29,7 @@ func DefaultEnergyModel() EnergyModel { return hw.DefaultEnergy() }
 // Accelerator backends. Every hardware model — the ASV systolic array, the
 // Eyeriss-class spatial array, the mobile GPU roofline and the GANNX-class
 // deconvolution accelerator — implements the same Backend interface and is
-// selected by registry name ("systolic", "eyeriss", "gpu", "gannx"), not by
-// import.
+// selected by name ("eyeriss", "gannx", "gpu", "systolic"), not by import.
 
 // Backend is one accelerator model: self-describing (name, summary,
 // capabilities) and runnable on any network.
@@ -63,15 +62,15 @@ type EnergyBreakdown = backend.EnergyBreakdown
 // NonKeyCost is the per-frame demand of ISM's non-key work.
 type NonKeyCost = backend.NonKeyCost
 
-// Backends returns every registered accelerator model, sorted by name.
-func Backends() []Backend { return backend.List() }
+// Backends returns every accelerator model, sorted by name.
+func Backends() []Backend { return backends.All() }
 
-// BackendNames returns the sorted registry names.
-func BackendNames() []string { return backend.Names() }
+// BackendNames returns the models' sorted names.
+func BackendNames() []string { return backends.Names() }
 
-// BackendByName looks a backend up by registry name; the error lists the
-// available names.
-func BackendByName(name string) (Backend, error) { return backend.Get(name) }
+// BackendByName looks a backend up by name; the error lists the available
+// names.
+func BackendByName(name string) (Backend, error) { return backends.ByName(name) }
 
 // RunOnBackend validates opts against b's capabilities and executes the
 // network, returning a typed error (backend.UnsupportedError /
@@ -93,7 +92,7 @@ func NewAccelerator(cfg HWConfig, en EnergyModel) Backend {
 }
 
 // DefaultAccelerator returns the paper's evaluation accelerator (the
-// registered "systolic" backend).
+// "systolic" backend).
 func DefaultAccelerator() Backend { return mustBackend("systolic") }
 
 // DefaultEyeriss returns the Fig. 13 Eyeriss configuration (same PEs,
@@ -106,10 +105,10 @@ func JetsonTX2() Backend { return mustBackend("gpu") }
 // DefaultGANNX returns the Fig. 14 GANNX configuration.
 func DefaultGANNX() Backend { return mustBackend("gannx") }
 
-// mustBackend resolves a built-in registry name; the backends package
-// registers all four in init, so a miss is an internal wiring bug.
+// mustBackend resolves a built-in model's name; the backends list is fixed
+// at compile time, so a miss is an internal wiring bug.
 func mustBackend(name string) Backend {
-	b, err := backend.Get(name)
+	b, err := backends.ByName(name)
 	if err != nil {
 		panic(err)
 	}
